@@ -118,18 +118,6 @@ inline void ConfigureScaled(BenchEnv* env) {
   env->planner_config.buffers.shared_slot_bytes = 8ull << 10;
   env->planner_config.buffers.shared_slots = 4;
   env->planner_config.host_join_buffer_bytes = 8ull << 20;
-  // HNDP_BATCH_ROWS: rows per host-pipeline batch pull; 0 = row-at-a-time.
-  // Simulated metrics are identical either way (DESIGN.md §10); the knob
-  // only changes wall-clock.
-  long long batch_rows =
-      EnvInt64("HNDP_BATCH_ROWS",
-               static_cast<long long>(env->planner_config.exec_batch_rows));
-  if (batch_rows < 0) {
-    fprintf(stderr, "# clamping HNDP_BATCH_ROWS=%lld to 0 (row-at-a-time)\n",
-            batch_rows);
-    batch_rows = 0;
-  }
-  env->planner_config.exec_batch_rows = static_cast<size_t>(batch_rows);
 }
 
 /// Build the JOB database. Reads HNDP_SCALE (fraction of full IMDB) and

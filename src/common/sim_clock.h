@@ -16,9 +16,9 @@ using SimNanos = double;
 /// simulated time. Individual charges are computed in SimNanos (double) but
 /// quantized to integer picoseconds before accumulation, which makes sums
 /// associative: any reordering of the same multiset of charges yields a
-/// bit-identical clock. Batch-vectorized execution relies on this to stay
-/// metric-identical to row-at-a-time execution while reordering per-row
-/// work inside a batch. int64 picoseconds overflow after ~107 days of
+/// bit-identical clock. Batch-vectorized execution relies on this to keep
+/// simulated metrics independent of the batch size while reordering
+/// per-row work inside a batch. int64 picoseconds overflow after ~107 days of
 /// simulated time; experiments here run milliseconds to seconds.
 using SimPicos = int64_t;
 

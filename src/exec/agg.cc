@@ -52,21 +52,14 @@ Status GroupByAggOp::Open() {
 
 Status GroupByAggOp::Rewind() { return Open(); }
 
-bool GroupByAggOp::UpdateGroups(const RowView& view, const char* row_data,
-                                sim::AccessContext* ctx) {
+bool GroupByAggOp::UpdateGroups(const char* row) {
   const Schema& in = child_->output_schema();
+  const RowView view(row, &in);
   // Group key = raw bytes of the group columns (buffer reused per row; the
   // map only copies it when a new group is inserted).
-  KeyBytesInto(in, group_idx_, row_data, &key_buf_);
+  KeyBytesInto(in, group_idx_, row, &key_buf_);
   auto [it, inserted] = groups_.try_emplace(key_buf_);
-  if (inserted) {
-    it->second.resize(aggs_.size());
-    if (ctx != nullptr) ctx->ChargeCopy(key_buf_.size());
-  }
-  if (ctx != nullptr) {
-    ctx->Charge(sim::CostKind::kHashProbe, 1);
-    ctx->Charge(sim::CostKind::kAggUpdate, aggs_.size());
-  }
+  if (inserted) it->second.resize(aggs_.size());
   for (size_t a = 0; a < aggs_.size(); ++a) {
     AggState& st = it->second[a];
     const int idx = agg_idx_[a];
@@ -87,34 +80,15 @@ bool GroupByAggOp::UpdateGroups(const RowView& view, const char* row_data,
   return inserted;
 }
 
-Status GroupByAggOp::Consume() {
-  const Schema& in = child_->output_schema();
-  std::string row;
-  while (child_->Next(&row)) {
-    UpdateGroups(RowView(row.data(), &in), row.data(), ctx_);
-  }
-  // Global aggregate with no groups: always emit one row, even on empty
-  // input (SQL semantics for aggregates without GROUP BY).
-  if (group_cols_.empty() && groups_.empty()) {
-    groups_.try_emplace(std::string()).first->second.resize(aggs_.size());
-  }
-  emit_it_ = groups_.begin();
-  consumed_ = true;
-  return Status::OK();
-}
-
-Status GroupByAggOp::ConsumeBatched(size_t max_rows) {
-  const Schema& in = child_->output_schema();
+Status GroupByAggOp::Consume(size_t max_rows) {
   while (RowBatch* b = child_->NextBatch(max_rows)) {
     uint64_t inserts = 0;
     for (size_t k = 0; k < b->num_active(); ++k) {
-      const char* r = b->active_row(k);
-      if (UpdateGroups(RowView(r, &in), r, nullptr)) ++inserts;
+      if (UpdateGroups(b->active_row(k))) ++inserts;
     }
-    // Per-row probe/update charges are identical across the batch; the
-    // insert copy charge is identical per new group (fixed key width).
-    // Charged per child batch, before the next pull, so nothing crosses a
-    // stall boundary.
+    // One hash probe and one update per aggregate for every row, plus one
+    // key copy per new group (fixed key width). Charged per child batch,
+    // before the next pull, so nothing crosses a stall boundary.
     if (ctx_ != nullptr) {
       const uint64_t n = b->num_active();
       ctx_->ChargeRepeated(sim::CostKind::kHashProbe, 1, n);
@@ -122,6 +96,8 @@ Status GroupByAggOp::ConsumeBatched(size_t max_rows) {
       ctx_->ChargeCopyRepeated(key_buf_.size(), inserts);
     }
   }
+  // Global aggregate with no groups: always emit one row, even on empty
+  // input (SQL semantics for aggregates without GROUP BY).
   if (group_cols_.empty() && groups_.empty()) {
     groups_.try_emplace(std::string()).first->second.resize(aggs_.size());
   }
@@ -176,27 +152,9 @@ void GroupByAggOp::EmitGroupInto(char* dst) const {
   }
 }
 
-bool GroupByAggOp::Next(std::string* row) {
-  if (!consumed_) {
-    Status s = Consume();
-    if (!s.ok()) {
-      status_ = std::move(s);
-      return false;
-    }
-  }
-  if (emit_it_ == groups_.end()) return false;
-
-  row->assign(out_schema_.row_size(), '\0');
-  EmitGroupInto(row->data());
-  if (ctx_ != nullptr) ctx_->ChargeCopy(row->size());
-  ++emit_it_;
-  ++rows_produced_;
-  return true;
-}
-
 RowBatch* GroupByAggOp::NextBatch(size_t max_rows) {
   if (!consumed_) {
-    Status s = ConsumeBatched(max_rows);
+    Status s = Consume(max_rows);
     if (!s.ok()) {
       status_ = std::move(s);
       return nullptr;

@@ -1,13 +1,9 @@
-// Batch-execution plumbing shared by all operators: the default NextBatch
-// adapter over Next(), and the batched drain.
+// Batch-execution plumbing shared by all operators: error recovery over the
+// operator tree and the drain.
 
 #include "exec/operator.h"
 
 namespace hybridndp::exec {
-
-RowBatch* Operator::NextBatch(size_t max_rows) {
-  return FillBatchViaNext(max_rows);
-}
 
 Status TreeStatus(const Operator& root) {
   if (!root.status().ok()) return root.status();
@@ -18,17 +14,7 @@ Status TreeStatus(const Operator& root) {
   return s;
 }
 
-RowBatch* Operator::FillBatchViaNext(size_t max_rows) {
-  adapter_batch_.Reset(&output_schema(), max_rows);
-  while (!adapter_batch_.full()) {
-    if (!Next(&adapter_row_)) break;
-    adapter_batch_.AppendCopy(adapter_row_.data());
-  }
-  return adapter_batch_.num_active() > 0 ? &adapter_batch_ : nullptr;
-}
-
-Result<std::vector<std::string>> CollectAllBatched(Operator* op,
-                                                   size_t batch_rows) {
+Result<std::vector<std::string>> CollectAll(Operator* op, size_t batch_rows) {
   if (batch_rows == 0) batch_rows = 1;
   HNDP_RETURN_IF_ERROR(op->Open());
   std::vector<std::string> rows;

@@ -31,17 +31,7 @@ Status ResolveKeys(const std::vector<JoinKey>& keys, const Schema& left,
   return Status::OK();
 }
 
-/// Concatenate two rows into the combined schema layout.
-void ConcatRows(const Schema& left, const Schema& right, const char* lrow,
-                const char* rrow, std::string* out, sim::AccessContext* ctx) {
-  const size_t total = left.row_size() + right.row_size();
-  if (out->size() != total) out->resize(total);
-  memcpy(out->data(), lrow, left.row_size());
-  memcpy(out->data() + left.row_size(), rrow, right.row_size());
-  if (ctx != nullptr) ctx->ChargeCopy(total);
-}
-
-/// ConcatRows into a pre-sized batch slot (same charge).
+/// Concatenate two rows into a pre-sized batch slot, charging one copy.
 void ConcatRowsInto(const Schema& left, const Schema& right, const char* lrow,
                     const char* rrow, char* dst, sim::AccessContext* ctx) {
   memcpy(dst, lrow, left.row_size());
@@ -105,47 +95,61 @@ Status NestedLoopJoinOp::Open() {
   HNDP_RETURN_IF_ERROR(inner_->Open());
   HNDP_RETURN_IF_ERROR(BindKeys());
   have_outer_ = false;
+  inner_batch_ = nullptr;
+  inner_pos_ = 0;
   return Status::OK();
 }
 
 Status NestedLoopJoinOp::Rewind() { return Open(); }
 
-bool NestedLoopJoinOp::Next(std::string* row) {
+RowBatch* NestedLoopJoinOp::NextBatch(size_t max_rows) {
   const Schema& lschema = outer_->output_schema();
   const Schema& rschema = inner_->output_schema();
+  batch_.Reset(&out_schema_, max_rows);
   while (true) {
     if (!have_outer_) {
-      if (!outer_->Next(&outer_row_)) return false;
+      RowBatch* ob = outer_->NextBatch(1);
+      if (ob == nullptr) return nullptr;
+      if (ob->num_active() == 0) continue;
+      outer_row_.assign(ob->active_row(0), lschema.row_size());
       have_outer_ = true;
+      inner_batch_ = nullptr;
+      inner_pos_ = 0;
       Status s = inner_->Rewind();
       if (!s.ok()) {
         status_ = std::move(s);
-        return false;
+        return nullptr;
       }
     }
-    while (inner_->Next(&inner_row_)) {
+    while (inner_batch_ != nullptr && inner_pos_ < inner_batch_->num_active()) {
+      if (batch_.full()) return &batch_;
+      const char* inner_row = inner_batch_->active_row(inner_pos_++);
       // Compare all key columns byte-wise.
       bool match = true;
       for (const auto& [l, r] : key_cols_) {
         const uint32_t width = lschema.column(l).size;
         if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kMemcmp, width);
         if (memcmp(outer_row_.data() + lschema.offset(l),
-                   inner_row_.data() + rschema.offset(r), width) != 0) {
+                   inner_row + rschema.offset(r), width) != 0) {
           match = false;
           break;
         }
       }
       if (!match) continue;
-      ConcatRows(lschema, rschema, outer_row_.data(), inner_row_.data(), row,
-                 ctx_);
+      char* dst = batch_.PeekRow();
+      ConcatRowsInto(lschema, rschema, outer_row_.data(), inner_row, dst, ctx_);
       if (residual_ != nullptr &&
-          !residual_->Eval(RowView(row->data(), &out_schema_), ctx_)) {
+          !residual_->Eval(RowView(dst, &out_schema_), ctx_)) {
         continue;
       }
+      batch_.CommitRow();
       ++rows_produced_;
-      return true;
     }
-    have_outer_ = false;  // advance outer
+    // No child pull after rows were placed: return the partial batch.
+    if (batch_.num_active() > 0) return &batch_;
+    inner_batch_ = inner_->NextBatch(batch_.capacity());
+    inner_pos_ = 0;
+    if (inner_batch_ == nullptr) have_outer_ = false;  // advance outer
   }
 }
 
@@ -192,40 +196,9 @@ Status BlockNLJoinOp::LoadNextBlock() {
   block_.clear();
   hash_.clear();
   uint64_t bytes = 0;
-  std::string row;
-  while (bytes < buffer_bytes_ && outer_->Next(&row)) {
-    bytes += row.size();
-    block_.push_back(std::move(row));
-  }
-  if (block_.empty()) {
-    outer_exhausted_ = true;
-    block_active_ = false;
-    return Status::OK();
-  }
-  // Build the hash table over the buffered block.
-  for (size_t i = 0; i < block_.size(); ++i) {
-    KeyBytesInto(outer_->output_schema(), outer_key_cols_, block_[i].data(),
-                 &key_buf_);
-    hash_.emplace(key_buf_, i);
-    if (ctx_ != nullptr) {
-      ctx_->Charge(sim::CostKind::kHashBuild, 1);
-      ctx_->ChargeCopy(block_[i].size());
-    }
-  }
-  ++blocks_;
-  block_active_ = true;
-  have_inner_ = false;
-  // Fresh pass over the inner input for this block.
-  return inner_->Rewind();
-}
-
-Status BlockNLJoinOp::LoadNextBlockBatched() {
-  block_.clear();
-  hash_.clear();
-  uint64_t bytes = 0;
   const size_t rs = outer_->output_schema().row_size();
-  // Bounded pulls keep the block composition byte-identical to the row
-  // path: request exactly the rows still needed to reach the threshold.
+  // Bounded pulls: request exactly the rows still needed to reach the
+  // threshold, so no outer row is pulled past the block.
   while (bytes < buffer_bytes_) {
     const uint64_t need =
         rs > 0 ? (buffer_bytes_ - bytes + rs - 1) / rs : uint64_t{1};
@@ -243,6 +216,7 @@ Status BlockNLJoinOp::LoadNextBlockBatched() {
     block_active_ = false;
     return Status::OK();
   }
+  // Build the hash table over the buffered block.
   for (size_t i = 0; i < block_.size(); ++i) {
     KeyBytesInto(outer_->output_schema(), outer_key_cols_, block_[i].data(),
                  &key_buf_);
@@ -254,11 +228,22 @@ Status BlockNLJoinOp::LoadNextBlockBatched() {
     ctx_->ChargeRepeated(sim::CostKind::kHashBuild, 1, block_.size());
     ctx_->ChargeCopyRepeated(rs, block_.size());
   }
+  // One probe emits at most max_fanout_ rows. Equal keys are adjacent when
+  // iterating an unordered_multimap, so one pass finds the longest run.
+  max_fanout_ = 1;
+  size_t run = 0;
+  const std::string* prev = nullptr;
+  for (const auto& entry : hash_) {
+    run = prev != nullptr && *prev == entry.first ? run + 1 : 1;
+    prev = &entry.first;
+    if (run > max_fanout_) max_fanout_ = run;
+  }
   ++blocks_;
   block_active_ = true;
   have_inner_ = false;
   inner_batch_ = nullptr;
   inner_pos_ = 0;
+  // Fresh pass over the inner input for this block.
   return inner_->Rewind();
 }
 
@@ -270,7 +255,7 @@ RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
     if (!block_active_) {
       if (batch_.num_active() > 0) return &batch_;
       if (outer_exhausted_) return nullptr;
-      Status s = LoadNextBlockBatched();
+      Status s = LoadNextBlock();
       if (!s.ok()) {
         status_ = std::move(s);
         return nullptr;
@@ -303,55 +288,18 @@ RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
       continue;
     }
     // Need a fresh probe batch. Return a partial output batch first so no
-    // child pull happens after rows were emitted (stall alignment).
+    // child pull happens after rows were emitted (stall alignment). The
+    // batch is empty here, so capping the pull at capacity / max_fanout_
+    // rows lets every pulled row be probed before the output fills.
     if (batch_.num_active() > 0) return &batch_;
     have_inner_ = false;
-    inner_batch_ = inner_->NextBatch(max_rows);
+    const size_t cap = batch_.capacity() / max_fanout_;
+    inner_batch_ = inner_->NextBatch(cap > 0 ? cap : 1);
     inner_pos_ = 0;
     if (inner_batch_ == nullptr) {
       // Inner exhausted for this block: move to the next outer block.
       block_active_ = false;
     }
-  }
-}
-
-bool BlockNLJoinOp::Next(std::string* row) {
-  const Schema& lschema = outer_->output_schema();
-  const Schema& rschema = inner_->output_schema();
-  while (true) {
-    if (!block_active_) {
-      if (outer_exhausted_) return false;
-      Status s = LoadNextBlock();
-      if (!s.ok()) {
-        status_ = std::move(s);
-        return false;
-      }
-      if (outer_exhausted_) return false;
-    }
-    // Emit remaining matches of the current inner row.
-    while (have_inner_ && match_range_.first != match_range_.second) {
-      const size_t idx = match_range_.first->second;
-      ++match_range_.first;
-      ConcatRows(lschema, rschema, block_[idx].data(), inner_row_.data(), row,
-                 ctx_);
-      if (residual_ != nullptr &&
-          !residual_->Eval(RowView(row->data(), &out_schema_), ctx_)) {
-        continue;
-      }
-      ++rows_produced_;
-      return true;
-    }
-    // Advance the inner stream.
-    if (inner_->Next(&inner_row_)) {
-      have_inner_ = true;
-      if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashProbe, 1);
-      KeyBytesInto(rschema, inner_key_cols_, inner_row_.data(), &key_buf_);
-      match_range_ = hash_.equal_range(std::string_view(key_buf_));
-      continue;
-    }
-    // Inner exhausted for this block: move to the next outer block.
-    block_active_ = false;
-    have_inner_ = false;
   }
 }
 
@@ -425,7 +373,6 @@ Status BlockNLIndexJoinOp::Open() {
   outer_exhausted_ = false;
   matches_.clear();
   match_pos_ = 0;
-  have_outer_ = false;
   lookups_ = 0;
   return Status::OK();
 }
@@ -433,18 +380,6 @@ Status BlockNLIndexJoinOp::Open() {
 Status BlockNLIndexJoinOp::Rewind() { return Open(); }
 
 Status BlockNLIndexJoinOp::LoadNextBlock() {
-  uint64_t bytes = 0;
-  std::string row;
-  while (bytes < buffer_bytes_ && outer_->Next(&row)) {
-    bytes += row.size();
-    if (ctx_ != nullptr) ctx_->ChargeCopy(row.size());
-    block_.push_back(std::move(row));
-  }
-  if (block_.empty()) outer_exhausted_ = true;
-  return Status::OK();
-}
-
-Status BlockNLIndexJoinOp::LoadNextBlockBatched() {
   uint64_t bytes = 0;
   const size_t rs = outer_->output_schema().row_size();
   while (bytes < buffer_bytes_) {
@@ -518,36 +453,6 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
   return Status::OK();
 }
 
-bool BlockNLIndexJoinOp::Next(std::string* row) {
-  const Schema& lschema = outer_->output_schema();
-  while (true) {
-    if (match_pos_ < matches_.size()) {
-      ConcatRows(lschema, inner_out_schema_, current_outer_.data(),
-                 matches_[match_pos_].data(), row, ctx_);
-      ++match_pos_;
-      ++rows_produced_;
-      return true;
-    }
-    if (block_.empty()) {
-      if (outer_exhausted_) return false;
-      Status s = LoadNextBlock();
-      if (!s.ok()) {
-        status_ = std::move(s);
-        return false;
-      }
-      continue;
-    }
-    current_outer_ = std::move(block_.front());
-    block_.pop_front();
-    const RowView view(current_outer_.data(), &lschema);
-    Status s = FetchMatches(view);
-    if (!s.ok()) {
-      status_ = std::move(s);
-      return false;
-    }
-  }
-}
-
 RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
   const Schema& lschema = outer_->output_schema();
   batch_.Reset(&out_schema_, max_rows);
@@ -564,7 +469,7 @@ RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
     if (block_.empty()) {
       if (batch_.num_active() > 0) return &batch_;  // before any child pull
       if (outer_exhausted_) return nullptr;
-      Status s = LoadNextBlockBatched();
+      Status s = LoadNextBlock();
       if (!s.ok()) {
         status_ = std::move(s);
         return nullptr;
@@ -621,37 +526,6 @@ Status GraceHashJoinOp::Open() {
 
 Status GraceHashJoinOp::Rewind() { return Open(); }
 
-Status GraceHashJoinOp::Partition() {
-  left_parts_.assign(num_partitions_, {});
-  right_parts_.assign(num_partitions_, {});
-  std::string row;
-  // Spilling a partition run writes it to storage and reads it back later;
-  // charge both directions as streaming flash traffic plus the hash work.
-  uint64_t spilled = 0;
-  while (left_->Next(&row)) {
-    KeyBytesInto(left_->output_schema(), left_key_cols_, row.data(),
-                 &key_buf_);
-    const size_t p = Hash64(Slice(key_buf_)) % num_partitions_;
-    spilled += row.size();
-    if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashProbe, 1);
-    left_parts_[p].push_back(std::move(row));
-  }
-  while (right_->Next(&row)) {
-    KeyBytesInto(right_->output_schema(), right_key_cols_, row.data(),
-                 &key_buf_);
-    const size_t p = Hash64(Slice(key_buf_)) % num_partitions_;
-    spilled += row.size();
-    if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashProbe, 1);
-    right_parts_[p].push_back(std::move(row));
-  }
-  if (ctx_ != nullptr && spilled > 0) {
-    ctx_->ChargeFlashRead(spilled);  // spill write
-    ctx_->ChargeFlashRead(spilled);  // reload
-  }
-  partitioned_ = true;
-  return Status::OK();
-}
-
 Status GraceHashJoinOp::StartPartition(size_t p) {
   hash_.clear();
   const auto& build = left_parts_[p];
@@ -666,7 +540,7 @@ Status GraceHashJoinOp::StartPartition(size_t p) {
   return Status::OK();
 }
 
-Status GraceHashJoinOp::PartitionBatched(size_t max_rows) {
+Status GraceHashJoinOp::Partition(size_t max_rows) {
   left_parts_.assign(num_partitions_, {});
   right_parts_.assign(num_partitions_, {});
   uint64_t spilled = 0;
@@ -691,6 +565,8 @@ Status GraceHashJoinOp::PartitionBatched(size_t max_rows) {
   };
   drain(left_.get(), left_key_cols_, &left_parts_);
   drain(right_.get(), right_key_cols_, &right_parts_);
+  // Spilling a partition run writes it to storage and reads it back later;
+  // charge both directions as streaming flash traffic.
   if (ctx_ != nullptr && spilled > 0) {
     ctx_->ChargeFlashRead(spilled);  // spill write
     ctx_->ChargeFlashRead(spilled);  // reload
@@ -701,7 +577,7 @@ Status GraceHashJoinOp::PartitionBatched(size_t max_rows) {
 
 RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
   if (!partitioned_) {
-    Status s = PartitionBatched(max_rows);
+    Status s = Partition(max_rows);
     if (!s.ok()) {
       status_ = std::move(s);
       return nullptr;
@@ -752,55 +628,6 @@ RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
     }
   }
   return batch_.num_active() > 0 ? &batch_ : nullptr;
-}
-
-bool GraceHashJoinOp::Next(std::string* row) {
-  if (!partitioned_) {
-    Status s = Partition();
-    if (!s.ok()) {
-      status_ = std::move(s);
-      return false;
-    }
-    part_ = 0;
-    if (Status sp = StartPartition(0); !sp.ok()) {
-      status_ = std::move(sp);
-      return false;
-    }
-  }
-  while (part_ < left_parts_.size()) {
-    auto& probe = right_parts_[part_];
-    while (true) {
-      if (in_match_ && match_range_.first != match_range_.second) {
-        const size_t build_idx = match_range_.first->second;
-        ++match_range_.first;
-        ConcatRows(left_->output_schema(), right_->output_schema(),
-                   left_parts_[part_][build_idx].data(),
-                   probe[probe_pos_ - 1].data(), row, ctx_);
-        if (residual_ != nullptr &&
-            !residual_->Eval(RowView(row->data(), &out_schema_), ctx_)) {
-          continue;
-        }
-        ++rows_produced_;
-        return true;
-      }
-      in_match_ = false;
-      if (probe_pos_ >= probe.size()) break;
-      KeyBytesInto(right_->output_schema(), right_key_cols_,
-                   probe[probe_pos_].data(), &key_buf_);
-      ++probe_pos_;
-      if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashProbe, 1);
-      match_range_ = hash_.equal_range(std::string_view(key_buf_));
-      in_match_ = true;
-    }
-    ++part_;
-    if (part_ < left_parts_.size()) {
-      if (Status sp = StartPartition(part_); !sp.ok()) {
-        status_ = std::move(sp);
-        return false;
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace hybridndp::exec

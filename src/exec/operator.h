@@ -51,16 +51,14 @@ using RowIndexMap = std::unordered_multimap<std::string, size_t,
                                             TransparentStringHash,
                                             std::equal_to<>>;
 
-/// Base volcano operator: Open / Next / Close, plus Rewind for join inners.
+/// Base volcano operator: Open / NextBatch / Close, plus Rewind for join
+/// inners.
 class Operator {
  public:
   virtual ~Operator() = default;
 
   virtual const Schema& output_schema() const = 0;
   virtual Status Open() = 0;
-  /// Produce the next output row into *row (resized to the output schema's
-  /// row size). Returns false when exhausted.
-  virtual bool Next(std::string* row) = 0;
   virtual void Close() {}
   /// Restart the stream from the beginning (used by nested-loop inners;
   /// re-reads storage, which re-charges I/O unless a cache absorbs it).
@@ -68,26 +66,20 @@ class Operator {
 
   virtual std::string Describe() const = 0;
 
-  /// Batch-at-a-time interface (DESIGN.md §10). Returns a batch of up to
+  /// Batch-at-a-time pull (DESIGN.md §10). Returns a batch of up to
   /// `max_rows` rows owned by this operator — valid until the next
-  /// NextBatch/FillBatchViaNext call on it — or nullptr when the stream is
-  /// exhausted. A non-null batch may carry zero active rows (e.g. a filter
-  /// that rejected a whole input batch); callers loop.
+  /// NextBatch call on it — or nullptr when the stream is exhausted. A
+  /// non-null batch may carry zero active rows (e.g. a filter that rejected
+  /// a whole input batch); callers loop.
   ///
-  /// Contract for batch-native overrides: charge exactly the per-row costs
-  /// the Next() path charges, and never pull a new child batch after rows
-  /// have been placed in the output batch (return the partial batch
-  /// instead). Together with the integer-picosecond clock this keeps batch
-  /// execution metric-identical to row execution even across the
-  /// cooperative layer's stall points.
-  virtual RowBatch* NextBatch(size_t max_rows);
-
-  /// Non-virtual adapter: fill a batch by looping this operator's Next().
-  /// Used as the default NextBatch and by drains that need row-pull
-  /// semantics regardless of overrides (the device executor's shared-slot
-  /// drain, where batch-internal lookahead would shift work attribution
-  /// across slot boundaries).
-  RowBatch* FillBatchViaNext(size_t max_rows);
+  /// Contract: never pull child rows you will not consume before your
+  /// output fills, and never pull a new child batch after rows have been
+  /// placed in the output batch (return the partial batch instead). Then
+  /// the work behind a batch is exactly the work behind its rows, whatever
+  /// `max_rows` is: NextBatch(1) has row-at-a-time semantics, and larger
+  /// pulls only change the wall clock (the integer-picosecond clock keeps
+  /// charge sums order-independent between stall points).
+  virtual RowBatch* NextBatch(size_t max_rows) = 0;
 
   /// Visit each direct child (observability traversal of a finished PQEP —
   /// e.g. per-operator rows-produced aggregates). Leaves visit nothing.
@@ -98,20 +90,16 @@ class Operator {
 
   uint64_t rows_produced() const { return rows_produced_; }
 
-  /// Error recorded while producing rows. The bool/pointer Next/NextBatch
-  /// signatures have no error channel, so an operator that hits a non-ok
-  /// child/iterator Status ends its stream (returns false / nullptr) and
-  /// parks the Status here. Drains must check TreeStatus() after exhaustion
-  /// to distinguish end-of-stream from failure.
+  /// Error recorded while producing rows. NextBatch has no error channel,
+  /// so an operator that hits a non-ok child/iterator Status ends its
+  /// stream (returns nullptr) and parks the Status here. Drains must check
+  /// TreeStatus() after exhaustion to distinguish end-of-stream from
+  /// failure.
   const Status& status() const { return status_; }
 
  protected:
   uint64_t rows_produced_ = 0;
   Status status_;
-
- private:
-  RowBatch adapter_batch_;   ///< storage for the default NextBatch
-  std::string adapter_row_;  ///< reused row buffer for the adapter loop
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
@@ -136,9 +124,8 @@ class TableScanOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
-  /// Batch-native: decodes up to max_rows qualifying rows per call straight
-  /// from the block iterator into the batch (no std::string per row).
+  /// Decodes up to max_rows qualifying rows per call straight from the
+  /// block iterator into the batch (no std::string per row).
   RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override { return Open(); }
   std::string Describe() const override;
@@ -171,7 +158,6 @@ class IndexScanOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override { return Open(); }
   std::string Describe() const override;
@@ -193,43 +179,6 @@ class IndexScanOp final : public Operator {
   RowBatch batch_;
 };
 
-/// Row source over a materialized vector (used to feed device-produced
-/// intermediate results into the host PQEP — paper Fig. 7.D).
-class VectorSourceOp final : public Operator {
- public:
-  VectorSourceOp(Schema schema, const std::vector<std::string>* rows)
-      : schema_(std::move(schema)), rows_(rows) {}
-
-  const Schema& output_schema() const override { return schema_; }
-  Status Open() override {
-    pos_ = 0;
-    return Status::OK();
-  }
-  bool Next(std::string* row) override {
-    if (pos_ >= rows_->size()) return false;
-    *row = (*rows_)[pos_++];
-    ++rows_produced_;
-    return true;
-  }
-  RowBatch* NextBatch(size_t max_rows) override {
-    if (pos_ >= rows_->size()) return nullptr;
-    batch_.Reset(&schema_, max_rows);
-    while (!batch_.full() && pos_ < rows_->size()) {
-      batch_.AppendCopy((*rows_)[pos_++].data());
-      ++rows_produced_;
-    }
-    return &batch_;
-  }
-  Status Rewind() override { return Open(); }
-  std::string Describe() const override { return "VectorSource"; }
-
- private:
-  Schema schema_;
-  const std::vector<std::string>* rows_;
-  size_t pos_ = 0;
-  RowBatch batch_;
-};
-
 /// Filter (selection on an arbitrary input).
 class FilterOp final : public Operator {
  public:
@@ -239,9 +188,8 @@ class FilterOp final : public Operator {
     return child_->output_schema();
   }
   Status Open() override;
-  bool Next(std::string* row) override;
-  /// Batch-native: narrows the child batch's selection vector in place —
-  /// survivors are never copied. The returned batch is the child's.
+  /// Narrows the child batch's selection vector in place — survivors are
+  /// never copied. The returned batch is the child's.
   RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override;
   std::string Describe() const override;
@@ -264,7 +212,6 @@ class ProjectOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   Status Rewind() override;
   std::string Describe() const override;
   void ForEachChild(
@@ -280,11 +227,11 @@ class ProjectOp final : public Operator {
   Schema out_schema_;
   std::vector<int> cols_;
   std::vector<std::string> projection_names_;
-  std::string child_row_;
   RowBatch batch_;
 };
 
-/// Classic tuple-at-a-time nested loop join (paper: NLJ).
+/// Classic tuple-at-a-time nested loop join (paper: NLJ): one outer row at
+/// a time, a full inner pass per outer row.
 class NestedLoopJoinOp final : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr outer, OperatorPtr inner,
@@ -293,7 +240,6 @@ class NestedLoopJoinOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   Status Rewind() override;
   std::string Describe() const override { return "NLJ"; }
   void ForEachChild(
@@ -301,6 +247,11 @@ class NestedLoopJoinOp final : public Operator {
     fn(*outer_);
     fn(*inner_);
   }
+
+  /// Pulls the outer one row at a time (the next outer row is only consumed
+  /// after a full inner pass) and the inner up to the output capacity (each
+  /// inner row yields at most one output row).
+  RowBatch* NextBatch(size_t max_rows) override;
 
  private:
   Status BindKeys();
@@ -312,8 +263,10 @@ class NestedLoopJoinOp final : public Operator {
   Schema out_schema_;
   std::vector<std::pair<int, int>> key_cols_;  ///< (outer idx, inner idx)
   std::string outer_row_;
-  std::string inner_row_;  ///< reused across Next() calls
   bool have_outer_ = false;
+  RowBatch batch_;                   ///< output batch
+  RowBatch* inner_batch_ = nullptr;  ///< child-owned probe batch
+  size_t inner_pos_ = 0;             ///< cursor into inner_batch_
 };
 
 /// Block nested loop join: buffers a block of outer rows, builds a hash
@@ -328,7 +281,6 @@ class BlockNLJoinOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   Status Rewind() override;
   std::string Describe() const override { return "BNLJ"; }
   void ForEachChild(
@@ -337,17 +289,17 @@ class BlockNLJoinOp final : public Operator {
     fn(*inner_);
   }
 
-  /// Batch-native: fills the outer block with bounded batch pulls (exact
-  /// byte threshold, same block composition as the row path), builds the
-  /// hash table once per block, and probes whole inner batches — one
-  /// KeyBytesInto + hash per inner row.
+  /// Fills the outer block with bounded pulls (exact byte threshold),
+  /// builds the hash table once per block, and probes inner batches — one
+  /// KeyBytesInto + hash per inner row. An inner pull asks for at most
+  /// capacity / max_fanout_ rows, so every pulled row is probed before the
+  /// output batch fills.
   RowBatch* NextBatch(size_t max_rows) override;
 
   uint64_t blocks_used() const { return blocks_; }
 
  private:
   Status LoadNextBlock();
-  Status LoadNextBlockBatched();
 
   OperatorPtr outer_, inner_;
   std::vector<JoinKey> keys_;
@@ -360,9 +312,9 @@ class BlockNLJoinOp final : public Operator {
 
   std::vector<std::string> block_;  ///< buffered outer rows
   RowIndexMap hash_;
+  size_t max_fanout_ = 1;  ///< largest key multiplicity in hash_
   bool outer_exhausted_ = false;
   bool block_active_ = false;
-  std::string inner_row_;
   std::string key_buf_;  ///< reused probe/build key buffer
   bool have_inner_ = false;
   std::pair<RowIndexMap::iterator, RowIndexMap::iterator> match_range_;
@@ -370,7 +322,7 @@ class BlockNLJoinOp final : public Operator {
   RowBatch batch_;                       ///< output batch
   RowBatch* inner_batch_ = nullptr;      ///< child-owned probe batch
   size_t inner_pos_ = 0;                 ///< cursor into inner_batch_
-  const char* inner_row_ptr_ = nullptr;  ///< current probe row (batch mode)
+  const char* inner_row_ptr_ = nullptr;  ///< current probe row
 };
 
 /// Indexed block nested loop join (paper: BNLJI): the inner side is a base
@@ -388,7 +340,6 @@ class BlockNLIndexJoinOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   Status Rewind() override;
   std::string Describe() const override;
   void ForEachChild(
@@ -402,7 +353,6 @@ class BlockNLIndexJoinOp final : public Operator {
 
  private:
   Status LoadNextBlock();
-  Status LoadNextBlockBatched();
   /// Collect matching inner rows for the current outer row into matches_.
   Status FetchMatches(const RowView& outer_row);
 
@@ -430,7 +380,6 @@ class BlockNLIndexJoinOp final : public Operator {
   std::string current_outer_;
   std::string pk_prefix_buf_;  ///< reused secondary-index seek key
   std::string base_row_buf_;   ///< reused primary-row fetch buffer
-  bool have_outer_ = false;
   uint64_t lookups_ = 0;
   RowBatch batch_;
 };
@@ -445,7 +394,6 @@ class GraceHashJoinOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   Status Rewind() override;
   std::string Describe() const override { return "GHJ"; }
   void ForEachChild(
@@ -457,8 +405,7 @@ class GraceHashJoinOp final : public Operator {
   RowBatch* NextBatch(size_t max_rows) override;
 
  private:
-  Status Partition();
-  Status PartitionBatched(size_t max_rows);
+  Status Partition(size_t max_rows);
   Status StartPartition(size_t p);
 
   OperatorPtr left_, right_;
@@ -499,7 +446,6 @@ class GroupByAggOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
   RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override;
   std::string Describe() const override { return "GroupByAgg"; }
@@ -518,15 +464,12 @@ class GroupByAggOp final : public Operator {
     bool seen = false;
   };
 
-  Status Consume();
-  Status ConsumeBatched(size_t max_rows);
-  /// Shared per-row aggregation step (row and batch consume paths). Charges
-  /// per-row costs against `ctx` when non-null (the batch path passes null
-  /// and bulk-charges per batch); returns whether a new group was inserted.
-  bool UpdateGroups(const RowView& view, const char* row_data,
-                    sim::AccessContext* ctx);
+  Status Consume(size_t max_rows);
+  /// Per-row aggregation step (uncharged: Consume bulk-charges per child
+  /// batch); returns whether a new group was inserted.
+  bool UpdateGroups(const char* row);
   /// Render the group at emit_it_ into a zeroed row buffer of
-  /// out_schema_.row_size() bytes (shared by Next and NextBatch).
+  /// out_schema_.row_size() bytes.
   void EmitGroupInto(char* dst) const;
 
   OperatorPtr child_;
@@ -544,17 +487,14 @@ class GroupByAggOp final : public Operator {
 };
 
 /// First non-ok status() in a preorder walk of the operator tree (OK when
-/// every operator is clean). Errors swallowed by the bool Next contract are
-/// recovered here.
+/// every operator is clean). Errors swallowed by the nullptr end-of-stream
+/// of NextBatch are recovered here.
 Status TreeStatus(const Operator& root);
 
-/// Drain an operator to completion, collecting rows.
-Result<std::vector<std::string>> CollectAll(Operator* op);
-
-/// Drain an operator to completion through the batch interface,
-/// `batch_rows` rows per pull. Produces the same rows in the same order as
-/// CollectAll and — by the NextBatch contract — the same simulated metrics.
-Result<std::vector<std::string>> CollectAllBatched(Operator* op,
-                                                   size_t batch_rows);
+/// Open an operator and drain it to completion, `batch_rows` rows per pull
+/// (0 is treated as 1). By the NextBatch contract, rows and simulated
+/// metrics do not depend on `batch_rows`.
+Result<std::vector<std::string>> CollectAll(Operator* op,
+                                            size_t batch_rows = 1024);
 
 }  // namespace hybridndp::exec

@@ -5,9 +5,9 @@
 // a selection vector: filters narrow the selection in place instead of
 // copying survivors.
 //
-// The batch path must stay metric-identical to the row path; RowBatch
-// itself never touches an AccessContext — operators charge exactly the
-// per-row costs their Next() path charges (see DESIGN.md §10).
+// RowBatch itself never touches an AccessContext: operators charge their
+// per-row costs, so simulated metrics do not depend on the batch size (see
+// DESIGN.md §10).
 
 #pragma once
 

@@ -40,22 +40,13 @@ Status ResolveProjection(const Schema& schema,
 }
 
 /// Copy projected fields of `row` (in `schema`) into a pre-sized buffer.
+/// Uncharged: callers pay one copy per row in bulk.
 void ProjectRowInto(const Schema& schema, const std::vector<int>& cols,
-                    const Schema& out_schema, const char* row, char* dst,
-                    sim::AccessContext* ctx) {
+                    const Schema& out_schema, const char* row, char* dst) {
   for (size_t i = 0; i < cols.size(); ++i) {
     const auto& col = schema.column(cols[i]);
     memcpy(dst + out_schema.offset(i), row + schema.offset(cols[i]), col.size);
   }
-  if (ctx != nullptr) ctx->ChargeCopy(out_schema.row_size());
-}
-
-/// Copy projected fields of `row` (in `schema`) into *out.
-void ProjectRow(const Schema& schema, const std::vector<int>& cols,
-                const Schema& out_schema, const char* row, std::string* out,
-                sim::AccessContext* ctx) {
-  if (out->size() != out_schema.row_size()) out->resize(out_schema.row_size());
-  ProjectRowInto(schema, cols, out_schema, row, out->data(), ctx);
 }
 
 }  // namespace
@@ -89,37 +80,12 @@ Status TableScanOp::Open() {
   return Status::OK();
 }
 
-bool TableScanOp::Next(std::string* row) {
-  while (iter_ != nullptr && iter_->Valid()) {
-    const Slice value = iter_->value();
-    const RowView view(value.data(), &aliased_schema_);
-    ++rows_scanned_;
-    if (opts_.ctx != nullptr) {
-      opts_.ctx->Charge(sim::CostKind::kSelectionProcessing, 1);
-    }
-    const bool pass =
-        predicate_ == nullptr || predicate_->Eval(view, opts_.ctx);
-    if (pass) {
-      ProjectRow(aliased_schema_, out_cols_, out_schema_, value.data(), row,
-                 opts_.ctx);
-      iter_->Next();
-      ++rows_produced_;
-      return true;
-    }
-    iter_->Next();
-  }
-  // Exhausted or failed: an iterator error (e.g. an injected device-side
-  // read fault) also leaves Valid() false, so park the status for drains.
-  if (iter_ != nullptr && status_.ok()) status_ = iter_->status();
-  return false;
-}
-
 RowBatch* TableScanOp::NextBatch(size_t max_rows) {
   batch_.Reset(&out_schema_, max_rows);
   // Per-row selection and copy charges are identical for every row, so the
-  // batch pays them once per batch via ChargeRepeated (bit-identical: only
-  // additive charges interleave inside the loop, and sums of quantized
-  // charges are order-independent).
+  // batch pays them once per batch via ChargeRepeated (bit-identical to
+  // per-row charging: only additive charges interleave inside the loop, and
+  // sums of quantized charges are order-independent).
   uint64_t scanned = 0;
   while (!batch_.full() && iter_ != nullptr && iter_->Valid()) {
     const Slice value = iter_->value();
@@ -129,7 +95,7 @@ RowBatch* TableScanOp::NextBatch(size_t max_rows) {
         predicate_ == nullptr || predicate_->Eval(view, opts_.ctx);
     if (pass) {
       ProjectRowInto(aliased_schema_, out_cols_, out_schema_, value.data(),
-                     batch_.AppendRow(), nullptr);
+                     batch_.AppendRow());
       ++rows_produced_;
     }
     iter_->Next();
@@ -139,6 +105,8 @@ RowBatch* TableScanOp::NextBatch(size_t max_rows) {
     opts_.ctx->ChargeRepeated(sim::CostKind::kSelectionProcessing, 1, scanned);
     opts_.ctx->ChargeCopyRepeated(out_schema_.row_size(), batch_.num_active());
   }
+  // Exhausted or failed: an iterator error (e.g. an injected device-side
+  // read fault) also leaves Valid() false, so park the status for drains.
   if (iter_ != nullptr && !batch_.full() && status_.ok()) {
     status_ = iter_->status();
   }
@@ -190,38 +158,6 @@ Status IndexScanOp::Open() {
   return Status::OK();
 }
 
-bool IndexScanOp::Next(std::string* row) {
-  while (iter_ != nullptr && iter_->Valid()) {
-    const Slice ikey = iter_->key();
-    if (ikey.size() < 8) {
-      iter_->Next();
-      continue;
-    }
-    // key = ordered secondary value (4B) | ordered primary key (4B).
-    if (memcmp(ikey.data(), end_key_.data(), 4) > 0) break;  // past range
-    const int32_t pk = GetOrderedInt32(ikey.data() + ikey.size() - 4);
-    iter_->Next();
-
-    Status s = table_->GetByPk(opts_, pk, &base_row_buf_);
-    if (s.IsNotFound()) continue;  // dangling index entry
-    if (!s.ok()) {
-      status_ = std::move(s);  // real failure, not a stale entry: stop
-      return false;
-    }
-    const RowView view(base_row_buf_.data(), &aliased_schema_);
-    if (opts_.ctx != nullptr) {
-      opts_.ctx->Charge(sim::CostKind::kSelectionProcessing, 1);
-    }
-    if (residual_ != nullptr && !residual_->Eval(view, opts_.ctx)) continue;
-    ProjectRow(aliased_schema_, out_cols_, out_schema_, base_row_buf_.data(),
-               row, opts_.ctx);
-    ++rows_produced_;
-    return true;
-  }
-  if (iter_ != nullptr && status_.ok()) status_ = iter_->status();
-  return false;
-}
-
 RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
   batch_.Reset(&out_schema_, max_rows);
   // Uniform per-row charges amortized over the batch (see TableScanOp).
@@ -239,14 +175,16 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
     Status s = table_->GetByPk(opts_, pk, &base_row_buf_);
     if (s.IsNotFound()) continue;  // dangling index entry
     if (!s.ok()) {
+      // A real failure, not a stale entry: deliver the rows already
+      // placed, then end the stream.
       status_ = std::move(s);
-      break;  // deliver rows already placed, then end the stream
+      break;
     }
     const RowView view(base_row_buf_.data(), &aliased_schema_);
     ++fetched;
     if (residual_ != nullptr && !residual_->Eval(view, opts_.ctx)) continue;
     ProjectRowInto(aliased_schema_, out_cols_, out_schema_,
-                   base_row_buf_.data(), batch_.AppendRow(), nullptr);
+                   base_row_buf_.data(), batch_.AppendRow());
     ++rows_produced_;
   }
   if (opts_.ctx != nullptr) {
@@ -274,18 +212,6 @@ FilterOp::FilterOp(OperatorPtr child, Expr::Ptr predicate,
 Status FilterOp::Open() {
   HNDP_RETURN_IF_ERROR(child_->Open());
   return predicate_->Bind(child_->output_schema());
-}
-
-bool FilterOp::Next(std::string* row) {
-  while (child_->Next(row)) {
-    if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kRecordEval, 1);
-    const RowView view(row->data(), &child_->output_schema());
-    if (predicate_->Eval(view, ctx_)) {
-      ++rows_produced_;
-      return true;
-    }
-  }
-  return false;
 }
 
 RowBatch* FilterOp::NextBatch(size_t max_rows) {
@@ -327,14 +253,6 @@ Status ProjectOp::Open() {
                            &out_schema_);
 }
 
-bool ProjectOp::Next(std::string* row) {
-  if (!child_->Next(&child_row_)) return false;
-  ProjectRow(child_->output_schema(), cols_, out_schema_, child_row_.data(),
-             row, ctx_);
-  ++rows_produced_;
-  return true;
-}
-
 RowBatch* ProjectOp::NextBatch(size_t max_rows) {
   RowBatch* b = child_->NextBatch(max_rows);
   if (b == nullptr) return nullptr;
@@ -343,7 +261,7 @@ RowBatch* ProjectOp::NextBatch(size_t max_rows) {
   const size_t n = b->num_active();
   for (size_t k = 0; k < n; ++k) {
     ProjectRowInto(in_schema, cols_, out_schema_, b->active_row(k),
-                   batch_.AppendRow(), nullptr);
+                   batch_.AppendRow());
     ++rows_produced_;
   }
   // n identical projection copies, charged in one step.
@@ -355,17 +273,6 @@ Status ProjectOp::Rewind() { return child_->Rewind(); }
 
 std::string ProjectOp::Describe() const {
   return "Project(" + std::to_string(cols_.size()) + " cols)";
-}
-
-Result<std::vector<std::string>> CollectAll(Operator* op) {
-  HNDP_RETURN_IF_ERROR(op->Open());
-  std::vector<std::string> rows;
-  std::string row;
-  while (op->Next(&row)) rows.push_back(row);
-  op->Close();
-  // Next() returning false means end-of-stream OR failure; disambiguate.
-  HNDP_RETURN_IF_ERROR(TreeStatus(*op));
-  return rows;
 }
 
 }  // namespace hybridndp::exec

@@ -234,27 +234,11 @@ bool StallingSourceOp::FetchNextDeviceBatch() {
   return true;
 }
 
-bool StallingSourceOp::Next(std::string* row) {
-  if (!FetchNextDeviceBatch()) return false;
-  if (pos_ >= rows_->size()) return false;
-  *row = (*rows_)[pos_++];
-  --batch_rows_left_;
-  ++rows_produced_;
-  // Fig. 7.D: the host maps each incoming record into its engine-internal
-  // structures — the received stream still flows through the interpreted
-  // row pipeline, like any other storage-engine handler source.
-  if (host_ctx_ != nullptr) {
-    host_ctx_->Charge(sim::CostKind::kRecordEval, 1);
-    host_ctx_->ChargeCopy(row->size());
-  }
-  return true;
-}
-
 exec::RowBatch* StallingSourceOp::NextBatch(size_t max_rows) {
   if (!FetchNextDeviceBatch()) return nullptr;
   if (pos_ >= rows_->size()) return nullptr;
   // Clamp to the current device batch: a second fetch after rows were
-  // emitted would move the stall point relative to the row path.
+  // emitted would charge the rows' downstream work after the stall.
   size_t take = max_rows < batch_rows_left_
                     ? max_rows
                     : static_cast<size_t>(batch_rows_left_);
@@ -270,8 +254,10 @@ exec::RowBatch* StallingSourceOp::NextBatch(size_t max_rows) {
     --batch_rows_left_;
     ++rows_produced_;
   }
-  // `take` identical per-record charges, paid in one step (bit-identical,
-  // see AccessContext::ChargeRepeated).
+  // Fig. 7.D: the host maps each incoming record into its engine-internal
+  // structures, like any other storage-engine handler source. `take`
+  // identical per-record charges, paid in one step (bit-identical, see
+  // AccessContext::ChargeRepeated).
   if (host_ctx_ != nullptr) {
     host_ctx_->ChargeRepeated(sim::CostKind::kRecordEval, 1, take);
     host_ctx_->ChargeCopyRepeated(schema_.row_size(), take);

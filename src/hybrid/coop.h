@@ -128,10 +128,9 @@ class StallingSourceOp final : public exec::Operator {
 
   const rel::Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  bool Next(std::string* row) override;
-  /// Batch-native: a returned RowBatch never spans device batches, so the
-  /// stall/fetch point always falls between host batches exactly as in the
-  /// row path (bit-identical wait attribution).
+  /// A returned RowBatch never spans device batches, so the stall/fetch
+  /// point always falls between host batches, whatever `max_rows` is
+  /// (bit-identical wait attribution).
   exec::RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override;
   std::string Describe() const override { return "StallingSource"; }

@@ -185,11 +185,8 @@ Result<RunResult> HybridExecutor::RunHostOnly(const Plan& plan,
   exec::OperatorPtr root = BuildHostScan(plan, 0, &ctx, cache, path);
   HNDP_ASSIGN_OR_RETURN(root, BuildHostSuffix(plan, 1, std::move(root), &ctx,
                                               cache, path, /*add_root=*/true));
-  HNDP_ASSIGN_OR_RETURN(
-      std::vector<std::string> rows,
-      config_.exec_batch_rows > 0
-          ? exec::CollectAllBatched(root.get(), config_.exec_batch_rows)
-          : exec::CollectAll(root.get()));
+  HNDP_ASSIGN_OR_RETURN(std::vector<std::string> rows,
+                        exec::CollectAll(root.get(), config_.exec_batch_rows));
 
   RunResult result;
   result.choice = choice;
@@ -403,14 +400,9 @@ Result<RunResult> HybridExecutor::RunDeviceAssisted(
                               std::move(root), &host_ctx, cache,
                               sim::IoPath::kNative, /*add_root=*/true));
   }
-  if (full_ndp && !plan.query.has_agg && !plan.query.select_columns.empty()) {
-    // Result already projected on-device; nothing to add.
-  }
 
   Result<std::vector<std::string>> rows =
-      config_.exec_batch_rows > 0
-          ? exec::CollectAllBatched(root.get(), config_.exec_batch_rows)
-          : exec::CollectAll(root.get());
+      exec::CollectAll(root.get(), config_.exec_batch_rows);
   Status run_error = rows.ok() ? Status::OK() : rows.status();
   if (!dev.device_status.ok()) {
     // The device death is the root cause: it outranks both a successful

@@ -26,8 +26,8 @@ struct PlannerConfig {
   nkv::NdpBufferConfig buffers;
   /// Host-side join buffer bytes.
   uint64_t host_join_buffer_bytes = 64ull << 20;
-  /// Rows per host-pipeline batch pull (DESIGN.md §10). 0 disables the
-  /// batch path (row-at-a-time Next); metrics are identical either way.
+  /// Rows per host-pipeline batch pull (DESIGN.md §10), at least 1.
+  /// Simulated metrics do not depend on it; only the wall clock does.
   size_t exec_batch_rows = 1024;
 };
 

@@ -99,39 +99,38 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
         std::make_unique<nkv::DeviceTableAccessor>(storage_, &t));
   }
 
-  // Drain one operator into batches of shared-slot granularity. This stays
-  // a plain Next() loop on purpose: a batch-native NextBatch would look
-  // ahead past the slot boundary and shift work attribution between
-  // DeviceBatch windows, and routing the rows through a RowBatch adapter
-  // would only add a copy per row — the DeviceBatch itself is the batch
-  // the host-side StallingSourceOp consumes batch-wise.
+  // Drain one operator into batches of shared-slot granularity. Each pull
+  // asks for at most the rows still free in the current slot, so a returned
+  // batch never crosses a slot boundary and every DeviceBatch window holds
+  // exactly the work behind its rows.
   auto drain = [&](exec::Operator* op, size_t stream) -> Status {
     Status st = op->Open();
     std::vector<std::string> rows;
     const size_t rs = op->output_schema().row_size();
-    // Slot granularity in rows: rows are fixed-size, so the row path's
-    // byte threshold cuts after exactly ceil(slot_bytes / row_size) rows.
+    // Slot granularity in rows: rows are fixed-size, so a slot of
+    // slot_bytes fills after exactly ceil(slot_bytes / row_size) rows.
     const size_t rows_per_slot =
         rs > 0 ? static_cast<size_t>(
                      (cmd.buffers.shared_slot_bytes + rs - 1) / rs)
                : size_t{1};
     uint64_t pending_rows = 0;
     SimNanos mark = ctx.now();
-    std::string row_buf;
     if (st.ok()) {
-      while (op->Next(&row_buf)) {
+      while (exec::RowBatch* b = op->NextBatch(rows_per_slot - pending_rows)) {
+        const size_t n = b->num_active();
         // Core 1 copies the root result into a shared-buffer slot (Fig. 8).
-        ctx.ChargeCopy(rs);
-        rows.push_back(row_buf);
-        if (++pending_rows == rows_per_slot) {
+        ctx.ChargeCopyRepeated(rs, n);
+        for (size_t k = 0; k < n; ++k) rows.emplace_back(b->active_row(k), rs);
+        pending_rows += n;
+        if (pending_rows == rows_per_slot) {
           result.batches.push_back(DeviceBatch{
               stream, pending_rows, pending_rows * rs, ctx.now() - mark});
           mark = ctx.now();
           pending_rows = 0;
         }
       }
-      // Next() returning false is end-of-stream OR a device-side failure
-      // parked in an operator; recover the distinction here.
+      // nullptr is end-of-stream OR a device-side failure parked in an
+      // operator; recover the distinction here.
       st = exec::TreeStatus(*op);
     }
     // Rows produced before a failure stay in the result (partial batches

@@ -113,10 +113,11 @@ class ExecTest : public ::testing::Test {
                                          std::move(pred), std::move(proj));
   }
 
-  /// Runs the tree produced by `build(ctx)` row-at-a-time once and batched
-  /// at each capacity in `batch_sizes`, asserting identical output rows and
-  /// bit-identical simulated charges (units and picoseconds per cost kind).
-  void ExpectBatchMatchesRow(
+  /// Runs the tree produced by `build(ctx)` one row per pull (the
+  /// row-at-a-time reference) and at each capacity in `batch_sizes`,
+  /// asserting identical output rows and bit-identical simulated charges
+  /// (units and picoseconds per cost kind).
+  void ExpectBatchSizeInvariant(
       const std::function<OperatorPtr(AccessContext*)>& build,
       const std::vector<size_t>& batch_sizes) {
     // Warm-up run: SST readers decode their index lazily and charge that
@@ -130,12 +131,12 @@ class ExecTest : public ::testing::Test {
     }
     AccessContext row_ctx(&hw_, Actor::kHost, IoPath::kNative);
     auto row_op = build(&row_ctx);
-    auto row_rows = CollectAll(row_op.get());
+    auto row_rows = CollectAll(row_op.get(), 1);
     ASSERT_TRUE(row_rows.ok());
     for (size_t n : batch_sizes) {
       AccessContext ctx(&hw_, Actor::kHost, IoPath::kNative);
       auto op = build(&ctx);
-      auto rows = CollectAllBatched(op.get(), n);
+      auto rows = CollectAll(op.get(), n);
       ASSERT_TRUE(rows.ok()) << "batch_rows=" << n;
       EXPECT_EQ(*rows, *row_rows) << "batch_rows=" << n;
       EXPECT_EQ(ctx.counters().units, row_ctx.counters().units)
@@ -177,9 +178,9 @@ TEST_F(ExecTest, TableScanEarlyProjectionShrinksRows) {
   auto scan = ScanEmp(nullptr, {"e.id", "e.salary"});
   ASSERT_TRUE(scan->Open().ok());
   EXPECT_EQ(scan->output_schema().row_size(), 8u);
-  std::string row;
-  ASSERT_TRUE(scan->Next(&row));
-  EXPECT_EQ(row.size(), 8u);
+  RowBatch* b = scan->NextBatch(1);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->row_size(), 8u);
 }
 
 TEST_F(ExecTest, TableScanUnknownProjectionFailsOpen) {
@@ -319,6 +320,31 @@ TEST_F(ExecTest, BlockNLJoinWithResidual) {
   auto rows = CollectAll(join.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 250u);  // depts 10..19
+}
+
+TEST_F(ExecTest, BlockNLJoinProbesEveryInnerRowItPulls) {
+  // Outer keys with fan-out 2 (ids 0..39 cover each dept_id twice): one
+  // probe emits two rows. Whatever the pull size, the join must not pull an
+  // inner row it has not probed yet when it returns a batch.
+  for (size_t k : {1u, 3u, 5u, 8u, 64u}) {
+    AccessContext join_ctx(&hw_, Actor::kHost, IoPath::kNative);
+    auto inner = ScanDept();
+    const Operator* inner_ptr = inner.get();
+    auto join = std::make_unique<BlockNLJoinOp>(
+        ScanEmp(Expr::CmpInt("e.id", CmpOp::kLt, 40)), std::move(inner),
+        std::vector<JoinKey>{{"e.dept_id", "d.id"}}, nullptr, 1 << 20,
+        &join_ctx);
+    ASSERT_TRUE(join->Open().ok());
+    size_t rows = 0;
+    while (RowBatch* b = join->NextBatch(k)) {
+      EXPECT_LE(b->num_active(), k);
+      rows += b->num_active();
+      EXPECT_EQ(inner_ptr->rows_produced(),
+                join_ctx.counters().Units(sim::CostKind::kHashProbe))
+          << "k=" << k << " after " << rows << " rows";
+    }
+    EXPECT_EQ(rows, 40u) << "k=" << k;
+  }
 }
 
 TEST_F(ExecTest, IndexedJoinViaPrimaryKey) {
@@ -573,7 +599,7 @@ TEST_F(ExecTest, BatchedScanFilterProjectJoinMatchesRowExecution) {
     return std::make_unique<ProjectOp>(
         std::move(filter), std::vector<std::string>{"e.name", "d.dname"}, ctx);
   };
-  ExpectBatchMatchesRow(build, {1, 100, 137, 1024});
+  ExpectBatchSizeInvariant(build, {100, 137, 1024});
 }
 
 TEST_F(ExecTest, BatchedIndexedJoinAndAggMatchRowExecution) {
@@ -592,7 +618,7 @@ TEST_F(ExecTest, BatchedIndexedJoinAndAggMatchRowExecution) {
                              {AggFn::kMin, "e.salary", "lo"}},
         ctx);
   };
-  ExpectBatchMatchesRow(build, {1, 5, 20, 64});
+  ExpectBatchSizeInvariant(build, {5, 20, 64});
 }
 
 TEST_F(ExecTest, BatchedGraceHashJoinMatchesRowExecution) {
@@ -607,7 +633,25 @@ TEST_F(ExecTest, BatchedGraceHashJoinMatchesRowExecution) {
         std::move(scan_d), std::move(scan_e),
         std::vector<JoinKey>{{"d.id", "e.dept_id"}}, nullptr, 4, ctx);
   };
-  ExpectBatchMatchesRow(build, {1, 100, 137, 1024});
+  ExpectBatchSizeInvariant(build, {100, 137, 1024});
+}
+
+TEST_F(ExecTest, BatchedNestedLoopJoinMatchesRowExecution) {
+  auto build = [this](AccessContext* ctx) -> OperatorPtr {
+    lsm::ReadOptions o;
+    o.ctx = ctx;
+    auto scan_d = std::make_unique<TableScanOp>(
+        dept_, "d", o, Expr::CmpInt("d.id", CmpOp::kLt, 6),
+        std::vector<std::string>{});
+    auto scan_e = std::make_unique<TableScanOp>(
+        emp_, "e", o, Expr::CmpInt("e.salary", CmpOp::kGe, 3000),
+        std::vector<std::string>{});
+    return std::make_unique<NestedLoopJoinOp>(
+        std::move(scan_d), std::move(scan_e),
+        std::vector<JoinKey>{{"d.id", "e.dept_id"}},
+        Expr::CmpInt("e.id", CmpOp::kGe, 100), ctx);
+  };
+  ExpectBatchSizeInvariant(build, {7, 100, 1024});
 }
 
 TEST_F(ExecTest, ExprSplitConjuncts) {

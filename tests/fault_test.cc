@@ -1,8 +1,8 @@
 // Tests for the fault-injection layer (sim/fault) and the robustness
 // plumbing built on it: poisoned shared-buffer schedules wake blocked
-// consumers instead of deadlocking, Status propagates through both the
-// row-pull and batch-native executor paths, and the hybrid executor
-// degrades to a correct host-only run when a device-assisted attempt dies.
+// consumers instead of deadlocking, Status propagates through the batch
+// pipeline to the drain, and the hybrid executor degrades to a correct
+// host-only run when a device-assisted attempt dies.
 
 #include <gtest/gtest.h>
 
@@ -307,7 +307,7 @@ TEST(PoisonedScheduleTest, ErrorOutParamIsOptional) {
 }
 
 // ---------------------------------------------------------------------------
-// Status propagation through the host pipeline (row-pull and batch paths)
+// Status propagation through the host pipeline
 
 class PoisonedSourceTest : public ::testing::Test {
  protected:
@@ -339,19 +339,6 @@ class PoisonedSourceTest : public ::testing::Test {
   StageTimes stages_;
 };
 
-TEST_F(PoisonedSourceTest, RowPullDeliversPrefixThenParksStatus) {
-  auto sched = MakePoisonedSchedule();
-  hybrid::StallingSourceOp src(schema_, &rows_, sched.get(), &ctx_, &stages_);
-  ASSERT_TRUE(src.Open().ok());
-  std::string row;
-  int delivered = 0;
-  while (src.Next(&row)) ++delivered;
-  // Rows that reached the shared buffer before the death stay delivered;
-  // the failure surfaces afterwards, in order.
-  EXPECT_EQ(delivered, 4);
-  EXPECT_TRUE(src.status().IsIOError());
-}
-
 TEST_F(PoisonedSourceTest, BatchPullDeliversPrefixThenParksStatus) {
   auto sched = MakePoisonedSchedule();
   hybrid::StallingSourceOp src(schema_, &rows_, sched.get(), &ctx_, &stages_);
@@ -363,18 +350,17 @@ TEST_F(PoisonedSourceTest, BatchPullDeliversPrefixThenParksStatus) {
 }
 
 TEST_F(PoisonedSourceTest, CollectAllSurfacesChildStatusThroughParents) {
-  // The error is parked two levels down (source under a projection); both
-  // drain paths must surface it instead of returning a silently truncated
-  // result set.
-  for (const bool batched : {false, true}) {
+  // The error is parked two levels down (source under a projection); the
+  // drain must surface it instead of returning a silently truncated result
+  // set, one row per pull or several.
+  for (const size_t batch_rows : {1u, 3u}) {
     auto sched = MakePoisonedSchedule();
     exec::OperatorPtr src = std::make_unique<hybrid::StallingSourceOp>(
         schema_, &rows_, sched.get(), &ctx_, &stages_);
     auto root = std::make_unique<exec::ProjectOp>(
         std::move(src), std::vector<std::string>{"v"}, &ctx_);
-    auto rows = batched ? exec::CollectAllBatched(root.get(), 3)
-                        : exec::CollectAll(root.get());
-    EXPECT_FALSE(rows.ok()) << (batched ? "batched" : "row") << " path";
+    auto rows = exec::CollectAll(root.get(), batch_rows);
+    EXPECT_FALSE(rows.ok()) << "batch_rows=" << batch_rows;
     EXPECT_TRUE(rows.status().IsIOError());
   }
 }

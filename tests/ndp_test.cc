@@ -260,6 +260,58 @@ TEST_F(NdpTest, DeviceBloomExtensionSavesLookupFlash) {
   EXPECT_LT(with->total_work_ns, without->total_work_ns);
 }
 
+TEST_F(NdpTest, BnljDrainCutsBatchesAtSlotBoundaries) {
+  // BNLJ pipeline whose outer block holds duplicate join keys (item_id
+  // repeats), so one probe emits several rows, drained into 1 KiB slots of
+  // 64 rows. Every DeviceBatch — rows, bytes and the device work behind
+  // them — is pinned to the row-at-a-time drain's values: the batch drain
+  // must attribute exactly the same work to each shared-buffer slot.
+  nkv::NdpCommand cmd;
+  cmd.buffers = SmallBuffers();
+  cmd.buffers.join_buffer_bytes = 1 << 10;
+  cmd.buffers.shared_slot_bytes = 1 << 10;
+  nkv::NdpTableAccess orders_access = nkv::SnapshotTable(*orders_, "o");
+  orders_access.predicate = Expr::CmpInt("o.qty", CmpOp::kGe, 5);
+  orders_access.projection = {"o.id", "o.item_id"};
+  cmd.snapshot = orders_access.primary.sequence;
+  cmd.tables.push_back(std::move(orders_access));
+  nkv::NdpTableAccess items_access = nkv::SnapshotTable(*items_, "i");
+  items_access.projection = {"i.id", "i.price"};
+  cmd.tables.push_back(std::move(items_access));
+  nkv::NdpJoinStage stage;
+  stage.algo = nkv::JoinAlgo::kBNLJ;
+  stage.keys = {{"o.item_id", "i.id"}};
+  cmd.joins.push_back(std::move(stage));
+
+  ndp::DeviceExecutor executor(&storage_, &hw_);
+  auto result = executor.Execute(cmd);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows().size(), 856u);
+  struct Pinned {
+    uint64_t rows;
+    uint64_t bytes;
+    SimNanos work_ns;
+  };
+  const std::vector<Pinned> expected = {
+      {64, 1024, 132225.39899999998}, {64, 1024, 14557.666000000027},
+      {64, 1024, 134459.405},         {64, 1024, 12551.556999999972},
+      {64, 1024, 123576.23499999999}, {64, 1024, 15003.467999999993},
+      {64, 1024, 123712.98700000008}, {64, 1024, 12551.556999999913},
+      {64, 1024, 117731.66900000011}, {64, 1024, 14557.665999999968},
+      {64, 1024, 112520.35499999998}, {64, 1024, 12997.358999999939},
+      {64, 1024, 87118.900000000023}, {24, 384, 6493.5370000000112},
+  };
+  ASSERT_EQ(result->batches.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    EXPECT_EQ(result->batches[i].stream, 0u);
+    EXPECT_EQ(result->batches[i].rows, expected[i].rows);
+    EXPECT_EQ(result->batches[i].bytes, expected[i].bytes);
+    EXPECT_DOUBLE_EQ(result->batches[i].work_ns, expected[i].work_ns);
+  }
+  EXPECT_DOUBLE_EQ(result->total_work_ns, 1031128.821);
+}
+
 // ---- cooperative batch schedule ----
 
 std::vector<ndp::DeviceBatch> MakeBatches(int n, SimNanos work,

