@@ -140,6 +140,10 @@ IndexScanOp::IndexScanOp(const TableAccessor* table, std::string alias,
 
 Status IndexScanOp::Open() {
   status_ = Status::OK();
+  if (index_no_ >= table_->def().indexes.size()) {
+    return Status::InvalidArgument("index scan on " + alias_ +
+                                   " names a missing index");
+  }
   const int col = table_->def().indexes[index_no_].col;
   if (table_->schema().column(col).type != rel::ColType::kInt32) {
     return Status::NotSupported("index range scan requires int column");

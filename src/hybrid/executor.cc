@@ -24,6 +24,38 @@ exec::Expr::Ptr ExtraEdgeFilter(const std::vector<exec::JoinKey>& edges) {
   return exec::Expr::And(std::move(cmps));
 }
 
+/// The table access of plan position `i`: alias, early selection and
+/// projection, and the chosen access path. Carries no snapshots; the NDP
+/// command attaches them for the tables it ships.
+nkv::NdpTableAccess TableAccessAt(const Plan& plan, size_t i) {
+  const PlannedTable& pt = plan.order[i];
+  const TableRef& ref = plan.query.tables[pt.query_table_idx];
+  nkv::NdpTableAccess access;
+  access.alias = ref.alias;
+  access.predicate = ref.predicate;
+  access.projection = pt.projection;
+  access.use_index_scan = pt.access.use_index;
+  access.index_no = pt.access.index_no;
+  access.index_lo = pt.access.lo;
+  access.index_hi = pt.access.hi;
+  return access;
+}
+
+/// The join stage that adds plan position `i` (>= 1) to the prefix. BNLJI
+/// joins on one edge and filters the remaining ones afterwards.
+nkv::NdpJoinStage JoinStageAt(const Plan& plan, size_t i) {
+  const PlannedTable& pt = plan.order[i];
+  nkv::NdpJoinStage stage;
+  stage.algo = pt.algo;
+  stage.keys = pt.keys;
+  stage.outer_key_col = pt.outer_key_col;
+  stage.inner_join_col = pt.inner_join_col;
+  if (pt.algo == nkv::JoinAlgo::kBNLJI) {
+    stage.residual = ExtraEdgeFilter(pt.extra_edges);
+  }
+  return stage;
+}
+
 /// Per-run copy of a plan with its predicate trees deep-cloned. Bind()
 /// writes resolved column indexes into the shared Expr nodes, so plans
 /// executing concurrently must not share them.
@@ -91,77 +123,17 @@ std::vector<ExecChoice> HybridExecutor::AllChoices(const Plan& plan) {
   return out;
 }
 
-exec::OperatorPtr HybridExecutor::BuildHostScan(const Plan& plan, size_t i,
-                                                sim::AccessContext* ctx,
-                                                lsm::BlockCache* cache,
-                                                sim::IoPath path) const {
-  (void)path;
-  const PlannedTable& pt = plan.order[i];
-  const std::string& alias = plan.query.tables[pt.query_table_idx].alias;
-  const exec::Expr::Ptr& pred = plan.query.tables[pt.query_table_idx].predicate;
-  lsm::ReadOptions opts;
-  opts.ctx = ctx;
-  opts.cache = cache;
-  if (pt.access.use_index) {
-    return std::make_unique<exec::IndexScanOp>(
-        pt.table, alias, pt.access.index_no, opts, pt.access.lo, pt.access.hi,
-        pred, pt.projection);
-  }
-  return std::make_unique<exec::TableScanOp>(pt.table, alias, opts, pred,
-                                             pt.projection);
-}
-
-Result<exec::OperatorPtr> HybridExecutor::BuildHostSuffix(
+exec::OperatorPtr HybridExecutor::BuildHostSuffix(
     const Plan& plan, size_t from, exec::OperatorPtr acc,
-    sim::AccessContext* ctx, lsm::BlockCache* cache, sim::IoPath path,
-    bool add_root) const {
-  lsm::ReadOptions opts;
-  opts.ctx = ctx;
-  opts.cache = cache;
+    const lsm::ReadOptions& opts) const {
   for (size_t i = from; i < plan.order.size(); ++i) {
-    const PlannedTable& pt = plan.order[i];
-    const std::string& alias = plan.query.tables[pt.query_table_idx].alias;
-    const exec::Expr::Ptr& pred =
-        plan.query.tables[pt.query_table_idx].predicate;
-    switch (pt.algo) {
-      case nkv::JoinAlgo::kBNLJI:
-        acc = std::make_unique<exec::BlockNLIndexJoinOp>(
-            std::move(acc), pt.outer_key_col, pt.table, alias,
-            pt.inner_join_col, opts, pred, pt.projection,
-            config_.host_join_buffer_bytes, ctx);
-        break;
-      case nkv::JoinAlgo::kBNLJ:
-        acc = std::make_unique<exec::BlockNLJoinOp>(
-            std::move(acc), BuildHostScan(plan, i, ctx, cache, path), pt.keys,
-            nullptr, config_.host_join_buffer_bytes, ctx);
-        break;
-      case nkv::JoinAlgo::kNLJ:
-        acc = std::make_unique<exec::NestedLoopJoinOp>(
-            std::move(acc), BuildHostScan(plan, i, ctx, cache, path), pt.keys,
-            nullptr, ctx);
-        break;
-      case nkv::JoinAlgo::kGHJ:
-        acc = std::make_unique<exec::GraceHashJoinOp>(
-            std::move(acc), BuildHostScan(plan, i, ctx, cache, path), pt.keys,
-            nullptr, 8, ctx);
-        break;
-    }
-    if (pt.algo == nkv::JoinAlgo::kBNLJI && !pt.extra_edges.empty()) {
-      acc = std::make_unique<exec::FilterOp>(std::move(acc),
-                                             ExtraEdgeFilter(pt.extra_edges),
-                                             ctx);
-    }
+    acc = nkv::BuildJoin(std::move(acc), JoinStageAt(plan, i),
+                         TableAccessAt(plan, i), plan.order[i].table, opts,
+                         config_.host_join_buffer_bytes);
   }
-  if (add_root) {
-    if (plan.query.has_agg) {
-      acc = std::make_unique<exec::GroupByAggOp>(
-          std::move(acc), plan.query.group_cols, plan.query.aggs, ctx);
-    } else if (!plan.query.select_columns.empty()) {
-      acc = std::make_unique<exec::ProjectOp>(std::move(acc),
-                                              plan.query.select_columns, ctx);
-    }
-  }
-  return acc;
+  return nkv::BuildRoot(std::move(acc), plan.query.has_agg,
+                        plan.query.group_cols, plan.query.aggs,
+                        plan.query.select_columns, opts.ctx);
 }
 
 Result<RunResult> HybridExecutor::RunHostOnly(const Plan& plan,
@@ -182,9 +154,12 @@ Result<RunResult> HybridExecutor::RunHostOnly(const Plan& plan,
     ctx.ChargeLatency(fallback_wasted_ns);
   }
 
-  exec::OperatorPtr root = BuildHostScan(plan, 0, &ctx, cache, path);
-  HNDP_ASSIGN_OR_RETURN(root, BuildHostSuffix(plan, 1, std::move(root), &ctx,
-                                              cache, path, /*add_root=*/true));
+  lsm::ReadOptions opts;
+  opts.ctx = &ctx;
+  opts.cache = cache;
+  exec::OperatorPtr root = BuildHostSuffix(
+      plan, 1,
+      nkv::BuildScan(TableAccessAt(plan, 0), plan.order[0].table, opts), opts);
   HNDP_ASSIGN_OR_RETURN(std::vector<std::string> rows,
                         exec::CollectAll(root.get(), config_.exec_batch_rows));
 
@@ -232,46 +207,23 @@ nkv::NdpCommand HybridExecutor::BuildNdpCommand(const Plan& plan,
   nkv::NdpCommand cmd;
   cmd.buffers = config_.buffers;
   cmd.force_cache_format = cache_format;
-  const size_t num_tables = full_ndp ? plan.order.size()
-                            : split_joins == 0
+  cmd.scans_only = !full_ndp && split_joins == 0;
+  const size_t num_tables = full_ndp || cmd.scans_only
                                 ? plan.order.size()
                                 : static_cast<size_t>(split_joins) + 1;
-  cmd.scans_only = !full_ndp && split_joins == 0;
 
   for (size_t i = 0; i < num_tables; ++i) {
-    const PlannedTable& pt = plan.order[i];
-    const auto& ref = plan.query.tables[pt.query_table_idx];
-    nkv::NdpTableAccess access = nkv::SnapshotTable(*pt.table, ref.alias);
-    access.predicate = ref.predicate;
-    access.projection = pt.projection;
-    access.use_index_scan = pt.access.use_index;
-    access.index_no = pt.access.index_no;
-    access.index_lo = pt.access.lo;
-    access.index_hi = pt.access.hi;
+    nkv::NdpTableAccess access = TableAccessAt(plan, i);
+    nkv::AttachSnapshots(*plan.order[i].table, &access);
     cmd.snapshot = access.primary.sequence;
     cmd.tables.push_back(std::move(access));
-  }
-  if (!cmd.scans_only) {
-    for (size_t i = 1; i < num_tables; ++i) {
-      const PlannedTable& pt = plan.order[i];
-      nkv::NdpJoinStage stage;
-      stage.algo = pt.algo;
-      stage.keys = pt.keys;
-      stage.outer_key_col = pt.outer_key_col;
-      stage.inner_join_col = pt.inner_join_col;
-      if (pt.algo == nkv::JoinAlgo::kBNLJI) {
-        stage.residual = ExtraEdgeFilter(pt.extra_edges);
-      }
-      cmd.joins.push_back(std::move(stage));
-    }
+    if (!cmd.scans_only && i > 0) cmd.joins.push_back(JoinStageAt(plan, i));
   }
   if (full_ndp) {
     cmd.has_agg = plan.query.has_agg;
     cmd.group_cols = plan.query.group_cols;
     cmd.aggs = plan.query.aggs;
-    if (!plan.query.has_agg) {
-      cmd.output_projection = plan.query.select_columns;
-    }
+    cmd.output_projection = plan.query.select_columns;
   }
   return cmd;
 }
@@ -358,18 +310,12 @@ Result<RunResult> HybridExecutor::RunDeviceAssisted(
     }
   }
 
-  // Assemble + run the host PQEP.
-  exec::OperatorPtr root;
-  if (full_ndp) {
-    root = std::make_unique<StallingSourceOp>(dev.schema(), &dev.rows(),
-                                              schedules[0].get(), &host_ctx,
-                                              &stages);
-  } else if (cmd.scans_only) {
-    // H0: all joins on the host over the shipped leaf streams.
-    root = std::make_unique<StallingSourceOp>(dev.stream_schemas[0],
-                                              &dev.stream_rows[0],
-                                              schedules[0].get(), &host_ctx,
-                                              &stages);
+  // Assemble + run the host PQEP over the first (pipelined: only) stream.
+  exec::OperatorPtr root = std::make_unique<StallingSourceOp>(
+      dev.stream_schemas[0], &dev.stream_rows[0], schedules[0].get(),
+      &host_ctx, &stages);
+  if (cmd.scans_only) {
+    // H0: every join on the host, over the shipped leaf streams.
     for (size_t i = 1; i < plan.order.size(); ++i) {
       const PlannedTable& pt = plan.order[i];
       auto inner = std::make_unique<StallingSourceOp>(
@@ -386,19 +332,15 @@ Result<RunResult> HybridExecutor::RunDeviceAssisted(
             config_.host_join_buffer_bytes, &host_ctx);
       }
     }
-    HNDP_ASSIGN_OR_RETURN(
-        root, BuildHostSuffix(plan, plan.order.size(), std::move(root),
-                              &host_ctx, cache, sim::IoPath::kNative,
-                              /*add_root=*/true));
-  } else {
-    // Hk: host continues the left-deep plan from position k+1.
-    root = std::make_unique<StallingSourceOp>(dev.schema(), &dev.rows(),
-                                              schedules[0].get(), &host_ctx,
-                                              &stages);
-    HNDP_ASSIGN_OR_RETURN(
-        root, BuildHostSuffix(plan, static_cast<size_t>(k) + 1,
-                              std::move(root), &host_ctx, cache,
-                              sim::IoPath::kNative, /*add_root=*/true));
+  }
+  if (!full_ndp) {
+    // Host suffix: the joins past the split (none under H0) and the root.
+    lsm::ReadOptions opts;
+    opts.ctx = &host_ctx;
+    opts.cache = cache;
+    const size_t from =
+        cmd.scans_only ? plan.order.size() : static_cast<size_t>(k) + 1;
+    root = BuildHostSuffix(plan, from, std::move(root), opts);
   }
 
   Result<std::vector<std::string>> rows =

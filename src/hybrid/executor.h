@@ -121,19 +121,11 @@ class HybridExecutor {
   nkv::NdpCommand BuildNdpCommand(const Plan& plan, int split_joins,
                                   bool full_ndp, int cache_format = 0) const;
 
-  /// Append host-side joins for plan positions [from, n) on top of `acc`.
-  Result<exec::OperatorPtr> BuildHostSuffix(const Plan& plan, size_t from,
-                                            exec::OperatorPtr acc,
-                                            sim::AccessContext* ctx,
-                                            lsm::BlockCache* cache,
-                                            sim::IoPath path,
-                                            bool add_root) const;
-
-  /// Build the host-side leaf scan for plan position `i`.
-  exec::OperatorPtr BuildHostScan(const Plan& plan, size_t i,
-                                  sim::AccessContext* ctx,
-                                  lsm::BlockCache* cache,
-                                  sim::IoPath path) const;
+  /// Append host-side joins for plan positions [from, n) on top of `acc`,
+  /// then the query root (aggregation or projection).
+  exec::OperatorPtr BuildHostSuffix(const Plan& plan, size_t from,
+                                    exec::OperatorPtr acc,
+                                    const lsm::ReadOptions& opts) const;
 
   const rel::Catalog* catalog_;
   const lsm::VirtualStorage* storage_;

@@ -86,13 +86,16 @@ struct Plan {
   double c_target = 0;       ///< eq. (12)
   double c_h0_dev = 0;       ///< device cost of offloading all leaves (H0)
 
-  /// |c_node(Hk) - c_target| per candidate k (index 0 = H0).
+  /// |c_node(Hk) - c_target| per candidate k (index 0 = H0); infinite for
+  /// a candidate whose buffer reservation exceeds the device NDP budget.
   std::vector<double> split_distance;
-  int max_feasible_split = 0;  ///< device-memory cap on split_joins
+  /// Deepest split Hk (k >= 1) that fits the device NDP budget, else 0.
+  int max_feasible_split = 0;
 
   /// The optimizer's pick.
   ExecChoice recommended;
-  /// Estimated total cost of the recommended hybrid split / host / NDP.
+  /// Estimated total cost of the recommended hybrid split / host / NDP;
+  /// infinite for a device-assisted choice that does not fit the device.
   double est_hybrid = 0, est_host = 0, est_ndp = 0;
 
   int num_tables() const { return static_cast<int>(order.size()); }

@@ -9,6 +9,14 @@ namespace hybridndp::hybrid {
 
 namespace {
 
+/// usr_rec (paper Table 1): row evaluation cost, abstract cycles.
+constexpr double kUsrRecCycles = 170;
+/// Index access is preferred when the predicate keeps less than this
+/// fraction of the table (the access-path selectivity threshold).
+constexpr double kIndexSelectivityThreshold = 0.15;
+/// Preconditions (Sect. 3.3): minimum tables for a split.
+constexpr int kMinTablesForSplit = 2;
+
 /// Strip an "alias." prefix from a column reference.
 std::string Unalias(const std::string& name, const std::string& alias) {
   const std::string prefix = alias + ".";
@@ -128,7 +136,7 @@ AccessPath Planner::ChooseAccessPath(const rel::Table& table,
   if (predicate == nullptr) return path;
   std::vector<exec::Expr::Ptr> conjuncts;
   exec::Expr::SplitConjuncts(predicate, &conjuncts);
-  double best_sel = config_.index_selectivity_threshold;
+  double best_sel = kIndexSelectivityThreshold;
   for (const auto& c : conjuncts) {
     if (c->column.empty()) continue;
     const int col = table.schema().Find(Unalias(c->column, alias));
@@ -186,9 +194,7 @@ AccessPath Planner::ChooseAccessPath(const rel::Table& table,
 uint64_t Planner::EstimateJoinRows(uint64_t prefix_rows,
                                    const rel::Table& table,
                                    const AccessPath& access,
-                                   const std::vector<exec::JoinKey>& keys,
                                    int inner_key_col) const {
-  (void)keys;
   // |P join T| ~= |P| * |T_sel| / ndv(T.key)  (System-R style).
   uint64_t ndv = 1;
   if (inner_key_col >= 0 && !table.stats().empty()) {
@@ -312,7 +318,7 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
       if (connected) {
         const int key_col = cands[i].table->schema().Find(edges[0].right_col);
         rows = EstimateJoinRows(prefix_rows, *cands[i].table, cands[i].access,
-                                {}, key_col);
+                                key_col);
       } else {
         rows = prefix_rows * cands[i].access.est_rows_out;  // cross product
       }
@@ -371,7 +377,7 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
       hw.host_cpu.effective_hz / hw.host_cpu.engine_cycle_factor;
   const double dev_hz =
       hw.device_cpu.effective_hz / hw.device_cpu.engine_cycle_factor;
-  const double usr_rec = config_.usr_rec_cycles;
+  const double usr_rec = kUsrRecCycles;
 
   auto scan_cost = [&](uint64_t bytes, bool device) {
     const double fcf = device ? hw.ndp_flash_clock : hw.host_flash_clock;
@@ -544,30 +550,34 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   plan.c_target =
       plan.c_total_dev * (plan.split_cpu + plan.split_mem) / (2.0 * 100.0);
 
-  // ---- Feasibility cap: the deepest split whose buffer reservation fits
-  // the device NDP budget.
-  plan.max_feasible_split = 0;
-  for (int k = 1; k <= n - 1; ++k) {
-    const uint64_t reserved =
-        static_cast<uint64_t>(k + 1) * config_.buffers.selection_buffer_bytes +
-        static_cast<uint64_t>(k) * config_.buffers.join_buffer_bytes +
-        static_cast<uint64_t>(config_.buffers.shared_slots) *
-            config_.buffers.shared_slot_bytes;
-    if (reserved <= hw.mem.device_ndp_budget_bytes) {
-      plan.max_feasible_split = k;
+  // ---- Feasibility: a device-assisted choice is a candidate only if its
+  // buffer reservation (the rule CheckResources enforces) fits the device
+  // NDP budget. Hk ships tables [0..k] and k joins, H0 every table and no
+  // joins, full NDP every table and n-1 joins.
+  auto fits = [&](size_t num_tables, size_t num_joins) {
+    size_t index_scans = 0;
+    for (size_t i = 0; i < num_tables; ++i) {
+      if (plan.order[i].access.use_index) ++index_scans;
     }
+    return nkv::ReservedBufferBytes(config_.buffers, num_tables, index_scans,
+                                    num_joins) <=
+           hw.mem.device_ndp_budget_bytes;
+  };
+  plan.max_feasible_split = 0;  // the reservation grows with k
+  for (int k = 1; k <= n - 1 && fits(k + 1, k); ++k) {
+    plan.max_feasible_split = k;
   }
 
   // ---- Candidate distances: H0 plus H1..H(n-2) prefixes (Fig. 5: the
-  // full-depth point is the NDP-only execution, not a split).
-  plan.split_distance.assign(static_cast<size_t>(std::max(1, n - 1)), 0.0);
-  plan.split_distance[0] = std::abs(plan.c_h0_dev - plan.c_target);
+  // full-depth point is the NDP-only execution, not a split). Infeasible
+  // candidates are infinitely far.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  plan.split_distance.assign(static_cast<size_t>(std::max(1, n - 1)), kInf);
+  if (fits(plan.order.size(), 0)) {
+    plan.split_distance[0] = std::abs(plan.c_h0_dev - plan.c_target);
+  }
   int best_k = 0;
-  for (int k = 1; k <= n - 2; ++k) {
-    if (k > plan.max_feasible_split) {
-      plan.split_distance[k] = std::numeric_limits<double>::infinity();
-      continue;
-    }
+  for (int k = 1; k <= std::min(n - 2, plan.max_feasible_split); ++k) {
     plan.split_distance[k] =
         std::abs(plan.order[k].cum_dev - plan.c_target);
     if (plan.split_distance[k] < plan.split_distance[best_k]) best_k = k;
@@ -590,9 +600,13 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   // Cooperative overlap: total ~ max of both sides plus the initial
   // on-device latency before the first intermediate result arrives.
   plan.est_hybrid = std::max(dev_part, host_part) + 0.1 * dev_part;
+  // An estimate is infinite when its choice does not fit the device, so the
+  // comparisons below never recommend it.
+  if (std::isinf(plan.split_distance[best_k])) plan.est_hybrid = kInf;
+  if (!fits(plan.order.size(), plan.order.size() - 1)) plan.est_ndp = kInf;
 
   plan.recommended.split_joins = best_k;
-  if (n < config_.min_tables_for_split) {
+  if (n < kMinTablesForSplit) {
     plan.recommended.strategy = plan.est_ndp < plan.est_host
                                     ? Strategy::kFullNdp
                                     : Strategy::kHostBlk;

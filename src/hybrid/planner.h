@@ -11,17 +11,9 @@
 
 namespace hybridndp::hybrid {
 
-/// Planner tuning (paper Table 1, "User / Configuration Variables").
+/// Planner tuning (paper Table 1, "User / Configuration Variables"; the
+/// single-valued ones are constants in planner.cc).
 struct PlannerConfig {
-  double usr_rec_cycles = 170;   ///< row evaluation cost, abstract cycles
-  /// Index access is preferred when the predicate keeps less than this
-  /// fraction of the table.
-  double index_selectivity_threshold = 0.15;
-  /// Preconditions (Sect. 3.3): minimum tables for a split.
-  int min_tables_for_split = 2;
-  /// Minimum transfer volume (fraction of one shared slot) for offloading
-  /// to be considered at all.
-  double min_transfer_fill = 0.05;
   /// Join buffer / selection buffer / shared slots deployed per NDP command.
   nkv::NdpBufferConfig buffers;
   /// Host-side join buffer bytes.
@@ -58,9 +50,7 @@ class Planner {
 
   /// Estimated |prefix join table| given estimated inputs.
   uint64_t EstimateJoinRows(uint64_t prefix_rows, const rel::Table& table,
-                            const AccessPath& access,
-                            const std::vector<exec::JoinKey>& keys,
-                            int inner_key_col) const;
+                            const AccessPath& access, int inner_key_col) const;
 
   const rel::Catalog* catalog_;
   const sim::HwParams* hw_;

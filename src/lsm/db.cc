@@ -394,18 +394,32 @@ Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
       return deleted ? Status::NotFound() : Status::OK();
     }
   }
+  return GetFromLevels(cf->version, opts, key, value,
+                       [this](const FileMetaData& meta) {
+                         return GetReader(meta.file_id, meta);
+                       });
+}
+
+Status GetFromLevels(
+    const Version& version, const ReadOptions& opts, const Slice& key,
+    std::string* value,
+    const std::function<SstReader*(const FileMetaData&)>& reader_fn) {
+  if (version.levels.empty()) return Status::NotFound();
+  bool deleted = false;
+  auto probe = [&](const FileMetaData& file) {
+    return reader_fn(file)->Get(opts.ctx, opts.cache, key, opts.snapshot,
+                                value, &deleted, opts.use_bloom);
+  };
   // C1: overlapping, search newest (last flushed) first.
-  const auto& l0 = cf->version.levels[0];
+  const auto& l0 = version.levels[0];
   for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    SstReader* reader = GetReader(it->file_id, *it);
-    Status s = reader->Get(opts.ctx, opts.cache, key, seq, value, &deleted,
-                           opts.use_bloom);
+    Status s = probe(*it);
     if (s.ok()) return deleted ? Status::NotFound() : Status::OK();
     if (!s.IsNotFound()) return s;
   }
   // C2..Ck: at most one candidate file per level.
-  for (int level = 1; level < options_.num_levels; ++level) {
-    const auto& files = cf->version.levels[level];
+  for (size_t level = 1; level < version.levels.size(); ++level) {
+    const auto& files = version.levels[level];
     // Binary search the first file whose largest user key >= key.
     auto pos = std::lower_bound(
         files.begin(), files.end(), key,
@@ -414,9 +428,7 @@ Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
         });
     if (pos == files.end()) continue;
     if (pos->SmallestUserKey().compare(key) > 0) continue;
-    SstReader* reader = GetReader(pos->file_id, *pos);
-    Status s = reader->Get(opts.ctx, opts.cache, key, seq, value, &deleted,
-                           opts.use_bloom);
+    Status s = probe(*pos);
     if (s.ok()) return deleted ? Status::NotFound() : Status::OK();
     if (!s.IsNotFound()) return s;
   }

@@ -189,6 +189,15 @@ IteratorPtr NewSnapshotInternalIterator(
     const CfSnapshot& snap, sim::AccessContext* ctx, BlockCache* cache,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn);
 
+/// Point lookup at `opts.snapshot` through the levels of a version: C1
+/// newest file first, then one binary-searched file per level C2..Ck.
+/// NotFound for an absent or deleted key. The host DB::Get and the NDP
+/// engine both call it after probing their own MemTables.
+Status GetFromLevels(
+    const Version& version, const ReadOptions& opts, const Slice& key,
+    std::string* value,
+    const std::function<SstReader*(const FileMetaData&)>& reader_fn);
+
 /// Wrap an internal-key iterator into a user-key iterator visible at `seq`
 /// (collapses versions, hides tombstones).
 IteratorPtr NewUserKeyIterator(IteratorPtr internal_iter, SequenceNumber seq,

@@ -5,7 +5,6 @@
 namespace hybridndp::ndp {
 
 using exec::OperatorPtr;
-using nkv::JoinAlgo;
 using nkv::NdpCommand;
 using nkv::NdpTableAccess;
 
@@ -44,22 +43,14 @@ Status DeviceExecutor::CheckResources(const NdpCommand& cmd) const {
   if (cmd.scans_only && !cmd.joins.empty()) {
     return Status::InvalidArgument("scans_only command must not carry joins");
   }
-  return Status::OK();
-}
-
-exec::OperatorPtr DeviceExecutor::BuildScan(const NdpTableAccess& access,
-                                            const rel::TableAccessor* accessor,
-                                            const NdpCommand& cmd,
-                                            lsm::ReadOptions opts) const {
-  (void)cmd;
-  if (access.use_index_scan) {
-    return std::make_unique<exec::IndexScanOp>(
-        accessor, access.alias, access.index_no, opts, access.index_lo,
-        access.index_hi, access.predicate, access.projection);
+  for (const auto& t : cmd.tables) {
+    if (t.use_index_scan && (t.index_no >= t.def.indexes.size() ||
+                             t.index_no >= t.indexes.size())) {
+      return Status::InvalidArgument("index scan on " + t.alias +
+                                     " names a missing index");
+    }
   }
-  return std::make_unique<exec::TableScanOp>(accessor, access.alias, opts,
-                                             access.predicate,
-                                             access.projection);
+  return Status::OK();
 }
 
 Result<DeviceRunResult> DeviceExecutor::Execute(
@@ -156,56 +147,21 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
     // Split H0: every leaf is an independent NDP selection; the single NDP
     // core processes them sequentially in join order.
     for (size_t i = 0; i < cmd.tables.size(); ++i) {
-      auto scan = BuildScan(cmd.tables[i], accessors[i].get(), cmd, opts);
+      OperatorPtr scan =
+          nkv::BuildScan(cmd.tables[i], accessors[i].get(), opts);
       exec_status = drain(scan.get(), i);
       if (!exec_status.ok()) break;
     }
   } else if (exec_status.ok()) {
-    // Left-deep pipeline: scan(t0) join t1 join t2 ... [agg] [project].
-    OperatorPtr acc = BuildScan(cmd.tables[0], accessors[0].get(), cmd, opts);
+    // Left-deep pipeline: scan(t0) join t1 join t2 ... [agg | project].
+    OperatorPtr acc = nkv::BuildScan(cmd.tables[0], accessors[0].get(), opts);
     for (size_t j = 0; j < cmd.joins.size(); ++j) {
-      const auto& stage = cmd.joins[j];
-      const auto& inner = cmd.tables[j + 1];
-      switch (stage.algo) {
-        case JoinAlgo::kBNLJI:
-          acc = std::make_unique<exec::BlockNLIndexJoinOp>(
-              std::move(acc), stage.outer_key_col, accessors[j + 1].get(),
-              inner.alias, stage.inner_join_col, opts, inner.predicate,
-              inner.projection, cmd.buffers.join_buffer_bytes, &ctx);
-          if (stage.residual != nullptr) {
-            acc = std::make_unique<exec::FilterOp>(std::move(acc),
-                                                   stage.residual, &ctx);
-          }
-          break;
-        case JoinAlgo::kBNLJ:
-          acc = std::make_unique<exec::BlockNLJoinOp>(
-              std::move(acc),
-              BuildScan(inner, accessors[j + 1].get(), cmd, opts), stage.keys,
-              stage.residual, cmd.buffers.join_buffer_bytes, &ctx);
-          break;
-        case JoinAlgo::kNLJ:
-          acc = std::make_unique<exec::NestedLoopJoinOp>(
-              std::move(acc),
-              BuildScan(inner, accessors[j + 1].get(), cmd, opts), stage.keys,
-              stage.residual, &ctx);
-          break;
-        case JoinAlgo::kGHJ:
-          acc = std::make_unique<exec::GraceHashJoinOp>(
-              std::move(acc),
-              BuildScan(inner, accessors[j + 1].get(), cmd, opts), stage.keys,
-              stage.residual, /*num_partitions=*/8, &ctx);
-          break;
-      }
+      acc = nkv::BuildJoin(std::move(acc), cmd.joins[j], cmd.tables[j + 1],
+                           accessors[j + 1].get(), opts,
+                           cmd.buffers.join_buffer_bytes);
     }
-    if (cmd.has_agg) {
-      acc = std::make_unique<exec::GroupByAggOp>(std::move(acc),
-                                                 cmd.group_cols, cmd.aggs,
-                                                 &ctx);
-    }
-    if (!cmd.output_projection.empty()) {
-      acc = std::make_unique<exec::ProjectOp>(std::move(acc),
-                                              cmd.output_projection, &ctx);
-    }
+    acc = nkv::BuildRoot(std::move(acc), cmd.has_agg, cmd.group_cols, cmd.aggs,
+                         cmd.output_projection, &ctx);
     exec_status = drain(acc.get(), 0);
   }
 

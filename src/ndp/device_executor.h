@@ -75,16 +75,11 @@ class DeviceExecutor {
                                   obs::MetricsRegistry* metrics = nullptr)
       const;
 
-  /// Memory check only (used by the planner to cap split depth).
+  /// Admission check: the reservation (nkv::ReservedBufferBytes) fits the
+  /// NDP budget and the command is well formed.
   Status CheckResources(const nkv::NdpCommand& cmd) const;
 
  private:
-  /// Build the scan (leaf) operator for one table access.
-  exec::OperatorPtr BuildScan(const nkv::NdpTableAccess& access,
-                              const rel::TableAccessor* accessor,
-                              const nkv::NdpCommand& cmd,
-                              lsm::ReadOptions opts) const;
-
   const lsm::VirtualStorage* storage_;
   const sim::HwParams* hw_;
 };

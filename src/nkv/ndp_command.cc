@@ -18,21 +18,79 @@ const char* JoinAlgoName(JoinAlgo algo) {
   return "?";
 }
 
+uint64_t ReservedBufferBytes(const NdpBufferConfig& buffers, size_t num_tables,
+                             size_t num_index_scans, size_t num_joins) {
+  return (num_tables + num_index_scans) * buffers.selection_buffer_bytes +
+         num_joins * buffers.join_buffer_bytes +
+         static_cast<uint64_t>(buffers.shared_slots) *
+             buffers.shared_slot_bytes;
+}
+
 uint64_t NdpCommand::ReservedBufferBytes() const {
-  uint64_t total = 0;
-  for (const auto& t : tables) {
-    total += buffers.selection_buffer_bytes;  // primary selection
-    if (t.use_index_scan) {
-      total += buffers.selection_buffer_bytes;  // secondary selection stage
+  const size_t index_scans = static_cast<size_t>(
+      std::count_if(tables.begin(), tables.end(),
+                    [](const NdpTableAccess& t) { return t.use_index_scan; }));
+  return nkv::ReservedBufferBytes(buffers, tables.size(), index_scans,
+                                  joins.size());
+}
+
+exec::OperatorPtr BuildScan(const NdpTableAccess& access,
+                            const rel::TableAccessor* accessor,
+                            const lsm::ReadOptions& opts) {
+  if (access.use_index_scan) {
+    return std::make_unique<exec::IndexScanOp>(
+        accessor, access.alias, access.index_no, opts, access.index_lo,
+        access.index_hi, access.predicate, access.projection);
+  }
+  return std::make_unique<exec::TableScanOp>(accessor, access.alias, opts,
+                                             access.predicate,
+                                             access.projection);
+}
+
+exec::OperatorPtr BuildJoin(exec::OperatorPtr outer, const NdpJoinStage& stage,
+                            const NdpTableAccess& inner_access,
+                            const rel::TableAccessor* accessor,
+                            const lsm::ReadOptions& opts,
+                            uint64_t join_buffer_bytes) {
+  switch (stage.algo) {
+    case JoinAlgo::kBNLJI: {
+      exec::OperatorPtr join = std::make_unique<exec::BlockNLIndexJoinOp>(
+          std::move(outer), stage.outer_key_col, accessor, inner_access.alias,
+          stage.inner_join_col, opts, inner_access.predicate,
+          inner_access.projection, join_buffer_bytes, opts.ctx);
+      if (stage.residual == nullptr) return join;
+      return std::make_unique<exec::FilterOp>(std::move(join), stage.residual,
+                                              opts.ctx);
     }
+    case JoinAlgo::kBNLJ:
+      return std::make_unique<exec::BlockNLJoinOp>(
+          std::move(outer), BuildScan(inner_access, accessor, opts),
+          stage.keys, stage.residual, join_buffer_bytes, opts.ctx);
+    case JoinAlgo::kNLJ:
+      return std::make_unique<exec::NestedLoopJoinOp>(
+          std::move(outer), BuildScan(inner_access, accessor, opts),
+          stage.keys, stage.residual, opts.ctx);
+    case JoinAlgo::kGHJ:
+      break;
   }
-  for (const auto& j : joins) {
-    (void)j;
-    total += buffers.join_buffer_bytes;
+  return std::make_unique<exec::GraceHashJoinOp>(
+      std::move(outer), BuildScan(inner_access, accessor, opts), stage.keys,
+      stage.residual, /*num_partitions=*/8, opts.ctx);
+}
+
+exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
+                            const std::vector<std::string>& group_cols,
+                            const std::vector<exec::AggSpec>& aggs,
+                            const std::vector<std::string>& projection,
+                            sim::AccessContext* ctx) {
+  if (has_agg) {
+    return std::make_unique<exec::GroupByAggOp>(std::move(acc), group_cols,
+                                                aggs, ctx);
   }
-  total += static_cast<uint64_t>(buffers.shared_slots) *
-           buffers.shared_slot_bytes;
-  return total;
+  if (!projection.empty()) {
+    return std::make_unique<exec::ProjectOp>(std::move(acc), projection, ctx);
+  }
+  return acc;
 }
 
 DeviceTableAccessor::DeviceTableAccessor(const lsm::VirtualStorage* storage,
@@ -64,28 +122,9 @@ Status DeviceTableAccessor::SnapshotGet(const lsm::CfSnapshot& snap,
       return deleted ? Status::NotFound() : Status::OK();
     }
   }
-  if (snap.version.levels.empty()) return Status::NotFound();
-  const auto& l0 = snap.version.levels[0];
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    Status s = GetReader(*it)->Get(opts.ctx, opts.cache, key, seq, value,
-                                   &deleted, opts.use_bloom);
-    if (s.ok()) return deleted ? Status::NotFound() : Status::OK();
-    if (!s.IsNotFound()) return s;
-  }
-  for (size_t level = 1; level < snap.version.levels.size(); ++level) {
-    const auto& files = snap.version.levels[level];
-    auto pos = std::lower_bound(files.begin(), files.end(), key,
-                                [](const lsm::FileMetaData& f, const Slice& k) {
-                                  return f.LargestUserKey().compare(k) < 0;
-                                });
-    if (pos == files.end()) continue;
-    if (pos->SmallestUserKey().compare(key) > 0) continue;
-    Status s = GetReader(*pos)->Get(opts.ctx, opts.cache, key, seq, value,
-                                    &deleted, opts.use_bloom);
-    if (s.ok()) return deleted ? Status::NotFound() : Status::OK();
-    if (!s.IsNotFound()) return s;
-  }
-  return Status::NotFound();
+  return lsm::GetFromLevels(
+      snap.version, opts, key, value,
+      [this](const lsm::FileMetaData& meta) { return GetReader(meta); });
 }
 
 Status DeviceTableAccessor::GetByPk(const lsm::ReadOptions& opts, int32_t pk,
@@ -132,15 +171,19 @@ uint64_t DeviceTableAccessor::row_count() const {
   return total;
 }
 
+void AttachSnapshots(const rel::Table& table, NdpTableAccess* access) {
+  access->table_name = table.name();
+  access->def = table.def();
+  access->primary = table.db()->GetCfSnapshot(table.primary_cf());
+  for (size_t i = 0; i < table.def().indexes.size(); ++i) {
+    access->indexes.push_back(table.db()->GetCfSnapshot(table.index_cf(i)));
+  }
+}
+
 NdpTableAccess SnapshotTable(const rel::Table& table, std::string alias) {
   NdpTableAccess access;
-  access.table_name = table.name();
   access.alias = std::move(alias);
-  access.def = table.def();
-  access.primary = table.db()->GetCfSnapshot(table.primary_cf());
-  for (size_t i = 0; i < table.def().indexes.size(); ++i) {
-    access.indexes.push_back(table.db()->GetCfSnapshot(table.index_cf(i)));
-  }
+  AttachSnapshots(table, &access);
   return access;
 }
 

@@ -85,7 +85,8 @@ struct NdpCommand {
   std::vector<std::string> group_cols;
   std::vector<exec::AggSpec> aggs;
 
-  /// Final projection of the device result (empty = full width).
+  /// Final projection of the device result (empty = full width; ignored
+  /// under has_agg, whose output is the aggregate row).
   std::vector<std::string> output_projection;
 
   NdpBufferConfig buffers;
@@ -101,11 +102,42 @@ struct NdpCommand {
   /// absent keys (BNLJI misses) avoid their data-block reads.
   bool device_bloom = false;
 
-  size_t num_pipeline_joins() const { return joins.size(); }
   /// Device memory the configured pipeline reserves (checked against the
   /// NDP budget before deployment).
   uint64_t ReservedBufferBytes() const;
 };
+
+/// The device-buffer reservation rule (paper Sect. 4.2): one selection
+/// buffer per table plus one per index scan (secondary selection), one join
+/// buffer per join, and the shared slots. Both the device's admission check
+/// and the planner's feasibility test apply it.
+uint64_t ReservedBufferBytes(const NdpBufferConfig& buffers, size_t num_tables,
+                             size_t num_index_scans, size_t num_joins);
+
+// ---- The PQEP builder both sides of a split use (paper Sect. 3.3, 4). The
+// caller passes its accessor (host Table or DeviceTableAccessor) and the
+// read options whose context is charged.
+
+/// Leaf scan: index range scan or full scan with early selection/projection.
+exec::OperatorPtr BuildScan(const NdpTableAccess& access,
+                            const rel::TableAccessor* accessor,
+                            const lsm::ReadOptions& opts);
+
+/// Join `outer` with `inner_access` under `stage.algo`. BNLJI applies
+/// `stage.residual` as a post-join filter, the other joins evaluate it.
+exec::OperatorPtr BuildJoin(exec::OperatorPtr outer, const NdpJoinStage& stage,
+                            const NdpTableAccess& inner_access,
+                            const rel::TableAccessor* accessor,
+                            const lsm::ReadOptions& opts,
+                            uint64_t join_buffer_bytes);
+
+/// Pipeline root: GROUP BY / aggregation when `has_agg`, otherwise the
+/// projection (none when empty).
+exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
+                            const std::vector<std::string>& group_cols,
+                            const std::vector<exec::AggSpec>& aggs,
+                            const std::vector<std::string>& projection,
+                            sim::AccessContext* ctx);
 
 /// Device-side table accessor: reads the shipped CfSnapshots through
 /// device-owned SstReaders, charging the *internal* flash path. This is the
@@ -126,7 +158,7 @@ class DeviceTableAccessor final : public rel::TableAccessor {
 
  private:
   lsm::SstReader* GetReader(const lsm::FileMetaData& meta) const;
-  /// Get through one snapshot: mem -> immutables -> C1 -> C2..Ck.
+  /// Get through one snapshot: mem -> immutables -> the shared level walk.
   Status SnapshotGet(const lsm::CfSnapshot& snap, const lsm::ReadOptions& opts,
                      const Slice& key, std::string* value) const;
 
@@ -134,6 +166,10 @@ class DeviceTableAccessor final : public rel::TableAccessor {
   const NdpTableAccess* access_;
   mutable std::map<lsm::FileId, std::unique_ptr<lsm::SstReader>> readers_;
 };
+
+/// Fill `access` with a live table's definition and the shared-state
+/// snapshots of its primary and secondary column families.
+void AttachSnapshots(const rel::Table& table, NdpTableAccess* access);
 
 /// Build an NdpTableAccess snapshot bundle from a live table.
 NdpTableAccess SnapshotTable(const rel::Table& table, std::string alias);

@@ -382,6 +382,67 @@ TEST_F(HybridTest, DeviceMemoryBudgetRejectsOversizedPipelines) {
   EXPECT_TRUE(result.status().IsResourceExhausted());
 }
 
+TEST_F(HybridTest, PlannerMarksFeasibleExactlyWhatTheDeviceAccepts) {
+  // Budget for two selection buffers, one join buffer and the slots. An
+  // index range on orders makes every pipeline holding orders reserve a
+  // second (secondary) selection buffer, so H1 no longer fits, and H0
+  // (three selection buffers plus the secondary one) does not either.
+  const PlannerConfig cfg = MakePlannerConfig();
+  HwParams tight = hw_;
+  tight.mem.device_ndp_budget_bytes =
+      2 * cfg.buffers.selection_buffer_bytes + cfg.buffers.join_buffer_bytes +
+      static_cast<uint64_t>(cfg.buffers.shared_slots) *
+          cfg.buffers.shared_slot_bytes;
+  Query q = MakeQuery();
+  q.tables[0].predicate = Expr::CmpInt("o.customer_id", CmpOp::kLe, 3);
+  Planner planner(&catalog_, &tight, cfg);
+  auto plan = planner.PlanQuery(q);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(std::any_of(plan->order.begin(), plan->order.begin() + 2,
+                          [](const PlannedTable& pt) {
+                            return pt.access.use_index;
+                          }));
+
+  // The plan marks an infeasible split with an infinite distance and an
+  // infeasible full-NDP run with an infinite estimate. Every choice it
+  // marks feasible runs; every other one is rejected by the device's
+  // admission check.
+  auto feasible = [&](const ExecChoice& c) {
+    switch (c.strategy) {
+      case Strategy::kHybrid:
+        return !std::isinf(plan->split_distance.at(c.split_joins));
+      case Strategy::kFullNdp:
+        return !std::isinf(plan->est_ndp);
+      default:
+        return true;
+    }
+  };
+  HybridExecutor executor(&catalog_, &storage_, &tight, cfg);
+  int feasible_device_choices = 0;
+  for (const ExecChoice& choice : HybridExecutor::AllChoices(*plan)) {
+    lsm::BlockCache cache(64 << 20);
+    auto result = executor.Run(*plan, choice, &cache);
+    if (feasible(choice)) {
+      EXPECT_TRUE(result.ok())
+          << choice.ToString() << ": " << result.status().ToString();
+      if (choice.strategy == Strategy::kHybrid ||
+          choice.strategy == Strategy::kFullNdp) {
+        ++feasible_device_choices;
+      }
+    } else {
+      EXPECT_TRUE(result.status().IsResourceExhausted()) << choice.ToString();
+    }
+  }
+  EXPECT_EQ(feasible_device_choices, 0);
+  EXPECT_EQ(plan->max_feasible_split, 0);
+  EXPECT_TRUE(feasible(plan->recommended))
+      << plan->recommended.ToString();
+  lsm::BlockCache cache(64 << 20);
+  auto recommended = executor.Run(*plan, plan->recommended, &cache);
+  ASSERT_TRUE(recommended.ok()) << plan->recommended.ToString() << ": "
+                                << recommended.status().ToString();
+}
+
 TEST_F(HybridTest, PointerCacheKicksInBeyondTwoTables) {
   Planner planner(&catalog_, &hw_, MakePlannerConfig());
   auto plan = planner.PlanQuery(MakeQuery());

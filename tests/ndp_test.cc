@@ -97,20 +97,71 @@ class NdpTest : public ::testing::Test {
 };
 
 TEST_F(NdpTest, DeviceAccessorMatchesHostReads) {
-  nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
-  nkv::DeviceTableAccessor accessor(&storage_, &access);
-  EXPECT_EQ(accessor.row_count(), orders_->row_count());
-
-  // Point lookups agree with the host path.
-  for (int32_t pk : {1, 1500, 3000}) {
-    std::string host_row, dev_row;
-    ASSERT_TRUE(orders_->GetByPk(lsm::ReadOptions{}, pk, &host_row).ok());
-    ASSERT_TRUE(accessor.GetByPk(lsm::ReadOptions{}, pk, &dev_row).ok());
-    EXPECT_EQ(host_row, dev_row);
+  {
+    nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
+    nkv::DeviceTableAccessor accessor(&storage_, &access);
+    EXPECT_EQ(accessor.row_count(), orders_->row_count());
   }
-  std::string missing;
-  EXPECT_TRUE(
-      accessor.GetByPk(lsm::ReadOptions{}, 99999, &missing).IsNotFound());
+
+  // Layer deletions and overwrites so that tombstones and newer versions
+  // sit in a compacted level (C2), in C1 and in the MemTable, each
+  // shadowing older versions further down.
+  auto overwrite = [&](int32_t pk, int32_t qty) {
+    RowBuilder rb(&orders_->schema());
+    rb.SetInt(0, pk).SetInt(1, 1 + pk % 100).SetInt(2, qty).SetString(3, "v");
+    ASSERT_TRUE(orders_->Insert(rb.row()).ok());
+  };
+  auto erase = [&](int32_t pk) {
+    std::string key;
+    PutOrderedInt32(&key, pk);
+    ASSERT_TRUE(db_.Delete(orders_->primary_cf(), key).ok());
+  };
+  for (int32_t pk = 1; pk <= 50; ++pk) erase(pk);
+  for (int32_t pk = 51; pk <= 100; ++pk) overwrite(pk, 100);
+  ASSERT_TRUE(db_.CompactAll(orders_->primary_cf()).ok());
+  // Over a C2 tombstone and a C2 newer version, then flushed to C1.
+  for (int32_t pk = 1; pk <= 10; ++pk) overwrite(pk, 200);
+  for (int32_t pk = 51; pk <= 60; ++pk) erase(pk);
+  for (int32_t pk = 101; pk <= 150; ++pk) erase(pk);
+  for (int32_t pk = 151; pk <= 200; ++pk) overwrite(pk, 200);
+  ASSERT_TRUE(db_.FlushAll().ok());
+  // Over a C1 tombstone and a C1 newer version, left in the MemTable.
+  for (int32_t pk = 101; pk <= 110; ++pk) overwrite(pk, 300);
+  for (int32_t pk = 151; pk <= 160; ++pk) erase(pk);
+  for (int32_t pk = 201; pk <= 250; ++pk) erase(pk);
+  for (int32_t pk = 251; pk <= 300; ++pk) overwrite(pk, 300);
+
+  nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
+  const lsm::Version& version = access.primary.version;
+  ASSERT_FALSE(version.levels[0].empty());
+  ASSERT_FALSE(version.levels[1].empty());
+  ASSERT_GT(access.primary.mem->num_entries(), 0u);
+  nkv::DeviceTableAccessor accessor(&storage_, &access);
+
+  // Point lookups agree with the host path for every key, including
+  // NotFound for deleted rows and the newest version for overwritten ones.
+  int not_found = 0;
+  for (int32_t pk = 1; pk <= 3001; ++pk) {
+    std::string host_row, dev_row;
+    const Status host = orders_->GetByPk(lsm::ReadOptions{}, pk, &host_row);
+    const Status dev = accessor.GetByPk(lsm::ReadOptions{}, pk, &dev_row);
+    ASSERT_EQ(host.ToString(), dev.ToString()) << "pk " << pk;
+    if (host.IsNotFound()) {
+      ++not_found;
+      continue;
+    }
+    ASSERT_TRUE(host.ok()) << host.ToString();
+    EXPECT_EQ(host_row, dev_row) << "pk " << pk;
+  }
+  // 40 + 10 + 40 + 10 + 50 deleted rows, plus pk 3001 which never existed.
+  EXPECT_EQ(not_found, 151);
+  std::string row;
+  ASSERT_TRUE(accessor.GetByPk(lsm::ReadOptions{}, 5, &row).ok());
+  EXPECT_EQ(RowView(row.data(), &orders_->schema()).GetInt(2), 200);
+  ASSERT_TRUE(accessor.GetByPk(lsm::ReadOptions{}, 105, &row).ok());
+  EXPECT_EQ(RowView(row.data(), &orders_->schema()).GetInt(2), 300);
+  ASSERT_TRUE(accessor.GetByPk(lsm::ReadOptions{}, 70, &row).ok());
+  EXPECT_EQ(RowView(row.data(), &orders_->schema()).GetInt(2), 100);
 }
 
 TEST_F(NdpTest, DeviceAccessorSeesSharedStateMemTable) {
@@ -193,6 +244,17 @@ TEST_F(NdpTest, MalformedCommandsRejected) {
   mismatched.scans_only = false;  // 1 table but no joins is fine...
   mismatched.joins.emplace_back();  // ...but a join without a second table is not
   EXPECT_TRUE(executor.Execute(mismatched).status().IsInvalidArgument());
+
+  // An index scan naming an index the table does not have is rejected at
+  // admission, and the operator itself refuses it instead of reading past
+  // the index list.
+  nkv::NdpCommand bad_index = ScanCommand();
+  bad_index.tables[0].use_index_scan = true;
+  bad_index.tables[0].index_no = 99;
+  EXPECT_TRUE(executor.Execute(bad_index).status().IsInvalidArgument());
+  exec::IndexScanOp scan(orders_, "o", /*index_no=*/99, lsm::ReadOptions{}, 0,
+                         10, nullptr, {});
+  EXPECT_TRUE(scan.Open().IsInvalidArgument());
 }
 
 TEST_F(NdpTest, BufferReservationArithmetic) {
