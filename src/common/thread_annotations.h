@@ -10,9 +10,8 @@
 //  * Shared mutable members are GUARDED_BY the mutex that protects them.
 //  * Private helpers called with a lock already held are REQUIRES(mu_)
 //    and named *Locked.
-//  * Lock-free fast paths over published-immutable state (seal/acquire
-//    protocols) are isolated into tiny NO_THREAD_SAFETY_ANALYSIS helpers
-//    carrying a one-line justification comment.
+//  * No code opts out of the analysis: state that is not shared across
+//    threads carries no lock at all.
 
 #pragma once
 
@@ -60,6 +59,3 @@
 #define ASSERT_CAPABILITY(x) HNDP_THREAD_ANNOTATION_(assert_capability(x))
 
 #define RETURN_CAPABILITY(x) HNDP_THREAD_ANNOTATION_(lock_returned(x))
-
-#define NO_THREAD_SAFETY_ANALYSIS \
-  HNDP_THREAD_ANNOTATION_(no_thread_safety_analysis)

@@ -39,30 +39,9 @@ BatchSchedule::BatchSchedule(std::vector<ndp::DeviceBatch> batches,
 
 void BatchSchedule::AttachTrace(obs::TraceRecorder* rec, int host_track,
                                 int device_track) {
-  common::MutexLock lock(mu_);
   rec_ = rec;
   host_track_ = host_track;
   device_track_ = device_track;
-}
-
-bool BatchSchedule::poisoned() const {
-  common::MutexLock lock(mu_);
-  return poisoned_;
-}
-
-Status BatchSchedule::poison_status() const {
-  common::MutexLock lock(mu_);
-  return poison_status_;
-}
-
-SimNanos BatchSchedule::device_finish() const {
-  common::MutexLock lock(mu_);
-  return done_.empty() ? start_ : done_.back();
-}
-
-SimNanos BatchSchedule::device_stall() const {
-  common::MutexLock lock(mu_);
-  return device_stall_;
 }
 
 void BatchSchedule::ComputeDoneThrough(size_t i) {
@@ -93,11 +72,6 @@ void BatchSchedule::ComputeDoneThrough(size_t i) {
 }
 
 void BatchSchedule::Poison(SimNanos when, Status status, size_t after) {
-  common::MutexLock lock(mu_);
-  PoisonLocked(when, std::move(status), after);
-}
-
-void BatchSchedule::PoisonLocked(SimNanos when, Status status, size_t after) {
   poisoned_ = true;
   poison_time_ = when;
   poison_status_ = std::move(status);
@@ -106,12 +80,6 @@ void BatchSchedule::PoisonLocked(SimNanos when, Status status, size_t after) {
 
 SimNanos BatchSchedule::Fetch(size_t i, SimNanos host_now, StageTimes* stages,
                               Status* error) {
-  common::MutexLock lock(mu_);
-  return FetchLocked(i, host_now, stages, error);
-}
-
-SimNanos BatchSchedule::FetchLocked(size_t i, SimNanos host_now,
-                                    StageTimes* stages, Status* error) {
   if (error != nullptr) *error = Status::OK();
   if (poisoned_ && i >= poison_after_) {
     // The batch will never arrive: the producer died at poison_time_. Wake
@@ -157,8 +125,8 @@ SimNanos BatchSchedule::FetchLocked(size_t i, SimNanos host_now,
     Status fs = sim::FaultCheck(sim::FaultSite::kCoopSlot, &fault_ctx);
     fault_delay = fault_ctx.now();  // injected stall + retry backoff time
     if (!fs.ok()) {
-      PoisonLocked(host_now + fault_delay, std::move(fs), i);
-      return FetchLocked(i, host_now, stages, error);
+      Poison(host_now + fault_delay, std::move(fs), i);
+      return Fetch(i, host_now, stages, error);
     }
   }
 

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "common/mutex.h"
 #include "exec/operator.h"
 #include "ndp/device_executor.h"
 #include "obs/trace.h"
@@ -34,13 +33,8 @@ struct StageTimes {
 
 /// Shared-buffer schedule for one device stream: computes, lazily and in
 /// fetch order, when each batch becomes available to the host, honoring the
-/// slot back-pressure on the device side.
-///
-/// Thread-safety: the lazily-computed schedule state is guarded by an
-/// internal mutex. The consumer (StallingSourceOp) and a poisoning producer
-/// (the executor's device-death path) may therefore run on different
-/// threads — previously the accessors and Poison read/wrote this state with
-/// no lock at all, which the GUARDED_BY annotation pass flagged.
+/// slot back-pressure on the device side. Single-threaded: the executor
+/// builds, poisons and drains each schedule on the run's own thread.
 class BatchSchedule {
  public:
   /// `batches`: device work duration + bytes per batch, in production order.
@@ -72,49 +66,44 @@ class BatchSchedule {
   /// semantics that replace a consumer deadlock.
   void Poison(SimNanos when, Status status,
               size_t after = static_cast<size_t>(-1));
-  bool poisoned() const;
-  /// Copy on purpose: a reference would escape the schedule mutex.
-  Status poison_status() const;
+  bool poisoned() const { return poisoned_; }
+  const Status& poison_status() const { return poison_status_; }
 
   size_t num_batches() const { return batches_.size(); }
   uint64_t BatchRowCount(size_t i) const { return batches_[i].rows; }
   /// Device clock when the last batch finished (call after all fetches).
-  SimNanos device_finish() const;
+  SimNanos device_finish() const {
+    return done_.empty() ? start_ : done_.back();
+  }
   /// Total time core 1 spent halted waiting for a free slot.
-  SimNanos device_stall() const;
+  SimNanos device_stall() const { return device_stall_; }
 
  private:
-  SimNanos FetchLocked(size_t i, SimNanos host_now, StageTimes* stages,
-                       Status* error) REQUIRES(mu_);
-  void PoisonLocked(SimNanos when, Status status, size_t after)
-      REQUIRES(mu_);
   /// Ensure done_[j] is computed for all j <= i.
-  void ComputeDoneThrough(size_t i) REQUIRES(mu_);
+  void ComputeDoneThrough(size_t i);
 
-  // Immutable after construction; read lock-free.
   std::vector<ndp::DeviceBatch> batches_;
   int shared_slots_;
   const sim::HwParams* hw_;
   SimNanos start_;
   bool eager_;
 
-  mutable common::Mutex mu_;
   /// Device completion time per batch.
-  std::vector<SimNanos> done_ GUARDED_BY(mu_);
+  std::vector<SimNanos> done_;
   /// Host fetch completion per batch.
-  std::vector<SimNanos> fetched_ GUARDED_BY(mu_);
-  size_t computed_ GUARDED_BY(mu_) = 0;
-  SimNanos device_stall_ GUARDED_BY(mu_) = 0;
-  bool first_fetch_done_ GUARDED_BY(mu_) = false;
-  bool poisoned_ GUARDED_BY(mu_) = false;
-  SimNanos poison_time_ GUARDED_BY(mu_) = 0;
+  std::vector<SimNanos> fetched_;
+  size_t computed_ = 0;
+  SimNanos device_stall_ = 0;
+  bool first_fetch_done_ = false;
+  bool poisoned_ = false;
+  SimNanos poison_time_ = 0;
   /// First batch index that will never arrive.
-  size_t poison_after_ GUARDED_BY(mu_) = 0;
-  Status poison_status_ GUARDED_BY(mu_);
+  size_t poison_after_ = 0;
+  Status poison_status_;
   /// Null = recording disabled.
-  obs::TraceRecorder* rec_ GUARDED_BY(mu_) = nullptr;
-  int host_track_ GUARDED_BY(mu_) = -1;
-  int device_track_ GUARDED_BY(mu_) = -1;
+  obs::TraceRecorder* rec_ = nullptr;
+  int host_track_ = -1;
+  int device_track_ = -1;
 };
 
 /// Volcano source over device-produced rows that stalls the host clock

@@ -412,12 +412,6 @@ std::vector<Result<RunResult>> HybridExecutor::RunAll(
     obs::TraceRecorder* rec) const {
   std::vector<Result<RunResult>> results(choices.size(),
                                          Status::Internal("not run"));
-  // Pre-open every SST reader with a null context so that no run's first
-  // touch gets charged an index-block load the serial order would have
-  // attributed to an earlier run. After this, the read path is shared
-  // immutable state.
-  catalog_->db()->OpenAllReaders();
-
   auto run_one = [&](size_t i) {
     const Plan run_plan = ClonePlanExprs(plan);
     std::unique_ptr<lsm::BlockCache> cache =

@@ -7,12 +7,9 @@
 
 namespace hybridndp::lsm {
 
-BlockCache::BlockCache(uint64_t capacity_bytes, int num_shards)
+BlockCache::BlockCache(uint64_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {
-  int n = num_shards;
-  if (n <= 0) {
-    n = capacity_bytes >= kShardedCapacityMin ? kDefaultShards : 1;
-  }
+  const int n = capacity_bytes >= kShardedCapacityMin ? kDefaultShards : 1;
   shards_.reserve(n);
   for (int i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();

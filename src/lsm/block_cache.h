@@ -32,10 +32,9 @@ namespace hybridndp::lsm {
 /// LRU residency cache over (file_id, block_offset) keys.
 class BlockCache {
  public:
-  /// `num_shards` <= 0 picks automatically: 1 shard for small caches (exact
-  /// global LRU), kDefaultShards for caches large enough that a per-shard
-  /// budget still holds many blocks.
-  explicit BlockCache(uint64_t capacity_bytes, int num_shards = 0);
+  /// 1 shard for small caches (exact global LRU), kDefaultShards for caches
+  /// large enough that a per-shard budget still holds many blocks.
+  explicit BlockCache(uint64_t capacity_bytes);
 
   /// Returns true on hit and refreshes recency.
   bool Lookup(FileId file, uint64_t offset);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "lsm/merge_iterator.h"
 #include "obs/metrics.h"
@@ -64,7 +66,6 @@ Status DB::Delete(ColumnFamilyId cf, const Slice& key) {
 Status DB::Write(ColumnFamilyId cf_id, ValueType type, const Slice& key,
                  const Slice& value) {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
-  readers_sealed_.store(false, std::memory_order_release);
   ColumnFamily* cf = cfs_[cf_id].get();
   cf->mem->Add(++sequence_, type, key, value);
   return MaybeFlush(cf);
@@ -91,6 +92,7 @@ Status DB::FlushMemTable(ColumnFamily* cf, const MemTable& mem) {
     builder.Add(iter->key(), iter->value());
   }
   HNDP_ASSIGN_OR_RETURN(FileMetaData meta, builder.Finish());
+  HNDP_RETURN_IF_ERROR(OpenReader(meta));
   // No merge on flush to C1 (paper Sect. 2.2): files may overlap there.
   cf->version.levels[0].push_back(meta);
   ++stats_.flushes;
@@ -99,7 +101,6 @@ Status DB::FlushMemTable(ColumnFamily* cf, const MemTable& mem) {
 
 Status DB::Flush(ColumnFamilyId cf_id) {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
-  readers_sealed_.store(false, std::memory_order_release);
   ColumnFamily* cf = cfs_[cf_id].get();
   for (auto& imm : cf->immutables) {
     HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *imm));
@@ -176,7 +177,6 @@ std::vector<size_t> DB::OverlappingFiles(const ColumnFamily& cf, int level,
 Status DB::CompactLevel(ColumnFamily* cf, int level) {
   auto& src_files = cf->version.levels[level];
   if (src_files.empty()) return Status::OK();
-  readers_sealed_.store(false, std::memory_order_release);
 
   // Pick inputs: all of C1 for level 0; one round-robin file otherwise.
   std::vector<size_t> src_idx;
@@ -207,12 +207,12 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
   for (auto it = src_idx.rbegin(); it != src_idx.rend(); ++it) {
     const FileMetaData& meta = src_files[*it];
     consumed.push_back(meta);
-    inputs.push_back(GetReader(meta.file_id, meta)->NewIterator(nullptr, nullptr));
+    inputs.push_back(GetReader(meta)->NewIterator(nullptr, nullptr));
   }
   for (size_t i : dst_idx) {
     const FileMetaData& meta = cf->version.levels[target][i];
     consumed.push_back(meta);
-    inputs.push_back(GetReader(meta.file_id, meta)->NewIterator(nullptr, nullptr));
+    inputs.push_back(GetReader(meta)->NewIterator(nullptr, nullptr));
   }
 
   MergingIterator merged(std::move(inputs), nullptr);
@@ -246,6 +246,7 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
         stats_.compacted_bytes += merged.key().size() + merged.value().size();
         if (builder->EstimatedSize() >= max_output_bytes) {
           HNDP_ASSIGN_OR_RETURN(FileMetaData meta, builder->Finish());
+          HNDP_RETURN_IF_ERROR(OpenReader(meta));
           outputs.push_back(meta);
           builder.reset();
         }
@@ -255,6 +256,7 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
   }
   if (builder != nullptr && builder->num_entries() > 0) {
     HNDP_ASSIGN_OR_RETURN(FileMetaData meta, builder->Finish());
+    HNDP_RETURN_IF_ERROR(OpenReader(meta));
     outputs.push_back(meta);
   }
 
@@ -270,10 +272,7 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
                                 }),
                  files->end());
     for (const auto& v : victims) {
-      {
-        common::MutexLock lock(readers_mu_);
-        readers_.erase(v.file_id);
-      }
+      readers_.erase(v.file_id);
       storage_->RemoveFile(v.file_id);
     }
   };
@@ -289,48 +288,23 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
   return Status::OK();
 }
 
-SstReader* DB::FindReaderSealed(FileId id) const {
-  auto it = readers_.find(id);
-  return it != readers_.end() ? it->second.get() : nullptr;
-}
-
-SstReader* DB::GetReader(FileId id, const FileMetaData& meta) const {
-  // Sealed fast path: after OpenAllReaders every live SST has an entry and
-  // the map is not mutated until the next write, so concurrent runs may
-  // search it without the mutex. GetByPk-heavy plans call this per row.
-  if (readers_sealed_.load(std::memory_order_acquire)) {
-    if (SstReader* hit = FindReaderSealed(id); hit != nullptr) return hit;
-  }
-  common::MutexLock lock(readers_mu_);
-  auto it = readers_.find(id);
-  if (it != readers_.end()) return it->second.get();
-  // A miss means the table was incomplete after all: drop the seal before
-  // mutating so no other thread walks the map while we insert.
-  readers_sealed_.store(false, std::memory_order_release);
+Status DB::OpenReader(const FileMetaData& meta) {
   auto reader = std::make_unique<SstReader>(storage_, meta);
-  SstReader* raw = reader.get();
-  readers_[id] = std::move(reader);
-  return raw;
+  // No context: decoding charges nothing. Charged reads find the index
+  // pinned, so no run's simulated time depends on an earlier run's touch.
+  HNDP_RETURN_IF_ERROR(reader->EnsureOpened(nullptr, nullptr));
+  readers_[meta.file_id] = std::move(reader);
+  return Status::OK();
 }
 
-void DB::OpenAllReaders() const {
-  bool all_opened = true;
-  for (const auto& cf : cfs_) {
-    for (const auto& level : cf->version.levels) {
-      for (const auto& meta : level) {
-        // No context: decoding charges nothing; later reads through a fresh
-        // cache still pay the (cached-or-not) index-block load per run.
-        const Status st =
-            GetReader(meta.file_id, meta)->EnsureOpened(nullptr, nullptr);
-        // Not lost when it fails: the same error re-surfaces on the run's
-        // first charged read of this file, where callers handle it.
-        if (!st.ok()) all_opened = false;
-      }
-    }
+SstReader* DB::GetReader(const FileMetaData& meta) const {
+  auto it = readers_.find(meta.file_id);
+  if (it == readers_.end()) {
+    fprintf(stderr, "DB::GetReader: file %llu is not live\n",
+            static_cast<unsigned long long>(meta.file_id));
+    abort();
   }
-  // Only seal a fully opened table; a partial one keeps the mutex path so
-  // retries can still insert.
-  if (all_opened) readers_sealed_.store(true, std::memory_order_release);
+  return it->second.get();
 }
 
 void DB::ExportMetrics(obs::MetricsRegistry* metrics) const {
@@ -354,17 +328,14 @@ void DB::ExportMetrics(obs::MetricsRegistry* metrics) const {
 
   uint64_t block_reads = 0, block_read_bytes = 0, cache_hits = 0,
            index_loads = 0, pinned_seeks = 0;
-  {
-    common::MutexLock lock(readers_mu_);
-    for (const auto& [id, reader] : readers_) {
-      (void)id;
-      const SstReadStats& rs = reader->read_stats();
-      block_reads += rs.block_reads.load(std::memory_order_relaxed);
-      block_read_bytes += rs.block_read_bytes.load(std::memory_order_relaxed);
-      cache_hits += rs.block_cache_hits.load(std::memory_order_relaxed);
-      index_loads += rs.index_loads.load(std::memory_order_relaxed);
-      pinned_seeks += rs.pinned_index_seeks.load(std::memory_order_relaxed);
-    }
+  for (const auto& [id, reader] : readers_) {
+    (void)id;
+    const SstReadStats& rs = reader->read_stats();
+    block_reads += rs.block_reads.load(std::memory_order_relaxed);
+    block_read_bytes += rs.block_read_bytes.load(std::memory_order_relaxed);
+    cache_hits += rs.block_cache_hits.load(std::memory_order_relaxed);
+    index_loads += rs.index_loads.load(std::memory_order_relaxed);
+    pinned_seeks += rs.pinned_index_seeks.load(std::memory_order_relaxed);
   }
   metrics->counter("lsm.sst.block_reads")->Set(block_reads);
   metrics->counter("lsm.sst.block_read_bytes")->Set(block_read_bytes);
@@ -396,7 +367,7 @@ Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
   }
   return GetFromLevels(cf->version, opts, key, value,
                        [this](const FileMetaData& meta) {
-                         return GetReader(meta.file_id, meta);
+                         return GetReader(meta);
                        });
 }
 
@@ -530,11 +501,13 @@ class UserKeyIterator final : public Iterator {
   bool Valid() const override { return valid_; }
 
   void SeekToFirst() override {
+    status_ = Status::OK();
     inner_->SeekToFirst();
     FindNextVisible();
   }
 
   void Seek(const Slice& user_target) override {
+    status_ = Status::OK();
     inner_->Seek(Slice(MakeLookupKey(user_target, seq_)));
     FindNextVisible();
   }
@@ -546,7 +519,9 @@ class UserKeyIterator final : public Iterator {
 
   Slice key() const override { return Slice(key_); }
   Slice value() const override { return Slice(value_); }
-  Status status() const override { return inner_->status(); }
+  Status status() const override {
+    return status_.ok() ? inner_->status() : status_;
+  }
 
  private:
   void SkipCurrentUserKey() {
@@ -573,9 +548,10 @@ class UserKeyIterator final : public Iterator {
     while (inner_->Valid()) {
       ParsedInternalKey parsed;
       if (!ParseInternalKey(inner_->key(), &parsed)) {
-        ChargeStep(0);
-        inner_->Next();
-        continue;
+        // Stepping over the key could hide a flipped tombstone or drop a
+        // row: end the scan with the error, like SstReader::Get does.
+        status_ = Status::Corruption("bad internal key");
+        return;
       }
       if (parsed.sequence > seq_) {  // newer than the snapshot
         ChargeStep(0);
@@ -604,6 +580,7 @@ class UserKeyIterator final : public Iterator {
   bool valid_ = false;
   std::string key_;
   std::string value_;
+  Status status_;  ///< latched corruption (survives until the next seek)
 };
 
 }  // namespace
@@ -640,9 +617,7 @@ IteratorPtr DB::NewIterator(const ReadOptions& opts, ColumnFamilyId cf_id) const
   snap.sequence = opts.snapshot;
   auto internal = NewSnapshotInternalIterator(
       snap, opts.ctx, opts.cache,
-      [this](const FileMetaData& meta) {
-        return GetReader(meta.file_id, meta);
-      });
+      [this](const FileMetaData& meta) { return GetReader(meta); });
   return NewUserKeyIterator(std::move(internal), opts.snapshot, opts.ctx);
 }
 

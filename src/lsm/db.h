@@ -5,7 +5,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "lsm/block_cache.h"
 #include "lsm/internal_key.h"
 #include "lsm/iterator.h"
@@ -73,9 +71,9 @@ struct CfSnapshot {
 /// LSM database over a VirtualStorage. Writes (Put/Delete/Flush/Compact) are
 /// single-threaded; the read path (Get, NewIterator, GetCfSnapshot) is
 /// const-thread-safe once loading is done — concurrent independent runs may
-/// read through the same DB as long as no writer is active. The only shared
-/// mutable read-side state, the lazily-populated SstReader table, is
-/// mutex-protected (see DESIGN.md "Concurrency model").
+/// read through the same DB as long as no writer is active. Every live SST
+/// has an opened SstReader, installed with its file on the write path, so
+/// reads never mutate DB state (see DESIGN.md "Concurrency model").
 class DB {
  public:
   DB(VirtualStorage* storage, DBOptions options);
@@ -109,17 +107,13 @@ class DB {
   /// Export the NDP shared-state snapshot for a column family.
   CfSnapshot GetCfSnapshot(ColumnFamilyId cf) const;
 
-  /// Reader for a file (cached; index parsed once per DB). Host-side use.
-  /// Thread-safe: the reader table is guarded by a mutex, except after
-  /// OpenAllReaders seals it — then lookups are lock-free until the next
-  /// write unseals.
-  SstReader* GetReader(FileId id, const FileMetaData& meta) const;
+  /// Opened reader of a live file (host-side use). Aborts on a file that is
+  /// not live: callers only pass metadata from the current version.
+  SstReader* GetReader(const FileMetaData& meta) const;
 
-  /// Instantiate and decode the reader of every live SST (no cost charged)
-  /// and seal the reader table for lock-free lookups. Called before fanning
-  /// runs out over a pool so that no run's simulated timeline depends on
-  /// which run touched a file first.
-  void OpenAllReaders() const;
+  /// No-op: every reader is opened when its file is installed. Kept only for
+  /// perfbench/driver/job_store.cc, which still calls it.
+  void OpenAllReaders() const {}
 
   const DBOptions& options() const { return options_; }
   VirtualStorage* storage() { return storage_; }
@@ -161,23 +155,17 @@ class DB {
                                        const Slice& smallest,
                                        const Slice& largest) const;
 
-  /// Lock-free lookup used only when readers_sealed_ was observed true.
-  /// Suppressed from analysis: the seal protocol guarantees the map is not
-  /// mutated between the acquire load of the seal and this read.
-  SstReader* FindReaderSealed(FileId id) const NO_THREAD_SAFETY_ANALYSIS;
+  /// Open (uncharged) the reader of a newly written file and add it to the
+  /// reader table; called before the file is installed in a version.
+  Status OpenReader(const FileMetaData& meta);
 
   VirtualStorage* storage_;
   DBOptions options_;
   SequenceNumber sequence_ = 0;
   std::vector<std::unique_ptr<ColumnFamily>> cfs_;
   std::map<std::string, ColumnFamilyId> cf_names_;
-  mutable common::Mutex readers_mu_;
-  mutable std::map<FileId, std::unique_ptr<SstReader>> readers_
-      GUARDED_BY(readers_mu_);
-  /// True when readers_ covers every live SST and no write has happened
-  /// since: GetReader may then search the map without taking readers_mu_.
-  /// Any write-path mutation clears it.
-  mutable std::atomic<bool> readers_sealed_{false};
+  /// One opened reader per live SST; changed only on the write path.
+  std::map<FileId, std::unique_ptr<SstReader>> readers_;
   Stats stats_;
 };
 

@@ -40,13 +40,16 @@ struct ParsedInternalKey {
   ValueType type = ValueType::kValue;
 };
 
-/// Split an internal key into its parts; false if too short.
+/// Split an internal key into its parts; false if too short or if the type
+/// byte is neither kDeletion nor kValue.
 inline bool ParseInternalKey(const Slice& ikey, ParsedInternalKey* out) {
   if (ikey.size() < 8) return false;
   const uint64_t packed = DecodeFixed64(ikey.data() + ikey.size() - 8);
+  const auto type = static_cast<uint8_t>(packed & 0xff);
+  if (type > static_cast<uint8_t>(ValueType::kValue)) return false;
   out->user_key = Slice(ikey.data(), ikey.size() - 8);
   out->sequence = packed >> 8;
-  out->type = static_cast<ValueType>(packed & 0xff);
+  out->type = static_cast<ValueType>(type);
   return true;
 }
 

@@ -106,15 +106,7 @@ bool SstReader::OutsideKeyRange(const Slice& user_key) const {
 }
 
 Status SstReader::EnsureOpened(sim::AccessContext* ctx, BlockCache* cache) {
-  // Fast path: already decoded (acquire pairs with the release in
-  // OpenLocked, making pinned_index_/bloom_ safely visible to all threads).
-  if (opened_.load(std::memory_order_acquire)) return Status::OK();
-  common::MutexLock lock(open_mu_);
-  if (opened_.load(std::memory_order_relaxed)) return Status::OK();
-  return OpenLocked(ctx, cache);
-}
-
-Status SstReader::OpenLocked(sim::AccessContext* ctx, BlockCache* cache) {
+  if (opened_) return Status::OK();
   const std::string* contents = storage_->FileContents(meta_.file_id);
   if (contents == nullptr) {
     return Status::NotFound("sst file missing");
@@ -155,9 +147,9 @@ Status SstReader::OpenLocked(sim::AccessContext* ctx, BlockCache* cache) {
           {it->key().ToString(), BlockHandle::Decode(it->value())});
     }
   }
-  bloom_data_.assign(contents->data() + bloom_off, bloom_sz);
-  bloom_ = std::make_unique<BloomFilter>(Slice(bloom_data_));
-  opened_.store(true, std::memory_order_release);
+  bloom_ = std::make_unique<BloomFilter>(
+      Slice(contents->data() + bloom_off, bloom_sz));
+  opened_ = true;
   return Status::OK();
 }
 

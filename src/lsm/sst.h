@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/bloom.h"
-#include "common/mutex.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "lsm/block.h"
@@ -113,18 +112,19 @@ struct SstReadStats {
 };
 
 /// Read-side access to one SST. Readers are cheap to construct; the index
-/// block and bloom filter are decoded lazily on first use and their loads
-/// are charged to the providing context. Once opened, a reader is immutable
-/// and safe to share across threads; the lazy open itself is double-checked
-/// under a mutex, so concurrent first touches are race-free (use
-/// DB::OpenAllReaders before a parallel fan-out to also keep the *charging*
-/// of the open independent of thread schedule).
+/// block and bloom filter are decoded on first use and their loads are
+/// charged to the providing context. The open is not thread-safe: the host
+/// DB opens each reader (uncharged) when it installs the file, and the
+/// device opens its own readers on the command's thread. Once opened, a
+/// reader is immutable and safe to share across threads. Its bloom filter
+/// points into the file's contents, so a reader must not outlive its file
+/// (DB drops a reader before it removes the file).
 class SstReader {
  public:
   SstReader(const VirtualStorage* storage, const FileMetaData& meta);
 
   /// Decode footer/index/bloom if not yet done; charges the index-block load
-  /// to `ctx` (unless cached or ctx is null). Thread-safe.
+  /// to `ctx` (unless cached or ctx is null).
   Status EnsureOpened(sim::AccessContext* ctx, BlockCache* cache);
 
   /// Point lookup of user_key at snapshot `seq`. On hit, fills value or sets
@@ -152,26 +152,13 @@ class SstReader {
   Result<Slice> ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
                           uint64_t offset, uint64_t size, bool sequential);
 
-  /// Decode footer/index/bloom into the pinned fields and publish them by
-  /// storing opened_ (release). Only ever called under open_mu_ with
-  /// opened_ still false.
-  Status OpenLocked(sim::AccessContext* ctx, BlockCache* cache)
-      REQUIRES(open_mu_);
-
   const VirtualStorage* storage_;
   FileMetaData meta_;
-  std::atomic<bool> opened_{false};
-  common::Mutex open_mu_;
-  // Write-once publication protocol, not plain mutex-guarded state: the
-  // three fields below are written inside OpenLocked (REQUIRES(open_mu_))
-  // and become immutable the moment opened_ is stored with release order;
-  // readers only touch them after an acquire load of opened_, so their
-  // lock-free reads cannot race the initialization.
+  bool opened_ = false;
   /// The sparse index, decoded once at open and pinned for the reader's
   /// lifetime: index seeks binary-search this form instead of re-parsing
   /// the serialized block (prefix compression, varints) on every lookup.
   std::vector<SstIndexEntry> pinned_index_;
-  std::string bloom_data_;
   std::unique_ptr<BloomFilter> bloom_;
   mutable SstReadStats read_stats_;
 };

@@ -306,6 +306,33 @@ TEST(PoisonedScheduleTest, ErrorOutParamIsOptional) {
   EXPECT_DOUBLE_EQ(sched.Fetch(0, 50, &stages), 50.0);
 }
 
+TEST(PoisonedScheduleTest, PoisonAfterDeliveryFailsOnlyTheTail) {
+  // The device-death shape: the consumer has drained a prefix under slot
+  // back-pressure when the producer dies; the tail wakes at the death time.
+  sim::HwParams hw = sim::HwParams::PaperDefaults();
+  std::vector<ndp::DeviceBatch> batches(8, {0, 10, 1000, 50'000.0});
+  hybrid::BatchSchedule sched(batches, /*shared_slots=*/2, &hw,
+                              /*start_time=*/0, /*eager=*/false);
+  StageTimes stages;
+  Status err;
+  SimNanos now = 0;
+  for (size_t j = 0; j < 4; ++j) {
+    now = sched.Fetch(j, now, &stages, &err);
+    EXPECT_TRUE(err.ok()) << err.ToString();
+  }
+  EXPECT_GT(now, 0.0);
+  EXPECT_FALSE(sched.poisoned());
+
+  sched.Poison(1'000'000'000.0, Status::IOError("device died"), /*after=*/4);
+  for (size_t j = 4; j < batches.size(); ++j) {
+    now = sched.Fetch(j, now, &stages, &err);
+    EXPECT_TRUE(err.IsIOError()) << "batch " << j;
+  }
+  EXPECT_TRUE(sched.poisoned());
+  EXPECT_TRUE(sched.poison_status().IsIOError());
+  EXPECT_GE(now, 1'000'000'000.0);  // woken at the death, never earlier
+}
+
 // ---------------------------------------------------------------------------
 // Status propagation through the host pipeline
 

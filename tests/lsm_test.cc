@@ -448,6 +448,38 @@ TEST_F(SstTest, MissingFileSurfacesNotFound) {
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
 }
 
+TEST_F(SstTest, UnknownValueTypeIsCorruptionNotARow) {
+  // The middle key's type byte is neither kDeletion nor kValue, e.g. a
+  // flipped tombstone: it must not read as a live row.
+  std::string bad = "b";
+  PutFixed64(&bad, (SequenceNumber{1} << 8) | 0x7f);
+  ParsedInternalKey parsed;
+  EXPECT_FALSE(ParseInternalKey(Slice(bad), &parsed));
+
+  SstBuilder builder(&storage_, SstOptions{});
+  builder.Add(IKey("a", 1), "va");
+  builder.Add(bad, "vb");
+  builder.Add(IKey("c", 1), "vc");
+  auto meta = builder.Finish();
+  ASSERT_TRUE(meta.ok());
+  SstReader reader(&storage_, *meta);
+
+  auto iter = NewUserKeyIterator(reader.NewIterator(nullptr, nullptr),
+                                 kMaxSequenceNumber, nullptr);
+  std::vector<std::string> seen;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    seen.push_back(iter->key().ToString());
+  }
+  EXPECT_EQ(seen, std::vector<std::string>{"a"});
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+
+  std::string value;
+  bool deleted = false;
+  Status s = reader.Get(nullptr, nullptr, "b", kMaxSequenceNumber, &value,
+                        &deleted);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
 class DBTest : public ::testing::Test {
  protected:
   DBTest() : hw_(HwParams::PaperDefaults()), storage_(&hw_) {
@@ -595,6 +627,27 @@ TEST_F(DBTest, CompactAllReducesToStableShape) {
   ASSERT_TRUE(db_->Get(ReadOptions{}, cf_, "key123", &value).ok());
 }
 
+TEST_F(DBTest, ChargedGetIsIndependentOfEarlierReads) {
+  // Every reader is opened when its file is installed, so the first charged
+  // read of a file pays no index load that a later identical read skips.
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(db_->Put(cf_, "key" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(db_->CompactAll(cf_).ok());
+  auto charged_get = [&] {
+    AccessContext ctx(&hw_, Actor::kHost, IoPath::kNative);
+    ReadOptions opts;
+    opts.ctx = &ctx;
+    std::string value;
+    EXPECT_TRUE(db_->Get(opts, cf_, "key1234", &value).ok());
+    EXPECT_EQ(value, "v");
+    return ctx.now();
+  };
+  const SimNanos first = charged_get();
+  EXPECT_GT(first, 0.0);
+  EXPECT_EQ(first, charged_get());
+}
+
 TEST_F(DBTest, CfSnapshotCarriesPlacementInfo) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(db_->Put(cf_, "key" + std::to_string(i), "v").ok());
@@ -626,7 +679,7 @@ TEST_F(DBTest, SharedStateSnapshotSeesUnflushedWrites) {
   CfSnapshot snap = db_->GetCfSnapshot(cf_);
   auto internal = NewSnapshotInternalIterator(
       snap, nullptr, nullptr, [&](const FileMetaData& meta) {
-        return db_->GetReader(meta.file_id, meta);
+        return db_->GetReader(meta);
       });
   auto iter = NewUserKeyIterator(std::move(internal), snap.sequence, nullptr);
   iter->Seek("key42");

@@ -11,12 +11,10 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "hybrid/coop.h"
 #include "hybrid/executor.h"
 #include "hybrid/planner.h"
 #include "lsm/block_cache.h"
@@ -106,8 +104,8 @@ TEST(KeyBytesTest, ReusedBufferMatchesAllocatingVariant) {
 TEST(ShardedBlockCacheTest, ConcurrentHammerKeepsAccountingConsistent) {
   constexpr int kThreads = 8;
   constexpr int kKeysPerThread = 200;
-  lsm::BlockCache cache(/*capacity_bytes=*/64ull << 20, /*num_shards=*/16);
-  EXPECT_EQ(cache.num_shards(), 16);
+  lsm::BlockCache cache(/*capacity_bytes=*/64ull << 20);
+  EXPECT_EQ(cache.num_shards(), lsm::BlockCache::kDefaultShards);
 
   common::ThreadPool pool(kThreads);
   pool.ParallelFor(kThreads, [&cache](size_t t) {
@@ -144,70 +142,6 @@ TEST(ShardedBlockCacheTest, SmallCacheDefaultsToOneShardAndGlobalLru) {
   cache.Insert(1, 100, 60);  // evicts (1, 0)
   EXPECT_FALSE(cache.Lookup(1, 0));
   EXPECT_TRUE(cache.Lookup(1, 100));
-}
-
-// ------------------------------------------- BatchSchedule lock discipline
-
-// Consumer fetches on one thread while another poisons the tail and a third
-// hammers the const accessors — the cross-thread shape the executor's
-// device-death path produces. Regression for the unguarded-state bug the
-// GUARDED_BY annotation pass surfaced: all assertions run post-join and are
-// deterministic because the poison lands at a barrier, not mid-race.
-TEST(BatchScheduleTest, ConcurrentFetchPoisonAndAccessorsStayCoherent) {
-  sim::HwParams hw = HwParams::PaperDefaults();
-  constexpr size_t kBatches = 8;
-  constexpr size_t kPoisonAfter = 4;
-  std::vector<ndp::DeviceBatch> batches;
-  for (size_t j = 0; j < kBatches; ++j) {
-    batches.push_back({/*stream=*/0, /*rows=*/10, /*bytes=*/1000,
-                       /*work_ns=*/50'000.0});
-  }
-  hybrid::BatchSchedule sched(batches, /*shared_slots=*/2, &hw,
-                              /*start_time=*/0, /*eager=*/false);
-
-  std::atomic<bool> first_half_done{false};
-  std::atomic<bool> poison_done{false};
-  std::atomic<bool> stop_readers{false};
-
-  std::thread poisoner([&] {
-    while (!first_half_done.load()) std::this_thread::yield();
-    sched.Poison(/*when=*/1'000'000'000.0, Status::IOError("device died"),
-                 kPoisonAfter);
-    poison_done.store(true);
-  });
-  std::thread reader([&] {
-    while (!stop_readers.load()) {
-      (void)sched.poisoned();
-      (void)sched.device_stall();
-      (void)sched.poison_status();
-    }
-  });
-
-  // Consumer: first half must arrive normally, second half must surface the
-  // producer's death instead of stalling forever.
-  hybrid::StageTimes st;
-  SimNanos now = 0;
-  Status err;
-  for (size_t j = 0; j < kPoisonAfter; ++j) {
-    now = sched.Fetch(j, now, &st, &err);
-    EXPECT_TRUE(err.ok()) << err.ToString();
-  }
-  const SimNanos delivered_through = now;
-  first_half_done.store(true);
-  while (!poison_done.load()) std::this_thread::yield();
-  for (size_t j = kPoisonAfter; j < kBatches; ++j) {
-    now = sched.Fetch(j, now, &st, &err);
-    EXPECT_TRUE(err.IsIOError()) << "batch " << j;
-  }
-  stop_readers.store(true);
-  poisoner.join();
-  reader.join();
-
-  EXPECT_GT(delivered_through, 0);
-  EXPECT_TRUE(sched.poisoned());
-  EXPECT_TRUE(sched.poison_status().IsIOError());
-  // Woken at the death notification, never earlier.
-  EXPECT_GE(now, 1'000'000'000.0);
 }
 
 // ----------------------------------------------- RunAll determinism contract
@@ -350,10 +284,7 @@ TEST_F(RunAllTest, ParallelMatchesSerialBitForBit) {
     return std::make_unique<lsm::BlockCache>(cache_bytes);
   };
 
-  // Serial baseline: one-by-one Run() calls with fresh caches. Pre-open the
-  // readers so the serial sweep starts from the same shared-immutable state
-  // RunAll establishes.
-  db_.OpenAllReaders();
+  // Serial baseline: one-by-one Run() calls with fresh caches.
   std::vector<hybrid::RunResult> serial;
   for (const auto& choice : choices) {
     auto cache = factory();
@@ -392,7 +323,6 @@ TEST_F(RunAllTest, BatchedExecutionMatchesRowExecutionBitForBit) {
   hybrid::Planner planner(&catalog_, &hw_, cfg);
   auto plan = planner.PlanQuery(MakeQuery());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  db_.OpenAllReaders();
 
   const uint64_t cache_bytes = 1 << 20;
   auto run_with_batch = [&](size_t batch_rows) {
@@ -438,7 +368,6 @@ TEST_F(RunAllTest, TracedRunAllMatchesUntracedSerialBitForBit) {
   const auto choices = hybrid::HybridExecutor::AllChoices(*plan);
   auto factory = [] { return std::make_unique<lsm::BlockCache>(1 << 20); };
 
-  db_.OpenAllReaders();
   std::vector<hybrid::RunResult> serial;
   for (const auto& choice : choices) {
     auto cache = factory();
