@@ -58,15 +58,13 @@ std::string BlockBuilder::Finish() {
 
 BlockReader::BlockReader(Slice contents)
     : data_(contents.data()), size_(contents.size()) {
-  if (size_ < 4) {
-    size_ = 0;
-    return;
-  }
-  num_restarts_ = DecodeFixed32(data_ + size_ - 4);
+  // Every built block has restart point 0 and its count.
+  if (size_ >= 4) num_restarts_ = DecodeFixed32(data_ + size_ - 4);
   const uint64_t trailer = 4ull + 4ull * num_restarts_;
-  if (trailer > size_) {
+  if (num_restarts_ == 0 || trailer > size_) {
     size_ = 0;
     num_restarts_ = 0;
+    status_ = Status::Corruption("bad block trailer");
     return;
   }
   restarts_offset_ = static_cast<uint32_t>(size_ - trailer);
@@ -187,7 +185,7 @@ class BlockReader::Iter final : public Iterator {
 };
 
 IteratorPtr BlockReader::NewIterator(sim::AccessContext* ctx) const {
-  if (size_ == 0) return std::make_unique<EmptyIterator>();
+  if (!status_.ok()) return std::make_unique<EmptyIterator>(status_);
   return std::make_unique<Iter>(this, ctx);
 }
 

@@ -47,7 +47,8 @@ class BlockBuilder {
 /// the reader and any iterator obtained from it.
 class BlockReader {
  public:
-  /// Validates the trailer; invalid blocks yield empty iterators.
+  /// Validates the trailer; a block with a bad one yields an empty iterator
+  /// whose status() is Corruption.
   explicit BlockReader(Slice contents);
 
   /// Iterate entries; `cmp_ctx`, when set, is charged for seek comparisons
@@ -55,7 +56,6 @@ class BlockReader {
   /// linear-scan comparison).
   IteratorPtr NewIterator(sim::AccessContext* ctx = nullptr) const;
 
-  bool valid() const { return num_restarts_ > 0 || size_ == 0; }
   size_t size() const { return size_; }
 
  private:
@@ -65,6 +65,7 @@ class BlockReader {
   size_t size_ = 0;
   uint32_t restarts_offset_ = 0;
   uint32_t num_restarts_ = 0;
+  Status status_;  ///< Corruption when the trailer is bad
 };
 
 }  // namespace hybridndp::lsm

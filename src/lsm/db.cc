@@ -10,6 +10,12 @@
 
 namespace hybridndp::lsm {
 
+namespace {
+constexpr int kL0CompactionTrigger = 4;  ///< C1 file count that compacts C1
+constexpr double kLevelMultiplier = 10.0;
+constexpr int kNumLevels = 7;
+}  // namespace
+
 uint64_t Version::LevelBytes(int level) const {
   if (level < 0 || level >= static_cast<int>(levels.size())) return 0;
   uint64_t total = 0;
@@ -43,7 +49,7 @@ ColumnFamilyId DB::CreateColumnFamily(const std::string& name) {
   cf->id = static_cast<ColumnFamilyId>(cfs_.size());
   cf->name = name;
   cf->mem = std::make_unique<MemTable>();
-  cf->version.levels.resize(options_.num_levels);
+  cf->version.levels.resize(kNumLevels);
   cf_names_[name] = cf->id;
   cfs_.push_back(std::move(cf));
   return cfs_.back()->id;
@@ -75,12 +81,11 @@ Status DB::MaybeFlush(ColumnFamily* cf) {
   if (cf->mem->ApproximateMemoryUsage() < options_.memtable_bytes) {
     return Status::OK();
   }
-  // C0 full: make it immutable and start a fresh MemTable; flush immediately
-  // (single-threaded engine, no background jobs).
-  cf->immutables.push_back(std::move(cf->mem));
+  // C0 full: flush it inline (single-threaded engine, no background jobs).
+  // A fresh MemTable replaces it only once the flush succeeded; a failed
+  // flush keeps every row in C0, and the next write retries it.
+  HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *cf->mem));
   cf->mem = std::make_unique<MemTable>();
-  HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *cf->immutables.back()));
-  cf->immutables.pop_back();
   return MaybeCompact(cf);
 }
 
@@ -102,10 +107,6 @@ Status DB::FlushMemTable(ColumnFamily* cf, const MemTable& mem) {
 Status DB::Flush(ColumnFamilyId cf_id) {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
   ColumnFamily* cf = cfs_[cf_id].get();
-  for (auto& imm : cf->immutables) {
-    HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *imm));
-  }
-  cf->immutables.clear();
   if (!cf->mem->empty()) {
     HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *cf->mem));
     cf->mem = std::make_unique<MemTable>();
@@ -123,7 +124,7 @@ Status DB::FlushAll() {
 uint64_t DB::LevelTargetBytes(int level) const {
   // levels[0] is C1 and is governed by file count, not bytes.
   double target = static_cast<double>(options_.l1_target_bytes);
-  for (int i = 1; i < level; ++i) target *= options_.level_multiplier;
+  for (int i = 1; i < level; ++i) target *= kLevelMultiplier;
   return static_cast<uint64_t>(target);
 }
 
@@ -132,12 +133,12 @@ Status DB::MaybeCompact(ColumnFamily* cf) {
   while (progress) {
     progress = false;
     if (static_cast<int>(cf->version.levels[0].size()) >=
-        options_.l0_compaction_trigger) {
+        kL0CompactionTrigger) {
       HNDP_RETURN_IF_ERROR(CompactLevel(cf, 0));
       progress = true;
       continue;
     }
-    for (int level = 1; level < options_.num_levels - 1; ++level) {
+    for (int level = 1; level < kNumLevels - 1; ++level) {
       if (cf->version.LevelBytes(level) > LevelTargetBytes(level)) {
         HNDP_RETURN_IF_ERROR(CompactLevel(cf, level));
         progress = true;
@@ -218,7 +219,7 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
   MergingIterator merged(std::move(inputs), nullptr);
   merged.SeekToFirst();
 
-  const bool bottommost = (target == options_.num_levels - 1);
+  const bool bottommost = (target == kNumLevels - 1);
   std::vector<FileMetaData> outputs;
   std::unique_ptr<SstBuilder> builder;
   std::string prev_user_key;
@@ -354,29 +355,22 @@ Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
                std::string* value) const {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
   const ColumnFamily* cf = cfs_[cf_id].get();
-  const SequenceNumber seq = opts.snapshot;
-  bool deleted = false;
-
-  if (cf->mem->Get(key, seq, value, &deleted, opts.ctx)) {
-    return deleted ? Status::NotFound() : Status::OK();
-  }
-  for (auto it = cf->immutables.rbegin(); it != cf->immutables.rend(); ++it) {
-    if ((*it)->Get(key, seq, value, &deleted, opts.ctx)) {
-      return deleted ? Status::NotFound() : Status::OK();
-    }
-  }
-  return GetFromLevels(cf->version, opts, key, value,
-                       [this](const FileMetaData& meta) {
-                         return GetReader(meta);
-                       });
+  return SnapshotGet(cf->mem.get(), cf->version, opts, key, value,
+                     [this](const FileMetaData& meta) {
+                       return GetReader(meta);
+                     });
 }
 
-Status GetFromLevels(
-    const Version& version, const ReadOptions& opts, const Slice& key,
-    std::string* value,
+Status SnapshotGet(
+    const MemTable* mem, const Version& version, const ReadOptions& opts,
+    const Slice& key, std::string* value,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn) {
-  if (version.levels.empty()) return Status::NotFound();
   bool deleted = false;
+  if (mem != nullptr &&
+      mem->Get(key, opts.snapshot, value, &deleted, opts.ctx)) {
+    return deleted ? Status::NotFound() : Status::OK();
+  }
+  if (version.levels.empty()) return Status::NotFound();
   auto probe = [&](const FileMetaData& file) {
     return reader_fn(file)->Get(opts.ctx, opts.cache, key, opts.snapshot,
                                 value, &deleted, opts.use_bloom);
@@ -590,9 +584,6 @@ IteratorPtr NewSnapshotInternalIterator(
     const std::function<SstReader*(const FileMetaData&)>& reader_fn) {
   std::vector<IteratorPtr> children;
   if (snap.mem != nullptr) children.push_back(snap.mem->NewIterator(ctx));
-  for (auto it = snap.immutables.rbegin(); it != snap.immutables.rend(); ++it) {
-    children.push_back((*it)->NewIterator(ctx));
-  }
   if (!snap.version.levels.empty()) {
     for (const auto& f : snap.version.levels[0]) {
       children.push_back(reader_fn(f)->NewIterator(ctx, cache));
@@ -625,10 +616,8 @@ CfSnapshot DB::GetCfSnapshot(ColumnFamilyId cf_id) const {
   CfSnapshot snap;
   if (cf_id >= cfs_.size()) return snap;
   const ColumnFamily* cf = cfs_[cf_id].get();
-  snap.cf = cf_id;
   snap.sequence = sequence_;
   snap.mem = cf->mem.get();
-  for (const auto& imm : cf->immutables) snap.immutables.push_back(imm.get());
   snap.version = cf->version;
   return snap;
 }

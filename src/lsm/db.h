@@ -38,10 +38,7 @@ struct ReadOptions {
 struct DBOptions {
   SstOptions sst;
   uint64_t memtable_bytes = 1 << 20;  ///< C0 flush threshold
-  int l0_compaction_trigger = 4;
   uint64_t l1_target_bytes = 4ull << 20;
-  double level_multiplier = 10.0;
-  int num_levels = 7;
 };
 
 using ColumnFamilyId = uint32_t;
@@ -61,10 +58,8 @@ struct Version {
 /// unflushed in-memory component plus physical placement of all SSTs, so the
 /// device can construct a transactionally consistent snapshot on its own.
 struct CfSnapshot {
-  ColumnFamilyId cf = 0;
   SequenceNumber sequence = 0;
   const MemTable* mem = nullptr;
-  std::vector<const MemTable*> immutables;
   Version version;  ///< copy of file metadata (placement info)
 };
 
@@ -88,14 +83,14 @@ class DB {
   Status Put(ColumnFamilyId cf, const Slice& key, const Slice& value);
   Status Delete(ColumnFamilyId cf, const Slice& key);
 
-  /// Point lookup through C0, immutables, C1..Ck with bloom/fence pruning.
+  /// Point lookup through C0, then C1..Ck with bloom/fence pruning.
   Status Get(const ReadOptions& opts, ColumnFamilyId cf, const Slice& key,
              std::string* value) const;
 
   /// User-key iterator (versions collapsed, tombstones hidden).
   IteratorPtr NewIterator(const ReadOptions& opts, ColumnFamilyId cf) const;
 
-  /// Force-flush C0 (and immutables) of a column family to C1.
+  /// Force-flush C0 of a column family to C1.
   Status Flush(ColumnFamilyId cf);
   /// Flush all column families.
   Status FlushAll();
@@ -136,8 +131,7 @@ class DB {
   struct ColumnFamily {
     ColumnFamilyId id = 0;
     std::string name;
-    std::unique_ptr<MemTable> mem;
-    std::vector<std::unique_ptr<MemTable>> immutables;
+    std::unique_ptr<MemTable> mem;  ///< C0, the only MemTable
     Version version;
     size_t compaction_cursor = 0;  ///< round-robin pick within a level
   };
@@ -177,13 +171,13 @@ IteratorPtr NewSnapshotInternalIterator(
     const CfSnapshot& snap, sim::AccessContext* ctx, BlockCache* cache,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn);
 
-/// Point lookup at `opts.snapshot` through the levels of a version: C1
-/// newest file first, then one binary-searched file per level C2..Ck.
-/// NotFound for an absent or deleted key. The host DB::Get and the NDP
-/// engine both call it after probing their own MemTables.
-Status GetFromLevels(
-    const Version& version, const ReadOptions& opts, const Slice& key,
-    std::string* value,
+/// Point lookup at `opts.snapshot` through one snapshot: `mem` (may be
+/// null), then C1 newest file first, then one binary-searched file per
+/// level C2..Ck. NotFound for an absent or deleted key. The host DB::Get and
+/// the NDP engine's primary-key lookups both call it.
+Status SnapshotGet(
+    const MemTable* mem, const Version& version, const ReadOptions& opts,
+    const Slice& key, std::string* value,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn);
 
 /// Wrap an internal-key iterator into a user-key iterator visible at `seq`

@@ -10,6 +10,8 @@ namespace hybridndp::lsm {
 namespace {
 constexpr uint32_t kSstMagic = 0x6e644221;  // "ndB!"
 constexpr size_t kFooterSize = 8 * 4 + 4;
+constexpr int kRestartInterval = 16;  ///< data-block entries per restart
+constexpr int kBloomBitsPerKey = 10;
 }  // namespace
 
 BlockHandle BlockHandle::Decode(const Slice& v) {
@@ -31,9 +33,9 @@ std::string BlockHandle::Encode() const {
 SstBuilder::SstBuilder(VirtualStorage* storage, SstOptions options)
     : storage_(storage),
       options_(options),
-      data_block_(options.restart_interval),
+      data_block_(kRestartInterval),
       index_block_(1),
-      bloom_(options.bloom_bits_per_key) {}
+      bloom_(kBloomBitsPerKey) {}
 
 void SstBuilder::Add(const Slice& ikey, const Slice& value) {
   assert(last_ikey_.empty() || CompareInternalKey(last_ikey_, ikey) < 0);
@@ -92,8 +94,7 @@ Result<FileMetaData> SstBuilder::Finish() {
   PutFixed32(&file_, kSstMagic);
 
   meta_.file_size = file_.size();
-  HNDP_ASSIGN_OR_RETURN(meta_.file_id,
-                        storage_->AddFileChecked(std::move(file_)));
+  HNDP_ASSIGN_OR_RETURN(meta_.file_id, storage_->AddFile(std::move(file_)));
   return meta_;
 }
 
@@ -142,10 +143,13 @@ Status SstReader::EnsureOpened(sim::AccessContext* ctx, BlockCache* cache) {
     const BlockReader index_block(Slice(contents->data() + index_off,
                                         index_sz));
     auto it = index_block.NewIterator(nullptr);
+    std::vector<SstIndexEntry> entries;
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      pinned_index_.push_back(
+      entries.push_back(
           {it->key().ToString(), BlockHandle::Decode(it->value())});
     }
+    HNDP_RETURN_IF_ERROR(it->status());
+    pinned_index_ = std::move(entries);
   }
   bloom_ = std::make_unique<BloomFilter>(
       Slice(contents->data() + bloom_off, bloom_sz));
@@ -265,7 +269,9 @@ Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
   BlockReader block(block_data);
   auto iter = block.NewIterator(ctx);
   iter->Seek(Slice(lookup));
-  if (!iter->Valid()) return Status::NotFound();
+  if (!iter->Valid()) {
+    return iter->status().ok() ? Status::NotFound() : iter->status();
+  }
   ParsedInternalKey parsed;
   if (!ParseInternalKey(iter->key(), &parsed)) {
     return Status::Corruption("bad internal key");
@@ -296,6 +302,7 @@ class SstReader::TwoLevelIter final : public Iterator {
   }
 
   void SeekToFirst() override {
+    status_ = Status::OK();
     index_iter_.SeekToFirst();
     InitDataBlock();
     if (data_iter_ != nullptr) data_iter_->SeekToFirst();
@@ -303,6 +310,7 @@ class SstReader::TwoLevelIter final : public Iterator {
   }
 
   void Seek(const Slice& target) override {
+    status_ = Status::OK();
     if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kSeekIndexBlock, 1);
     index_iter_.Seek(target);
     InitDataBlock();
@@ -335,9 +343,16 @@ class SstReader::TwoLevelIter final : public Iterator {
     data_iter_ = block_->NewIterator(ctx_);
   }
 
-  /// Move to the next non-exhausted data block.
+  /// Move to the next non-exhausted data block. A block iterator that
+  /// failed is not exhausted: latch its error and stop, like
+  /// LevelConcatIterator, instead of dropping the rest of the block.
   void SkipEmptyBlocks() {
     while (data_iter_ != nullptr && !data_iter_->Valid()) {
+      Status s = data_iter_->status();
+      if (!s.ok()) {
+        status_ = std::move(s);
+        return;
+      }
       index_iter_.Next();
       InitDataBlock();
       if (data_iter_ != nullptr) data_iter_->SeekToFirst();
@@ -350,7 +365,7 @@ class SstReader::TwoLevelIter final : public Iterator {
   PinnedIndexIter index_iter_;
   std::unique_ptr<BlockReader> block_;
   IteratorPtr data_iter_;
-  Status status_;
+  Status status_;  ///< latched block-read or block-decode error
 };
 
 IteratorPtr SstReader::NewIterator(sim::AccessContext* ctx, BlockCache* cache) {

@@ -59,11 +59,9 @@ struct SstIndexEntry {
   BlockHandle handle;
 };
 
-/// Options shared by SST building and reading.
+/// Options of SST building.
 struct SstOptions {
   uint32_t block_size = 4096;  ///< target data block bytes (tbl_nbs)
-  int restart_interval = 16;
-  int bloom_bits_per_key = 10;
 };
 
 /// Serializes internal keys added in sorted order into the SST format and

@@ -4,7 +4,9 @@
 
 namespace hybridndp::lsm {
 
-FileId VirtualStorage::AddFile(std::string contents) {
+Result<FileId> VirtualStorage::AddFile(std::string contents) {
+  HNDP_RETURN_IF_ERROR(
+      sim::FaultCheck(sim::FaultSite::kStorageWrite, nullptr));
   const FileId id = next_file_id_++;
   FileEntry entry;
   entry.placement.file_id = id;
@@ -17,12 +19,6 @@ FileId VirtualStorage::AddFile(std::string contents) {
   entry.contents = std::move(contents);
   files_.emplace(id, std::move(entry));
   return id;
-}
-
-Result<FileId> VirtualStorage::AddFileChecked(std::string contents) {
-  HNDP_RETURN_IF_ERROR(
-      sim::FaultCheck(sim::FaultSite::kStorageWrite, nullptr));
-  return AddFile(std::move(contents));
 }
 
 void VirtualStorage::RemoveFile(FileId id) {

@@ -34,12 +34,10 @@ class VirtualStorage {
  public:
   explicit VirtualStorage(const sim::HwParams* hw) : hw_(hw) {}
 
-  /// Store a new immutable file; returns its id.
-  FileId AddFile(std::string contents);
-
-  /// Fault-checkable variant of AddFile: fails (FaultSite::kStorageWrite)
-  /// instead of storing when an injected write fault exhausts its retries.
-  Result<FileId> AddFileChecked(std::string contents);
+  /// Store a new immutable file and return its id. Fails
+  /// (FaultSite::kStorageWrite) instead of storing when an injected write
+  /// fault exhausts its retries.
+  Result<FileId> AddFile(std::string contents);
 
   /// Remove a file (after compaction). Pages are reclaimed logically.
   void RemoveFile(FileId id);

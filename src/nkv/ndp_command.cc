@@ -107,26 +107,6 @@ lsm::SstReader* DeviceTableAccessor::GetReader(
   return raw;
 }
 
-Status DeviceTableAccessor::SnapshotGet(const lsm::CfSnapshot& snap,
-                                        const lsm::ReadOptions& opts,
-                                        const Slice& key,
-                                        std::string* value) const {
-  const lsm::SequenceNumber seq = opts.snapshot;
-  bool deleted = false;
-  if (snap.mem != nullptr &&
-      snap.mem->Get(key, seq, value, &deleted, opts.ctx)) {
-    return deleted ? Status::NotFound() : Status::OK();
-  }
-  for (auto it = snap.immutables.rbegin(); it != snap.immutables.rend(); ++it) {
-    if ((*it)->Get(key, seq, value, &deleted, opts.ctx)) {
-      return deleted ? Status::NotFound() : Status::OK();
-    }
-  }
-  return lsm::GetFromLevels(
-      snap.version, opts, key, value,
-      [this](const lsm::FileMetaData& meta) { return GetReader(meta); });
-}
-
 Status DeviceTableAccessor::GetByPk(const lsm::ReadOptions& opts, int32_t pk,
                                     std::string* row) const {
   std::string pk_key;
@@ -135,7 +115,10 @@ Status DeviceTableAccessor::GetByPk(const lsm::ReadOptions& opts, int32_t pk,
   if (snap_opts.snapshot == lsm::kMaxSequenceNumber) {
     snap_opts.snapshot = access_->primary.sequence;
   }
-  return SnapshotGet(access_->primary, snap_opts, Slice(pk_key), row);
+  const lsm::CfSnapshot& snap = access_->primary;
+  return lsm::SnapshotGet(
+      snap.mem, snap.version, snap_opts, Slice(pk_key), row,
+      [this](const lsm::FileMetaData& meta) { return GetReader(meta); });
 }
 
 lsm::IteratorPtr DeviceTableAccessor::NewScanIterator(

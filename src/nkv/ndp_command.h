@@ -1,6 +1,6 @@
 // The NDP invocation (paper Sect. 2.1, 4.1, Fig. 7.A): everything the smart
 // storage device needs to execute a partial QEP autonomously and
-// intervention-free — the shared state (unflushed MemTables), the physical
+// intervention-free — the shared state (the unflushed MemTable), the physical
 // placement of every involved SST (address-mapping info), index metadata,
 // the PQEP descriptor, predicates, and the buffer configuration.
 
@@ -158,9 +158,6 @@ class DeviceTableAccessor final : public rel::TableAccessor {
 
  private:
   lsm::SstReader* GetReader(const lsm::FileMetaData& meta) const;
-  /// Get through one snapshot: mem -> immutables -> the shared level walk.
-  Status SnapshotGet(const lsm::CfSnapshot& snap, const lsm::ReadOptions& opts,
-                     const Slice& key, std::string* value) const;
 
   const lsm::VirtualStorage* storage_;
   const NdpTableAccess* access_;

@@ -673,9 +673,44 @@ TEST_F(FaultE2ETest, LevelScanLatchesSstReadErrorInsteadOfTruncating) {
 
 TEST_F(FaultE2ETest, StorageWriteFaultFailsSstBuild) {
   ScopedFaultInjection arm("storage.write:always");
-  auto file = storage_.AddFileChecked("payload");
+  auto file = storage_.AddFile("payload");
   EXPECT_FALSE(file.ok());
   EXPECT_TRUE(file.status().IsIOError());
+}
+
+TEST_F(FaultE2ETest, FailedFlushKeepsEveryRowReadable) {
+  const lsm::ColumnFamilyId cf = db_.CreateColumnFamily("flush_probe");
+  const auto row_key = [](int i) { return "row" + std::to_string(i); };
+  const uint64_t flushes_before = db_.stats().flushes;
+  int written = 0;
+  {
+    // Every flush fails: the write that fills C0 reports the error, and the
+    // rows stay in the MemTable.
+    ScopedFaultInjection arm("storage.write:always");
+    ASSERT_TRUE(db_.Put(cf, "K", "v1").ok());
+    Status s;
+    while (s.ok()) {
+      ASSERT_LT(written, 100000) << "no write reported the failed flush";
+      s = db_.Put(cf, row_key(written++), std::string(100, 'x'));
+    }
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  }
+  EXPECT_EQ(db_.stats().flushes, flushes_before);
+
+  ASSERT_TRUE(db_.Put(cf, "K", "v2").ok());
+  for (int i = 0; db_.stats().flushes == flushes_before; ++i) {
+    ASSERT_LT(i, 100000) << "no flush after the fault was disarmed";
+    ASSERT_TRUE(db_.Put(cf, "after" + std::to_string(i), "y").ok());
+  }
+
+  std::string value;
+  ASSERT_TRUE(db_.Get(lsm::ReadOptions{}, cf, "K", &value).ok());
+  EXPECT_EQ(value, "v2");
+  for (int i = 0; i < written; ++i) {
+    ASSERT_TRUE(db_.Get(lsm::ReadOptions{}, cf, row_key(i), &value).ok())
+        << row_key(i);
+    EXPECT_EQ(value, std::string(100, 'x'));
+  }
 }
 
 TEST_F(FaultE2ETest, BlockedConsumerIsWokenNotDeadlocked) {

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "lsm/block.h"
 #include "lsm/block_cache.h"
@@ -199,6 +201,48 @@ class SstTest : public ::testing::Test {
     return *meta;
   }
 
+  /// Location of the sparse index block, from the footer:
+  /// fixed64 index_off | fixed64 index_sz | ... (36 bytes).
+  static BlockHandle IndexHandle(const std::string& file) {
+    const char* footer = file.data() + file.size() - 36;
+    return {DecodeFixed64(footer), DecodeFixed64(footer + 8)};
+  }
+
+  /// Copy of `meta`'s file with `mutate` applied to its first data block.
+  FileMetaData CopyWithBadFirstBlock(
+      const FileMetaData& meta,
+      const std::function<void(std::string* file, const BlockHandle& block)>&
+          mutate) {
+    std::string file = *storage_.FileContents(meta.file_id);
+    const BlockHandle index_handle = IndexHandle(file);
+    const BlockReader index(
+        Slice(file.data() + index_handle.offset, index_handle.size));
+    auto it = index.NewIterator();
+    it->SeekToFirst();
+    EXPECT_TRUE(it->Valid());
+    mutate(&file, BlockHandle::Decode(it->value()));
+    FileMetaData bad = meta;
+    bad.file_id = *storage_.AddFile(std::move(file));
+    return bad;
+  }
+
+  /// A scan of `bad` must end with Corruption, not skip the bad block, and a
+  /// Get of a key in that block must fail the same way.
+  void ExpectFirstBlockCorruption(const FileMetaData& bad) {
+    SstReader reader(&storage_, bad);
+    auto iter = reader.NewIterator(nullptr, nullptr);
+    uint64_t rows = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++rows;
+    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+    EXPECT_LT(rows, bad.num_entries);
+
+    std::string value;
+    bool deleted = false;
+    Status s = reader.Get(nullptr, nullptr, "key000003", kMaxSequenceNumber,
+                          &value, &deleted);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
+
   HwParams hw_;
   VirtualStorage storage_;
 };
@@ -376,32 +420,41 @@ TEST_F(SstTest, PinnedIndexServesSeeksAfterSingleLoad) {
   EXPECT_EQ(reader.read_stats().pinned_index_seeks.load(), 50u);
 }
 
-TEST(BlockCacheTest, EvictsLruBeyondCapacity) {
-  BlockCache cache(100);
-  cache.Insert(1, 0, 60);
-  cache.Insert(1, 60, 60);  // evicts (1,0)
+// Eviction must be one exact LRU over the whole capacity, at byte scale and
+// at MiB scale, where every block is a large share of a multi-MiB cache.
+// Byte sizes in the checks below are multiples of `unit`.
+void CheckEvictsLruBeyondCapacity(uint64_t unit) {
+  BlockCache cache(100 * unit);
+  cache.Insert(1, 0, 60 * unit);
+  cache.Insert(1, 60 * unit, 60 * unit);  // evicts (1,0)
   EXPECT_FALSE(cache.Lookup(1, 0));
-  EXPECT_TRUE(cache.Lookup(1, 60));
-  EXPECT_LE(cache.used_bytes(), 100u);
+  EXPECT_TRUE(cache.Lookup(1, 60 * unit));
+  EXPECT_EQ(cache.used_bytes(), 60 * unit);
 }
 
-TEST(BlockCacheTest, LookupRefreshesRecency) {
-  BlockCache cache(100);
-  cache.Insert(1, 0, 40);
-  cache.Insert(1, 40, 40);
-  EXPECT_TRUE(cache.Lookup(1, 0));  // refresh
-  cache.Insert(1, 80, 40);          // evicts (1,40), not (1,0)
+void CheckLookupRefreshesRecency(uint64_t unit) {
+  BlockCache cache(100 * unit);
+  cache.Insert(1, 0, 40 * unit);
+  cache.Insert(1, 40 * unit, 40 * unit);
+  EXPECT_TRUE(cache.Lookup(1, 0));        // refresh
+  cache.Insert(1, 80 * unit, 40 * unit);  // evicts (1,40), not (1,0)
   EXPECT_TRUE(cache.Lookup(1, 0));
-  EXPECT_FALSE(cache.Lookup(1, 40));
+  EXPECT_FALSE(cache.Lookup(1, 40 * unit));
+  EXPECT_TRUE(cache.Lookup(1, 80 * unit));
 }
 
-TEST(BlockCacheTest, EraseFileDropsAllItsBlocks) {
-  BlockCache cache(1000);
-  cache.Insert(1, 0, 10);
-  cache.Insert(2, 0, 10);
-  cache.EraseFile(1);
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  EXPECT_TRUE(cache.Lookup(2, 0));
+TEST(BlockCacheTest, EvictsLruBeyondCapacity) {
+  CheckEvictsLruBeyondCapacity(1);
+}
+
+TEST(BlockCacheTest, EvictsLruBeyondCapacityAtMiBScale) {
+  CheckEvictsLruBeyondCapacity(uint64_t{1} << 20);
+}
+
+TEST(BlockCacheTest, LookupRefreshesRecency) { CheckLookupRefreshesRecency(1); }
+
+TEST(BlockCacheTest, LookupRefreshesRecencyAtMiBScale) {
+  CheckLookupRefreshesRecency(uint64_t{1} << 20);
 }
 
 TEST_F(SstTest, CorruptFooterRejected) {
@@ -412,7 +465,7 @@ TEST_F(SstTest, CorruptFooterRejected) {
   std::string corrupted = *contents;
   corrupted[corrupted.size() - 1] ^= 0x5a;
   FileMetaData bad = meta;
-  bad.file_id = storage_.AddFile(std::move(corrupted));
+  bad.file_id = *storage_.AddFile(std::move(corrupted));
   SstReader reader(&storage_, bad);
   std::string value;
   bool deleted = false;
@@ -428,13 +481,53 @@ TEST_F(SstTest, TruncatedFileRejected) {
   FileMetaData meta = BuildFile(100);
   const std::string* contents = storage_.FileContents(meta.file_id);
   FileMetaData bad = meta;
-  bad.file_id = storage_.AddFile(contents->substr(0, 16));  // far too short
+  bad.file_id = *storage_.AddFile(contents->substr(0, 16));  // far too short
   SstReader reader(&storage_, bad);
   std::string value;
   bool deleted = false;
   Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
                         &value, &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST_F(SstTest, CorruptEntryInDataBlockIsCorruption) {
+  // The first entry's shared-prefix length points past an empty previous
+  // key, so block 0 cannot be decoded.
+  ExpectFirstBlockCorruption(CopyWithBadFirstBlock(
+      BuildFile(2000),
+      [](std::string* file, const BlockHandle& block) {
+        (*file)[block.offset] = 0x7f;
+      }));
+}
+
+TEST_F(SstTest, BadRestartCountInDataBlockIsCorruption) {
+  ExpectFirstBlockCorruption(CopyWithBadFirstBlock(
+      BuildFile(2000),
+      [](std::string* file, const BlockHandle& block) {
+        EncodeFixed32(file->data() + block.offset + block.size - 4,
+                      0x7fffffff);
+      }));
+}
+
+TEST_F(SstTest, BadIndexBlockTrailerIsCorruption) {
+  // An undecodable sparse index must not open as an empty file.
+  const FileMetaData meta = BuildFile(100);
+  std::string file = *storage_.FileContents(meta.file_id);
+  const BlockHandle index = IndexHandle(file);
+  EncodeFixed32(file.data() + index.offset + index.size - 4, 0x7fffffff);
+  FileMetaData bad = meta;
+  bad.file_id = *storage_.AddFile(std::move(file));
+
+  SstReader reader(&storage_, bad);
+  std::string value;
+  bool deleted = false;
+  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+                        &value, &deleted);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  auto iter = reader.NewIterator(nullptr, nullptr);
+  iter->SeekToFirst();
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
 }
 
 TEST_F(SstTest, MissingFileSurfacesNotFound) {

@@ -99,51 +99,6 @@ TEST(KeyBytesTest, ReusedBufferMatchesAllocatingVariant) {
   }
 }
 
-// ------------------------------------------------------ sharded BlockCache
-
-TEST(ShardedBlockCacheTest, ConcurrentHammerKeepsAccountingConsistent) {
-  constexpr int kThreads = 8;
-  constexpr int kKeysPerThread = 200;
-  lsm::BlockCache cache(/*capacity_bytes=*/64ull << 20);
-  EXPECT_EQ(cache.num_shards(), lsm::BlockCache::kDefaultShards);
-
-  common::ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&cache](size_t t) {
-    const lsm::FileId file = static_cast<lsm::FileId>(t + 1);
-    for (int i = 0; i < kKeysPerThread; ++i) {
-      const uint64_t off = static_cast<uint64_t>(i) * 4096;
-      EXPECT_FALSE(cache.Lookup(file, off));  // miss
-      cache.Insert(file, off, 4096);
-      EXPECT_TRUE(cache.Lookup(file, off));  // hit
-    }
-  });
-
-  // Capacity is large enough that nothing evicts: every (file, off) is
-  // missed exactly once and hit exactly once.
-  EXPECT_EQ(cache.misses(), static_cast<uint64_t>(kThreads) * kKeysPerThread);
-  EXPECT_EQ(cache.hits(), static_cast<uint64_t>(kThreads) * kKeysPerThread);
-  EXPECT_EQ(cache.used_bytes(),
-            static_cast<uint64_t>(kThreads) * kKeysPerThread * 4096);
-
-  // EraseFile drops exactly one thread's entries.
-  cache.EraseFile(1);
-  EXPECT_EQ(cache.used_bytes(),
-            static_cast<uint64_t>(kThreads - 1) * kKeysPerThread * 4096);
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  EXPECT_TRUE(cache.Lookup(2, 0));
-}
-
-TEST(ShardedBlockCacheTest, SmallCacheDefaultsToOneShardAndGlobalLru) {
-  // Small caches auto-select a single shard, preserving strict global LRU
-  // (the seed's eviction-order tests rely on it).
-  lsm::BlockCache cache(100);
-  EXPECT_EQ(cache.num_shards(), 1);
-  cache.Insert(1, 0, 60);
-  cache.Insert(1, 100, 60);  // evicts (1, 0)
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  EXPECT_TRUE(cache.Lookup(1, 100));
-}
-
 // ----------------------------------------------- RunAll determinism contract
 
 /// Star-schema fixture mirroring hybrid_test.cc: orders -> customer, product.
