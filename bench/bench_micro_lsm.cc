@@ -57,10 +57,10 @@ void BM_BlockBuildAndScan(benchmark::State& state) {
       builder.Add(ikey, "value");
     }
     std::string data = builder.Finish();
-    lsm::BlockReader reader((Slice(data)));
-    auto iter = reader.NewIterator();
+    lsm::BlockIter iter;
+    iter.Reset(Slice(data));
     int count = 0;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++count;
+    for (iter.SeekToFirst(); iter.Valid(); iter.Next()) ++count;
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -56,137 +56,131 @@ std::string BlockBuilder::Finish() {
   return out;
 }
 
-BlockReader::BlockReader(Slice contents)
-    : data_(contents.data()), size_(contents.size()) {
+void BlockIter::Clear() {
+  data_ = nullptr;
+  restarts_offset_ = 0;
+  num_restarts_ = 0;
+  valid_ = false;
+  key_.Truncate(0);
+  value_ = Slice();
+  if (!status_.ok()) status_ = Status::OK();
+}
+
+void BlockIter::Reset(Slice contents) {
+  Clear();
   // Every built block has restart point 0 and its count.
-  if (size_ >= 4) num_restarts_ = DecodeFixed32(data_ + size_ - 4);
-  const uint64_t trailer = 4ull + 4ull * num_restarts_;
-  if (num_restarts_ == 0 || trailer > size_) {
-    size_ = 0;
-    num_restarts_ = 0;
+  const size_t size = contents.size();
+  const uint32_t num_restarts =
+      size >= 4 ? DecodeFixed32(contents.data() + size - 4) : 0;
+  const uint64_t trailer = 4ull + 4ull * num_restarts;
+  if (num_restarts == 0 || trailer > size) {
     status_ = Status::Corruption("bad block trailer");
     return;
   }
-  restarts_offset_ = static_cast<uint32_t>(size_ - trailer);
+  data_ = contents.data();
+  num_restarts_ = num_restarts;
+  restarts_offset_ = size - trailer;
 }
 
-class BlockReader::Iter final : public Iterator {
- public:
-  Iter(const BlockReader* block, sim::AccessContext* ctx)
-      : block_(block), ctx_(ctx) {}
+void BlockIter::Corrupt(const char* what) {
+  valid_ = false;
+  status_ = Status::Corruption(what);
+}
 
-  bool Valid() const override { return valid_; }
-
-  void SeekToFirst() override { SeekToRestart(0); }
-
-  void Seek(const Slice& target) override {
-    // Binary search over restart points for the last restart with key <
-    // target, then linear scan.
-    uint32_t left = 0;
-    uint32_t right = block_->num_restarts_ == 0 ? 0 : block_->num_restarts_ - 1;
-    if (block_->num_restarts_ == 0) {
-      valid_ = false;
+void BlockIter::Seek(const Slice& target) {
+  if (num_restarts_ == 0) {
+    valid_ = false;
+    return;
+  }
+  // Binary search over restart points for the last restart with key <
+  // target, then linear scan.
+  uint32_t left = 0;
+  uint32_t right = num_restarts_ - 1;
+  uint64_t compares = 0;
+  while (left < right) {
+    const uint32_t mid = (left + right + 1) / 2;
+    Slice mid_key;
+    if (!RestartKey(mid, &mid_key)) {
+      Corrupt("bad block restart point");
       return;
     }
-    uint64_t compares = 0;
-    while (left < right) {
-      const uint32_t mid = (left + right + 1) / 2;
-      Slice mid_key = RestartKey(mid);
-      ++compares;
-      if (CompareInternalKey(mid_key, target) < 0) {
-        left = mid;
-      } else {
-        right = mid - 1;
-      }
-    }
-    if (ctx_ != nullptr) {
-      ctx_->Charge(sim::CostKind::kSeekDataBlock, 1);
-      ctx_->Charge(sim::CostKind::kCompareInternalKeys, compares);
-    }
-    SeekToRestart(left);
-    uint64_t scan_compares = 0;
-    while (valid_ && CompareInternalKey(key(), target) < 0) {
-      ++scan_compares;
-      ParseNext();
-    }
-    if (ctx_ != nullptr && scan_compares > 0) {
-      ctx_->Charge(sim::CostKind::kCompareInternalKeys, scan_compares);
+    ++compares;
+    if (CompareInternalKey(mid_key, target) < 0) {
+      left = mid;
+    } else {
+      right = mid - 1;
     }
   }
-
-  void Next() override {
-    assert(valid_);
+  if (ctx_ != nullptr) {
+    ctx_->Charge(sim::CostKind::kSeekDataBlock, 1);
+    ctx_->Charge(sim::CostKind::kCompareInternalKeys, compares);
+  }
+  SeekToRestart(left);
+  uint64_t scan_compares = 0;
+  while (valid_ && CompareInternalKey(key(), target) < 0) {
+    ++scan_compares;
     ParseNext();
   }
-
-  Slice key() const override { return Slice(key_); }
-  Slice value() const override { return value_; }
-  Status status() const override { return status_; }
-
- private:
-  Slice RestartKey(uint32_t index) {
-    // Restart entries have shared == 0, so the key is stored verbatim.
-    const char* p =
-        block_->data_ + DecodeFixed32(block_->data_ + block_->restarts_offset_ +
-                                      4 * index);
-    const char* limit = block_->data_ + block_->restarts_offset_;
-    uint32_t shared = 0, non_shared = 0, value_len = 0;
-    p = GetVarint32Ptr(p, limit, &shared);
-    p = GetVarint32Ptr(p, limit, &non_shared);
-    p = GetVarint32Ptr(p, limit, &value_len);
-    return Slice(p, non_shared);
+  if (ctx_ != nullptr && scan_compares > 0) {
+    ctx_->Charge(sim::CostKind::kCompareInternalKeys, scan_compares);
   }
+}
 
-  void SeekToRestart(uint32_t index) {
-    key_.clear();
-    value_ = Slice();
-    if (index >= block_->num_restarts_) {
-      valid_ = false;
-      return;
-    }
-    next_offset_ =
-        DecodeFixed32(block_->data_ + block_->restarts_offset_ + 4 * index);
-    valid_ = true;
-    ParseNext();
+bool BlockIter::RestartKey(uint32_t index, Slice* key) const {
+  const uint32_t offset = DecodeFixed32(data_ + restarts_offset_ + 4 * index);
+  if (offset >= restarts_offset_) return false;
+  const char* p = data_ + offset;
+  const char* limit = data_ + restarts_offset_;
+  uint32_t shared = 0, non_shared = 0, value_len = 0;
+  p = GetVarint32Ptr(p, limit, &shared);
+  if (p != nullptr) p = GetVarint32Ptr(p, limit, &non_shared);
+  if (p != nullptr) p = GetVarint32Ptr(p, limit, &value_len);
+  if (p == nullptr || shared != 0 || non_shared < 8 ||
+      non_shared > static_cast<size_t>(limit - p)) {
+    return false;
   }
+  *key = Slice(p, non_shared);
+  return true;
+}
 
-  /// Parse the entry at next_offset_ into key_/value_.
-  void ParseNext() {
-    if (next_offset_ >= block_->restarts_offset_) {
-      valid_ = false;
-      return;
-    }
-    const char* p = block_->data_ + next_offset_;
-    const char* limit = block_->data_ + block_->restarts_offset_;
-    uint32_t shared = 0, non_shared = 0, value_len = 0;
-    p = GetVarint32Ptr(p, limit, &shared);
-    if (p != nullptr) p = GetVarint32Ptr(p, limit, &non_shared);
-    if (p != nullptr) p = GetVarint32Ptr(p, limit, &value_len);
-    if (p == nullptr || p + non_shared + value_len > limit ||
-        shared > key_.size()) {
-      valid_ = false;
-      status_ = Status::Corruption("bad block entry");
-      return;
-    }
-    key_.resize(shared);
-    key_.append(p, non_shared);
-    value_ = Slice(p + non_shared, value_len);
-    next_offset_ = static_cast<uint32_t>((p + non_shared + value_len) -
-                                         block_->data_);
+void BlockIter::SeekToRestart(uint32_t index) {
+  key_.Truncate(0);
+  value_ = Slice();
+  valid_ = false;
+  if (index >= num_restarts_) return;
+  next_offset_ = DecodeFixed32(data_ + restarts_offset_ + 4 * index);
+  if (next_offset_ >= restarts_offset_) {
+    // Only a block without entries may have its restart point at the end.
+    if (restarts_offset_ > 0) Corrupt("bad block restart point");
+    return;
   }
+  valid_ = true;
+  ParseNext();
+}
 
-  const BlockReader* block_;
-  sim::AccessContext* ctx_;
-  bool valid_ = false;
-  uint32_t next_offset_ = 0;
-  std::string key_;
-  Slice value_;
-  Status status_;
-};
-
-IteratorPtr BlockReader::NewIterator(sim::AccessContext* ctx) const {
-  if (!status_.ok()) return std::make_unique<EmptyIterator>(status_);
-  return std::make_unique<Iter>(this, ctx);
+void BlockIter::ParseNext() {
+  if (next_offset_ >= restarts_offset_) {
+    valid_ = false;
+    return;
+  }
+  const char* p = data_ + next_offset_;
+  const char* limit = data_ + restarts_offset_;
+  uint32_t shared = 0, non_shared = 0, value_len = 0;
+  p = GetVarint32Ptr(p, limit, &shared);
+  if (p != nullptr) p = GetVarint32Ptr(p, limit, &non_shared);
+  if (p != nullptr) p = GetVarint32Ptr(p, limit, &value_len);
+  // Every key is an internal key: at least its 8-byte trailer.
+  if (p == nullptr || shared > key_.size() ||
+      non_shared > static_cast<size_t>(limit - p) ||
+      value_len > static_cast<size_t>(limit - p) - non_shared ||
+      shared + non_shared < 8) {
+    Corrupt("bad block entry");
+    return;
+  }
+  key_.Truncate(shared);
+  key_.Append(p, non_shared);
+  value_ = Slice(p + non_shared, value_len);
+  next_offset_ = static_cast<size_t>((p + non_shared + value_len) - data_);
 }
 
 }  // namespace hybridndp::lsm

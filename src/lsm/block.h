@@ -7,13 +7,14 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/slice.h"
 #include "common/status.h"
-#include "lsm/iterator.h"
+#include "lsm/internal_key.h"
 #include "sim/cost.h"
 
 namespace hybridndp::lsm {
@@ -43,29 +44,63 @@ class BlockBuilder {
   std::string last_key_;
 };
 
-/// Read-side view over a serialized block. The underlying bytes must outlive
-/// the reader and any iterator obtained from it.
-class BlockReader {
+/// Cursor over one serialized block. A scan re-points one cursor at block
+/// after block (Reset) instead of allocating a reader and an iterator per
+/// block; the key buffer keeps its room across blocks. It is a concrete
+/// class, not an lsm::Iterator: its owners embed it by value and call it
+/// without a virtual hop. The block's bytes must outlive their use through
+/// the cursor.
+class BlockIter {
  public:
-  /// Validates the trailer; a block with a bad one yields an empty iterator
-  /// whose status() is Corruption.
-  explicit BlockReader(Slice contents);
+  /// `ctx`, when set, is charged for seeks: kSeekDataBlock 1 per restart
+  /// binary search plus kCompareInternalKeys per binary-search step and per
+  /// advancing linear-scan comparison.
+  explicit BlockIter(sim::AccessContext* ctx = nullptr) : ctx_(ctx) {}
+  BlockIter(const BlockIter&) = delete;
+  BlockIter& operator=(const BlockIter&) = delete;
 
-  /// Iterate entries; `cmp_ctx`, when set, is charged for seek comparisons
-  /// (kSeekDataBlock per restart-binary-search, kCompareInternalKeys per
-  /// linear-scan comparison).
-  IteratorPtr NewIterator(sim::AccessContext* ctx = nullptr) const;
+  /// Point at `contents` and validate its trailer. The cursor is invalid
+  /// until a seek. A bad trailer makes status() Corruption and every seek a
+  /// no-op.
+  void Reset(Slice contents);
+  /// Drop the block: invalid, with an OK status.
+  void Clear();
 
-  size_t size() const { return size_; }
+  bool Valid() const { return valid_; }
+  void SeekToFirst() { SeekToRestart(0); }
+  /// Position at the first entry with key >= target.
+  void Seek(const Slice& target);
+  void Next() {
+    assert(valid_);
+    ParseNext();
+  }
+
+  /// Precondition for key()/value(): Valid(). key() is valid until the next
+  /// move, value() as long as the block's bytes.
+  Slice key() const { return key_.slice(); }
+  Slice value() const { return value_; }
+  /// Corruption once a bad trailer, restart point or entry was met; stays
+  /// until the next Reset.
+  const Status& status() const { return status_; }
 
  private:
-  class Iter;
+  /// Key of restart point `index` (stored verbatim: shared == 0), or false
+  /// when the restart offset or the entry header is out of bounds.
+  bool RestartKey(uint32_t index, Slice* key) const;
+  void SeekToRestart(uint32_t index);
+  /// Decode the entry at next_offset_ into key_/value_.
+  void ParseNext();
+  void Corrupt(const char* what);
 
+  sim::AccessContext* ctx_;
   const char* data_ = nullptr;
-  size_t size_ = 0;
-  uint32_t restarts_offset_ = 0;
+  size_t restarts_offset_ = 0;  ///< end of the entries, start of the trailer
   uint32_t num_restarts_ = 0;
-  Status status_;  ///< Corruption when the trailer is bad
+  bool valid_ = false;
+  size_t next_offset_ = 0;
+  KeyBuffer key_;
+  Slice value_;
+  Status status_;
 };
 
 }  // namespace hybridndp::lsm

@@ -12,10 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "lsm/storage.h"
 
@@ -25,7 +23,9 @@ class MetricsRegistry;
 
 namespace hybridndp::lsm {
 
-/// LRU residency cache over (file_id, block_offset) keys.
+/// LRU residency cache over (file_id, block_offset) keys: a hash index over
+/// an intrusive LRU list, so a lookup costs one hash probe and no
+/// allocation (DESIGN.md §8).
 class BlockCache {
  public:
   explicit BlockCache(uint64_t capacity_bytes)
@@ -49,18 +49,40 @@ class BlockCache {
                      const std::string& prefix) const;
 
  private:
-  using Key = std::pair<FileId, uint64_t>;
-  struct Entry {
-    Key key;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// One cached block: an element of the intrusive LRU list, kept in
+  /// nodes_ and linked by index. A freed node is chained through `next`.
+  struct Node {
+    FileId file;
+    uint64_t offset;
     uint64_t bytes;
+    uint32_t prev;
+    uint32_t next;
   };
+
+  /// Slot of (file, offset) in slots_: the one holding it, or the empty
+  /// slot where it would go. Requires a non-empty table.
+  size_t FindSlot(FileId file, uint64_t offset) const;
+  size_t HomeSlot(FileId file, uint64_t offset) const;
+  /// Empty `slot`, shifting later entries of its probe run back into it.
+  void EraseSlot(size_t slot);
+  void Rehash(size_t num_slots);
+  void Unlink(uint32_t node);
+  void PushFront(uint32_t node);
 
   uint64_t capacity_bytes_;
   uint64_t used_bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  std::list<Entry> lru_;  // front = most recent
-  std::map<Key, std::list<Entry>::iterator> index_;
+  std::vector<Node> nodes_;
+  uint32_t free_ = kNil;  ///< head of the free-node chain
+  uint32_t head_ = kNil;  ///< most recently used
+  uint32_t tail_ = kNil;  ///< least recently used: the next victim
+  /// Hash index: open addressing with linear probing over node indices
+  /// (kNil = empty), a power of two in size and at most half full.
+  std::vector<uint32_t> slots_;
+  size_t num_entries_ = 0;
 };
 
 }  // namespace hybridndp::lsm

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "lsm/merge_iterator.h"
 #include "obs/metrics.h"
 
 namespace hybridndp::lsm {
@@ -403,7 +402,8 @@ Status SnapshotGet(
 namespace {
 
 /// Concatenating iterator over the sorted, non-overlapping files of one
-/// level (C2..Ck).
+/// level (C2..Ck). One SstIterator, held by value, is re-pointed at file
+/// after file.
 class LevelConcatIterator final : public Iterator {
  public:
   LevelConcatIterator(std::vector<FileMetaData> files,
@@ -412,17 +412,15 @@ class LevelConcatIterator final : public Iterator {
       : files_(std::move(files)),
         reader_fn_(std::move(reader_fn)),
         ctx_(ctx),
-        cache_(cache) {}
+        cache_(cache),
+        file_iter_(ctx, cache) {}
 
-  bool Valid() const override {
-    return file_iter_ != nullptr && file_iter_->Valid();
-  }
+  bool Valid() const override { return file_open_ && file_iter_.Valid(); }
 
   void SeekToFirst() override {
     status_ = Status::OK();
     index_ = 0;
-    OpenCurrent();
-    if (file_iter_ != nullptr) file_iter_->SeekToFirst();
+    if (OpenCurrent()) file_iter_.SeekToFirst();
     SkipExhausted();
   }
 
@@ -434,44 +432,52 @@ class LevelConcatIterator final : public Iterator {
                                   return f.LargestUserKey().compare(k) < 0;
                                 });
     index_ = static_cast<size_t>(pos - files_.begin());
-    OpenCurrent();
-    if (file_iter_ != nullptr) file_iter_->Seek(target);
+    if (OpenCurrent()) file_iter_.Seek(target);
     SkipExhausted();
   }
 
   void Next() override {
-    file_iter_->Next();
-    SkipExhausted();
+    file_iter_.Next();
+    if (!file_iter_.Valid()) SkipExhausted();
   }
 
-  Slice key() const override { return file_iter_->key(); }
-  Slice value() const override { return file_iter_->value(); }
+  Slice key() const override { return file_iter_.key(); }
+  Slice value() const override { return file_iter_.value(); }
   Status status() const override {
     if (!status_.ok()) return status_;
-    return file_iter_ != nullptr ? file_iter_->status() : Status::OK();
+    return file_open_ ? file_iter_.status() : Status::OK();
   }
 
  private:
-  void OpenCurrent() {
-    file_iter_.reset();
-    if (index_ >= files_.size()) return;
-    file_iter_ = reader_fn_(files_[index_])->NewIterator(ctx_, cache_);
+  /// Point file_iter_ at files_[index_]. False past the last file, or when
+  /// the file's reader fails to open (the error is latched).
+  bool OpenCurrent() {
+    file_open_ = false;
+    if (index_ >= files_.size()) return false;
+    SstReader* reader = reader_fn_(files_[index_]);
+    Status s = reader->EnsureOpened(ctx_, cache_);
+    if (!s.ok()) {
+      status_ = std::move(s);
+      return false;
+    }
+    file_iter_.Reset(reader);
+    file_open_ = true;
+    return true;
   }
 
   void SkipExhausted() {
-    while (file_iter_ != nullptr && !file_iter_->Valid()) {
+    while (file_open_ && !file_iter_.Valid()) {
       // An errored file iterator is NOT exhausted: advancing past it would
-      // destroy the failed iterator and silently drop records (the scan
-      // would "finish" clean with a partial result). Latch the error and
-      // stop; status() keeps reporting it until the next re-seek.
-      Status s = file_iter_->status();
+      // silently drop records (the scan would "finish" clean with a
+      // partial result). Latch the error and stop; status() keeps
+      // reporting it until the next re-seek.
+      Status s = file_iter_.status();
       if (!s.ok()) {
         status_ = std::move(s);
         return;
       }
       ++index_;
-      OpenCurrent();
-      if (file_iter_ != nullptr) file_iter_->SeekToFirst();
+      if (OpenCurrent()) file_iter_.SeekToFirst();
     }
   }
 
@@ -480,15 +486,18 @@ class LevelConcatIterator final : public Iterator {
   sim::AccessContext* ctx_;
   BlockCache* cache_;
   size_t index_ = 0;
-  IteratorPtr file_iter_;
-  Status status_;  ///< latched file-iterator error (survives the skip loop)
+  SstIterator file_iter_;
+  bool file_open_ = false;  ///< file_iter_ points at files_[index_]
+  Status status_;  ///< latched file error (survives the skip loop)
 };
 
 /// User-key view over an internal-key iterator: collapses versions and hides
-/// tombstones at a given snapshot.
+/// tombstones at a given snapshot. value() is a view into the SST file or
+/// the MemTable arena, valid until the next move; ChargeStep charges the
+/// simulated copy of every visible record all the same.
 class UserKeyIterator final : public Iterator {
  public:
-  UserKeyIterator(IteratorPtr inner, SequenceNumber seq,
+  UserKeyIterator(std::unique_ptr<MergingIterator> inner, SequenceNumber seq,
                   sim::AccessContext* ctx)
       : inner_(std::move(inner)), seq_(seq), ctx_(ctx) {}
 
@@ -502,7 +511,8 @@ class UserKeyIterator final : public Iterator {
 
   void Seek(const Slice& user_target) override {
     status_ = Status::OK();
-    inner_->Seek(Slice(MakeLookupKey(user_target, seq_)));
+    lookup_.SetLookupKey(user_target, seq_);
+    inner_->Seek(lookup_.slice());
     FindNextVisible();
   }
 
@@ -512,7 +522,7 @@ class UserKeyIterator final : public Iterator {
   }
 
   Slice key() const override { return Slice(key_); }
-  Slice value() const override { return Slice(value_); }
+  Slice value() const override { return value_; }
   Status status() const override {
     return status_.ok() ? inner_->status() : status_;
   }
@@ -557,29 +567,30 @@ class UserKeyIterator final : public Iterator {
         SkipCurrentUserKey();
         continue;
       }
-      // assign() reuses the member strings' capacity; ToString() would
-      // allocate a fresh temporary for every visible record.
+      // assign() reuses key_'s capacity; ToString() would allocate a fresh
+      // temporary for every visible record. The key is copied because
+      // SkipCurrentUserKey compares against it after inner_ has moved.
       key_.assign(parsed.user_key.data(), parsed.user_key.size());
-      const Slice v = inner_->value();
-      value_.assign(v.data(), v.size());
+      value_ = inner_->value();
       ChargeStep(value_.size());
       valid_ = true;
       return;
     }
   }
 
-  IteratorPtr inner_;
+  std::unique_ptr<MergingIterator> inner_;  ///< concrete: calls skip a vtable
   SequenceNumber seq_;
   sim::AccessContext* ctx_;
   bool valid_ = false;
   std::string key_;
-  std::string value_;
+  Slice value_;
+  KeyBuffer lookup_;  ///< Seek target, reused across seeks
   Status status_;  ///< latched corruption (survives until the next seek)
 };
 
 }  // namespace
 
-IteratorPtr NewSnapshotInternalIterator(
+std::unique_ptr<MergingIterator> NewSnapshotInternalIterator(
     const CfSnapshot& snap, sim::AccessContext* ctx, BlockCache* cache,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn) {
   std::vector<IteratorPtr> children;
@@ -597,8 +608,8 @@ IteratorPtr NewSnapshotInternalIterator(
   return std::make_unique<MergingIterator>(std::move(children), ctx);
 }
 
-IteratorPtr NewUserKeyIterator(IteratorPtr internal_iter, SequenceNumber seq,
-                               sim::AccessContext* ctx) {
+IteratorPtr NewUserKeyIterator(std::unique_ptr<MergingIterator> internal_iter,
+                               SequenceNumber seq, sim::AccessContext* ctx) {
   return std::make_unique<UserKeyIterator>(std::move(internal_iter), seq, ctx);
 }
 

@@ -16,6 +16,7 @@
 #include "lsm/internal_key.h"
 #include "lsm/iterator.h"
 #include "lsm/memtable.h"
+#include "lsm/merge_iterator.h"
 #include "lsm/sst.h"
 #include "lsm/storage.h"
 #include "sim/cost.h"
@@ -167,7 +168,7 @@ class DB {
 /// reading SSTs through `ctx`/`cache`. Used by both the host read path and
 /// the on-device NDP engine (which passes a device context and its own
 /// reader table). `reader_fn` maps file metadata to a live SstReader.
-IteratorPtr NewSnapshotInternalIterator(
+std::unique_ptr<MergingIterator> NewSnapshotInternalIterator(
     const CfSnapshot& snap, sim::AccessContext* ctx, BlockCache* cache,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn);
 
@@ -180,9 +181,11 @@ Status SnapshotGet(
     const Slice& key, std::string* value,
     const std::function<SstReader*(const FileMetaData&)>& reader_fn);
 
-/// Wrap an internal-key iterator into a user-key iterator visible at `seq`
-/// (collapses versions, hides tombstones).
-IteratorPtr NewUserKeyIterator(IteratorPtr internal_iter, SequenceNumber seq,
-                               sim::AccessContext* ctx);
+/// Wrap a merged internal-key iterator into a user-key iterator visible at
+/// `seq` (collapses versions, hides tombstones). Its value() is a view into
+/// the SST file or the MemTable arena, valid until the next move: the
+/// iterator must not outlive its snapshot's MemTable or files.
+IteratorPtr NewUserKeyIterator(std::unique_ptr<MergingIterator> internal_iter,
+                               SequenceNumber seq, sim::AccessContext* ctx);
 
 }  // namespace hybridndp::lsm

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/coding.h"
@@ -71,12 +73,57 @@ inline int CompareInternalKey(const Slice& a, const Slice& b) {
   return 0;
 }
 
-/// An internal key used as a lookup target: user_key with max sequence, so a
-/// Seek lands on the newest visible version.
-inline std::string MakeLookupKey(const Slice& user_key, SequenceNumber seq) {
-  std::string k;
-  AppendInternalKey(&k, user_key, seq, ValueType::kValue);
-  return k;
-}
+/// Byte buffer for one key, with inline room for the short keys of the
+/// engine: building a lookup key or decoding a block entry into it
+/// allocates only for a key longer than kInlineBytes. Not copyable: data()
+/// may point into the object itself.
+class KeyBuffer {
+ public:
+  KeyBuffer() = default;
+  KeyBuffer(const KeyBuffer&) = delete;
+  KeyBuffer& operator=(const KeyBuffer&) = delete;
+
+  Slice slice() const { return Slice(data_, size_); }
+  size_t size() const { return size_; }
+
+  /// Keep the first n bytes (n <= size()).
+  void Truncate(size_t n) { size_ = n; }
+
+  void Append(const char* p, size_t n) {
+    if (n > capacity_ - size_) Grow(size_ + n);
+    memcpy(data_ + size_, p, n);
+    size_ += n;
+  }
+
+  /// Set to the internal key a lookup of `user_key` at snapshot `seq`
+  /// seeks to: the type byte is kValue, the largest, so the Seek lands on
+  /// the newest version visible at `seq`.
+  void SetLookupKey(const Slice& user_key, SequenceNumber seq) {
+    size_ = 0;
+    Append(user_key.data(), user_key.size());
+    char trailer[8];
+    EncodeFixed64(trailer, PackSeqAndType(seq, ValueType::kValue));
+    Append(trailer, sizeof(trailer));
+  }
+
+ private:
+  static constexpr size_t kInlineBytes = 48;
+
+  void Grow(size_t need) {
+    size_t cap = capacity_ * 2;
+    while (cap < need) cap *= 2;
+    auto bigger = std::make_unique<char[]>(cap);
+    memcpy(bigger.get(), data_, size_);
+    heap_ = std::move(bigger);
+    data_ = heap_.get();
+    capacity_ = cap;
+  }
+
+  char inline_[kInlineBytes] = {};
+  char* data_ = inline_;
+  size_t size_ = 0;
+  size_t capacity_ = kInlineBytes;
+  std::unique_ptr<char[]> heap_;
+};
 
 }  // namespace hybridndp::lsm

@@ -110,8 +110,9 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
 bool MemTable::Get(const Slice& user_key, SequenceNumber seq,
                    std::string* value, bool* deleted,
                    sim::AccessContext* ctx) const {
-  const std::string lookup = MakeLookupKey(user_key, seq);
-  Node* node = FindGreaterOrEqual(Slice(lookup), nullptr, ctx);
+  KeyBuffer lookup;
+  lookup.SetLookupKey(user_key, seq);
+  Node* node = FindGreaterOrEqual(lookup.slice(), nullptr, ctx);
   if (node == nullptr) return false;
   ParsedInternalKey parsed;
   if (!ParseInternalKey(EntryInternalKey(node->entry), &parsed)) return false;

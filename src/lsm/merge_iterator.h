@@ -13,6 +13,12 @@ namespace hybridndp::lsm {
 /// Merges children in internal-key order. Children must be individually
 /// sorted; duplicate internal keys do not occur (sequence numbers are
 /// unique), so no tie-breaking is needed.
+///
+/// Only the current child moves between seeks, and a child that runs out
+/// stays out until the next seek. So once a single child is left valid, Next
+/// forwards to it without scanning the others; this is the common case of a
+/// compacted store with an empty MemTable. Compares are counted among the
+/// valid children only, one per valid child beyond the first.
 class MergingIterator final : public Iterator {
  public:
   MergingIterator(std::vector<IteratorPtr> children, sim::AccessContext* ctx)
@@ -32,12 +38,20 @@ class MergingIterator final : public Iterator {
 
   void Next() override {
     current_->Next();
-    FindSmallest();
+    if (num_valid_ > 1) {
+      FindSmallest();
+    } else if (current_->Valid()) {
+      key_ = current_->key();
+    } else {
+      num_valid_ = 0;
+      current_ = nullptr;
+      key_ = Slice();
+    }
   }
 
-  /// The winning key is cached by FindSmallest: key() is the hottest call
-  /// on this iterator (several times per merged record, through two virtual
-  /// hops otherwise), and the slice stays valid until current_ advances.
+  /// The winning key is cached: key() is the hottest call on this iterator
+  /// (several times per merged record, through two virtual hops otherwise),
+  /// and the slice stays valid until current_ advances.
   Slice key() const override { return key_; }
   Slice value() const override { return current_->value(); }
 
@@ -53,30 +67,28 @@ class MergingIterator final : public Iterator {
   void FindSmallest() {
     Iterator* smallest = nullptr;
     Slice smallest_key;
-    uint64_t compares = 0;
+    size_t valid = 0;
     for (auto& child : children_) {
       if (!child->Valid()) continue;
-      if (smallest == nullptr) {
+      ++valid;
+      const Slice child_key = child->key();
+      if (smallest == nullptr ||
+          CompareInternalKey(child_key, smallest_key) < 0) {
         smallest = child.get();
-        smallest_key = child->key();
-      } else {
-        ++compares;
-        const Slice child_key = child->key();
-        if (CompareInternalKey(child_key, smallest_key) < 0) {
-          smallest = child.get();
-          smallest_key = child_key;
-        }
+        smallest_key = child_key;
       }
     }
-    if (ctx_ != nullptr && compares > 0) {
-      ctx_->Charge(sim::CostKind::kCompareInternalKeys, compares);
+    if (ctx_ != nullptr && valid > 1) {
+      ctx_->Charge(sim::CostKind::kCompareInternalKeys, valid - 1);
     }
+    num_valid_ = valid;
     current_ = smallest;
     key_ = smallest_key;
   }
 
   std::vector<IteratorPtr> children_;
   sim::AccessContext* ctx_;
+  size_t num_valid_ = 0;  ///< children valid at the last FindSmallest
   Iterator* current_ = nullptr;
   Slice key_;
 };

@@ -12,6 +12,12 @@ constexpr uint32_t kSstMagic = 0x6e644221;  // "ndB!"
 constexpr size_t kFooterSize = 8 * 4 + 4;
 constexpr int kRestartInterval = 16;  ///< data-block entries per restart
 constexpr int kBloomBitsPerKey = 10;
+
+/// True if [off, off + n) does not lie inside [0, size). Written so that
+/// no sum can wrap past 2^64 on a corrupted offset or length.
+bool OutOfRange(uint64_t off, uint64_t n, uint64_t size) {
+  return off > size || n > size - off;
+}
 }  // namespace
 
 BlockHandle BlockHandle::Decode(const Slice& v) {
@@ -112,17 +118,18 @@ Status SstReader::EnsureOpened(sim::AccessContext* ctx, BlockCache* cache) {
   if (contents == nullptr) {
     return Status::NotFound("sst file missing");
   }
-  if (contents->size() < kFooterSize) {
+  const uint64_t file_size = contents->size();
+  if (file_size < kFooterSize) {
     return Status::Corruption("sst too small");
   }
-  const char* footer = contents->data() + contents->size() - kFooterSize;
+  const char* footer = contents->data() + file_size - kFooterSize;
   const uint64_t index_off = DecodeFixed64(footer);
   const uint64_t index_sz = DecodeFixed64(footer + 8);
   const uint64_t bloom_off = DecodeFixed64(footer + 16);
   const uint64_t bloom_sz = DecodeFixed64(footer + 24);
   const uint32_t magic = DecodeFixed32(footer + 32);
-  if (magic != kSstMagic || index_off + index_sz > contents->size() ||
-      bloom_off + bloom_sz > contents->size()) {
+  if (magic != kSstMagic || OutOfRange(index_off, index_sz, file_size) ||
+      OutOfRange(bloom_off, bloom_sz, file_size)) {
     return Status::Corruption("bad sst footer");
   }
   // The index block load is a random page read unless cached.
@@ -138,91 +145,76 @@ Status SstReader::EnsureOpened(sim::AccessContext* ctx, BlockCache* cache) {
   read_stats_.index_loads.fetch_add(1, std::memory_order_relaxed);
   // Pin the sparse index: decode it once here (charge-free — the physical
   // load was charged above) so every later seek binary-searches the decoded
-  // entries instead of re-parsing varints and prefix compression.
+  // entries instead of re-parsing varints and prefix compression. Every
+  // handle must name a block inside the data region, which ends where the
+  // index block starts.
   {
-    const BlockReader index_block(Slice(contents->data() + index_off,
-                                        index_sz));
-    auto it = index_block.NewIterator(nullptr);
+    BlockIter index_block;
+    index_block.Reset(Slice(contents->data() + index_off, index_sz));
     std::vector<SstIndexEntry> entries;
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      entries.push_back(
-          {it->key().ToString(), BlockHandle::Decode(it->value())});
+    for (index_block.SeekToFirst(); index_block.Valid(); index_block.Next()) {
+      const Slice encoded = index_block.value();
+      const BlockHandle handle = BlockHandle::Decode(encoded);
+      if (encoded.size() != 16 ||
+          OutOfRange(handle.offset, handle.size, index_off)) {
+        return Status::Corruption("bad sst index entry");
+      }
+      entries.push_back({index_block.key().ToString(), handle});
     }
-    HNDP_RETURN_IF_ERROR(it->status());
+    HNDP_RETURN_IF_ERROR(index_block.status());
     pinned_index_ = std::move(entries);
   }
   bloom_ = std::make_unique<BloomFilter>(
       Slice(contents->data() + bloom_off, bloom_sz));
+  contents_ = Slice(*contents);
   opened_ = true;
   return Status::OK();
 }
 
-/// Cursor over the pinned index. Seek mirrors BlockReader::Iter::Seek's
-/// charge structure exactly (the index block is built with
-/// restart_interval=1, so every entry is a restart point): kSeekDataBlock 1
-/// plus kCompareInternalKeys per binary-search step, then
-/// kCompareInternalKeys per advancing linear-scan compare (the final
-/// non-advancing compare is not counted there either).
-class SstReader::PinnedIndexIter {
- public:
-  PinnedIndexIter(const std::vector<SstIndexEntry>* entries,
-                  sim::AccessContext* ctx, SstReadStats* stats)
-      : entries_(entries), ctx_(ctx), stats_(stats) {}
-
-  bool Valid() const { return pos_ < entries_->size(); }
-  void SeekToFirst() { pos_ = 0; }
-  void Next() { ++pos_; }
-  Slice key() const { return Slice((*entries_)[pos_].key); }
-  const BlockHandle& handle() const { return (*entries_)[pos_].handle; }
-
-  void Seek(const Slice& target) {
-    const size_t n = entries_->size();
-    if (n == 0) {
-      pos_ = 0;  // invalid: matches the zero-restart early-out (uncharged)
-      return;
-    }
-    stats_->pinned_index_seeks.fetch_add(1, std::memory_order_relaxed);
-    size_t left = 0;
-    size_t right = n - 1;
-    uint64_t compares = 0;
-    while (left < right) {
-      const size_t mid = (left + right + 1) / 2;
-      ++compares;
-      if (CompareInternalKey(Slice((*entries_)[mid].key), target) < 0) {
-        left = mid;
-      } else {
-        right = mid - 1;
-      }
-    }
-    if (ctx_ != nullptr) {
-      ctx_->Charge(sim::CostKind::kSeekDataBlock, 1);
-      ctx_->Charge(sim::CostKind::kCompareInternalKeys, compares);
-    }
-    pos_ = left;
-    uint64_t scan_compares = 0;
-    while (pos_ < n &&
-           CompareInternalKey(Slice((*entries_)[pos_].key), target) < 0) {
-      ++scan_compares;
-      ++pos_;
-    }
-    if (ctx_ != nullptr && scan_compares > 0) {
-      ctx_->Charge(sim::CostKind::kCompareInternalKeys, scan_compares);
+size_t SstReader::SeekIndex(const Slice& target, sim::AccessContext* ctx) {
+  // Mirrors BlockIter::Seek's charge structure exactly (the index block is
+  // built with restart_interval=1, so every entry is a restart point):
+  // kSeekDataBlock 1 plus kCompareInternalKeys per binary-search step, then
+  // kCompareInternalKeys per advancing linear-scan compare (the final
+  // non-advancing compare is not counted there either).
+  if (ctx != nullptr) ctx->Charge(sim::CostKind::kSeekIndexBlock, 1);
+  const size_t n = pinned_index_.size();
+  if (n == 0) return 0;  // matches the zero-restart early-out (uncharged)
+  read_stats_.pinned_index_seeks.fetch_add(1, std::memory_order_relaxed);
+  size_t left = 0;
+  size_t right = n - 1;
+  uint64_t compares = 0;
+  while (left < right) {
+    const size_t mid = (left + right + 1) / 2;
+    ++compares;
+    if (CompareInternalKey(Slice(pinned_index_[mid].key), target) < 0) {
+      left = mid;
+    } else {
+      right = mid - 1;
     }
   }
-
- private:
-  const std::vector<SstIndexEntry>* entries_;
-  sim::AccessContext* ctx_;
-  SstReadStats* stats_;
-  size_t pos_ = 0;
-};
+  if (ctx != nullptr) {
+    ctx->Charge(sim::CostKind::kSeekDataBlock, 1);
+    ctx->Charge(sim::CostKind::kCompareInternalKeys, compares);
+  }
+  size_t pos = left;
+  uint64_t scan_compares = 0;
+  while (pos < n &&
+         CompareInternalKey(Slice(pinned_index_[pos].key), target) < 0) {
+    ++scan_compares;
+    ++pos;
+  }
+  if (ctx != nullptr && scan_compares > 0) {
+    ctx->Charge(sim::CostKind::kCompareInternalKeys, scan_compares);
+  }
+  return pos;
+}
 
 Result<Slice> SstReader::ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
                                    uint64_t offset, uint64_t size,
                                    bool sequential) {
-  const std::string* contents = storage_->FileContents(meta_.file_id);
-  if (contents == nullptr) return Status::NotFound("sst file missing");
-  if (offset + size > contents->size()) {
+  assert(opened_);
+  if (OutOfRange(offset, size, contents_.size())) {
     return Status::Corruption("block out of range");
   }
   // Fault site: device-side block reads (before the cache lookup, so cache
@@ -243,7 +235,7 @@ Result<Slice> SstReader::ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
     read_stats_.block_reads.fetch_add(1, std::memory_order_relaxed);
     read_stats_.block_read_bytes.fetch_add(size, std::memory_order_relaxed);
   }
-  return Slice(contents->data() + offset, size);
+  return Slice(contents_.data() + offset, size);
 }
 
 Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
@@ -254,26 +246,25 @@ Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
   if (use_bloom && bloom_ != nullptr && !bloom_->MayContain(user_key)) {
     return Status::NotFound();
   }
-  const std::string lookup = MakeLookupKey(user_key, seq);
+  KeyBuffer lookup;
+  lookup.SetLookupKey(user_key, seq);
 
   // Seek the pinned sparse index for the block that may contain the key.
-  PinnedIndexIter index_iter(&pinned_index_, ctx, &read_stats_);
-  if (ctx != nullptr) ctx->Charge(sim::CostKind::kSeekIndexBlock, 1);
-  index_iter.Seek(Slice(lookup));
-  if (!index_iter.Valid()) return Status::NotFound();
-  const BlockHandle& handle = index_iter.handle();
+  const size_t pos = SeekIndex(lookup.slice(), ctx);
+  if (pos == pinned_index_.size()) return Status::NotFound();
+  const BlockHandle& handle = pinned_index_[pos].handle;
 
   HNDP_ASSIGN_OR_RETURN(Slice block_data,
                         ReadBlock(ctx, cache, handle.offset, handle.size,
                                   /*sequential=*/false));
-  BlockReader block(block_data);
-  auto iter = block.NewIterator(ctx);
-  iter->Seek(Slice(lookup));
-  if (!iter->Valid()) {
-    return iter->status().ok() ? Status::NotFound() : iter->status();
+  BlockIter block(ctx);
+  block.Reset(block_data);
+  block.Seek(lookup.slice());
+  if (!block.Valid()) {
+    return block.status().ok() ? Status::NotFound() : block.status();
   }
   ParsedInternalKey parsed;
-  if (!ParseInternalKey(iter->key(), &parsed)) {
+  if (!ParseInternalKey(block.key(), &parsed)) {
     return Status::Corruption("bad internal key");
   }
   if (parsed.user_key != user_key) return Status::NotFound();
@@ -282,98 +273,70 @@ Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
     return Status::OK();
   }
   *deleted = false;
-  value->assign(iter->value().data(), iter->value().size());
-  if (ctx != nullptr) ctx->ChargeCopy(iter->value().size());
+  const Slice v = block.value();
+  value->assign(v.data(), v.size());
+  if (ctx != nullptr) ctx->ChargeCopy(v.size());
   return Status::OK();
 }
 
-/// Two-level iterator: walks the index block; per index entry, opens the
-/// data block (charging its load) and iterates it.
-class SstReader::TwoLevelIter final : public Iterator {
- public:
-  TwoLevelIter(SstReader* reader, sim::AccessContext* ctx, BlockCache* cache)
-      : reader_(reader),
-        ctx_(ctx),
-        cache_(cache),
-        index_iter_(&reader->pinned_index_, ctx, &reader->read_stats_) {}
+void SstIterator::Reset(SstReader* reader) {
+  reader_ = reader;
+  index_pos_ = 0;
+  block_iter_.Clear();
+  if (!status_.ok()) status_ = Status::OK();
+}
 
-  bool Valid() const override {
-    return data_iter_ != nullptr && data_iter_->Valid();
-  }
+void SstIterator::SeekToFirst() {
+  status_ = Status::OK();
+  index_pos_ = 0;
+  if (LoadBlock()) block_iter_.SeekToFirst();
+  SkipEmptyBlocks();
+}
 
-  void SeekToFirst() override {
-    status_ = Status::OK();
-    index_iter_.SeekToFirst();
-    InitDataBlock();
-    if (data_iter_ != nullptr) data_iter_->SeekToFirst();
-    SkipEmptyBlocks();
-  }
+void SstIterator::Seek(const Slice& target) {
+  status_ = Status::OK();
+  index_pos_ = reader_->SeekIndex(target, ctx_);
+  if (LoadBlock()) block_iter_.Seek(target);
+  SkipEmptyBlocks();
+}
 
-  void Seek(const Slice& target) override {
-    status_ = Status::OK();
-    if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kSeekIndexBlock, 1);
-    index_iter_.Seek(target);
-    InitDataBlock();
-    if (data_iter_ != nullptr) data_iter_->Seek(target);
-    SkipEmptyBlocks();
-  }
-
-  void Next() override {
-    data_iter_->Next();
-    SkipEmptyBlocks();
-  }
-
-  Slice key() const override { return data_iter_->key(); }
-  Slice value() const override { return data_iter_->value(); }
-  Status status() const override { return status_; }
-
- private:
-  void InitDataBlock() {
-    data_iter_.reset();
-    block_.reset();
-    if (!index_iter_.Valid()) return;
-    const BlockHandle& handle = index_iter_.handle();
+bool SstIterator::LoadBlock() {
+  if (index_pos_ < reader_->pinned_index_.size()) {
+    const BlockHandle& handle = reader_->pinned_index_[index_pos_].handle;
     auto rd = reader_->ReadBlock(ctx_, cache_, handle.offset, handle.size,
                                  /*sequential=*/true);
-    if (!rd.ok()) {
-      status_ = rd.status();
+    if (rd.ok()) {
+      block_iter_.Reset(*rd);
+      return true;
+    }
+    status_ = rd.status();
+  }
+  block_iter_.Clear();
+  return false;
+}
+
+void SstIterator::SkipEmptyBlocks() {
+  while (!block_iter_.Valid()) {
+    // A block that failed to decode is not exhausted: latch its error and
+    // stop, like LevelConcatIterator, instead of dropping the rest of it.
+    if (!block_iter_.status().ok()) {
+      status_ = block_iter_.status();
       return;
     }
-    block_ = std::make_unique<BlockReader>(*rd);
-    data_iter_ = block_->NewIterator(ctx_);
+    if (!status_.ok() || index_pos_ >= reader_->pinned_index_.size()) return;
+    ++index_pos_;
+    if (LoadBlock()) block_iter_.SeekToFirst();
   }
-
-  /// Move to the next non-exhausted data block. A block iterator that
-  /// failed is not exhausted: latch its error and stop, like
-  /// LevelConcatIterator, instead of dropping the rest of the block.
-  void SkipEmptyBlocks() {
-    while (data_iter_ != nullptr && !data_iter_->Valid()) {
-      Status s = data_iter_->status();
-      if (!s.ok()) {
-        status_ = std::move(s);
-        return;
-      }
-      index_iter_.Next();
-      InitDataBlock();
-      if (data_iter_ != nullptr) data_iter_->SeekToFirst();
-    }
-  }
-
-  SstReader* reader_;
-  sim::AccessContext* ctx_;
-  BlockCache* cache_;
-  PinnedIndexIter index_iter_;
-  std::unique_ptr<BlockReader> block_;
-  IteratorPtr data_iter_;
-  Status status_;  ///< latched block-read or block-decode error
-};
+}
 
 IteratorPtr SstReader::NewIterator(sim::AccessContext* ctx, BlockCache* cache) {
   Status s = EnsureOpened(ctx, cache);
   // Surface the open failure through the iterator's status() instead of
   // silently yielding an empty (Valid()==false) stream.
   if (!s.ok()) return std::make_unique<EmptyIterator>(std::move(s));
-  return std::make_unique<TwoLevelIter>(this, ctx, cache);
+  auto iter = std::make_unique<SstIterator>(ctx, cache);
+  iter->Reset(this);
+  return iter;
 }
 
 }  // namespace hybridndp::lsm

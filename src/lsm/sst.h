@@ -109,14 +109,56 @@ struct SstReadStats {
   std::atomic<uint64_t> pinned_index_seeks{0};
 };
 
+class SstReader;
+
+/// Cursor over the internal keys of one opened SST: walks the reader's
+/// pinned index and re-points one block cursor at each data block in turn,
+/// charging the block's load. Reset re-points the whole cursor at another
+/// file, so a level scan needs one cursor for all its files.
+class SstIterator final : public Iterator {
+ public:
+  SstIterator(sim::AccessContext* ctx, BlockCache* cache)
+      : ctx_(ctx), cache_(cache), block_iter_(ctx) {}
+
+  /// Point at `reader`, which must be opened. Invalid until a seek.
+  void Reset(SstReader* reader);
+
+  bool Valid() const override { return block_iter_.Valid(); }
+  void SeekToFirst() override;
+  void Seek(const Slice& target) override;
+  void Next() override {
+    block_iter_.Next();
+    if (!block_iter_.Valid()) SkipEmptyBlocks();
+  }
+  Slice key() const override { return block_iter_.key(); }
+  Slice value() const override { return block_iter_.value(); }
+  /// Latched block-read or block-decode error, cleared by a seek.
+  Status status() const override { return status_; }
+
+ private:
+  /// Point the block cursor at the data block under index_pos_. False (and
+  /// the cursor cleared) past the last block or on a failed read.
+  bool LoadBlock();
+  /// Move to the next data block with an entry.
+  void SkipEmptyBlocks();
+
+  SstReader* reader_ = nullptr;
+  sim::AccessContext* ctx_;
+  BlockCache* cache_;
+  size_t index_pos_ = 0;  ///< entry of the reader's pinned index
+  BlockIter block_iter_;
+  Status status_;
+};
+
 /// Read-side access to one SST. Readers are cheap to construct; the index
 /// block and bloom filter are decoded on first use and their loads are
 /// charged to the providing context. The open is not thread-safe: the host
 /// DB opens each reader (uncharged) when it installs the file, and the
 /// device opens its own readers on the command's thread. Once opened, a
-/// reader is immutable and safe to share across threads. Its bloom filter
-/// points into the file's contents, so a reader must not outlive its file
-/// (DB drops a reader before it removes the file).
+/// reader is immutable and safe to share across threads. It keeps a view of
+/// the file's contents (its bloom filter and every block read point into
+/// them), so a reader must not outlive its file (DB drops a reader before it
+/// removes the file).
 class SstReader {
  public:
   SstReader(const VirtualStorage* storage, const FileMetaData& meta);
@@ -132,7 +174,8 @@ class SstReader {
              SequenceNumber seq, std::string* value, bool* deleted,
              bool use_bloom = true);
 
-  /// Two-level iterator over the whole file (internal keys).
+  /// Two-level iterator over the whole file (internal keys): an SstIterator,
+  /// or an empty iterator carrying the open error.
   IteratorPtr NewIterator(sim::AccessContext* ctx, BlockCache* cache);
 
   const FileMetaData& meta() const { return meta_; }
@@ -143,8 +186,11 @@ class SstReader {
   const SstReadStats& read_stats() const { return read_stats_; }
 
  private:
-  class TwoLevelIter;
-  class PinnedIndexIter;
+  friend class SstIterator;
+
+  /// Position in pinned_index_ of the first entry >= target (size() if
+  /// none), charging kSeekIndexBlock and the search's compares to `ctx`.
+  size_t SeekIndex(const Slice& target, sim::AccessContext* ctx);
 
   /// Charge + fetch one data block.
   Result<Slice> ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
@@ -153,6 +199,9 @@ class SstReader {
   const VirtualStorage* storage_;
   FileMetaData meta_;
   bool opened_ = false;
+  /// The file's bytes, resolved once at open: block reads slice them
+  /// directly instead of looking the file up in the storage per block.
+  Slice contents_;
   /// The sparse index, decoded once at open and pinned for the reader's
   /// lifetime: index seeks binary-search this form instead of re-parsing
   /// the serialized block (prefix compression, varints) on every lookup.

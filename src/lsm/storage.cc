@@ -50,7 +50,7 @@ Result<Slice> VirtualStorage::Read(sim::AccessContext* ctx, FileId id,
     return Status::NotFound("file " + std::to_string(id));
   }
   const std::string& data = it->second.contents;
-  if (offset + n > data.size()) {
+  if (offset > data.size() || n > data.size() - offset) {
     return Status::InvalidArgument("read beyond EOF");
   }
   // Fault site: device-internal flash accesses only. Host-path reads stay

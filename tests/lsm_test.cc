@@ -139,15 +139,16 @@ TEST(BlockTest, BuildAndScan) {
   for (const auto& [k, v] : entries) builder.Add(k, v);
   std::string data = builder.Finish();
 
-  BlockReader reader((Slice(data)));
-  auto iter = reader.NewIterator();
+  BlockIter iter;
+  iter.Reset(Slice(data));
   size_t i = 0;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next(), ++i) {
     ASSERT_LT(i, entries.size());
-    EXPECT_EQ(iter->key().ToString(), entries[i].first);
-    EXPECT_EQ(iter->value().ToString(), entries[i].second);
+    EXPECT_EQ(iter.key().ToString(), entries[i].first);
+    EXPECT_EQ(iter.value().ToString(), entries[i].second);
   }
   EXPECT_EQ(i, entries.size());
+  EXPECT_TRUE(iter.status().ok());
 }
 
 TEST(BlockTest, SeekFindsFirstGreaterOrEqual) {
@@ -158,31 +159,115 @@ TEST(BlockTest, SeekFindsFirstGreaterOrEqual) {
     builder.Add(IKey(buf, 1), "v");
   }
   std::string data = builder.Finish();
-  BlockReader reader((Slice(data)));
-  auto iter = reader.NewIterator();
+  BlockIter iter;
+  iter.Reset(Slice(data));
 
-  iter->Seek(Slice(IKey("key0013", kMaxSequenceNumber)));
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), "key0014");
+  iter.Seek(Slice(IKey("key0013", kMaxSequenceNumber)));
+  ASSERT_TRUE(iter.Valid());
+  EXPECT_EQ(ExtractUserKey(iter.key()).ToString(), "key0014");
 
-  iter->Seek(Slice(IKey("key0000", kMaxSequenceNumber)));
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), "key0000");
+  iter.Seek(Slice(IKey("key0000", kMaxSequenceNumber)));
+  ASSERT_TRUE(iter.Valid());
+  EXPECT_EQ(ExtractUserKey(iter.key()).ToString(), "key0000");
 
-  iter->Seek(Slice(IKey("key9999", kMaxSequenceNumber)));
-  EXPECT_FALSE(iter->Valid());
+  iter.Seek(Slice(IKey("key9999", kMaxSequenceNumber)));
+  EXPECT_FALSE(iter.Valid());
+  EXPECT_TRUE(iter.status().ok());
+}
+
+TEST(BlockTest, ResetRepointsTheCursor) {
+  // One cursor walks two blocks in turn; Clear leaves it invalid and OK.
+  std::string blocks[2];
+  for (int b = 0; b < 2; ++b) {
+    BlockBuilder builder(4);
+    for (int i = 0; i < 10; ++i) {
+      char buf[16];
+      snprintf(buf, sizeof(buf), "b%dkey%04d", b, i);
+      builder.Add(IKey(buf, 1), std::to_string(b));
+    }
+    blocks[b] = builder.Finish();
+  }
+  BlockIter iter;
+  for (int b = 0; b < 2; ++b) {
+    iter.Reset(Slice(blocks[b]));
+    EXPECT_FALSE(iter.Valid());
+    int n = 0;
+    for (iter.SeekToFirst(); iter.Valid(); iter.Next(), ++n) {
+      EXPECT_EQ(iter.value().ToString(), std::to_string(b));
+    }
+    EXPECT_EQ(n, 10);
+  }
+  iter.Reset(Slice("ab", 2));
+  EXPECT_TRUE(iter.status().IsCorruption());
+  iter.Clear();
+  iter.SeekToFirst();
+  EXPECT_FALSE(iter.Valid());
+  EXPECT_TRUE(iter.status().ok());
+}
+
+TEST(BlockTest, RestartOffsetAtRestartArrayIsCorruption) {
+  // 40 entries, restart interval 16: restarts at entries 0, 16 and 32.
+  BlockBuilder builder(16);
+  for (int i = 0; i < 40; ++i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "key%04d", i);
+    builder.Add(IKey(buf, 1), "v");
+  }
+  std::string data = builder.Finish();
+  const uint32_t num_restarts = DecodeFixed32(data.data() + data.size() - 4);
+  ASSERT_EQ(num_restarts, 3u);
+  const size_t restarts_offset = data.size() - 4 - 4 * num_restarts;
+
+  // restart[0] -> the restart array itself: no row may silently vanish.
+  std::string bad = data;
+  EncodeFixed32(bad.data() + restarts_offset,
+                static_cast<uint32_t>(restarts_offset));
+  BlockIter iter;
+  iter.Reset(Slice(bad));
+  int rows = 0;
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) ++rows;
+  EXPECT_EQ(rows, 0);
+  EXPECT_TRUE(iter.status().IsCorruption()) << iter.status().ToString();
+
+  // The same offset on a restart the binary search probes fails the seek.
+  bad = data;
+  EncodeFixed32(bad.data() + restarts_offset + 4,
+                static_cast<uint32_t>(restarts_offset));
+  iter.Reset(Slice(bad));
+  iter.Seek(Slice(IKey("key0030", kMaxSequenceNumber)));
+  EXPECT_FALSE(iter.Valid());
+  EXPECT_TRUE(iter.status().IsCorruption()) << iter.status().ToString();
+
+  // The last restart entry's key length runs past the entries.
+  bad = data;
+  const uint32_t restart2 = DecodeFixed32(data.data() + restarts_offset + 8);
+  ASSERT_LT(restarts_offset - restart2, 0x7fu);
+  bad[restart2 + 1] = 0x7f;  // non_shared
+  iter.Reset(Slice(bad));
+  iter.Seek(Slice(IKey("key0030", kMaxSequenceNumber)));
+  EXPECT_FALSE(iter.Valid());
+  EXPECT_TRUE(iter.status().IsCorruption()) << iter.status().ToString();
 }
 
 TEST(BlockTest, EmptyAndCorruptBlocksAreSafe) {
-  BlockReader empty(Slice("", 0));
-  auto it = empty.NewIterator();
-  it->SeekToFirst();
-  EXPECT_FALSE(it->Valid());
+  BlockIter it;
+  it.Reset(Slice("", 0));
+  it.SeekToFirst();
+  EXPECT_FALSE(it.Valid());
+  EXPECT_TRUE(it.status().IsCorruption());
 
-  BlockReader garbage(Slice("ab", 2));
-  auto it2 = garbage.NewIterator();
-  it2->SeekToFirst();
-  EXPECT_FALSE(it2->Valid());
+  it.Reset(Slice("ab", 2));
+  it.SeekToFirst();
+  EXPECT_FALSE(it.Valid());
+  EXPECT_TRUE(it.status().IsCorruption());
+
+  // A finished empty builder is a block without entries, not a corrupt one.
+  BlockBuilder builder;
+  const std::string no_entries = builder.Finish();
+  it.Reset(Slice(no_entries));
+  it.SeekToFirst();
+  EXPECT_FALSE(it.Valid());
+  EXPECT_TRUE(it.status().ok());
 }
 
 class SstTest : public ::testing::Test {
@@ -215,12 +300,11 @@ class SstTest : public ::testing::Test {
           mutate) {
     std::string file = *storage_.FileContents(meta.file_id);
     const BlockHandle index_handle = IndexHandle(file);
-    const BlockReader index(
-        Slice(file.data() + index_handle.offset, index_handle.size));
-    auto it = index.NewIterator();
-    it->SeekToFirst();
-    EXPECT_TRUE(it->Valid());
-    mutate(&file, BlockHandle::Decode(it->value()));
+    BlockIter index;
+    index.Reset(Slice(file.data() + index_handle.offset, index_handle.size));
+    index.SeekToFirst();
+    EXPECT_TRUE(index.Valid());
+    mutate(&file, BlockHandle::Decode(index.value()));
     FileMetaData bad = meta;
     bad.file_id = *storage_.AddFile(std::move(file));
     return bad;
@@ -530,6 +614,106 @@ TEST_F(SstTest, BadIndexBlockTrailerIsCorruption) {
   EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
 }
 
+TEST_F(SstTest, FooterRangesThatWrapAreCorruption) {
+  // index_off + index_sz wraps past 2^64 to a small number: the footer must
+  // still be rejected, not decoded from far outside the file.
+  const FileMetaData meta = BuildFile(100);
+  std::string file = *storage_.FileContents(meta.file_id);
+  char* footer = file.data() + file.size() - 36;
+  EncodeFixed64(footer, ~uint64_t{0} - 63);  // index_off = 2^64 - 64
+  EncodeFixed64(footer + 8, 72);             // index_sz
+  FileMetaData bad = meta;
+  bad.file_id = *storage_.AddFile(std::move(file));
+
+  SstReader reader(&storage_, bad);
+  EXPECT_TRUE(reader.EnsureOpened(nullptr, nullptr).IsCorruption());
+  std::string value;
+  bool deleted = false;
+  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+                        &value, &deleted);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  // The same wrap on the bloom filter's range.
+  file = *storage_.FileContents(meta.file_id);
+  footer = file.data() + file.size() - 36;
+  EncodeFixed64(footer + 16, ~uint64_t{0} - 7);
+  EncodeFixed64(footer + 24, 16);
+  bad.file_id = *storage_.AddFile(std::move(file));
+  SstReader reader2(&storage_, bad);
+  EXPECT_TRUE(reader2.EnsureOpened(nullptr, nullptr).IsCorruption());
+}
+
+TEST_F(SstTest, IndexEntryOutsideDataRegionIsCorruption) {
+  const FileMetaData meta = BuildFile(2000);
+  // Rewrite the first index entry's handle (its value, the last 16 bytes
+  // before the second entry) to name a block past the data region.
+  auto with_first_handle = [&](const std::function<void(char*)>& mutate) {
+    std::string file = *storage_.FileContents(meta.file_id);
+    const BlockHandle index = IndexHandle(file);
+    BlockIter it;
+    it.Reset(Slice(file.data() + index.offset, index.size));
+    it.SeekToFirst();
+    EXPECT_TRUE(it.Valid());
+    mutate(const_cast<char*>(it.value().data()));
+    FileMetaData bad = meta;
+    bad.file_id = *storage_.AddFile(std::move(file));
+    return bad;
+  };
+  const uint64_t index_off = IndexHandle(*storage_.FileContents(meta.file_id))
+                                 .offset;
+  const FileMetaData past_end = with_first_handle([&](char* h) {
+    EncodeFixed64(h, index_off - 8);  // offset inside, size runs past
+    EncodeFixed64(h + 8, 4096);
+  });
+  const FileMetaData wraps = with_first_handle([](char* h) {
+    EncodeFixed64(h, ~uint64_t{0} - 15);
+    EncodeFixed64(h + 8, 32);
+  });
+  for (const FileMetaData& bad : {past_end, wraps}) {
+    SstReader reader(&storage_, bad);
+    Status s = reader.EnsureOpened(nullptr, nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
+}
+
+TEST_F(SstTest, IndexValueThatIsNotAHandleIsCorruption) {
+  // A hand-built file: one data block, an index entry whose value is one
+  // byte short of a 16-byte handle, an empty bloom filter, the footer.
+  const std::string ikey = IKey("key000001", 1);
+  BlockBuilder data_block(16);
+  data_block.Add(ikey, "v");
+  std::string file = data_block.Finish();
+  std::string handle = BlockHandle{0, file.size()}.Encode();
+  handle.pop_back();
+  BlockBuilder index_block(1);
+  index_block.Add(ikey, handle);
+  const uint64_t index_off = file.size();
+  file += index_block.Finish();
+  const uint64_t index_sz = file.size() - index_off;
+  const uint64_t bloom_off = file.size();
+  PutFixed64(&file, index_off);
+  PutFixed64(&file, index_sz);
+  PutFixed64(&file, bloom_off);
+  PutFixed64(&file, 0);
+  PutFixed32(&file, 0x6e644221);
+  FileMetaData meta;
+  meta.file_id = *storage_.AddFile(std::move(file));
+  meta.smallest = meta.largest = ikey;
+  meta.num_entries = 1;
+
+  SstReader reader(&storage_, meta);
+  Status s = reader.EnsureOpened(nullptr, nullptr);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST_F(SstTest, StorageReadRangeThatWrapsIsRejected) {
+  const FileMetaData meta = BuildFile(10);
+  AccessContext ctx(&hw_, Actor::kHost, IoPath::kNative);
+  auto rd = storage_.Read(&ctx, meta.file_id, 8, ~uint64_t{0} - 3, false);
+  EXPECT_FALSE(rd.ok());
+  EXPECT_EQ(ctx.now(), 0.0);  // rejected before anything is charged
+}
+
 TEST_F(SstTest, MissingFileSurfacesNotFound) {
   FileMetaData meta = BuildFile(100);
   storage_.RemoveFile(meta.file_id);
@@ -557,8 +741,11 @@ TEST_F(SstTest, UnknownValueTypeIsCorruptionNotARow) {
   ASSERT_TRUE(meta.ok());
   SstReader reader(&storage_, *meta);
 
-  auto iter = NewUserKeyIterator(reader.NewIterator(nullptr, nullptr),
-                                 kMaxSequenceNumber, nullptr);
+  std::vector<IteratorPtr> children;
+  children.push_back(reader.NewIterator(nullptr, nullptr));
+  auto iter = NewUserKeyIterator(
+      std::make_unique<MergingIterator>(std::move(children), nullptr),
+      kMaxSequenceNumber, nullptr);
   std::vector<std::string> seen;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     seen.push_back(iter->key().ToString());
