@@ -1,6 +1,3 @@
-#include <cassert>
-
-#include "common/hash.h"
 #include "exec/operator.h"
 
 namespace hybridndp::exec {
@@ -50,6 +47,15 @@ std::vector<int> RightCols(const std::vector<std::pair<int, int>>& kc) {
   return out;
 }
 
+/// Rows to request from an outer input so a block stops exactly at its
+/// byte threshold: never an outer row past the block.
+size_t BlockPullRows(uint64_t buffer_bytes, uint64_t bytes, size_t row_size) {
+  const uint64_t need = row_size > 0
+                            ? (buffer_bytes - bytes + row_size - 1) / row_size
+                            : uint64_t{1};
+  return static_cast<size_t>(need < uint64_t{4096} ? need : uint64_t{4096});
+}
+
 }  // namespace
 
 void KeyBytesInto(const Schema& schema, const std::vector<int>& cols,
@@ -58,13 +64,6 @@ void KeyBytesInto(const Schema& schema, const std::vector<int>& cols,
   for (int c : cols) {
     out->append(row + schema.offset(c), schema.column(c).size);
   }
-}
-
-std::string KeyBytes(const Schema& schema, const std::vector<int>& cols,
-                     const char* row) {
-  std::string key;
-  KeyBytesInto(schema, cols, row, &key);
-  return key;
 }
 
 // ----------------------------------------------------------- NestedLoopJoin
@@ -171,8 +170,8 @@ Status BlockNLJoinOp::Open() {
   HNDP_RETURN_IF_ERROR(inner_->Open());
   HNDP_RETURN_IF_ERROR(ResolveKeys(keys_, outer_->output_schema(),
                                    inner_->output_schema(), &key_cols_));
-  outer_key_cols_ = LeftCols(key_cols_);
-  inner_key_cols_ = RightCols(key_cols_);
+  block_.Reset(outer_->output_schema(), LeftCols(key_cols_));
+  inner_key_ = KeyLayout(inner_->output_schema(), RightCols(key_cols_));
   out_schema_ =
       Schema::Concat(outer_->output_schema(), inner_->output_schema());
   if (residual_ != nullptr) {
@@ -180,9 +179,7 @@ Status BlockNLJoinOp::Open() {
   }
   outer_exhausted_ = false;
   block_active_ = false;
-  have_inner_ = false;
-  block_.clear();
-  hash_.clear();
+  match_ = JoinTable::kNone;
   blocks_ = 0;
   inner_batch_ = nullptr;
   inner_pos_ = 0;
@@ -193,54 +190,33 @@ Status BlockNLJoinOp::Open() {
 Status BlockNLJoinOp::Rewind() { return Open(); }
 
 Status BlockNLJoinOp::LoadNextBlock() {
-  block_.clear();
-  hash_.clear();
+  block_.Clear();
   uint64_t bytes = 0;
   const size_t rs = outer_->output_schema().row_size();
-  // Bounded pulls: request exactly the rows still needed to reach the
-  // threshold, so no outer row is pulled past the block.
   while (bytes < buffer_bytes_) {
-    const uint64_t need =
-        rs > 0 ? (buffer_bytes_ - bytes + rs - 1) / rs : uint64_t{1};
-    const size_t req =
-        static_cast<size_t>(need < uint64_t{4096} ? need : uint64_t{4096});
-    RowBatch* ob = outer_->NextBatch(req);
+    RowBatch* ob = outer_->NextBatch(BlockPullRows(buffer_bytes_, bytes, rs));
     if (ob == nullptr) break;
     for (size_t k = 0; k < ob->num_active(); ++k) {
-      block_.emplace_back(ob->active_row(k), rs);
+      block_.Append(ob->active_row(k));
       bytes += rs;
     }
   }
-  if (block_.empty()) {
+  if (block_.size() == 0) {
     outer_exhausted_ = true;
     block_active_ = false;
     return Status::OK();
   }
-  // Build the hash table over the buffered block.
-  for (size_t i = 0; i < block_.size(); ++i) {
-    KeyBytesInto(outer_->output_schema(), outer_key_cols_, block_[i].data(),
-                 &key_buf_);
-    hash_.emplace(key_buf_, i);
-  }
+  // One probe emits at most max_fanout_ rows.
+  max_fanout_ = block_.Build();
   // Identical build-insert and copy charges for every buffered row: pay
   // them once per block instead of once per row.
   if (ctx_ != nullptr) {
     ctx_->ChargeRepeated(sim::CostKind::kHashBuild, 1, block_.size());
     ctx_->ChargeCopyRepeated(rs, block_.size());
   }
-  // One probe emits at most max_fanout_ rows. Equal keys are adjacent when
-  // iterating an unordered_multimap, so one pass finds the longest run.
-  max_fanout_ = 1;
-  size_t run = 0;
-  const std::string* prev = nullptr;
-  for (const auto& entry : hash_) {
-    run = prev != nullptr && *prev == entry.first ? run + 1 : 1;
-    prev = &entry.first;
-    if (run > max_fanout_) max_fanout_ = run;
-  }
   ++blocks_;
   block_active_ = true;
-  have_inner_ = false;
+  match_ = JoinTable::kNone;
   inner_batch_ = nullptr;
   inner_pos_ = 0;
   // Fresh pass over the inner input for this block.
@@ -263,13 +239,12 @@ RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
       continue;
     }
     // Emit remaining matches of the current inner row.
-    while (have_inner_ && match_range_.first != match_range_.second) {
+    while (match_ != JoinTable::kNone) {
       if (batch_.full()) return &batch_;
-      const size_t idx = match_range_.first->second;
-      ++match_range_.first;
+      const char* outer_row = block_.row(match_);
+      match_ = block_.Next(match_);
       char* dst = batch_.PeekRow();
-      ConcatRowsInto(lschema, rschema, block_[idx].data(), inner_row_ptr_,
-                     dst, ctx_);
+      ConcatRowsInto(lschema, rschema, outer_row, inner_row_ptr_, dst, ctx_);
       if (residual_ != nullptr &&
           !residual_->Eval(RowView(dst, &out_schema_), ctx_)) {
         continue;
@@ -281,24 +256,24 @@ RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
     // Advance the probe cursor within the current inner batch.
     if (inner_batch_ != nullptr && inner_pos_ < inner_batch_->num_active()) {
       inner_row_ptr_ = inner_batch_->active_row(inner_pos_++);
-      have_inner_ = true;
-      if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashProbe, 1);
-      KeyBytesInto(rschema, inner_key_cols_, inner_row_ptr_, &key_buf_);
-      match_range_ = hash_.equal_range(std::string_view(key_buf_));
+      match_ = block_.Find(inner_key_, inner_row_ptr_);
       continue;
     }
     // Need a fresh probe batch. Return a partial output batch first so no
     // child pull happens after rows were emitted (stall alignment). The
     // batch is empty here, so capping the pull at capacity / max_fanout_
-    // rows lets every pulled row be probed before the output fills.
+    // rows lets every pulled row be probed before the output fills — and
+    // lets the pull pay its probes up front.
     if (batch_.num_active() > 0) return &batch_;
-    have_inner_ = false;
     const size_t cap = batch_.capacity() / max_fanout_;
     inner_batch_ = inner_->NextBatch(cap > 0 ? cap : 1);
     inner_pos_ = 0;
     if (inner_batch_ == nullptr) {
       // Inner exhausted for this block: move to the next outer block.
       block_active_ = false;
+    } else if (ctx_ != nullptr) {
+      ctx_->ChargeRepeated(sim::CostKind::kHashProbe, 1,
+                           inner_batch_->num_active());
     }
   }
 }
@@ -369,9 +344,10 @@ Status BlockNLIndexJoinOp::Open() {
     index_iter_ = inner_table_->NewIndexIterator(
         inner_opts_, static_cast<size_t>(inner_index_no_));
   }
-  block_.clear();
+  block_.Reset(outer_->output_schema().row_size());
+  block_pos_ = 0;
   outer_exhausted_ = false;
-  matches_.clear();
+  matches_.Reset(inner_out_schema_.row_size());
   match_pos_ = 0;
   lookups_ = 0;
   return Status::OK();
@@ -380,28 +356,26 @@ Status BlockNLIndexJoinOp::Open() {
 Status BlockNLIndexJoinOp::Rewind() { return Open(); }
 
 Status BlockNLIndexJoinOp::LoadNextBlock() {
+  block_.Clear();
+  block_pos_ = 0;
   uint64_t bytes = 0;
   const size_t rs = outer_->output_schema().row_size();
   while (bytes < buffer_bytes_) {
-    const uint64_t need =
-        rs > 0 ? (buffer_bytes_ - bytes + rs - 1) / rs : uint64_t{1};
-    const size_t req =
-        static_cast<size_t>(need < uint64_t{4096} ? need : uint64_t{4096});
-    RowBatch* ob = outer_->NextBatch(req);
+    RowBatch* ob = outer_->NextBatch(BlockPullRows(buffer_bytes_, bytes, rs));
     if (ob == nullptr) break;
     for (size_t k = 0; k < ob->num_active(); ++k) {
-      block_.emplace_back(ob->active_row(k), rs);
+      block_.Append(ob->active_row(k));
       bytes += rs;
     }
     // One identical buffering copy per row, paid per pulled batch.
     if (ctx_ != nullptr) ctx_->ChargeCopyRepeated(rs, ob->num_active());
   }
-  if (block_.empty()) outer_exhausted_ = true;
+  if (block_.size() == 0) outer_exhausted_ = true;
   return Status::OK();
 }
 
 Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
-  matches_.clear();
+  matches_.Clear();
   match_pos_ = 0;
   const int32_t key = outer_row.GetInt(outer_key_idx_);
 
@@ -411,15 +385,14 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
     if (inner_residual_ != nullptr && !inner_residual_->Eval(view, ctx_)) {
       return;
     }
-    std::string projected(inner_out_schema_.row_size(), '\0');
+    char* projected = matches_.AppendRow();
     for (size_t i = 0; i < inner_out_cols_.size(); ++i) {
       const int c = inner_out_cols_[i];
-      memcpy(projected.data() + inner_out_schema_.offset(i),
+      memcpy(projected + inner_out_schema_.offset(i),
              base_row.data() + inner_aliased_schema_.offset(c),
              inner_aliased_schema_.column(c).size);
     }
-    if (ctx_ != nullptr) ctx_->ChargeCopy(projected.size());
-    matches_.push_back(std::move(projected));
+    if (ctx_ != nullptr) ctx_->ChargeCopy(inner_out_schema_.row_size());
   };
 
   ++lookups_;
@@ -450,7 +423,8 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
     else if (!s.IsNotFound()) return s;
     iter->Next();
   }
-  return Status::OK();
+  // An index walk that ended on an error is not a short match list.
+  return iter->status();
 }
 
 RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
@@ -459,14 +433,14 @@ RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
   while (true) {
     if (match_pos_ < matches_.size()) {
       if (batch_.full()) return &batch_;
-      ConcatRowsInto(lschema, inner_out_schema_, current_outer_.data(),
-                     matches_[match_pos_].data(), batch_.AppendRow(), ctx_);
+      ConcatRowsInto(lschema, inner_out_schema_, current_outer_,
+                     matches_.row(match_pos_), batch_.AppendRow(), ctx_);
       ++match_pos_;
       ++rows_produced_;
       continue;
     }
     if (batch_.full()) return &batch_;
-    if (block_.empty()) {
+    if (block_pos_ == block_.size()) {
       if (batch_.num_active() > 0) return &batch_;  // before any child pull
       if (outer_exhausted_) return nullptr;
       Status s = LoadNextBlock();
@@ -476,10 +450,8 @@ RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
       }
       continue;
     }
-    current_outer_ = std::move(block_.front());
-    block_.pop_front();
-    const RowView view(current_outer_.data(), &lschema);
-    Status s = FetchMatches(view);
+    current_outer_ = block_.row(block_pos_++);
+    Status s = FetchMatches(RowView(current_outer_, &lschema));
     if (!s.ok()) {
       // Rows already placed in batch_ stay delivered; the stream ends on
       // the next call and the drain surfaces status_.
@@ -513,48 +485,49 @@ Status GraceHashJoinOp::Open() {
   HNDP_RETURN_IF_ERROR(ResolveKeys(keys_, left_->output_schema(),
                                    right_->output_schema(), &key_cols_));
   left_key_cols_ = LeftCols(key_cols_);
-  right_key_cols_ = RightCols(key_cols_);
+  left_key_ = KeyLayout(left_->output_schema(), left_key_cols_);
+  right_key_ = KeyLayout(right_->output_schema(), RightCols(key_cols_));
   out_schema_ = Schema::Concat(left_->output_schema(), right_->output_schema());
   if (residual_ != nullptr) {
     HNDP_RETURN_IF_ERROR(residual_->Bind(out_schema_));
   }
   partitioned_ = false;
   part_ = 0;
-  in_match_ = false;
+  match_ = JoinTable::kNone;
   return Status::OK();
 }
 
 Status GraceHashJoinOp::Rewind() { return Open(); }
 
 Status GraceHashJoinOp::StartPartition(size_t p) {
-  hash_.clear();
-  const auto& build = left_parts_[p];
-  for (size_t i = 0; i < build.size(); ++i) {
-    KeyBytesInto(left_->output_schema(), left_key_cols_, build[i].data(),
-                 &key_buf_);
-    hash_.emplace(key_buf_, i);
-    if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashBuild, 1);
+  JoinTable& build = left_parts_[p];
+  build.Build();
+  // One identical build-insert charge per row.
+  if (ctx_ != nullptr) {
+    ctx_->ChargeRepeated(sim::CostKind::kHashBuild, 1, build.size());
   }
   probe_pos_ = 0;
-  in_match_ = false;
+  match_ = JoinTable::kNone;
   return Status::OK();
 }
 
 Status GraceHashJoinOp::Partition(size_t max_rows) {
-  left_parts_.assign(num_partitions_, {});
-  right_parts_.assign(num_partitions_, {});
+  left_parts_.resize(num_partitions_);
+  for (JoinTable& part : left_parts_) {
+    part.Reset(left_->output_schema(), left_key_cols_);
+  }
+  right_parts_.resize(num_partitions_);
+  for (RowStore& part : right_parts_) {
+    part.Reset(right_->output_schema().row_size());
+  }
   uint64_t spilled = 0;
-  const auto drain = [&](Operator* side, const std::vector<int>& key_cols,
-                         std::vector<std::vector<std::string>>* parts) {
-    const Schema& schema = side->output_schema();
-    const size_t rs = schema.row_size();
+  const auto drain = [&](Operator* side, const KeyLayout& key, auto* parts) {
+    const size_t rs = side->output_schema().row_size();
     while (RowBatch* b = side->NextBatch(max_rows)) {
       for (size_t k = 0; k < b->num_active(); ++k) {
         const char* r = b->active_row(k);
-        KeyBytesInto(schema, key_cols, r, &key_buf_);
-        const size_t p = Hash64(Slice(key_buf_)) % num_partitions_;
+        (*parts)[key.Hash(r) % num_partitions_].Append(r);
         spilled += rs;
-        (*parts)[p].emplace_back(r, rs);
       }
       // One identical partition-hash charge per row, paid per batch
       // (before the next pull, so nothing crosses a stall boundary).
@@ -563,8 +536,8 @@ Status GraceHashJoinOp::Partition(size_t max_rows) {
       }
     }
   };
-  drain(left_.get(), left_key_cols_, &left_parts_);
-  drain(right_.get(), right_key_cols_, &right_parts_);
+  drain(left_.get(), left_key_, &left_parts_);
+  drain(right_.get(), right_key_, &right_parts_);
   // Spilling a partition run writes it to storage and reads it back later;
   // charge both directions as streaming flash traffic.
   if (ctx_ != nullptr && spilled > 0) {
@@ -592,15 +565,16 @@ RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
   const Schema& rschema = right_->output_schema();
   batch_.Reset(&out_schema_, max_rows);
   while (part_ < left_parts_.size()) {
-    auto& probe = right_parts_[part_];
+    const JoinTable& build = left_parts_[part_];
+    const RowStore& probe = right_parts_[part_];
     while (true) {
-      if (in_match_ && match_range_.first != match_range_.second) {
+      if (match_ != JoinTable::kNone) {
         if (batch_.full()) return &batch_;
-        const size_t build_idx = match_range_.first->second;
-        ++match_range_.first;
+        const char* build_row = build.row(match_);
+        match_ = build.Next(match_);
         char* dst = batch_.PeekRow();
-        ConcatRowsInto(lschema, rschema, left_parts_[part_][build_idx].data(),
-                       probe[probe_pos_ - 1].data(), dst, ctx_);
+        ConcatRowsInto(lschema, rschema, build_row, probe.row(probe_pos_ - 1),
+                       dst, ctx_);
         if (residual_ != nullptr &&
             !residual_->Eval(RowView(dst, &out_schema_), ctx_)) {
           continue;
@@ -609,15 +583,13 @@ RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
         ++rows_produced_;
         continue;
       }
-      in_match_ = false;
       if (batch_.full()) return &batch_;
       if (probe_pos_ >= probe.size()) break;
-      KeyBytesInto(rschema, right_key_cols_, probe[probe_pos_].data(),
-                   &key_buf_);
-      ++probe_pos_;
+      const char* probe_row = probe.row(probe_pos_++);
+      // Per probe, not per batch: one partition's probes span several
+      // NextBatch calls.
       if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kHashProbe, 1);
-      match_range_ = hash_.equal_range(std::string_view(key_buf_));
-      in_match_ = true;
+      match_ = build.Find(right_key_, probe_row);
     }
     ++part_;
     if (part_ < left_parts_.size()) {

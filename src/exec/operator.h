@@ -6,17 +6,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
 #include "exec/expr.h"
+#include "exec/join_table.h"
 #include "exec/row_batch.h"
 #include "lsm/db.h"
 #include "rel/table.h"
@@ -28,28 +25,10 @@ using rel::Schema;
 using rel::TableAccessor;
 
 /// Append the concatenated bytes of `cols` of `row` into *out (cleared
-/// first). Reusing a caller-owned buffer keeps the per-row join probe path
-/// free of heap allocations.
+/// first). Reusing a caller-owned buffer keeps the per-row path free of heap
+/// allocations.
 void KeyBytesInto(const Schema& schema, const std::vector<int>& cols,
                   const char* row, std::string* out);
-
-/// Allocating convenience variant (cold paths, tests).
-std::string KeyBytes(const Schema& schema, const std::vector<int>& cols,
-                     const char* row);
-
-/// Heterogeneous (transparent) string hashing so std::string-keyed hash
-/// tables can be probed with a std::string_view over a reused buffer.
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return static_cast<size_t>(Hash64(s.data(), s.size()));
-  }
-};
-
-/// Join-side hash table: key bytes -> row index, string_view-probeable.
-using RowIndexMap = std::unordered_multimap<std::string, size_t,
-                                            TransparentStringHash,
-                                            std::equal_to<>>;
 
 /// Base volcano operator: Open / NextBatch / Close, plus Rewind for join
 /// inners.
@@ -290,10 +269,10 @@ class BlockNLJoinOp final : public Operator {
   }
 
   /// Fills the outer block with bounded pulls (exact byte threshold),
-  /// builds the hash table once per block, and probes inner batches — one
-  /// KeyBytesInto + hash per inner row. An inner pull asks for at most
-  /// capacity / max_fanout_ rows, so every pulled row is probed before the
-  /// output batch fills.
+  /// builds the JoinTable once per block, and probes inner batches in place.
+  /// An inner pull asks for at most capacity / max_fanout_ rows, so every
+  /// pulled row is probed before the output batch fills, and the pull pays
+  /// all of its probes at once.
   RowBatch* NextBatch(size_t max_rows) override;
 
   uint64_t blocks_used() const { return blocks_; }
@@ -308,16 +287,13 @@ class BlockNLJoinOp final : public Operator {
   sim::AccessContext* ctx_;
   Schema out_schema_;
   std::vector<std::pair<int, int>> key_cols_;
-  std::vector<int> outer_key_cols_, inner_key_cols_;  ///< resolved in Open()
+  KeyLayout inner_key_;  ///< resolved in Open()
 
-  std::vector<std::string> block_;  ///< buffered outer rows
-  RowIndexMap hash_;
-  size_t max_fanout_ = 1;  ///< largest key multiplicity in hash_
+  JoinTable block_;        ///< buffered outer rows, keyed
+  size_t max_fanout_ = 1;  ///< largest key multiplicity in block_
   bool outer_exhausted_ = false;
   bool block_active_ = false;
-  std::string key_buf_;  ///< reused probe/build key buffer
-  bool have_inner_ = false;
-  std::pair<RowIndexMap::iterator, RowIndexMap::iterator> match_range_;
+  uint32_t match_ = JoinTable::kNone;  ///< next block row matching the probe
   uint64_t blocks_ = 0;
   RowBatch batch_;                       ///< output batch
   RowBatch* inner_batch_ = nullptr;      ///< child-owned probe batch
@@ -372,12 +348,13 @@ class BlockNLIndexJoinOp final : public Operator {
   Schema out_schema_;
   int outer_key_idx_ = -1;
 
-  std::deque<std::string> block_;
+  RowStore block_;  ///< buffered outer rows
+  size_t block_pos_ = 0;
   lsm::IteratorPtr index_iter_;  ///< reused across lookups
   bool outer_exhausted_ = false;
-  std::vector<std::string> matches_;  ///< projected inner rows
+  RowStore matches_;  ///< projected inner rows of current_outer_
   size_t match_pos_ = 0;
-  std::string current_outer_;
+  const char* current_outer_ = nullptr;  ///< row of block_
   std::string pk_prefix_buf_;  ///< reused secondary-index seek key
   std::string base_row_buf_;   ///< reused primary-row fetch buffer
   uint64_t lookups_ = 0;
@@ -415,15 +392,14 @@ class GraceHashJoinOp final : public Operator {
   sim::AccessContext* ctx_;
   Schema out_schema_;
   std::vector<std::pair<int, int>> key_cols_;
-  std::vector<int> left_key_cols_, right_key_cols_;  ///< resolved in Open()
+  std::vector<int> left_key_cols_;  ///< resolved in Open()
+  KeyLayout left_key_, right_key_;
 
-  std::vector<std::vector<std::string>> left_parts_, right_parts_;
+  std::vector<JoinTable> left_parts_;  ///< build side, one per partition
+  std::vector<RowStore> right_parts_;  ///< probe side
   size_t part_ = 0;
-  RowIndexMap hash_;
-  std::string key_buf_;  ///< reused partition/build/probe key buffer
   size_t probe_pos_ = 0;
-  std::pair<RowIndexMap::iterator, RowIndexMap::iterator> match_range_;
-  bool in_match_ = false;
+  uint32_t match_ = JoinTable::kNone;  ///< next build row matching the probe
   bool partitioned_ = false;
   RowBatch batch_;
 };

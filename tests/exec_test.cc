@@ -372,6 +372,43 @@ TEST_F(ExecTest, IndexedJoinViaSecondaryIndex) {
   EXPECT_EQ(static_cast<BlockNLIndexJoinOp*>(join.get())->index_lookups(), 20u);
 }
 
+/// Forwards to a table, except that every secondary-index walk ends in
+/// Corruption.
+class CorruptIndexAccessor final : public rel::TableAccessor {
+ public:
+  explicit CorruptIndexAccessor(const rel::Table* base) : base_(base) {}
+  const TableDef& def() const override { return base_->def(); }
+  Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
+                 std::string* row) const override {
+    return base_->GetByPk(opts, pk, row);
+  }
+  lsm::IteratorPtr NewScanIterator(
+      const lsm::ReadOptions& opts) const override {
+    return base_->NewScanIterator(opts);
+  }
+  lsm::IteratorPtr NewIndexIterator(const lsm::ReadOptions&,
+                                    size_t) const override {
+    return std::make_unique<lsm::EmptyIterator>(
+        Status::Corruption("bad index block"));
+  }
+  uint64_t row_count() const override { return base_->row_count(); }
+
+ private:
+  const rel::Table* base_;
+};
+
+TEST_F(ExecTest, IndexedJoinSurfacesIndexIteratorError) {
+  // An index walk that ends in an error must fail the join, not look like
+  // an outer row without matches.
+  const CorruptIndexAccessor emp(emp_);
+  auto join = std::make_unique<BlockNLIndexJoinOp>(
+      ScanDept(), "d.id", &emp, "e", "dept_id", ReadOpts(), nullptr,
+      std::vector<std::string>{}, 1 << 16, &ctx_);
+  auto rows = CollectAll(join.get());
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsCorruption()) << rows.status().ToString();
+}
+
 TEST_F(ExecTest, IndexedJoinRequiresIndex) {
   auto join = std::make_unique<BlockNLIndexJoinOp>(
       ScanDept(), "d.id", emp_, "e", "salary", ReadOpts(), nullptr,

@@ -237,6 +237,9 @@ TEST(FaultInjectorTest, ScopedInjectionRestoresPreviousState) {
 }
 
 TEST(FaultInjectorTest, InitFromEnvParsesAndDisarms) {
+  // Put back the caller's spec afterwards: EnvSpecSmoke below runs under it.
+  const char* caller = std::getenv("HNDP_FAULTS");
+  const std::string saved = caller != nullptr ? caller : "";
   ASSERT_EQ(setenv("HNDP_FAULTS", "device.exec:nth=4", 1), 0);
   EXPECT_TRUE(FaultInjector::Global().InitFromEnv().ok());
   EXPECT_TRUE(FaultInjector::Enabled());
@@ -252,6 +255,9 @@ TEST(FaultInjectorTest, InitFromEnvParsesAndDisarms) {
   ASSERT_EQ(unsetenv("HNDP_FAULTS"), 0);
   EXPECT_TRUE(FaultInjector::Global().InitFromEnv().ok());
   EXPECT_FALSE(FaultInjector::Enabled());
+  if (caller != nullptr) {
+    ASSERT_EQ(setenv("HNDP_FAULTS", saved.c_str(), 1), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -504,6 +510,25 @@ class FaultE2ETest : public ::testing::Test {
     return planner.PlanQuery(MakeQuery());
   }
 
+  /// Berlin customers ⋈ orders, with orders joined as a BNLJI through the
+  /// secondary index on orders.customer_id. The planner prefers a BNLJ at
+  /// this size, so the plan is switched to the index join.
+  Result<hybrid::Plan> MakeIndexJoinPlan() {
+    hybrid::Query q;
+    q.name = "berlin_orders";
+    q.tables.push_back(
+        {"customer", "c", Expr::CmpStr("c.city", CmpOp::kEq, "berlin")});
+    q.tables.push_back({"orders", "o", nullptr});
+    q.joins.push_back({"o", "customer_id", "c", "id"});
+    q.select_columns = {"o.id", "c.name", "o.quantity"};
+    hybrid::Planner planner(&catalog_, &hw_, MakePlannerConfig());
+    auto plan = planner.PlanQuery(q);
+    if (plan.ok() && plan->order.size() == 2) {
+      plan->order[1].algo = nkv::JoinAlgo::kBNLJI;
+    }
+    return plan;
+  }
+
   hybrid::HybridExecutor MakeExecutor() {
     return hybrid::HybridExecutor(&catalog_, &storage_, &hw_,
                                   MakePlannerConfig());
@@ -671,6 +696,49 @@ TEST_F(FaultE2ETest, LevelScanLatchesSstReadErrorInsteadOfTruncating) {
   EXPECT_LT(rows, total_rows);
 }
 
+TEST_F(FaultE2ETest, SstReadSweepNeverTruncatesSecondaryIndexJoin) {
+  auto plan = MakeIndexJoinPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->order.size(), 2u);
+  ASSERT_EQ(plan->order[1].outer_key_col, "c.id");
+  ASSERT_EQ(plan->order[1].inner_join_col, "customer_id");
+  auto executor = MakeExecutor();
+  auto host_ref = executor.Run(*plan, {Strategy::kHostNative, 0});
+  ASSERT_TRUE(host_ref.ok());
+  const auto want = Canon(*host_ref);
+  ASSERT_FALSE(want.empty());
+
+  // Count the device's SST block reads in one clean run on the device.
+  const ExecChoice ndp{Strategy::kFullNdp, 0};
+  uint64_t reads = 0;
+  {
+    ScopedFaultInjection arm("sst.read:nth=1000000000");
+    auto clean = executor.Run(*plan, ndp);
+    ASSERT_TRUE(clean.ok());
+    ASSERT_FALSE(clean->fell_back);
+    EXPECT_EQ(Canon(*clean), want);
+    reads = FaultInjector::Global().Stats(FaultSite::kSstRead).ops;
+  }
+  ASSERT_GT(reads, 0u);
+
+  // Fail each read in turn, with no retry: most land inside the index
+  // walks and the primary-key lookups of the join. Every run must end with
+  // the host-only rows (after falling back) or a clean error.
+  uint64_t fell_back = 0;
+  for (uint64_t k = 1; k <= reads; ++k) {
+    ScopedFaultInjection arm("sst.read:nth=" + std::to_string(k) +
+                             ";retry:budget=0");
+    auto r = executor.Run(*plan, ndp);
+    if (!r.ok()) continue;
+    EXPECT_TRUE(Canon(*r) == want) << "sst.read:nth=" << k << ": "
+                                   << r->rows.size() << " rows, want "
+                                   << host_ref->rows.size();
+    fell_back += r->fell_back ? 1 : 0;
+  }
+  // No injected error was swallowed: each one failed the device attempt.
+  EXPECT_EQ(fell_back, reads);
+}
+
 TEST_F(FaultE2ETest, StorageWriteFaultFailsSstBuild) {
   ScopedFaultInjection arm("storage.write:always");
   auto file = storage_.AddFile("payload");
@@ -757,10 +825,23 @@ TEST_F(FaultE2ETest, EnvSpecSmoke) {
   auto cfg = FaultConfig::Parse(spec);
   ASSERT_TRUE(cfg.ok()) << "HNDP_FAULTS=" << spec << ": "
                         << cfg.status().ToString();
+  {
+    ScopedFaultInjection arm(*cfg);
+    auto r = executor.Run(*plan, {Strategy::kHybrid, 1});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Canon(*r), Canon(*clean));
+  }
+
+  // The same spec, armed afresh, over a device join through a secondary
+  // index (the fault-smoke matrix has an entry that lands in its lookups).
+  auto index_plan = MakeIndexJoinPlan();
+  ASSERT_TRUE(index_plan.ok());
+  auto index_clean = executor.Run(*index_plan, {Strategy::kHostNative, 0});
+  ASSERT_TRUE(index_clean.ok());
   ScopedFaultInjection arm(*cfg);
-  auto r = executor.Run(*plan, {Strategy::kHybrid, 1});
+  auto r = executor.Run(*index_plan, {Strategy::kFullNdp, 0});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(Canon(*r), Canon(*clean));
+  EXPECT_EQ(Canon(*r), Canon(*index_clean));
 }
 
 }  // namespace

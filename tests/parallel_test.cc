@@ -1,7 +1,7 @@
 // Tests for the parallel run harness: the thread pool, the lock-striped
-// block cache under concurrent hammering, the reused-buffer key extraction,
-// and the core determinism contract — HybridExecutor::RunAll over a worker
-// pool must produce bit-identical simulated results to serial execution.
+// block cache under concurrent hammering, and the core determinism
+// contract — HybridExecutor::RunAll over a worker pool must produce
+// bit-identical simulated results to serial execution.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -65,38 +64,6 @@ TEST(ThreadPoolTest, SizeClampedToOneAndSerialFallback) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-// -------------------------------------------------------------- KeyBytes
-
-TEST(KeyBytesTest, ReusedBufferMatchesAllocatingVariant) {
-  rel::Schema schema({IntCol("a"), CharCol("s", 12), IntCol("b"),
-                      CharCol("t", 5)});
-  Rng rng(42);
-  std::vector<std::string> rows;
-  for (int i = 0; i < 64; ++i) {
-    RowBuilder rb(&schema);
-    rb.SetInt(0, static_cast<int32_t>(rng.Uniform(1'000'000)))
-        .SetString(1, "str" + std::to_string(rng.Uniform(1000)))
-        .SetInt(2, static_cast<int32_t>(rng.Uniform(7)) - 3)
-        .SetString(3, std::string(rng.Uniform(6), 'x'));
-    rows.push_back(rb.row());
-  }
-
-  const std::vector<std::vector<int>> col_sets = {
-      {0}, {1}, {0, 2}, {1, 3}, {3, 1, 0}, {0, 1, 2, 3}, {}};
-  std::string reused;  // deliberately carries content across iterations
-  for (const auto& cols : col_sets) {
-    for (const auto& row : rows) {
-      const std::string allocated = exec::KeyBytes(schema, cols, row.data());
-      exec::KeyBytesInto(schema, cols, row.data(), &reused);
-      EXPECT_EQ(reused, allocated);
-      // The transparent hash must agree between string and string_view
-      // probes of the same bytes.
-      EXPECT_EQ(exec::TransparentStringHash()(std::string_view(reused)),
-                exec::TransparentStringHash()(std::string_view(allocated)));
-    }
-  }
 }
 
 // ----------------------------------------------- RunAll determinism contract
