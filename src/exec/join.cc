@@ -413,10 +413,9 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
   iter->Seek(Slice(pk_prefix_buf_));
   while (iter->Valid()) {
     const Slice ikey = iter->key();
-    if (ikey.size() < 8 ||
-        memcmp(ikey.data(), pk_prefix_buf_.data(), 4) != 0) {
-      break;
-    }
+    // Entries of an int index are 4 + 4 bytes (see IndexScanOp).
+    if (ikey.size() != 8) return Status::Corruption("malformed index key");
+    if (memcmp(ikey.data(), pk_prefix_buf_.data(), 4) != 0) break;
     const int32_t pk = GetOrderedInt32(ikey.data() + ikey.size() - 4);
     Status s = inner_table_->GetByPk(inner_opts_, pk, &base_row_buf_);
     if (s.ok()) consider_row(base_row_buf_);

@@ -103,8 +103,9 @@ class TableScanOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  /// Decodes up to max_rows qualifying rows per call straight from the
-  /// block iterator into the batch (no std::string per row).
+  /// Pulls value views from the scan iterator in fixed chunks (never more
+  /// than the batch has room left for) and projects the qualifying rows
+  /// straight into the batch (no std::string per row).
   RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override { return Open(); }
   std::string Describe() const override;

@@ -82,31 +82,39 @@ Status TableScanOp::Open() {
 
 RowBatch* TableScanOp::NextBatch(size_t max_rows) {
   batch_.Reset(&out_schema_, max_rows);
-  // Per-row selection and copy charges are identical for every row, so the
-  // batch pays them once per batch via ChargeRepeated (bit-identical to
-  // per-row charging: only additive charges interleave inside the loop, and
-  // sums of quantized charges are order-independent).
+  // Rows arrive as value views, a chunk per pull, and a pull never asks for
+  // more rows than the batch has room left for, so the scan reads no row
+  // past the ones this batch consumes (DESIGN.md §10 rule 2). Per-row
+  // selection and copy charges are identical for every row, so the batch
+  // pays them once per batch via ChargeRepeated (bit-identical to per-row
+  // charging: sums of quantized charges are order-independent).
+  constexpr size_t kPullRows = 64;
+  Slice values[kPullRows];
   uint64_t scanned = 0;
-  while (!batch_.full() && iter_ != nullptr && iter_->Valid()) {
-    const Slice value = iter_->value();
-    const RowView view(value.data(), &aliased_schema_);
-    ++scanned;
-    const bool pass =
-        predicate_ == nullptr || predicate_->Eval(view, opts_.ctx);
-    if (pass) {
-      ProjectRowInto(aliased_schema_, out_cols_, out_schema_, value.data(),
+  while (!batch_.full() && iter_ != nullptr) {
+    const size_t want =
+        std::min(kPullRows, batch_.capacity() - batch_.num_active());
+    const size_t n = iter_->NextValues(want, values);
+    scanned += n;
+    for (size_t i = 0; i < n; ++i) {
+      const char* row = values[i].data();
+      if (predicate_ != nullptr &&
+          !predicate_->Eval(RowView(row, &aliased_schema_), opts_.ctx)) {
+        continue;
+      }
+      ProjectRowInto(aliased_schema_, out_cols_, out_schema_, row,
                      batch_.AppendRow());
-      ++rows_produced_;
     }
-    iter_->Next();
+    if (n < want) break;  // exhausted or failed
   }
   rows_scanned_ += scanned;
+  rows_produced_ += batch_.num_active();
   if (opts_.ctx != nullptr) {
     opts_.ctx->ChargeRepeated(sim::CostKind::kSelectionProcessing, 1, scanned);
     opts_.ctx->ChargeCopyRepeated(out_schema_.row_size(), batch_.num_active());
   }
   // Exhausted or failed: an iterator error (e.g. an injected device-side
-  // read fault) also leaves Valid() false, so park the status for drains.
+  // read fault) also ends the pull short, so park the status for drains.
   if (iter_ != nullptr && !batch_.full() && status_.ok()) {
     status_ = iter_->status();
   }
@@ -168,9 +176,11 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
   uint64_t fetched = 0;
   while (!batch_.full() && iter_ != nullptr && iter_->Valid()) {
     const Slice ikey = iter_->key();
-    if (ikey.size() < 8) {
-      iter_->Next();
-      continue;
+    if (ikey.size() != 8) {
+      // Entries of an int index are 4 + 4 bytes; anything else is damage,
+      // not a stale entry to step over.
+      status_ = Status::Corruption("malformed index key");
+      break;
     }
     if (memcmp(ikey.data(), end_key_.data(), 4) > 0) break;  // past range
     const int32_t pk = GetOrderedInt32(ikey.data() + ikey.size() - 4);

@@ -448,6 +448,14 @@ class LevelConcatIterator final : public Iterator {
     return file_open_ ? file_iter_.status() : Status::OK();
   }
 
+  BlockIter* block_cursor() override {
+    return file_open_ ? file_iter_.block_cursor() : nullptr;
+  }
+  void NextBlock() override {
+    file_iter_.NextBlock();
+    if (!file_iter_.Valid()) SkipExhausted();
+  }
+
  private:
   /// Point file_iter_ at files_[index_]. False past the last file, or when
   /// the file's reader fails to open (the error is latched).
@@ -492,9 +500,16 @@ class LevelConcatIterator final : public Iterator {
 };
 
 /// User-key view over an internal-key iterator: collapses versions and hides
-/// tombstones at a given snapshot. value() is a view into the SST file or
-/// the MemTable arena, valid until the next move; ChargeStep charges the
-/// simulated copy of every visible record all the same.
+/// tombstones at a given snapshot. value(), and each view NextValues hands
+/// out, points into the SST file or the MemTable arena and stays valid until
+/// the next pull; the simulated copy of every visible record is charged all
+/// the same.
+///
+/// One visibility loop, FindVisible, serves every call. Its step moves the
+/// block cursor of the merge's sole live child directly, which is the
+/// common case of a compacted store with an empty MemTable, and goes
+/// through the merge otherwise. The loop counts its per-entry charges and
+/// every public call pays them before it returns (DESIGN.md §10 rule 4).
 class UserKeyIterator final : public Iterator {
  public:
   UserKeyIterator(std::unique_ptr<MergingIterator> inner, SequenceNumber seq,
@@ -506,86 +521,140 @@ class UserKeyIterator final : public Iterator {
   void SeekToFirst() override {
     status_ = Status::OK();
     inner_->SeekToFirst();
-    FindNextVisible();
+    Attach();
+    FindVisible(/*skip_current=*/false);
+    PayCharges();
   }
 
   void Seek(const Slice& user_target) override {
     status_ = Status::OK();
     lookup_.SetLookupKey(user_target, seq_);
     inner_->Seek(lookup_.slice());
-    FindNextVisible();
+    Attach();
+    FindVisible(/*skip_current=*/false);
+    PayCharges();
   }
 
   void Next() override {
-    SkipCurrentUserKey();
-    FindNextVisible();
+    FindVisible(/*skip_current=*/true);
+    PayCharges();
   }
 
-  Slice key() const override { return Slice(key_); }
+  size_t NextValues(size_t max, Slice* values) override {
+    size_t n = 0;
+    while (n < max && valid_) {
+      values[n++] = value_;
+      FindVisible(/*skip_current=*/true);
+    }
+    PayCharges();
+    return n;
+  }
+
+  Slice key() const override { return key_.slice(); }
   Slice value() const override { return value_; }
   Status status() const override {
     return status_.ok() ? inner_->status() : status_;
   }
 
  private:
-  void SkipCurrentUserKey() {
-    while (inner_->Valid() &&
-           ExtractUserKey(inner_->key()) == Slice(key_)) {
-      ChargeStep(0);
-      inner_->Next();
-    }
-  }
-
-  /// Per-record iteration work: internal-key parse/compare plus copying the
-  /// record out of the block (the dominant CPU share of the paper's
-  /// device profile, Table 4: memcmp + compare internal keys).
-  void ChargeStep(size_t value_bytes) {
-    if (ctx_ == nullptr) return;
-    ctx_->Charge(sim::CostKind::kCompareInternalKeys, 1);
-    if (value_bytes > 0) {
-      ctx_->ChargeCopy(key_.size() + value_bytes);
-    }
-  }
-
-  void FindNextVisible() {
+  /// Move to the next visible row. With `skip_current`, the entries of
+  /// user key key_ (the row just returned) go first. Every entry passed
+  /// over counts one internal-key compare; the row found counts one more
+  /// and the copy of its key and value out of the block. That is the
+  /// per-record work of the paper's device profile (Table 4: memcmp and
+  /// compare internal keys).
+  void FindVisible(bool skip_current) {
     valid_ = false;
     while (inner_->Valid()) {
+      const Slice ikey = cursor_ != nullptr ? cursor_->key() : inner_->key();
+      if (ikey.size() < 8) break;  // Corruption, below
+      if (skip_current && ExtractUserKey(ikey) == key_.slice()) {
+        ++compares_;
+        Step();
+        continue;
+      }
+      skip_current = false;
       ParsedInternalKey parsed;
-      if (!ParseInternalKey(inner_->key(), &parsed)) {
-        // Stepping over the key could hide a flipped tombstone or drop a
-        // row: end the scan with the error, like SstReader::Get does.
-        status_ = Status::Corruption("bad internal key");
-        return;
-      }
+      if (!ParseInternalKey(ikey, &parsed)) break;
       if (parsed.sequence > seq_) {  // newer than the snapshot
-        ChargeStep(0);
-        inner_->Next();
+        ++compares_;
+        Step();
         continue;
       }
+      // The key is copied because the skip above compares against it after
+      // the cursor has moved; KeyBuffer keeps short keys inline.
+      key_.Assign(parsed.user_key);
       if (parsed.type == ValueType::kDeletion) {
-        key_.assign(parsed.user_key.data(), parsed.user_key.size());
-        SkipCurrentUserKey();
+        skip_current = true;
         continue;
       }
-      // assign() reuses key_'s capacity; ToString() would allocate a fresh
-      // temporary for every visible record. The key is copied because
-      // SkipCurrentUserKey compares against it after inner_ has moved.
-      key_.assign(parsed.user_key.data(), parsed.user_key.size());
-      value_ = inner_->value();
-      ChargeStep(value_.size());
+      value_ = cursor_ != nullptr ? cursor_->value() : inner_->value();
+      ++compares_;
+      if (!value_.empty()) CountCopy(key_.size() + value_.size());
       valid_ = true;
       return;
     }
+    if (inner_->Valid()) {
+      // Stepping over the key could hide a flipped tombstone or drop a
+      // row: end the scan with the error, like SstReader::Get does.
+      status_ = Status::Corruption("bad internal key");
+    }
+  }
+
+  /// Advance one internal entry: on the sole child's block cursor while it
+  /// has entries left, else through the merge.
+  void Step() {
+    if (cursor_ != nullptr) {
+      cursor_->Next();
+      if (cursor_->Valid()) return;
+      sole_->NextBlock();
+      inner_->Resync();
+    } else {
+      inner_->Next();
+    }
+    Attach();
+  }
+
+  /// Pick up the block cursor of the merge's sole live child, if any.
+  void Attach() {
+    sole_ = inner_->sole_child();
+    cursor_ = sole_ != nullptr ? sole_->block_cursor() : nullptr;
+  }
+
+  /// Copies of equal size are paid together; a new size pays the run.
+  void CountCopy(uint64_t bytes) {
+    if (bytes != copy_bytes_) {
+      if (ctx_ != nullptr) ctx_->ChargeCopyRepeated(copy_bytes_, copies_);
+      copy_bytes_ = bytes;
+      copies_ = 0;
+    }
+    ++copies_;
+  }
+
+  /// Pay the counted charges: ChargeRepeated(k, u, n) is bit-identical to n
+  /// calls of Charge(k, u).
+  void PayCharges() {
+    if (ctx_ != nullptr) {
+      ctx_->ChargeRepeated(sim::CostKind::kCompareInternalKeys, 1, compares_);
+      ctx_->ChargeCopyRepeated(copy_bytes_, copies_);
+    }
+    compares_ = 0;
+    copies_ = 0;
   }
 
   std::unique_ptr<MergingIterator> inner_;  ///< concrete: calls skip a vtable
   SequenceNumber seq_;
   sim::AccessContext* ctx_;
+  Iterator* sole_ = nullptr;     ///< the merge's sole live child, if any
+  BlockIter* cursor_ = nullptr;  ///< sole_'s block cursor, while it has entries
   bool valid_ = false;
-  std::string key_;
+  KeyBuffer key_;  ///< user key of the current row
   Slice value_;
   KeyBuffer lookup_;  ///< Seek target, reused across seeks
   Status status_;  ///< latched corruption (survives until the next seek)
+  uint64_t compares_ = 0;    ///< kCompareInternalKeys 1 each, not yet paid
+  uint64_t copy_bytes_ = 0;  ///< size of the unpaid run of equal copies
+  uint64_t copies_ = 0;      ///< length of that run
 };
 
 }  // namespace

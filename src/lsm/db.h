@@ -182,9 +182,10 @@ Status SnapshotGet(
     const std::function<SstReader*(const FileMetaData&)>& reader_fn);
 
 /// Wrap a merged internal-key iterator into a user-key iterator visible at
-/// `seq` (collapses versions, hides tombstones). Its value() is a view into
-/// the SST file or the MemTable arena, valid until the next move: the
-/// iterator must not outlive its snapshot's MemTable or files.
+/// `seq` (collapses versions, hides tombstones). Its value(), and each view
+/// its NextValues hands out, points into the SST file or the MemTable
+/// arena and stays valid until the next pull: the iterator must not
+/// outlive its snapshot's MemTable or files.
 IteratorPtr NewUserKeyIterator(std::unique_ptr<MergingIterator> internal_iter,
                                SequenceNumber seq, sim::AccessContext* ctx);
 

@@ -89,6 +89,12 @@ class KeyBuffer {
   /// Keep the first n bytes (n <= size()).
   void Truncate(size_t n) { size_ = n; }
 
+  /// Set to a copy of `s`.
+  void Assign(const Slice& s) {
+    size_ = 0;
+    Append(s.data(), s.size());
+  }
+
   void Append(const char* p, size_t n) {
     if (n > capacity_ - size_) Grow(size_ + n);
     memcpy(data_ + size_, p, n);
@@ -99,8 +105,7 @@ class KeyBuffer {
   /// seeks to: the type byte is kValue, the largest, so the Seek lands on
   /// the newest version visible at `seq`.
   void SetLookupKey(const Slice& user_key, SequenceNumber seq) {
-    size_ = 0;
-    Append(user_key.data(), user_key.size());
+    Assign(user_key);
     char trailer[8];
     EncodeFixed64(trailer, PackSeqAndType(seq, ValueType::kValue));
     Append(trailer, sizeof(trailer));

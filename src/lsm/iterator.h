@@ -2,12 +2,15 @@
 
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "common/slice.h"
 #include "common/status.h"
 
 namespace hybridndp::lsm {
+
+class BlockIter;
 
 /// Forward iterator over sorted key/value pairs. Keys at this layer are
 /// internal keys unless a component documents otherwise.
@@ -26,6 +29,28 @@ class Iterator {
   virtual Slice value() const = 0;
 
   virtual Status status() const { return Status::OK(); }
+
+  /// Batch pull: store the current entry's value and up to `max - 1`
+  /// following ones in `values`, and leave the iterator on the entry after
+  /// the last one stored. Returns how many were stored: fewer than `max`
+  /// only when the iterator ran out or failed (see status()). The views
+  /// point into pinned SST contents or a MemTable arena and stay valid
+  /// until the next pull. This default is the Valid/value/Next loop; every
+  /// iterator here keeps a value valid across moves, so it holds for them.
+  virtual size_t NextValues(size_t max, Slice* values) {
+    size_t n = 0;
+    for (; n < max && Valid(); Next()) values[n++] = value();
+    return n;
+  }
+
+  /// The block cursor under the current entry when this iterator reads SST
+  /// blocks and is valid, else null. A caller may step it directly while it
+  /// stays valid; once it runs out, NextBlock moves this iterator on to the
+  /// next entry as Next would have.
+  virtual BlockIter* block_cursor() { return nullptr; }
+  /// Continue after block_cursor() ran out: load the next block with an
+  /// entry, or latch the cursor's error. Only valid after such a run-out.
+  virtual void NextBlock() {}
 };
 
 using IteratorPtr = std::unique_ptr<Iterator>;

@@ -40,7 +40,20 @@ class MergingIterator final : public Iterator {
     current_->Next();
     if (num_valid_ > 1) {
       FindSmallest();
-    } else if (current_->Valid()) {
+    } else {
+      Resync();
+    }
+  }
+
+  /// The current child when it is the only valid one, else null. A caller
+  /// may move it directly (the merge would only forward to it), then must
+  /// call Resync before the merge's own key() or Next is used again.
+  Iterator* sole_child() const { return num_valid_ == 1 ? current_ : nullptr; }
+
+  /// Re-read the sole child's key after a caller moved it, or drop to zero
+  /// valid children when it ran out.
+  void Resync() {
+    if (current_->Valid()) {
       key_ = current_->key();
     } else {
       num_valid_ = 0;

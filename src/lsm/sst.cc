@@ -290,14 +290,14 @@ void SstIterator::SeekToFirst() {
   status_ = Status::OK();
   index_pos_ = 0;
   if (LoadBlock()) block_iter_.SeekToFirst();
-  SkipEmptyBlocks();
+  NextBlock();
 }
 
 void SstIterator::Seek(const Slice& target) {
   status_ = Status::OK();
   index_pos_ = reader_->SeekIndex(target, ctx_);
   if (LoadBlock()) block_iter_.Seek(target);
-  SkipEmptyBlocks();
+  NextBlock();
 }
 
 bool SstIterator::LoadBlock() {
@@ -315,7 +315,7 @@ bool SstIterator::LoadBlock() {
   return false;
 }
 
-void SstIterator::SkipEmptyBlocks() {
+void SstIterator::NextBlock() {
   while (!block_iter_.Valid()) {
     // A block that failed to decode is not exhausted: latch its error and
     // stop, like LevelConcatIterator, instead of dropping the rest of it.

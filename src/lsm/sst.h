@@ -128,19 +128,25 @@ class SstIterator final : public Iterator {
   void Seek(const Slice& target) override;
   void Next() override {
     block_iter_.Next();
-    if (!block_iter_.Valid()) SkipEmptyBlocks();
+    if (!block_iter_.Valid()) NextBlock();
   }
   Slice key() const override { return block_iter_.key(); }
   Slice value() const override { return block_iter_.value(); }
   /// Latched block-read or block-decode error, cleared by a seek.
   Status status() const override { return status_; }
 
+  BlockIter* block_cursor() override {
+    return block_iter_.Valid() ? &block_iter_ : nullptr;
+  }
+  /// While the block cursor has no entry, move on to the next data block
+  /// that has one; stop and latch the error of a block that failed to read
+  /// or decode. A no-op on a valid cursor.
+  void NextBlock() override;
+
  private:
   /// Point the block cursor at the data block under index_pos_. False (and
   /// the cursor cleared) past the last block or on a failed read.
   bool LoadBlock();
-  /// Move to the next data block with an entry.
-  void SkipEmptyBlocks();
 
   SstReader* reader_ = nullptr;
   sim::AccessContext* ctx_;

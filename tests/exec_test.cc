@@ -409,6 +409,89 @@ TEST_F(ExecTest, IndexedJoinSurfacesIndexIteratorError) {
   EXPECT_TRUE(rows.status().IsCorruption()) << rows.status().ToString();
 }
 
+/// Index iterator over a fixed list of (key, value) entries, sorted.
+class SortedEntriesIterator final : public lsm::Iterator {
+ public:
+  explicit SortedEntriesIterator(
+      std::vector<std::pair<std::string, std::string>> entries)
+      : entries_(std::move(entries)) {
+    std::sort(entries_.begin(), entries_.end());
+  }
+  bool Valid() const override { return pos_ < entries_.size(); }
+  void SeekToFirst() override { pos_ = 0; }
+  void Seek(const Slice& target) override {
+    pos_ = 0;
+    while (pos_ < entries_.size() &&
+           Slice(entries_[pos_].first).compare(target) < 0) {
+      ++pos_;
+    }
+  }
+  void Next() override { ++pos_; }
+  Slice key() const override { return Slice(entries_[pos_].first); }
+  Slice value() const override { return Slice(entries_[pos_].second); }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> entries_;
+  size_t pos_ = 0;
+};
+
+/// Forwards to a table, except that every secondary-index walk also meets
+/// one malformed 5-byte key: the 4-byte prefix of `value` plus a zero byte,
+/// which sorts just before that value's real entries.
+class MalformedIndexKeyAccessor final : public rel::TableAccessor {
+ public:
+  MalformedIndexKeyAccessor(const rel::Table* base, int32_t value)
+      : base_(base), value_(value) {}
+  const TableDef& def() const override { return base_->def(); }
+  Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
+                 std::string* row) const override {
+    return base_->GetByPk(opts, pk, row);
+  }
+  lsm::IteratorPtr NewScanIterator(
+      const lsm::ReadOptions& opts) const override {
+    return base_->NewScanIterator(opts);
+  }
+  lsm::IteratorPtr NewIndexIterator(const lsm::ReadOptions& opts,
+                                    size_t index_no) const override {
+    std::vector<std::pair<std::string, std::string>> entries;
+    auto iter = base_->NewIndexIterator(opts, index_no);
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      entries.emplace_back(iter->key().ToString(), iter->value().ToString());
+    }
+    entries.emplace_back(rel::EncodeIndexPrefixInt(value_) + '\0', "");
+    return std::make_unique<SortedEntriesIterator>(std::move(entries));
+  }
+  uint64_t row_count() const override { return base_->row_count(); }
+
+ private:
+  const rel::Table* base_;
+  int32_t value_;
+};
+
+TEST_F(ExecTest, IndexScanFailsOnMalformedIndexKey) {
+  // Index entries of an int column are 4 + 4 bytes. A key of another
+  // length is corrupt, not a stale entry to step over.
+  const MalformedIndexKeyAccessor emp(emp_, 7);
+  auto scan = std::make_unique<IndexScanOp>(&emp, "e", 0, ReadOpts(), 5, 9,
+                                            nullptr,
+                                            std::vector<std::string>{});
+  auto rows = CollectAll(scan.get());
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsCorruption()) << rows.status().ToString();
+}
+
+TEST_F(ExecTest, IndexedJoinFailsOnMalformedIndexKey) {
+  // The walk for dept 7 meets the malformed key first: the join must fail,
+  // not return dept 7 without its employees.
+  const MalformedIndexKeyAccessor emp(emp_, 7);
+  auto join = std::make_unique<BlockNLIndexJoinOp>(
+      ScanDept(), "d.id", &emp, "e", "dept_id", ReadOpts(), nullptr,
+      std::vector<std::string>{}, 1 << 16, &ctx_);
+  auto rows = CollectAll(join.get());
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsCorruption()) << rows.status().ToString();
+}
+
 TEST_F(ExecTest, IndexedJoinRequiresIndex) {
   auto join = std::make_unique<BlockNLIndexJoinOp>(
       ScanDept(), "d.id", emp_, "e", "salary", ReadOpts(), nullptr,

@@ -739,6 +739,49 @@ TEST_F(FaultE2ETest, SstReadSweepNeverTruncatesSecondaryIndexJoin) {
   EXPECT_EQ(fell_back, reads);
 }
 
+TEST_F(FaultE2ETest, FailedDeviceScanPaysItsChargesBeforeFallingBack) {
+  // H0 offloads every leaf scan. Failing the k-th device block read, with
+  // no retry, ends a device scan in the middle of a pull; the fallback run
+  // carries the device time spent up to the failure as its setup stage. A
+  // scan that returned the error without paying the step charges it had
+  // gathered would end earlier and shrink that stage.
+  auto plan = MakePlan();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto executor = MakeExecutor();
+  auto host_ref = executor.Run(*plan, {Strategy::kHostNative, 0});
+  ASSERT_TRUE(host_ref.ok());
+  const auto want = Canon(*host_ref);
+
+  struct Pinned {
+    uint64_t k;
+    SimNanos total_ns;
+    SimNanos ndp_setup;
+  };
+  // The device run reads 14 blocks; the host-only processing after the
+  // fallback is the same 207336.049 ns every time.
+  const Pinned pinned[] = {{1, 355336.049, 148000},
+                           {2, 479857.26300000004, 272521.21399999998},
+                           {3, 662264.16899999999, 454928.12},
+                           {5, 543601.98900000006, 336265.94},
+                           {8, 635425.81900000002, 428089.77000000002},
+                           {11, 735015.78200000001, 527679.73300000001},
+                           {14, 783430.52800000005, 576094.47900000005}};
+  for (const Pinned& p : pinned) {
+    ScopedFaultInjection arm("sst.read:nth=" + std::to_string(p.k) +
+                             ";retry:budget=0");
+    auto r = executor.Run(*plan, {Strategy::kHybrid, 0});
+    ASSERT_TRUE(r.ok()) << "k=" << p.k << ": " << r.status().ToString();
+    EXPECT_TRUE(r->fell_back) << "k=" << p.k;
+    EXPECT_EQ(Canon(*r), want) << "k=" << p.k;
+    EXPECT_EQ(r->total_ns, p.total_ns) << "k=" << p.k;
+    EXPECT_EQ(r->host_stages.ndp_setup, p.ndp_setup) << "k=" << p.k;
+    EXPECT_EQ(r->host_stages.initial_wait, 0) << "k=" << p.k;
+    EXPECT_EQ(r->host_stages.later_waits, 0) << "k=" << p.k;
+    EXPECT_EQ(r->host_stages.result_transfer, 0) << "k=" << p.k;
+    EXPECT_EQ(r->host_stages.processing, 207336.049) << "k=" << p.k;
+  }
+}
+
 TEST_F(FaultE2ETest, StorageWriteFaultFailsSstBuild) {
   ScopedFaultInjection arm("storage.write:always");
   auto file = storage_.AddFile("payload");
