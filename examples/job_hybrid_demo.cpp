@@ -66,9 +66,7 @@ int main(int argc, char** argv) {
          "interm. rows", "batches");
   // All strategies are independent cold-start runs; fan them over a worker
   // pool (each with its own fresh cache) and print in choice order.
-  int threads = common::ThreadPool::DefaultThreads();
-  if (const char* s = std::getenv("HNDP_THREADS")) threads = atoi(s);
-  common::ThreadPool pool(threads);
+  common::ThreadPool pool(common::ThreadPool::DefaultThreads());
   const uint64_t cache_bytes = storage.TotalBytes() * 2 / 5;
   const auto choices = hybrid::HybridExecutor::AllChoices(*plan);
   auto results = executor.RunAll(*plan, choices, &pool, [cache_bytes] {

@@ -65,29 +65,24 @@ bool LikeMatch(const Slice& value, const Slice& pattern) {
   return p == pattern.size();
 }
 
-Status Expr::Bind(const Schema& schema) {
-  for (auto& child : children) {
-    HNDP_RETURN_IF_ERROR(child->Bind(schema));
+Result<Expr::Ptr> Expr::Bind(const Schema& schema) const {
+  auto bound = std::make_shared<Expr>(*this);
+  for (auto& child : bound->children) {
+    HNDP_ASSIGN_OR_RETURN(child, child->Bind(schema));
   }
   if (!column.empty()) {
-    col_index = schema.Find(column);
-    if (col_index < 0) {
+    bound->col_index = schema.Find(column);
+    if (bound->col_index < 0) {
       return Status::InvalidArgument("unknown column: " + column);
     }
   }
   if (!column2.empty()) {
-    col_index2 = schema.Find(column2);
-    if (col_index2 < 0) {
+    bound->col_index2 = schema.Find(column2);
+    if (bound->col_index2 < 0) {
       return Status::InvalidArgument("unknown column: " + column2);
     }
   }
-  return Status::OK();
-}
-
-Expr::Ptr Expr::Clone() const {
-  auto copy = std::make_shared<Expr>(*this);
-  for (auto& child : copy->children) child = child->Clone();
-  return copy;
+  return bound;
 }
 
 bool Expr::Eval(const RowView& row, sim::AccessContext* ctx) const {

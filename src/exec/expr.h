@@ -1,7 +1,8 @@
 // Predicate/expression trees over fixed-size rows. Expressions are built
-// against column *names* and bound to a concrete Schema before evaluation
-// (plans re-bind when schemas change shape through joins). The planner
-// introspects expressions to estimate selectivities (calc_sel).
+// against column *names*; Bind() resolves a tree against a concrete Schema
+// into the caller's own copy, so plan trees stay read-only and concurrent
+// runs share them. The planner introspects expressions to estimate
+// selectivities (calc_sel).
 
 #pragma once
 
@@ -36,7 +37,7 @@ enum class ExprKind : uint8_t {
 };
 
 /// One expression node. Trees are immutable after construction; Bind()
-/// resolves column names to indexes for a given schema (stored per node).
+/// returns a copy with column names resolved to indexes for one schema.
 class Expr {
  public:
   using Ptr = std::shared_ptr<Expr>;
@@ -53,19 +54,16 @@ class Expr {
   bool negated = false;      ///< NOT LIKE
   std::vector<Ptr> children; ///< kAnd / kOr / kNot
 
-  // Bound state (set by Bind).
+  // Bound state (set in the copies Bind returns).
   int col_index = -1;
   int col_index2 = -1;
 
-  /// Resolve column names against `schema`. Fails if a referenced column is
-  /// missing.
-  Status Bind(const Schema& schema);
+  /// Deep copy of the tree with column names resolved against `schema`.
+  /// Fails if a referenced column is missing. Leaves this tree untouched.
+  Result<Ptr> Bind(const Schema& schema) const;
 
-  /// Deep copy of the tree. Bind() writes per-node state, so a tree shared
-  /// between concurrently executing plans must be cloned per run.
-  Ptr Clone() const;
-
-  /// Evaluate against a bound row; charges comparison costs to ctx when set.
+  /// Evaluate a tree returned by Bind against a row of its schema; charges
+  /// comparison costs to ctx when set.
   bool Eval(const RowView& row, sim::AccessContext* ctx) const;
 
   /// Collect all referenced column names.

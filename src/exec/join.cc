@@ -83,7 +83,7 @@ Status NestedLoopJoinOp::BindKeys() {
   out_schema_ =
       Schema::Concat(outer_->output_schema(), inner_->output_schema());
   if (residual_ != nullptr) {
-    HNDP_RETURN_IF_ERROR(residual_->Bind(out_schema_));
+    HNDP_ASSIGN_OR_RETURN(residual_, residual_->Bind(out_schema_));
   }
   return Status::OK();
 }
@@ -175,7 +175,7 @@ Status BlockNLJoinOp::Open() {
   out_schema_ =
       Schema::Concat(outer_->output_schema(), inner_->output_schema());
   if (residual_ != nullptr) {
-    HNDP_RETURN_IF_ERROR(residual_->Bind(out_schema_));
+    HNDP_ASSIGN_OR_RETURN(residual_, residual_->Bind(out_schema_));
   }
   outer_exhausted_ = false;
   block_active_ = false;
@@ -283,34 +283,18 @@ RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
 BlockNLIndexJoinOp::BlockNLIndexJoinOp(
     OperatorPtr outer, std::string outer_key_col, const TableAccessor* inner_table,
     std::string inner_alias, std::string inner_join_col,
-    lsm::ReadOptions inner_opts, Expr::Ptr inner_residual,
-    std::vector<std::string> inner_projection, uint64_t buffer_bytes,
+    lsm::ReadOptions inner_opts, const Expr::Ptr& inner_residual,
+    const std::vector<std::string>& inner_projection, uint64_t buffer_bytes,
     sim::AccessContext* ctx)
     : outer_(std::move(outer)),
       outer_key_col_(std::move(outer_key_col)),
       inner_table_(inner_table),
-      inner_alias_(std::move(inner_alias)),
+      inner_join_col_(inner_table->schema().Find(inner_join_col)),
       inner_opts_(inner_opts),
-      inner_residual_(std::move(inner_residual)),
+      inner_stage_(inner_table->schema(), std::move(inner_alias),
+                   inner_residual, inner_projection),
       buffer_bytes_(buffer_bytes),
-      ctx_(ctx) {
-  inner_aliased_schema_ = AliasSchema(inner_table_->schema(), inner_alias_);
-  inner_join_col_ = inner_table_->schema().Find(inner_join_col);
-  // Inner projection: default all columns.
-  std::vector<int> cols;
-  if (inner_projection.empty()) {
-    for (size_t i = 0; i < inner_aliased_schema_.num_columns(); ++i) {
-      cols.push_back(static_cast<int>(i));
-    }
-  } else {
-    for (const auto& name : inner_projection) {
-      const int idx = inner_aliased_schema_.Find(name);
-      if (idx >= 0) cols.push_back(idx);
-    }
-  }
-  inner_out_cols_ = cols;
-  inner_out_schema_ = inner_aliased_schema_.Project(cols);
-}
+      ctx_(ctx) {}
 
 Status BlockNLIndexJoinOp::Open() {
   status_ = Status::OK();
@@ -335,10 +319,9 @@ Status BlockNLIndexJoinOp::Open() {
       return Status::InvalidArgument("BNLJI: no index on inner join column");
     }
   }
-  if (inner_residual_ != nullptr) {
-    HNDP_RETURN_IF_ERROR(inner_residual_->Bind(inner_aliased_schema_));
-  }
-  out_schema_ = Schema::Concat(outer_->output_schema(), inner_out_schema_);
+  HNDP_RETURN_IF_ERROR(inner_stage_.status());
+  out_schema_ =
+      Schema::Concat(outer_->output_schema(), inner_stage_.out_schema());
   index_iter_.reset();
   if (inner_index_no_ >= 0) {
     index_iter_ = inner_table_->NewIndexIterator(
@@ -347,7 +330,7 @@ Status BlockNLIndexJoinOp::Open() {
   block_.Reset(outer_->output_schema().row_size());
   block_pos_ = 0;
   outer_exhausted_ = false;
-  matches_.Reset(inner_out_schema_.row_size());
+  matches_.Reset(inner_stage_.out_schema().row_size());
   match_pos_ = 0;
   lookups_ = 0;
   return Status::OK();
@@ -355,7 +338,7 @@ Status BlockNLIndexJoinOp::Open() {
 
 Status BlockNLIndexJoinOp::Rewind() { return Open(); }
 
-Status BlockNLIndexJoinOp::LoadNextBlock() {
+void BlockNLIndexJoinOp::LoadOuterBlock() {
   block_.Clear();
   block_pos_ = 0;
   uint64_t bytes = 0;
@@ -371,7 +354,6 @@ Status BlockNLIndexJoinOp::LoadNextBlock() {
     if (ctx_ != nullptr) ctx_->ChargeCopyRepeated(rs, ob->num_active());
   }
   if (block_.size() == 0) outer_exhausted_ = true;
-  return Status::OK();
 }
 
 Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
@@ -380,19 +362,10 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
   const int32_t key = outer_row.GetInt(outer_key_idx_);
 
   auto consider_row = [&](const std::string& base_row) {
-    const RowView view(base_row.data(), &inner_aliased_schema_);
     if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kSelectionProcessing, 1);
-    if (inner_residual_ != nullptr && !inner_residual_->Eval(view, ctx_)) {
-      return;
-    }
-    char* projected = matches_.AppendRow();
-    for (size_t i = 0; i < inner_out_cols_.size(); ++i) {
-      const int c = inner_out_cols_[i];
-      memcpy(projected + inner_out_schema_.offset(i),
-             base_row.data() + inner_aliased_schema_.offset(c),
-             inner_aliased_schema_.column(c).size);
-    }
-    if (ctx_ != nullptr) ctx_->ChargeCopy(inner_out_schema_.row_size());
+    if (!inner_stage_.Keep(base_row.data(), ctx_)) return;
+    inner_stage_.Project(base_row.data(), matches_.AppendRow());
+    if (ctx_ != nullptr) ctx_->ChargeCopy(inner_stage_.out_schema().row_size());
   };
 
   ++lookups_;
@@ -407,17 +380,15 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
   // Secondary-index path (paper Fig. 9): seek the secondary LSM-tree for all
   // entries with this key, extract the primary keys, then seek each in the
   // primary LSM-tree.
-  pk_prefix_buf_.clear();
-  PutOrderedInt32(&pk_prefix_buf_, key);
   lsm::Iterator* iter = index_iter_.get();
-  iter->Seek(Slice(pk_prefix_buf_));
+  iter->Seek(Slice(rel::EncodeIndexPrefixInt(key)));
   while (iter->Valid()) {
-    const Slice ikey = iter->key();
-    // Entries of an int index are 4 + 4 bytes (see IndexScanOp).
-    if (ikey.size() != 8) return Status::Corruption("malformed index key");
-    if (memcmp(ikey.data(), pk_prefix_buf_.data(), 4) != 0) break;
-    const int32_t pk = GetOrderedInt32(ikey.data() + ikey.size() - 4);
-    Status s = inner_table_->GetByPk(inner_opts_, pk, &base_row_buf_);
+    rel::IntIndexKey entry;
+    if (!rel::DecodeIntIndexKey(iter->key(), &entry)) {
+      return Status::Corruption("malformed index key");
+    }
+    if (entry.value != key) break;
+    Status s = inner_table_->GetByPk(inner_opts_, entry.pk, &base_row_buf_);
     if (s.ok()) consider_row(base_row_buf_);
     else if (!s.IsNotFound()) return s;
     iter->Next();
@@ -432,7 +403,7 @@ RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
   while (true) {
     if (match_pos_ < matches_.size()) {
       if (batch_.full()) return &batch_;
-      ConcatRowsInto(lschema, inner_out_schema_, current_outer_,
+      ConcatRowsInto(lschema, inner_stage_.out_schema(), current_outer_,
                      matches_.row(match_pos_), batch_.AppendRow(), ctx_);
       ++match_pos_;
       ++rows_produced_;
@@ -442,11 +413,7 @@ RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
     if (block_pos_ == block_.size()) {
       if (batch_.num_active() > 0) return &batch_;  // before any child pull
       if (outer_exhausted_) return nullptr;
-      Status s = LoadNextBlock();
-      if (!s.ok()) {
-        status_ = std::move(s);
-        return nullptr;
-      }
+      LoadOuterBlock();
       continue;
     }
     current_outer_ = block_.row(block_pos_++);
@@ -488,7 +455,7 @@ Status GraceHashJoinOp::Open() {
   right_key_ = KeyLayout(right_->output_schema(), RightCols(key_cols_));
   out_schema_ = Schema::Concat(left_->output_schema(), right_->output_schema());
   if (residual_ != nullptr) {
-    HNDP_RETURN_IF_ERROR(residual_->Bind(out_schema_));
+    HNDP_ASSIGN_OR_RETURN(residual_, residual_->Bind(out_schema_));
   }
   partitioned_ = false;
   part_ = 0;
@@ -498,7 +465,7 @@ Status GraceHashJoinOp::Open() {
 
 Status GraceHashJoinOp::Rewind() { return Open(); }
 
-Status GraceHashJoinOp::StartPartition(size_t p) {
+void GraceHashJoinOp::StartPartition(size_t p) {
   JoinTable& build = left_parts_[p];
   build.Build();
   // One identical build-insert charge per row.
@@ -507,10 +474,9 @@ Status GraceHashJoinOp::StartPartition(size_t p) {
   }
   probe_pos_ = 0;
   match_ = JoinTable::kNone;
-  return Status::OK();
 }
 
-Status GraceHashJoinOp::Partition(size_t max_rows) {
+void GraceHashJoinOp::Partition(size_t max_rows) {
   left_parts_.resize(num_partitions_);
   for (JoinTable& part : left_parts_) {
     part.Reset(left_->output_schema(), left_key_cols_);
@@ -544,21 +510,13 @@ Status GraceHashJoinOp::Partition(size_t max_rows) {
     ctx_->ChargeFlashRead(spilled);  // reload
   }
   partitioned_ = true;
-  return Status::OK();
 }
 
 RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
   if (!partitioned_) {
-    Status s = Partition(max_rows);
-    if (!s.ok()) {
-      status_ = std::move(s);
-      return nullptr;
-    }
+    Partition(max_rows);
     part_ = 0;
-    if (Status sp = StartPartition(0); !sp.ok()) {
-      status_ = std::move(sp);
-      return nullptr;
-    }
+    StartPartition(0);
   }
   const Schema& lschema = left_->output_schema();
   const Schema& rschema = right_->output_schema();
@@ -591,12 +549,7 @@ RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
       match_ = build.Find(right_key_, probe_row);
     }
     ++part_;
-    if (part_ < left_parts_.size()) {
-      if (Status sp = StartPartition(part_); !sp.ok()) {
-        status_ = std::move(sp);
-        return nullptr;
-      }
-    }
+    if (part_ < left_parts_.size()) StartPartition(part_);
   }
   return batch_.num_active() > 0 ? &batch_ : nullptr;
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,6 +30,17 @@ using rel::TableAccessor;
 /// allocations.
 void KeyBytesInto(const Schema& schema, const std::vector<int>& cols,
                   const char* row, std::string* out);
+
+/// Copy the fields `cols` of `row` (in `schema`) into a pre-sized buffer of
+/// `out_schema`. Uncharged: callers pay one copy per row in bulk.
+inline void ProjectRowInto(const Schema& schema, const std::vector<int>& cols,
+                           const Schema& out_schema, const char* row,
+                           char* dst) {
+  for (size_t i = 0; i < cols.size(); ++i) {
+    memcpy(dst + out_schema.offset(i), row + schema.offset(cols[i]),
+           schema.column(cols[i]).size);
+  }
+}
 
 /// Base volcano operator: Open / NextBatch / Close, plus Rewind for join
 /// inners.
@@ -83,8 +95,43 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Rename a table schema's columns to "alias.column".
-Schema AliasSchema(const Schema& schema, const std::string& alias);
+/// The stage every base-table reader starts with (TableScanOp, IndexScanOp
+/// and BlockNLIndexJoinOp's inner side): the table schema renamed to
+/// "alias.col", the pushed-down predicate bound to it, and the projection
+/// resolved against it. All of it happens once, at construction; an unknown
+/// column is kept in status() for the owner's Open() to return.
+class TableStage {
+ public:
+  /// `projection`: output column names (aliased); empty = all columns.
+  TableStage(const Schema& table_schema, std::string alias,
+             const Expr::Ptr& predicate,
+             const std::vector<std::string>& projection);
+
+  const Status& status() const { return status_; }
+  const std::string& alias() const { return alias_; }
+  const Schema& out_schema() const { return out_schema_; }
+  /// The bound predicate (nullptr = none), for Describe().
+  const Expr* predicate() const { return predicate_.get(); }
+
+  /// Whether a table row passes the predicate (its compares are charged).
+  bool Keep(const char* row, sim::AccessContext* ctx) const {
+    return predicate_ == nullptr ||
+           predicate_->Eval(RowView(row, &schema_), ctx);
+  }
+  /// Copy the projected fields of a table row into a pre-sized buffer of
+  /// out_schema(). Uncharged: callers pay one copy per row in bulk.
+  void Project(const char* row, char* dst) const {
+    ProjectRowInto(schema_, out_cols_, out_schema_, row, dst);
+  }
+
+ private:
+  std::string alias_;
+  Schema schema_;  ///< full table schema with aliased names
+  Expr::Ptr predicate_;
+  Schema out_schema_;
+  std::vector<int> out_cols_;  ///< indexes into schema_
+  Status status_;
+};
 
 /// Equi-join key pair (column names in the left/right schemas).
 struct JoinKey {
@@ -99,9 +146,10 @@ class TableScanOp final : public Operator {
  public:
   /// `projection`: output column names (aliased); empty = all columns.
   TableScanOp(const TableAccessor* table, std::string alias, lsm::ReadOptions opts,
-              Expr::Ptr predicate, std::vector<std::string> projection);
+              const Expr::Ptr& predicate,
+              const std::vector<std::string>& projection);
 
-  const Schema& output_schema() const override { return out_schema_; }
+  const Schema& output_schema() const override { return stage_.out_schema(); }
   Status Open() override;
   /// Pulls value views from the scan iterator in fixed chunks (never more
   /// than the batch has room left for) and projects the qualifying rows
@@ -110,51 +158,42 @@ class TableScanOp final : public Operator {
   Status Rewind() override { return Open(); }
   std::string Describe() const override;
 
-  uint64_t rows_scanned() const { return rows_scanned_; }
-
  private:
   const TableAccessor* table_;
-  std::string alias_;
   lsm::ReadOptions opts_;
-  Schema aliased_schema_;  ///< full table schema with aliased names
-  Expr::Ptr predicate_;
-  Schema out_schema_;
-  std::vector<int> out_cols_;  ///< indexes into the table schema
-  std::vector<std::string> projection_names_;
+  TableStage stage_;
   lsm::IteratorPtr iter_;
-  uint64_t rows_scanned_ = 0;
   RowBatch batch_;
 };
 
 /// Secondary-index range scan: walks the index column family for entries in
 /// [lo, hi] on the indexed column, fetches each row from the primary CF by
 /// the primary key stored in the index entry, then applies the residual
-/// predicate and projection.
+/// predicate and projection. The bounds are int64 so the planner can pass
+/// ranges such as [INT32_MAX + 1, INT32_MAX] (`col > INT32_MAX`); a range
+/// with lo > hi or wholly outside int32 is empty.
 class IndexScanOp final : public Operator {
  public:
   IndexScanOp(const TableAccessor* table, std::string alias, size_t index_no,
               lsm::ReadOptions opts, int64_t lo, int64_t hi,
-              Expr::Ptr residual, std::vector<std::string> projection);
+              const Expr::Ptr& residual,
+              const std::vector<std::string>& projection);
 
-  const Schema& output_schema() const override { return out_schema_; }
+  const Schema& output_schema() const override { return stage_.out_schema(); }
   Status Open() override;
+  /// Steps the index, then fetches the row (DESIGN.md §10).
   RowBatch* NextBatch(size_t max_rows) override;
   Status Rewind() override { return Open(); }
   std::string Describe() const override;
 
  private:
   const TableAccessor* table_;
-  std::string alias_;
   size_t index_no_;
   lsm::ReadOptions opts_;
   int64_t lo_, hi_;
-  Schema aliased_schema_;
-  Expr::Ptr residual_;
-  Schema out_schema_;
-  std::vector<int> out_cols_;
-  std::vector<std::string> projection_names_;
-  lsm::IteratorPtr iter_;
-  std::string end_key_;
+  TableStage stage_;
+  lsm::IteratorPtr iter_;  ///< null when the range is empty
+  int32_t end_ = 0;        ///< last indexed value in range
   std::string base_row_buf_;  ///< reused primary-row fetch buffer
   RowBatch batch_;
 };
@@ -180,7 +219,7 @@ class FilterOp final : public Operator {
 
  private:
   OperatorPtr child_;
-  Expr::Ptr predicate_;
+  Expr::Ptr predicate_;  ///< the plan's tree until Open() binds this op's copy
   sim::AccessContext* ctx_;
 };
 
@@ -238,7 +277,7 @@ class NestedLoopJoinOp final : public Operator {
 
   OperatorPtr outer_, inner_;
   std::vector<JoinKey> keys_;
-  Expr::Ptr residual_;
+  Expr::Ptr residual_;  ///< the plan's tree until Open() binds this op's copy
   sim::AccessContext* ctx_;
   Schema out_schema_;
   std::vector<std::pair<int, int>> key_cols_;  ///< (outer idx, inner idx)
@@ -283,7 +322,7 @@ class BlockNLJoinOp final : public Operator {
 
   OperatorPtr outer_, inner_;
   std::vector<JoinKey> keys_;
-  Expr::Ptr residual_;
+  Expr::Ptr residual_;  ///< the plan's tree until Open() binds this op's copy
   uint64_t buffer_bytes_;
   sim::AccessContext* ctx_;
   Schema out_schema_;
@@ -311,8 +350,8 @@ class BlockNLIndexJoinOp final : public Operator {
   BlockNLIndexJoinOp(OperatorPtr outer, std::string outer_key_col,
                      const TableAccessor* inner_table, std::string inner_alias,
                      std::string inner_join_col, lsm::ReadOptions inner_opts,
-                     Expr::Ptr inner_residual,
-                     std::vector<std::string> inner_projection,
+                     const Expr::Ptr& inner_residual,
+                     const std::vector<std::string>& inner_projection,
                      uint64_t buffer_bytes, sim::AccessContext* ctx);
 
   const Schema& output_schema() const override { return out_schema_; }
@@ -329,21 +368,18 @@ class BlockNLIndexJoinOp final : public Operator {
   uint64_t index_lookups() const { return lookups_; }
 
  private:
-  Status LoadNextBlock();
+  void LoadOuterBlock();
   /// Collect matching inner rows for the current outer row into matches_.
+  /// A secondary-index walk fetches each row, then steps (DESIGN.md §10).
   Status FetchMatches(const RowView& outer_row);
 
   OperatorPtr outer_;
   std::string outer_key_col_;
   const TableAccessor* inner_table_;
-  std::string inner_alias_;
   int inner_join_col_ = -1;
   int inner_index_no_ = -1;  ///< -1 = primary key lookup
   lsm::ReadOptions inner_opts_;
-  Schema inner_aliased_schema_;
-  Expr::Ptr inner_residual_;
-  Schema inner_out_schema_;
-  std::vector<int> inner_out_cols_;
+  TableStage inner_stage_;
   uint64_t buffer_bytes_;
   sim::AccessContext* ctx_;
   Schema out_schema_;
@@ -356,8 +392,7 @@ class BlockNLIndexJoinOp final : public Operator {
   RowStore matches_;  ///< projected inner rows of current_outer_
   size_t match_pos_ = 0;
   const char* current_outer_ = nullptr;  ///< row of block_
-  std::string pk_prefix_buf_;  ///< reused secondary-index seek key
-  std::string base_row_buf_;   ///< reused primary-row fetch buffer
+  std::string base_row_buf_;  ///< reused primary-row fetch buffer
   uint64_t lookups_ = 0;
   RowBatch batch_;
 };
@@ -383,12 +418,12 @@ class GraceHashJoinOp final : public Operator {
   RowBatch* NextBatch(size_t max_rows) override;
 
  private:
-  Status Partition(size_t max_rows);
-  Status StartPartition(size_t p);
+  void Partition(size_t max_rows);
+  void StartPartition(size_t p);
 
   OperatorPtr left_, right_;
   std::vector<JoinKey> keys_;
-  Expr::Ptr residual_;
+  Expr::Ptr residual_;  ///< the plan's tree until Open() binds this op's copy
   int num_partitions_;
   sim::AccessContext* ctx_;
   Schema out_schema_;

@@ -1,9 +1,13 @@
 #include <algorithm>
+#include <limits>
 
 #include "exec/operator.h"
 
 namespace hybridndp::exec {
 
+namespace {
+
+/// Rename a table schema's columns to "alias.column".
 Schema AliasSchema(const Schema& schema, const std::string& alias) {
   std::vector<rel::Column> cols;
   cols.reserve(schema.num_columns());
@@ -14,8 +18,6 @@ Schema AliasSchema(const Schema& schema, const std::string& alias) {
   }
   return Schema(std::move(cols));
 }
-
-namespace {
 
 /// Resolve projection names to column indexes; empty projection = all.
 Status ResolveProjection(const Schema& schema,
@@ -39,49 +41,44 @@ Status ResolveProjection(const Schema& schema,
   return Status::OK();
 }
 
-/// Copy projected fields of `row` (in `schema`) into a pre-sized buffer.
-/// Uncharged: callers pay one copy per row in bulk.
-void ProjectRowInto(const Schema& schema, const std::vector<int>& cols,
-                    const Schema& out_schema, const char* row, char* dst) {
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const auto& col = schema.column(cols[i]);
-    memcpy(dst + out_schema.offset(i), row + schema.offset(cols[i]), col.size);
+}  // namespace
+
+// ---------------------------------------------------------------- TableStage
+
+TableStage::TableStage(const Schema& table_schema, std::string alias,
+                       const Expr::Ptr& predicate,
+                       const std::vector<std::string>& projection)
+    : alias_(std::move(alias)), schema_(AliasSchema(table_schema, alias_)) {
+  status_ = ResolveProjection(schema_, projection, &out_cols_, &out_schema_);
+  if (!status_.ok() || predicate == nullptr) return;
+  Result<Expr::Ptr> bound = predicate->Bind(schema_);
+  if (bound.ok()) {
+    predicate_ = std::move(bound).value();
+  } else {
+    status_ = bound.status();
   }
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------- TableScan
 
 TableScanOp::TableScanOp(const TableAccessor* table, std::string alias,
-                         lsm::ReadOptions opts, Expr::Ptr predicate,
-                         std::vector<std::string> projection)
+                         lsm::ReadOptions opts, const Expr::Ptr& predicate,
+                         const std::vector<std::string>& projection)
     : table_(table),
-      alias_(std::move(alias)),
       opts_(opts),
-      predicate_(std::move(predicate)) {
-  aliased_schema_ = AliasSchema(table_->schema(), alias_);
-  // Projection resolution cannot fail silently later: defer error to Open().
-  Status s = ResolveProjection(aliased_schema_, projection, &out_cols_,
-                               &out_schema_);
-  (void)s;  // re-checked in Open()
-  projection_names_ = projection;
-}
+      stage_(table->schema(), std::move(alias), predicate, projection) {}
 
 Status TableScanOp::Open() {
   status_ = Status::OK();
-  HNDP_RETURN_IF_ERROR(ResolveProjection(aliased_schema_, projection_names_,
-                                         &out_cols_, &out_schema_));
-  if (predicate_ != nullptr) {
-    HNDP_RETURN_IF_ERROR(predicate_->Bind(aliased_schema_));
-  }
+  HNDP_RETURN_IF_ERROR(stage_.status());
   iter_ = table_->NewScanIterator(opts_);
   iter_->SeekToFirst();
   return Status::OK();
 }
 
 RowBatch* TableScanOp::NextBatch(size_t max_rows) {
-  batch_.Reset(&out_schema_, max_rows);
+  const Schema& out_schema = stage_.out_schema();
+  batch_.Reset(&out_schema, max_rows);
   // Rows arrive as value views, a chunk per pull, and a pull never asks for
   // more rows than the batch has room left for, so the scan reads no row
   // past the ones this batch consumes (DESIGN.md §10 rule 2). Per-row
@@ -98,20 +95,14 @@ RowBatch* TableScanOp::NextBatch(size_t max_rows) {
     scanned += n;
     for (size_t i = 0; i < n; ++i) {
       const char* row = values[i].data();
-      if (predicate_ != nullptr &&
-          !predicate_->Eval(RowView(row, &aliased_schema_), opts_.ctx)) {
-        continue;
-      }
-      ProjectRowInto(aliased_schema_, out_cols_, out_schema_, row,
-                     batch_.AppendRow());
+      if (stage_.Keep(row, opts_.ctx)) stage_.Project(row, batch_.AppendRow());
     }
     if (n < want) break;  // exhausted or failed
   }
-  rows_scanned_ += scanned;
   rows_produced_ += batch_.num_active();
   if (opts_.ctx != nullptr) {
     opts_.ctx->ChargeRepeated(sim::CostKind::kSelectionProcessing, 1, scanned);
-    opts_.ctx->ChargeCopyRepeated(out_schema_.row_size(), batch_.num_active());
+    opts_.ctx->ChargeCopyRepeated(out_schema.row_size(), batch_.num_active());
   }
   // Exhausted or failed: an iterator error (e.g. an injected device-side
   // read fault) also ends the pull short, so park the status for drains.
@@ -123,8 +114,10 @@ RowBatch* TableScanOp::NextBatch(size_t max_rows) {
 
 std::string TableScanOp::Describe() const {
   std::string s = "TableScan(" + table_->name();
-  if (!alias_.empty()) s += " AS " + alias_;
-  if (predicate_ != nullptr) s += ", " + predicate_->ToString();
+  if (!stage_.alias().empty()) s += " AS " + stage_.alias();
+  if (stage_.predicate() != nullptr) {
+    s += ", " + stage_.predicate()->ToString();
+  }
   s += ")";
   return s;
 }
@@ -133,60 +126,57 @@ std::string TableScanOp::Describe() const {
 
 IndexScanOp::IndexScanOp(const TableAccessor* table, std::string alias,
                          size_t index_no, lsm::ReadOptions opts, int64_t lo,
-                         int64_t hi, Expr::Ptr residual,
-                         std::vector<std::string> projection)
+                         int64_t hi, const Expr::Ptr& residual,
+                         const std::vector<std::string>& projection)
     : table_(table),
-      alias_(std::move(alias)),
       index_no_(index_no),
       opts_(opts),
       lo_(lo),
       hi_(hi),
-      residual_(std::move(residual)),
-      projection_names_(std::move(projection)) {
-  aliased_schema_ = AliasSchema(table_->schema(), alias_);
-}
+      stage_(table->schema(), std::move(alias), residual, projection) {}
 
 Status IndexScanOp::Open() {
   status_ = Status::OK();
   if (index_no_ >= table_->def().indexes.size()) {
-    return Status::InvalidArgument("index scan on " + alias_ +
+    return Status::InvalidArgument("index scan on " + stage_.alias() +
                                    " names a missing index");
   }
   const int col = table_->def().indexes[index_no_].col;
   if (table_->schema().column(col).type != rel::ColType::kInt32) {
     return Status::NotSupported("index range scan requires int column");
   }
-  HNDP_RETURN_IF_ERROR(ResolveProjection(aliased_schema_, projection_names_,
-                                         &out_cols_, &out_schema_));
-  if (residual_ != nullptr) {
-    HNDP_RETURN_IF_ERROR(residual_->Bind(aliased_schema_));
+  HNDP_RETURN_IF_ERROR(stage_.status());
+  // The int32 part of [lo, hi]; an empty one opens no index iterator.
+  constexpr int64_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+  const int64_t lo = std::max(lo_, kMin);
+  const int64_t hi = std::min(hi_, kMax);
+  if (lo > hi) {
+    iter_.reset();
+    return Status::OK();
   }
+  end_ = static_cast<int32_t>(hi);
   iter_ = table_->NewIndexIterator(opts_, index_no_);
-  std::string start;
-  PutOrderedInt32(&start, static_cast<int32_t>(lo_));
-  iter_->Seek(Slice(start));
-  end_key_.clear();
-  PutOrderedInt32(&end_key_, static_cast<int32_t>(hi_));
+  iter_->Seek(Slice(rel::EncodeIndexPrefixInt(static_cast<int32_t>(lo))));
   return Status::OK();
 }
 
 RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
-  batch_.Reset(&out_schema_, max_rows);
+  const Schema& out_schema = stage_.out_schema();
+  batch_.Reset(&out_schema, max_rows);
   // Uniform per-row charges amortized over the batch (see TableScanOp).
   uint64_t fetched = 0;
   while (!batch_.full() && iter_ != nullptr && iter_->Valid()) {
-    const Slice ikey = iter_->key();
-    if (ikey.size() != 8) {
-      // Entries of an int index are 4 + 4 bytes; anything else is damage,
-      // not a stale entry to step over.
+    rel::IntIndexKey entry;
+    if (!rel::DecodeIntIndexKey(iter_->key(), &entry)) {
+      // Damage, not a stale entry to step over.
       status_ = Status::Corruption("malformed index key");
       break;
     }
-    if (memcmp(ikey.data(), end_key_.data(), 4) > 0) break;  // past range
-    const int32_t pk = GetOrderedInt32(ikey.data() + ikey.size() - 4);
+    if (entry.value > end_) break;  // past range
     iter_->Next();
 
-    Status s = table_->GetByPk(opts_, pk, &base_row_buf_);
+    Status s = table_->GetByPk(opts_, entry.pk, &base_row_buf_);
     if (s.IsNotFound()) continue;  // dangling index entry
     if (!s.ok()) {
       // A real failure, not a stale entry: deliver the rows already
@@ -194,16 +184,14 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
       status_ = std::move(s);
       break;
     }
-    const RowView view(base_row_buf_.data(), &aliased_schema_);
     ++fetched;
-    if (residual_ != nullptr && !residual_->Eval(view, opts_.ctx)) continue;
-    ProjectRowInto(aliased_schema_, out_cols_, out_schema_,
-                   base_row_buf_.data(), batch_.AppendRow());
+    if (!stage_.Keep(base_row_buf_.data(), opts_.ctx)) continue;
+    stage_.Project(base_row_buf_.data(), batch_.AppendRow());
     ++rows_produced_;
   }
   if (opts_.ctx != nullptr) {
     opts_.ctx->ChargeRepeated(sim::CostKind::kSelectionProcessing, 1, fetched);
-    opts_.ctx->ChargeCopyRepeated(out_schema_.row_size(), batch_.num_active());
+    opts_.ctx->ChargeCopyRepeated(out_schema.row_size(), batch_.num_active());
   }
   if (iter_ != nullptr && !batch_.full() && status_.ok()) {
     status_ = iter_->status();
@@ -225,7 +213,8 @@ FilterOp::FilterOp(OperatorPtr child, Expr::Ptr predicate,
 
 Status FilterOp::Open() {
   HNDP_RETURN_IF_ERROR(child_->Open());
-  return predicate_->Bind(child_->output_schema());
+  HNDP_ASSIGN_OR_RETURN(predicate_, predicate_->Bind(child_->output_schema()));
+  return Status::OK();
 }
 
 RowBatch* FilterOp::NextBatch(size_t max_rows) {

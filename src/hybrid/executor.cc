@@ -56,19 +56,6 @@ nkv::NdpJoinStage JoinStageAt(const Plan& plan, size_t i) {
   return stage;
 }
 
-/// Per-run copy of a plan with its predicate trees deep-cloned. Bind()
-/// writes resolved column indexes into the shared Expr nodes, so plans
-/// executing concurrently must not share them.
-Plan ClonePlanExprs(const Plan& plan) {
-  Plan copy = plan;
-  for (auto& table : copy.query.tables) {
-    if (table.predicate != nullptr) {
-      table.predicate = table.predicate->Clone();
-    }
-  }
-  return copy;
-}
-
 /// Label for one run's tracks and metric prefixes. The cache-format
 /// override is part of the identity (Table-3 benches run the same choice
 /// under both formats), so runs never share a metric prefix within one
@@ -412,11 +399,12 @@ std::vector<Result<RunResult>> HybridExecutor::RunAll(
     obs::TraceRecorder* rec) const {
   std::vector<Result<RunResult>> results(choices.size(),
                                          Status::Internal("not run"));
+  // Plans are read-only (operators bind their own predicate copies), so
+  // every run shares `plan`.
   auto run_one = [&](size_t i) {
-    const Plan run_plan = ClonePlanExprs(plan);
     std::unique_ptr<lsm::BlockCache> cache =
         make_cache ? make_cache() : nullptr;
-    results[i] = Run(run_plan, choices[i], cache.get(), rec);
+    results[i] = Run(plan, choices[i], cache.get(), rec);
   };
 
   if (pool == nullptr || pool->size() <= 1) {

@@ -81,10 +81,10 @@ class HybridExecutor {
 
   /// Run `plan` under every choice in `choices`, fanning independent runs
   /// over `pool` (serial when pool is null or has one thread). The runs are
-  /// independent simulations — each gets its own AccessContext, cache, and
-  /// cloned predicate trees — so the simulated metrics are bit-identical to
-  /// running the choices one by one; only wall-clock time changes. Results
-  /// are returned in choice order.
+  /// independent simulations — each gets its own AccessContext, cache and
+  /// operator tree, and they share the read-only `plan` — so the simulated
+  /// metrics are bit-identical to running the choices one by one; only
+  /// wall-clock time changes. Results are returned in choice order.
   /// `rec`, when non-null, gets one host track (plus device tracks for
   /// device-assisted strategies) per run; TraceRecorder is thread-safe, so
   /// runs may record concurrently. Track ids depend on scheduling order —

@@ -44,7 +44,7 @@ double EstimateSelectivity(const exec::Expr* expr,
     case ExprKind::kCmpInt: {
       const rel::ColumnStats* cs = col_stats(expr->column);
       if (cs == nullptr) return 0.3;
-      const int32_t v = static_cast<int32_t>(expr->int_value);
+      const int64_t v = expr->int_value;
       switch (expr->op) {
         case CmpOp::kEq:
           return cs->EqSelectivity(v);
@@ -92,8 +92,7 @@ double EstimateSelectivity(const exec::Expr* expr,
     case ExprKind::kBetween: {
       const rel::ColumnStats* cs = col_stats(expr->column);
       if (cs == nullptr) return 0.25;
-      return cs->RangeSelectivity(static_cast<int32_t>(expr->int_value),
-                                  static_cast<int32_t>(expr->int_value2));
+      return cs->RangeSelectivity(expr->int_value, expr->int_value2);
     }
     case ExprKind::kAnd: {
       double s = 1.0;

@@ -6,25 +6,6 @@ namespace hybridndp::ndp {
 
 using exec::OperatorPtr;
 using nkv::NdpCommand;
-using nkv::NdpTableAccess;
-
-namespace {
-
-/// Output schema of a scans_only leaf without running it (used to keep the
-/// stream layout intact when the device dies before reaching a table).
-rel::Schema ProjectedLeafSchema(const NdpTableAccess& access,
-                                const rel::TableAccessor* accessor) {
-  rel::Schema aliased = exec::AliasSchema(accessor->schema(), access.alias);
-  if (access.projection.empty()) return aliased;
-  std::vector<int> cols;
-  for (const auto& name : access.projection) {
-    const int idx = aliased.Find(name);
-    if (idx >= 0) cols.push_back(idx);
-  }
-  return aliased.Project(cols);
-}
-
-}  // namespace
 
 Status DeviceExecutor::CheckResources(const NdpCommand& cmd) const {
   const uint64_t reserved = cmd.ReservedBufferBytes();
@@ -58,7 +39,6 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
   HNDP_RETURN_IF_ERROR(CheckResources(cmd));
 
   DeviceRunResult result;
-  result.reserved_buffer_bytes = cmd.ReservedBufferBytes();
   // Cache-format switch (paper Sect. 4.2): with > 2 tables the pipeline
   // stores pointers instead of full records in the intermediate caches.
   result.pointer_cache = cmd.force_cache_format == 0
@@ -178,11 +158,13 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
     result.fail_time_ns = ctx.now();
     if (cmd.scans_only) {
       // Fill the streams the device never reached with empty outputs so the
-      // host-side plan shape (one source per table) stays valid.
+      // host-side plan shape (one source per table) stays valid. An unopened
+      // leaf already knows its output schema and has charged nothing.
       while (result.stream_schemas.size() < cmd.tables.size()) {
         const size_t i = result.stream_schemas.size();
         result.stream_schemas.push_back(
-            ProjectedLeafSchema(cmd.tables[i], accessors[i].get()));
+            nkv::BuildScan(cmd.tables[i], accessors[i].get(), opts)
+                ->output_schema());
         result.stream_rows.emplace_back();
       }
     } else if (result.stream_schemas.empty()) {

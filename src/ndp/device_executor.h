@@ -36,7 +36,6 @@ struct DeviceRunResult {
   std::vector<DeviceBatch> batches;  ///< in device production order
   sim::CostCounters counters;        ///< Table 4 breakdown
   SimNanos total_work_ns = 0;
-  uint64_t reserved_buffer_bytes = 0;
   bool pointer_cache = false;        ///< cache-format choice (Sect. 4.2)
   /// Non-ok when the device died mid-run on a fault-class error (injected
   /// I/O fault past its retry budget). The result then carries whatever

@@ -7,17 +7,17 @@
 
 namespace hybridndp::rel {
 
-double ColumnStats::EqSelectivity(int32_t v) const {
+double ColumnStats::EqSelectivity(int64_t v) const {
   if (ndv == 0) return 0.0;
   if (is_int && !histogram.empty() && max_int > min_int) {
     // Histogram bucket frequency spread over the bucket's distinct share.
     uint64_t total = 0;
     for (uint64_t b : histogram) total += b;
     if (total == 0) return 0.0;
+    if (v < min_int || v > max_int) return 0.0;
     const double width =
         (static_cast<double>(max_int) - min_int + 1) / histogram.size();
     size_t bucket = static_cast<size_t>((v - min_int) / width);
-    if (v < min_int || v > max_int) return 0.0;
     if (bucket >= histogram.size()) bucket = histogram.size() - 1;
     const double bucket_fraction =
         static_cast<double>(histogram[bucket]) / total;
@@ -28,7 +28,7 @@ double ColumnStats::EqSelectivity(int32_t v) const {
   return 1.0 / static_cast<double>(ndv);
 }
 
-double ColumnStats::LeSelectivity(int32_t v) const {
+double ColumnStats::LeSelectivity(int64_t v) const {
   if (!is_int) return 0.3;  // heuristic fallback
   if (v >= max_int) return 1.0;
   if (v < min_int) return 0.0;
@@ -53,7 +53,7 @@ double ColumnStats::LeSelectivity(int32_t v) const {
   return count / total;
 }
 
-double ColumnStats::RangeSelectivity(int32_t lo, int32_t hi) const {
+double ColumnStats::RangeSelectivity(int64_t lo, int64_t hi) const {
   if (hi < lo) return 0.0;
   double s = LeSelectivity(hi) - (lo > min_int ? LeSelectivity(lo - 1) : 0.0);
   return std::clamp(s, 0.0, 1.0);

@@ -26,12 +26,15 @@ struct ColumnStats {
   /// Fraction of rows with an empty/zero value.
   double null_fraction = 0;
 
+  // Values are int64 so that bounds past int32 (query literals, v - 1 at
+  // INT32_MIN) compare without wrapping.
+
   /// Estimated fraction of rows with value == v.
-  double EqSelectivity(int32_t v) const;
+  double EqSelectivity(int64_t v) const;
   /// Estimated fraction of rows with value <= v (int columns).
-  double LeSelectivity(int32_t v) const;
+  double LeSelectivity(int64_t v) const;
   /// Estimated fraction with value in [lo, hi].
-  double RangeSelectivity(int32_t lo, int32_t hi) const;
+  double RangeSelectivity(int64_t lo, int64_t hi) const;
 };
 
 /// Statistics of one table.

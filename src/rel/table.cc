@@ -8,6 +8,13 @@ std::string EncodeIndexPrefixInt(int32_t v) {
   return s;
 }
 
+bool DecodeIntIndexKey(const Slice& key, IntIndexKey* out) {
+  if (key.size() != 8) return false;
+  out->value = GetOrderedInt32(key.data());
+  out->pk = GetOrderedInt32(key.data() + 4);
+  return true;
+}
+
 std::string EncodeIndexPrefixStr(const Slice& s, uint32_t col_size) {
   // Fixed-size padded bytes compare like the column value.
   std::string out(s.data(), s.size() < col_size ? s.size() : col_size);

@@ -37,6 +37,16 @@ std::string EncodeIndexPrefix(const Schema& schema, int col, const RowView& row)
 std::string EncodeIndexPrefixInt(int32_t v);
 std::string EncodeIndexPrefixStr(const Slice& s, uint32_t col_size);
 
+/// An entry key of an int secondary index: the indexed value and the
+/// primary key of its row.
+struct IntIndexKey {
+  int32_t value = 0;
+  int32_t pk = 0;
+};
+/// Decode an int index entry key (EncodeIndexPrefixInt of the value, then
+/// the ordered pk bytes). False for any key that is not 4 + 4 bytes.
+bool DecodeIntIndexKey(const Slice& key, IntIndexKey* out);
+
 /// Abstract read access to one table's primary and index data. The host
 /// engine reads through the DB (Table); the NDP engine reads through a
 /// shipped snapshot with device-side readers (nkv::DeviceTableAccessor).
@@ -105,7 +115,6 @@ class Table : public TableAccessor {
   /// included) — what a full scan actually reads.
   uint64_t stored_bytes() const;
 
-  TableStats* mutable_stats() { return &stats_; }
   const TableStats& stats() const { return stats_; }
 
   /// Scan the table and (re)build statistics.

@@ -133,33 +133,14 @@ class AccessContext {
   SimClock& clock() { return clock_; }
   SimNanos now() const { return clock_.now(); }
   const CostCounters& counters() const { return counters_; }
-  CostCounters* mutable_counters() { return &counters_; }
 
-  /// Charge `units` of CPU-type work of the given kind. Inline: this is the
-  /// hottest function in the engine (one call per row per operator, tens of
-  /// millions per bench run). The cycle math matches CostCycleTable member
-  /// by member, so simulated values are unaffected by the inlining.
+  /// Charge `units_count` units of CPU-type work of the given kind: one
+  /// repetition of ChargeRepeated. Inline: this is the hottest function in
+  /// the engine (one call per row per operator, tens of millions per bench
+  /// run). The cycle math matches CostCycleTable member by member, so
+  /// simulated values are unaffected by the inlining.
   void Charge(CostKind kind, uint64_t units_count) {
-    switch (kind) {
-      case CostKind::kCopy: {
-        const SimNanos t = cpu().TimeForCopy(units_count) * copy_factor_;
-        counters_.Add(kind, units_count, t);
-        clock_.Advance(t);
-        return;
-      }
-      case CostKind::kFlashLoad:
-      case CostKind::kTransfer:
-      case CostKind::kNumKinds:
-        // Charged via the dedicated Charge{FlashRead,Transfer} entry points.
-        return;
-      default: {
-        const double cycles =
-            cycles_per_unit_[static_cast<int>(kind)] * units_count;
-        const SimNanos t = cpu().TimeForCycles(cycles);
-        counters_.Add(kind, units_count, t);
-        clock_.Advance(t);
-      }
-    }
+    ChargeRepeated(kind, units_count, 1);
   }
 
   /// Charge `n` repetitions of an identical charge (`units_each` units of
@@ -217,7 +198,6 @@ class AccessContext {
   /// intermediate caches; the device executor models it by discounting
   /// intermediate copies.
   void SetCopyFactor(double f) { copy_factor_ = f; }
-  double copy_factor() const { return copy_factor_; }
 
   void ResetCosts() {
     counters_.Reset();

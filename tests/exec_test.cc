@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -250,6 +251,34 @@ TEST_F(ExecTest, IndexScanRangeWithResidual) {
     if (i % 20 >= 5 && i % 20 <= 8 && 1000 + (i * 37) % 5000 < 2000) ++expected;
   }
   EXPECT_EQ(static_cast<int>(rows->size()), expected);
+}
+
+TEST_F(ExecTest, IndexScanBoundsBeyondInt32) {
+  // Range bounds are int64: the planner's range for `col > INT32_MAX` is
+  // [2^31, INT32_MAX]. An empty range or one wholly outside int32 reads
+  // nothing; a range that only reaches past int32 keeps its int32 part.
+  const int64_t kMin = std::numeric_limits<int32_t>::min();
+  const int64_t kMax = std::numeric_limits<int32_t>::max();
+  const struct {
+    int64_t lo, hi;
+    size_t rows;
+  } cases[] = {{kMax + 1, kMax, 0}, {kMin - 10, kMin - 1, 0}, {10, 5, 0},
+               {kMax + 1, kMax + 9, 0}, {kMin - 5, 3, 100}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("[" + std::to_string(c.lo) + ", " + std::to_string(c.hi) +
+                 "]");
+    AccessContext ctx(&hw_, Actor::kHost, IoPath::kNative);
+    lsm::ReadOptions opts;
+    opts.ctx = &ctx;
+    auto scan = std::make_unique<IndexScanOp>(emp_, "e", 0, opts, c.lo, c.hi,
+                                              nullptr,
+                                              std::vector<std::string>{});
+    auto rows = CollectAll(scan.get());
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), c.rows);
+    EXPECT_EQ(ctx.counters().Units(sim::CostKind::kSelectionProcessing),
+              c.rows);
+  }
 }
 
 TEST_F(ExecTest, FilterAndProjectCompose) {
@@ -497,6 +526,14 @@ TEST_F(ExecTest, IndexedJoinRequiresIndex) {
       ScanDept(), "d.id", emp_, "e", "salary", ReadOpts(), nullptr,
       std::vector<std::string>{}, 1 << 16, &ctx_);
   EXPECT_FALSE(join->Open().ok());
+}
+
+TEST_F(ExecTest, IndexedJoinUnknownInnerProjectionFailsOpen) {
+  auto join = std::make_unique<BlockNLIndexJoinOp>(
+      ScanDept(), "d.id", emp_, "e", "dept_id", ReadOpts(), nullptr,
+      std::vector<std::string>{"e.name", "e.bogus"}, 1 << 16, &ctx_);
+  const Status s = join->Open();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
 TEST_F(ExecTest, GraceHashJoinMatchesReference) {

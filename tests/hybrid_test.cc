@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "hybrid/executor.h"
@@ -151,6 +152,24 @@ TEST_F(HybridTest, SelectivityEstimationTracksReality) {
   const double rsel = EstimateSelectivity(range.get(), prod_->stats(),
                                           prod_->schema(), "p");
   EXPECT_GT(rsel, 0.9);  // covers the whole domain
+}
+
+TEST_F(HybridTest, SelectivityOfIntBoundsBeyondInt32) {
+  // Literals are int64; bounds past int32 select nothing or everything,
+  // without wrapping (c.id spans 1..200).
+  const int64_t kMin = std::numeric_limits<int32_t>::min();
+  const int64_t kMax = std::numeric_limits<int32_t>::max();
+  auto sel = [&](CmpOp op, int64_t v) {
+    auto pred = Expr::CmpInt("c.id", op, v);
+    return EstimateSelectivity(pred.get(), cust_->stats(), cust_->schema(),
+                               "c");
+  };
+  EXPECT_EQ(sel(CmpOp::kLt, kMin), 0.0);
+  EXPECT_EQ(sel(CmpOp::kGe, kMin), 1.0);
+  EXPECT_EQ(sel(CmpOp::kEq, kMin), 0.0);
+  EXPECT_EQ(sel(CmpOp::kEq, kMax + 1), 0.0);
+  EXPECT_EQ(sel(CmpOp::kGt, kMax), 0.0);
+  EXPECT_EQ(sel(CmpOp::kLe, kMax + 1), 1.0);
 }
 
 TEST_F(HybridTest, PlannerBuildsConnectedLeftDeepOrder) {

@@ -1,7 +1,8 @@
-// Pins the join operators: the exact simulated charges and output row
-// sequence of BNLJ, GHJ and BNLJI (primary key and secondary index) on a
-// fixed fixture with duplicate keys, under host and device contexts, and
-// exec::JoinTable against a std::unordered_multimap model.
+// Pins the join operators and the index range scan: the exact simulated
+// charges and output row sequence of BNLJ, GHJ, BNLJI (primary key and
+// secondary index) and IndexScanOp on a fixed fixture with duplicate keys,
+// under host and device contexts, and exec::JoinTable against a
+// std::unordered_multimap model.
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,15 @@ class JoinGoldenTest : public ::testing::Test {
         Expr::CmpStr("f.tag", CmpOp::kNe, "t3"), std::vector<std::string>{},
         200, ctx);
   }
+  /// fact rows with dim_id in [5, 20] through the secondary index, residual
+  /// f.tag != 't3', projected to (f.tag, f.id).
+  OperatorPtr IndexRange(AccessContext* ctx) {
+    lsm::ReadOptions opts;
+    opts.ctx = ctx;
+    return std::make_unique<IndexScanOp>(
+        fact_, "f", 0, opts, 5, 20, Expr::CmpStr("f.tag", CmpOp::kNe, "t3"),
+        std::vector<std::string>{"f.tag", "f.id"});
+  }
 
   HwParams hw_;
   lsm::VirtualStorage storage_;
@@ -280,6 +290,24 @@ TEST_F(JoinGoldenTest, IndexJoinViaSecondaryIndexDevice) {
                       {1052415, 28857564, 202398750, 20239875, 269865000,
                        5284851407, 0, 0, 0, 17605000, 0, 0, 0},
                       154, 4508870228395037235u});
+}
+
+TEST_F(JoinGoldenTest, IndexScanRangeHost) {
+  ExpectGolden(Actor::kHost, [&](AccessContext* c) { return IndexRange(c); },
+               Golden{{312, 374, 105, 104, 210, 1707117, 0, 0, 0, 3040, 0, 0,
+                       0},
+                      {35984, 575268, 6057660, 599976, 8077020, 6448739213, 0,
+                       0, 0, 380000, 0, 0, 0},
+                      80, 11078647732232998789u});
+}
+
+TEST_F(JoinGoldenTest, IndexScanRangeDevice) {
+  ExpectGolden(Actor::kDevice, [&](AccessContext* c) { return IndexRange(c); },
+               Golden{{312, 374, 105, 104, 210, 1707117, 0, 0, 0, 3040, 0, 0,
+                       0},
+                      {561288, 8971512, 94452750, 9355320, 125937000,
+                       2808655266, 0, 0, 0, 3800000, 0, 0, 0},
+                      80, 11078647732232998789u});
 }
 
 // --------------------------------------------------- JoinTable vs a model
