@@ -44,7 +44,7 @@ int main() {
       auto plan = planner.PlanQuery(q);
       if (!plan.ok()) continue;
       for (size_t i = 1; i < plan->order.size(); ++i) {
-        plan->order[i].algo = algo;
+        plan->order[i].join.algo = algo;
       }
       lsm::BlockCache cache(env->storage->TotalBytes() * 2 / 5);
       auto r = executor.Run(*plan, {Strategy::kFullNdp, 0}, &cache);

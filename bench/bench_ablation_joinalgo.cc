@@ -38,7 +38,7 @@ int main() {
   for (auto algo : {nkv::JoinAlgo::kNLJ, nkv::JoinAlgo::kBNLJ,
                     nkv::JoinAlgo::kGHJ, nkv::JoinAlgo::kBNLJI}) {
     hybrid::Plan p = *plan;
-    for (size_t i = 1; i < p.order.size(); ++i) p.order[i].algo = algo;
+    for (size_t i = 1; i < p.order.size(); ++i) p.order[i].join.algo = algo;
     auto r = RunChoice(env.get(), p, {Strategy::kFullNdp, 0});
     if (!r.ok()) {
       printf("%-8s (%s)\n", nkv::JoinAlgoName(algo),

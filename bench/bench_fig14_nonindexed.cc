@@ -41,7 +41,7 @@ Query MakeListing2(BenchEnv* env, bool full_projection) {
 /// Force a non-indexed block-nested-loop join in the plan.
 void ForceBnl(hybrid::Plan* plan) {
   for (size_t i = 1; i < plan->order.size(); ++i) {
-    plan->order[i].algo = nkv::JoinAlgo::kBNLJ;
+    plan->order[i].join.algo = nkv::JoinAlgo::kBNLJ;
   }
 }
 

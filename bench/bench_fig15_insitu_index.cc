@@ -42,7 +42,7 @@ Query MakeQuery(BenchEnv* env, bool full_projection) {
 
 void ForceAlgo(hybrid::Plan* plan, nkv::JoinAlgo algo) {
   for (size_t i = 1; i < plan->order.size(); ++i) {
-    plan->order[i].algo = algo;
+    plan->order[i].join.algo = algo;
   }
 }
 

@@ -71,9 +71,14 @@ bool GroupByAggOp::UpdateGroups(const char* row) {
       if (!st.seen || v < st.min_int) st.min_int = v;
       if (!st.seen || v > st.max_int) st.max_int = v;
     } else {
-      const std::string v = view.GetString(idx).ToString();
-      if (!st.seen || v < st.min_str) st.min_str = v;
-      if (!st.seen || v > st.max_str) st.max_str = v;
+      // Compare in place; copy only a new extreme.
+      const Slice v = view.GetString(idx);
+      if (!st.seen || v.compare(st.min_str) < 0) {
+        st.min_str.assign(v.data(), v.size());
+      }
+      if (!st.seen || v.compare(st.max_str) > 0) {
+        st.max_str.assign(v.data(), v.size());
+      }
     }
     st.seen = true;
   }

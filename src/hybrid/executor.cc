@@ -12,50 +12,6 @@ namespace {
 /// dictionary lookups, invocation; paper Table 4: negligible share).
 constexpr SimNanos kNdpSetupNs = 121'000;
 
-/// Conjunction of extra join edges as a post-join filter expression.
-exec::Expr::Ptr ExtraEdgeFilter(const std::vector<exec::JoinKey>& edges) {
-  if (edges.empty()) return nullptr;
-  std::vector<exec::Expr::Ptr> cmps;
-  for (const auto& e : edges) {
-    cmps.push_back(
-        exec::Expr::CmpCol(e.left_col, exec::CmpOp::kEq, e.right_col));
-  }
-  if (cmps.size() == 1) return cmps[0];
-  return exec::Expr::And(std::move(cmps));
-}
-
-/// The table access of plan position `i`: alias, early selection and
-/// projection, and the chosen access path. Carries no snapshots; the NDP
-/// command attaches them for the tables it ships.
-nkv::NdpTableAccess TableAccessAt(const Plan& plan, size_t i) {
-  const PlannedTable& pt = plan.order[i];
-  const TableRef& ref = plan.query.tables[pt.query_table_idx];
-  nkv::NdpTableAccess access;
-  access.alias = ref.alias;
-  access.predicate = ref.predicate;
-  access.projection = pt.projection;
-  access.use_index_scan = pt.access.use_index;
-  access.index_no = pt.access.index_no;
-  access.index_lo = pt.access.lo;
-  access.index_hi = pt.access.hi;
-  return access;
-}
-
-/// The join stage that adds plan position `i` (>= 1) to the prefix. BNLJI
-/// joins on one edge and filters the remaining ones afterwards.
-nkv::NdpJoinStage JoinStageAt(const Plan& plan, size_t i) {
-  const PlannedTable& pt = plan.order[i];
-  nkv::NdpJoinStage stage;
-  stage.algo = pt.algo;
-  stage.keys = pt.keys;
-  stage.outer_key_col = pt.outer_key_col;
-  stage.inner_join_col = pt.inner_join_col;
-  if (pt.algo == nkv::JoinAlgo::kBNLJI) {
-    stage.residual = ExtraEdgeFilter(pt.extra_edges);
-  }
-  return stage;
-}
-
 /// Label for one run's tracks and metric prefixes. The cache-format
 /// override is part of the identity (Table-3 benches run the same choice
 /// under both formats), so runs never share a metric prefix within one
@@ -114,8 +70,8 @@ exec::OperatorPtr HybridExecutor::BuildHostSuffix(
     const Plan& plan, size_t from, exec::OperatorPtr acc,
     const lsm::ReadOptions& opts) const {
   for (size_t i = from; i < plan.order.size(); ++i) {
-    acc = nkv::BuildJoin(std::move(acc), JoinStageAt(plan, i),
-                         TableAccessAt(plan, i), plan.order[i].table, opts,
+    const PlannedTable& pt = plan.order[i];
+    acc = nkv::BuildJoin(std::move(acc), pt.join, pt.access, pt.table, opts,
                          config_.host_join_buffer_bytes);
   }
   return nkv::BuildRoot(std::move(acc), plan.query.has_agg,
@@ -144,9 +100,9 @@ Result<RunResult> HybridExecutor::RunHostOnly(const Plan& plan,
   lsm::ReadOptions opts;
   opts.ctx = &ctx;
   opts.cache = cache;
+  const PlannedTable& first = plan.order[0];
   exec::OperatorPtr root = BuildHostSuffix(
-      plan, 1,
-      nkv::BuildScan(TableAccessAt(plan, 0), plan.order[0].table, opts), opts);
+      plan, 1, nkv::BuildScan(first.access, first.table, opts), opts);
   HNDP_ASSIGN_OR_RETURN(std::vector<std::string> rows,
                         exec::CollectAll(root.get(), config_.exec_batch_rows));
 
@@ -200,11 +156,9 @@ nkv::NdpCommand HybridExecutor::BuildNdpCommand(const Plan& plan,
                                 : static_cast<size_t>(split_joins) + 1;
 
   for (size_t i = 0; i < num_tables; ++i) {
-    nkv::NdpTableAccess access = TableAccessAt(plan, i);
-    nkv::AttachSnapshots(*plan.order[i].table, &access);
-    cmd.snapshot = access.primary.sequence;
-    cmd.tables.push_back(std::move(access));
-    if (!cmd.scans_only && i > 0) cmd.joins.push_back(JoinStageAt(plan, i));
+    const PlannedTable& pt = plan.order[i];
+    cmd.tables.push_back(nkv::SnapshotTable(*pt.table, pt.access));
+    if (!cmd.scans_only && i > 0) cmd.joins.push_back(pt.join);
   }
   if (full_ndp) {
     cmd.has_agg = plan.query.has_agg;
@@ -303,21 +257,18 @@ Result<RunResult> HybridExecutor::RunDeviceAssisted(
       &host_ctx, &stages);
   if (cmd.scans_only) {
     // H0: every join on the host, over the shipped leaf streams.
+    // Every edge is in join.keys whatever the chosen algorithm; a table
+    // without an edge to the prefix is a cross product (NLJ).
     for (size_t i = 1; i < plan.order.size(); ++i) {
-      const PlannedTable& pt = plan.order[i];
-      auto inner = std::make_unique<StallingSourceOp>(
-          dev.stream_schemas[i], &dev.stream_rows[i], schedules[i].get(),
-          &host_ctx, &stages);
-      // Equi-keys: every edge is in pt.keys regardless of the chosen algo.
-      const std::vector<exec::JoinKey>& keys = pt.keys;
-      if (keys.empty()) {
-        root = std::make_unique<exec::NestedLoopJoinOp>(
-            std::move(root), std::move(inner), keys, nullptr, &host_ctx);
-      } else {
-        root = std::make_unique<exec::BlockNLJoinOp>(
-            std::move(root), std::move(inner), keys, nullptr,
-            config_.host_join_buffer_bytes, &host_ctx);
-      }
+      const std::vector<exec::JoinKey>& keys = plan.order[i].join.keys;
+      root = nkv::JoinInputs(
+          std::move(root),
+          std::make_unique<StallingSourceOp>(dev.stream_schemas[i],
+                                             &dev.stream_rows[i],
+                                             schedules[i].get(), &host_ctx,
+                                             &stages),
+          keys.empty() ? nkv::JoinAlgo::kNLJ : nkv::JoinAlgo::kBNLJ, keys,
+          config_.host_join_buffer_bytes, &host_ctx);
     }
   }
   if (!full_ndp) {

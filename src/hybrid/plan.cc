@@ -33,15 +33,13 @@ std::string Plan::Explain() const {
   os << "Plan for " << query.name << " (" << order.size() << " tables)\n";
   for (size_t i = 0; i < order.size(); ++i) {
     const auto& p = order[i];
-    os << "  [" << i << "] " << p.table->name() << " AS "
-       << query.tables[p.query_table_idx].alias;
-    if (p.access.use_index) {
-      os << " idx[" << p.access.lo << "," << p.access.hi << "]";
+    os << "  [" << i << "] " << p.table->name() << " AS " << p.access.alias;
+    if (p.access.use_index_scan) {
+      os << " idx[" << p.access.index_lo << "," << p.access.index_hi << "]";
     }
-    os << " sel=" << p.access.selectivity
-       << " rows=" << p.access.est_rows_out;
+    os << " sel=" << p.est.selectivity << " rows=" << p.est.est_rows_out;
     if (i > 0) {
-      os << " " << nkv::JoinAlgoName(p.algo)
+      os << " " << nkv::JoinAlgoName(p.join.algo)
          << " -> prefix_rows=" << p.est_prefix_rows;
     }
     os << " cum_dev=" << cum_dev_ms(i) << "ms cum_host=" << cum_host_ms(i)

@@ -37,31 +37,25 @@ struct ExecChoice {
   std::string ToString() const;
 };
 
-/// Access path for one table in the join order.
-struct AccessPath {
-  bool use_index = false;
-  size_t index_no = 0;
-  int64_t lo = 0, hi = 0;       ///< index range on the indexed column
+/// Planner estimates for one table's access path.
+struct TableEstimate {
   double selectivity = 1.0;     ///< calc_sel of the pushed-down predicate
   uint64_t est_rows_out = 0;    ///< tbl_ren * calc_sel
   uint64_t proj_bytes = 0;      ///< node_pbn: bytes/row after early projection
 };
 
-/// One position of the left-deep join order.
+/// One position of the left-deep join order: the PQEP descriptors both
+/// sides of a split build this position's operators from, next to the
+/// planner's estimates and costs.
 struct PlannedTable {
-  int query_table_idx = -1;     ///< into Query::tables
   const rel::Table* table = nullptr;
-  AccessPath access;
-
-  // Join with the prefix (positions > 0).
-  nkv::JoinAlgo algo = nkv::JoinAlgo::kBNLJ;
-  std::vector<exec::JoinKey> keys;     ///< all equi-edges to the prefix
-  std::string outer_key_col;           ///< BNLJI: aliased prefix column
-  std::string inner_join_col;          ///< BNLJI: unaliased inner column
-  std::vector<exec::JoinKey> extra_edges;  ///< applied as post-join filter
-
-  /// Early projection pushed into this table's scan (aliased names).
-  std::vector<std::string> projection;
+  /// Alias, pushed-down predicate, early projection and index choice.
+  nkv::TableAccess access;
+  TableEstimate est;
+  /// Join with the prefix (positions > 0): every equi-edge in `keys`; when
+  /// the first edge is indexed, BNLJI's key columns and the other edges as
+  /// `residual`. The cost pass picks `algo`; callers may override it.
+  nkv::NdpJoinStage join;
 
   uint64_t est_prefix_rows = 0;  ///< node_ren after joining this table
 

@@ -119,20 +119,19 @@ double EstimateSelectivity(const exec::Expr* expr,
   return 1.0;
 }
 
-AccessPath Planner::ChooseAccessPath(const rel::Table& table,
-                                     const exec::Expr::Ptr& predicate,
-                                     const std::string& alias,
-                                     uint64_t needed_bytes) const {
-  AccessPath path;
-  path.selectivity = EstimateSelectivity(predicate.get(), table.stats(),
-                                         table.schema(), alias);
-  path.est_rows_out = std::max<uint64_t>(
-      1, static_cast<uint64_t>(path.selectivity *
+void Planner::ChooseAccessPath(PlannedTable* pt) const {
+  const rel::Table& table = *pt->table;
+  nkv::TableAccess& access = pt->access;
+  const exec::Expr::Ptr& predicate = access.predicate;
+  const std::string& alias = access.alias;
+  pt->est.selectivity = EstimateSelectivity(predicate.get(), table.stats(),
+                                            table.schema(), alias);
+  pt->est.est_rows_out = std::max<uint64_t>(
+      1, static_cast<uint64_t>(pt->est.selectivity *
                                static_cast<double>(table.row_count())));
-  path.proj_bytes = needed_bytes;
 
   // Look for an index-usable range conjunct on an indexed int column.
-  if (predicate == nullptr) return path;
+  if (predicate == nullptr) return;
   std::vector<exec::Expr::Ptr> conjuncts;
   exec::Expr::SplitConjuncts(predicate, &conjuncts);
   double best_sel = kIndexSelectivityThreshold;
@@ -181,26 +180,24 @@ AccessPath Planner::ChooseAccessPath(const rel::Table& table,
                                            table.schema(), alias);
     if (sel < best_sel) {
       best_sel = sel;
-      path.use_index = true;
-      path.index_no = static_cast<size_t>(index_no);
-      path.lo = lo;
-      path.hi = hi;
+      access.use_index_scan = true;
+      access.index_no = static_cast<size_t>(index_no);
+      access.index_lo = lo;
+      access.index_hi = hi;
     }
   }
-  return path;
 }
 
-uint64_t Planner::EstimateJoinRows(uint64_t prefix_rows,
-                                   const rel::Table& table,
-                                   const AccessPath& access,
+uint64_t Planner::EstimateJoinRows(uint64_t prefix_rows, const PlannedTable& pt,
                                    int inner_key_col) const {
   // |P join T| ~= |P| * |T_sel| / ndv(T.key)  (System-R style).
+  const rel::TableStats& stats = pt.table->stats();
   uint64_t ndv = 1;
-  if (inner_key_col >= 0 && !table.stats().empty()) {
-    ndv = std::max<uint64_t>(1, table.stats().col(inner_key_col).ndv);
+  if (inner_key_col >= 0 && !stats.empty()) {
+    ndv = std::max<uint64_t>(1, stats.col(inner_key_col).ndv);
   }
   const double rows = static_cast<double>(prefix_rows) *
-                      static_cast<double>(access.est_rows_out) /
+                      static_cast<double>(pt.est.est_rows_out) /
                       static_cast<double>(ndv);
   return std::max<uint64_t>(1, static_cast<uint64_t>(rows));
 }
@@ -225,40 +222,33 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
     if (!a.column.empty()) needed.insert(a.column);
   }
 
-  // ---- Per-table access paths.
-  struct Candidate {
-    int idx;
-    const rel::Table* table;
-    AccessPath access;
-    std::vector<std::string> projection;
-  };
-  std::vector<Candidate> cands;
-  for (size_t i = 0; i < query.tables.size(); ++i) {
-    const auto& ref = query.tables[i];
+  // ---- Per-table access paths: one candidate position per query table.
+  std::vector<PlannedTable> cands;
+  for (const auto& ref : query.tables) {
     const rel::Table* table = catalog_->Get(ref.table);
     if (table == nullptr) {
       return Status::InvalidArgument("unknown table: " + ref.table);
     }
-    Candidate c;
-    c.idx = static_cast<int>(i);
+    PlannedTable c;
     c.table = table;
+    c.access.alias = ref.alias;
+    c.access.predicate = ref.predicate;
     // Projection: needed columns of this alias, in schema order.
-    uint64_t bytes = 0;
     for (size_t col = 0; col < table->schema().num_columns(); ++col) {
       const std::string aliased =
           ref.alias + "." + table->schema().column(col).name;
       if (needed.count(aliased)) {
-        c.projection.push_back(aliased);
-        bytes += table->schema().column(col).size;
+        c.access.projection.push_back(aliased);
+        c.est.proj_bytes += table->schema().column(col).size;
       }
     }
-    if (c.projection.empty()) {
+    if (c.access.projection.empty()) {
       // A table must contribute at least its pk to stay joinable.
       const auto& pk = table->schema().column(table->def().pk_col);
-      c.projection.push_back(ref.alias + "." + pk.name);
-      bytes += pk.size;
+      c.access.projection.push_back(ref.alias + "." + pk.name);
+      c.est.proj_bytes += pk.size;
     }
-    c.access = ChooseAccessPath(*table, ref.predicate, ref.alias, bytes);
+    ChooseAccessPath(&c);
     cands.push_back(std::move(c));
   }
 
@@ -268,9 +258,9 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   std::vector<bool> used(cands.size(), false);
   std::set<std::string> prefix_aliases;
 
-  auto edges_to_prefix = [&](int cand_idx) {
+  auto edges_to_prefix = [&](const PlannedTable& cand) {
     std::vector<JoinEdge> out;
-    const std::string& alias = query.tables[cands[cand_idx].idx].alias;
+    const std::string& alias = cand.access.alias;
     for (const auto& e : query.joins) {
       if (e.left_alias == alias && prefix_aliases.count(e.right_alias)) {
         // Normalize: prefix side left.
@@ -286,23 +276,16 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   // First table: smallest estimated post-selection cardinality.
   size_t first = 0;
   for (size_t i = 1; i < cands.size(); ++i) {
-    if (cands[i].access.est_rows_out < cands[first].access.est_rows_out) {
+    if (cands[i].est.est_rows_out < cands[first].est.est_rows_out) {
       first = i;
     }
   }
 
-  uint64_t prefix_rows = cands[first].access.est_rows_out;
-  uint64_t prefix_row_bytes = cands[first].access.proj_bytes;
-
-  PlannedTable first_pt;
-  first_pt.query_table_idx = cands[first].idx;
-  first_pt.table = cands[first].table;
-  first_pt.access = cands[first].access;
-  first_pt.projection = cands[first].projection;
-  first_pt.est_prefix_rows = prefix_rows;
-  plan.order.push_back(std::move(first_pt));
+  uint64_t prefix_rows = cands[first].est.est_rows_out;
   used[first] = true;
-  prefix_aliases.insert(query.tables[cands[first].idx].alias);
+  prefix_aliases.insert(cands[first].access.alias);
+  plan.order.push_back(std::move(cands[first]));
+  plan.order.back().est_prefix_rows = prefix_rows;
 
   while (plan.order.size() < cands.size()) {
     int best = -1;
@@ -311,15 +294,14 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
     bool best_connected = false;
     for (size_t i = 0; i < cands.size(); ++i) {
       if (used[i]) continue;
-      auto edges = edges_to_prefix(static_cast<int>(i));
+      auto edges = edges_to_prefix(cands[i]);
       const bool connected = !edges.empty();
       uint64_t rows;
       if (connected) {
         const int key_col = cands[i].table->schema().Find(edges[0].right_col);
-        rows = EstimateJoinRows(prefix_rows, *cands[i].table, cands[i].access,
-                                key_col);
+        rows = EstimateJoinRows(prefix_rows, cands[i], key_col);
       } else {
-        rows = prefix_rows * cands[i].access.est_rows_out;  // cross product
+        rows = prefix_rows * cands[i].est.est_rows_out;  // cross product
       }
       // Prefer connected tables; among them the smallest result.
       if (best < 0 || (connected && !best_connected) ||
@@ -331,44 +313,45 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
       }
     }
 
-    Candidate& c = cands[best];
-    PlannedTable pt;
-    pt.query_table_idx = c.idx;
-    pt.table = c.table;
-    pt.access = c.access;
-    pt.projection = c.projection;
+    PlannedTable pt = std::move(cands[best]);
     pt.est_prefix_rows = best_rows;
-
-    const std::string& alias = query.tables[c.idx].alias;
+    nkv::NdpJoinStage& join = pt.join;
     if (!best_edges.empty()) {
       // Record all equi-edges; the final BNLJ-vs-BNLJI decision is made by
       // the cost pass below (MySQL-style access-path costing).
       for (const auto& e : best_edges) {
-        pt.keys.push_back(exec::JoinKey{e.LeftName(), e.RightName()});
+        join.keys.push_back(exec::JoinKey{e.LeftName(), e.RightName()});
       }
-      const int inner_col = c.table->schema().Find(best_edges[0].right_col);
+      const int inner_col = pt.table->schema().Find(best_edges[0].right_col);
       const bool indexed = inner_col >= 0 &&
-                           (inner_col == c.table->def().pk_col ||
-                            c.table->FindIndexOn(inner_col) >= 0);
+                           (inner_col == pt.table->def().pk_col ||
+                            pt.table->FindIndexOn(inner_col) >= 0);
       if (indexed) {
-        pt.outer_key_col = best_edges[0].LeftName();
-        pt.inner_join_col = best_edges[0].right_col;
+        // BNLJI joins on the first edge and filters the others afterwards.
+        join.outer_key_col = best_edges[0].LeftName();
+        join.inner_join_col = best_edges[0].right_col;
+        std::vector<exec::Expr::Ptr> extra;
         for (size_t e = 1; e < best_edges.size(); ++e) {
-          pt.extra_edges.push_back(exec::JoinKey{best_edges[e].LeftName(),
-                                                 best_edges[e].RightName()});
+          extra.push_back(exec::Expr::CmpCol(best_edges[e].LeftName(),
+                                             exec::CmpOp::kEq,
+                                             best_edges[e].RightName()));
+        }
+        if (extra.size() == 1) {
+          join.residual = extra[0];
+        } else if (extra.size() > 1) {
+          join.residual = exec::Expr::And(std::move(extra));
         }
       }
-      pt.algo = nkv::JoinAlgo::kBNLJ;  // provisional; cost pass may switch
+      join.algo = nkv::JoinAlgo::kBNLJ;  // provisional; cost pass may switch
     } else {
       // Cross product: BNLJ with no keys degenerates; use NLJ.
-      pt.algo = nkv::JoinAlgo::kNLJ;
+      join.algo = nkv::JoinAlgo::kNLJ;
     }
 
-    plan.order.push_back(std::move(pt));
     used[best] = true;
-    prefix_aliases.insert(alias);
+    prefix_aliases.insert(pt.access.alias);
+    plan.order.push_back(std::move(pt));
     prefix_rows = best_rows;
-    prefix_row_bytes += c.access.proj_bytes;
   }
 
   // ---- Cost model (eqs. 1-8), all values in simulated nanoseconds.
@@ -435,22 +418,22 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
     const rel::Table& t = *pt.table;
     const uint64_t table_bytes = t.stored_bytes();
 
-    if (pt.access.use_index) {
+    if (pt.access.use_index_scan) {
       pt.c_scan_host =
-          random_read_cost(pt.access.est_rows_out, table_bytes, false);
+          random_read_cost(pt.est.est_rows_out, table_bytes, false);
       pt.c_scan_dev =
-          random_read_cost(pt.access.est_rows_out, table_bytes, true);
-      pt.c_cpu_host = cpu_cost(pt.access.est_rows_out, pt.access.proj_bytes,
+          random_read_cost(pt.est.est_rows_out, table_bytes, true);
+      pt.c_cpu_host = cpu_cost(pt.est.est_rows_out, pt.est.proj_bytes,
                                false);
-      pt.c_cpu_dev = cpu_cost(pt.access.est_rows_out, pt.access.proj_bytes,
+      pt.c_cpu_dev = cpu_cost(pt.est.est_rows_out, pt.est.proj_bytes,
                               true);
     } else {
       pt.c_scan_host = scan_cost(table_bytes, false);
       pt.c_scan_dev = scan_cost(table_bytes, true);
-      pt.c_cpu_host = cpu_cost(t.row_count(), pt.access.proj_bytes, false);
-      pt.c_cpu_dev = cpu_cost(t.row_count(), pt.access.proj_bytes, true);
+      pt.c_cpu_host = cpu_cost(t.row_count(), pt.est.proj_bytes, false);
+      pt.c_cpu_dev = cpu_cost(t.row_count(), pt.est.proj_bytes, true);
     }
-    pt.c_trans = trans_cost(pt.access.est_rows_out, pt.access.proj_bytes);
+    pt.c_trans = trans_cost(pt.est.est_rows_out, pt.est.proj_bytes);
     plan.c_h0_dev += pt.c_scan_dev + pt.c_cpu_dev + pt.c_trans;
     // With H0 the host re-evaluates nothing but must join everything: the
     // join costs below on the host side apply, minus its own scans.
@@ -458,8 +441,8 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
     if (i == 0) {
       cum_host = pt.c_scan_host + pt.c_cpu_host;
       cum_dev = pt.c_scan_dev + pt.c_cpu_dev;
-      run_prefix_rows = pt.access.est_rows_out;
-      run_prefix_bytes = pt.access.proj_bytes;
+      run_prefix_rows = pt.est.est_rows_out;
+      run_prefix_bytes = pt.est.proj_bytes;
     } else {
       // Join-stage cost, eq (8): previous node + per-record evaluation +
       // buffer management + transfer (pending at the end for NDP).
@@ -472,8 +455,8 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
           1, run_prefix_rows * run_prefix_bytes /
                  std::max<uint64_t>(1, config_.host_join_buffer_bytes));
       const uint64_t inner_bytes =
-          pt.access.use_index
-              ? pt.access.est_rows_out * t.schema().row_size()
+          pt.access.use_index_scan
+              ? pt.est.est_rows_out * t.schema().row_size()
               : t.stored_bytes();
       const double bnlj_host =
           static_cast<double>(host_passes) * scan_cost(inner_bytes, false) +
@@ -482,7 +465,7 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
           static_cast<double>(dev_passes) * scan_cost(inner_bytes, true) +
           cpu_cost(dev_passes * t.row_count(), 4, true);
       const bool bnlji_possible =
-          pt.algo != nkv::JoinAlgo::kNLJ && !pt.outer_key_col.empty();
+          pt.join.algo != nkv::JoinAlgo::kNLJ && !pt.join.outer_key_col.empty();
       // BNLJI pays one secondary-index seek per outer row plus one
       // primary-key seek per *match* (the Fig. 9 two-step path), so the
       // estimated output cardinality is part of the lookup count.
@@ -497,13 +480,13 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
               : std::numeric_limits<double>::infinity();
 
       double join_host, join_dev;
-      if (pt.algo != nkv::JoinAlgo::kNLJ) {
+      if (pt.join.algo != nkv::JoinAlgo::kNLJ) {
         if (bnlji_host < bnlj_host) {
-          pt.algo = nkv::JoinAlgo::kBNLJI;
+          pt.join.algo = nkv::JoinAlgo::kBNLJI;
           join_host = bnlji_host;
           join_dev = bnlji_dev;
         } else {
-          pt.algo = nkv::JoinAlgo::kBNLJ;
+          pt.join.algo = nkv::JoinAlgo::kBNLJ;
           join_host = bnlj_host;
           join_dev = bnlj_dev;
         }
@@ -516,14 +499,14 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
       join_dev += cpu_cost(run_prefix_rows + out_rows, 8, true);
       pt.c_join_host = join_host;
       pt.c_join_dev = join_dev;
-      h0_host_extra += join_host - (pt.algo == nkv::JoinAlgo::kBNLJ
+      h0_host_extra += join_host - (pt.join.algo == nkv::JoinAlgo::kBNLJ
                                         ? scan_cost(t.data_bytes(), false)
                                         : 0.0);
 
       cum_host += join_host;
       cum_dev += join_dev;
       run_prefix_rows = out_rows;
-      run_prefix_bytes += pt.access.proj_bytes;
+      run_prefix_bytes += pt.est.proj_bytes;
     }
     pt.cum_host = cum_host;
     pt.cum_dev = cum_dev;
@@ -556,7 +539,7 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   auto fits = [&](size_t num_tables, size_t num_joins) {
     size_t index_scans = 0;
     for (size_t i = 0; i < num_tables; ++i) {
-      if (plan.order[i].access.use_index) ++index_scans;
+      if (plan.order[i].access.use_index_scan) ++index_scans;
     }
     return nkv::ReservedBufferBytes(config_.buffers, num_tables, index_scans,
                                     num_joins) <=
@@ -592,7 +575,7 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   } else {
     dev_part = plan.order[best_k].cum_dev +
                trans_cost(plan.order[best_k].est_prefix_rows,
-                          plan.order[best_k].access.proj_bytes * (best_k + 1));
+                          plan.order[best_k].est.proj_bytes * (best_k + 1));
     host_part = 0;
     for (int i = best_k + 1; i < n; ++i) host_part += plan.order[i].c_join_host;
   }

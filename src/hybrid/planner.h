@@ -42,15 +42,14 @@ class Planner {
   const PlannerConfig& config() const { return config_; }
 
  private:
-  /// Choose the access path for one table given its predicate.
-  AccessPath ChooseAccessPath(const rel::Table& table,
-                              const exec::Expr::Ptr& predicate,
-                              const std::string& alias,
-                              uint64_t needed_bytes) const;
+  /// Estimate `pt`'s selectivity and output rows from its predicate and
+  /// write the index choice into `pt->access` (alias, predicate and
+  /// `est.proj_bytes` already set).
+  void ChooseAccessPath(PlannedTable* pt) const;
 
   /// Estimated |prefix join table| given estimated inputs.
-  uint64_t EstimateJoinRows(uint64_t prefix_rows, const rel::Table& table,
-                            const AccessPath& access, int inner_key_col) const;
+  uint64_t EstimateJoinRows(uint64_t prefix_rows, const PlannedTable& pt,
+                            int inner_key_col) const;
 
   const rel::Catalog* catalog_;
   const sim::HwParams* hw_;

@@ -56,7 +56,6 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
   lsm::ReadOptions opts;
   opts.ctx = &ctx;
   opts.cache = &device_cache;
-  opts.snapshot = cmd.snapshot;
   // By default the NDP engine does not probe bloom filters (paper
   // Sect. 2.2: they were already used on the host side); the device_bloom
   // extension enables in-situ probing.

@@ -34,7 +34,7 @@ uint64_t NdpCommand::ReservedBufferBytes() const {
                                   joins.size());
 }
 
-exec::OperatorPtr BuildScan(const NdpTableAccess& access,
+exec::OperatorPtr BuildScan(const TableAccess& access,
                             const rel::TableAccessor* accessor,
                             const lsm::ReadOptions& opts) {
   if (access.use_index_scan) {
@@ -47,35 +47,44 @@ exec::OperatorPtr BuildScan(const NdpTableAccess& access,
                                              access.projection);
 }
 
+exec::OperatorPtr JoinInputs(exec::OperatorPtr outer, exec::OperatorPtr inner,
+                             JoinAlgo algo,
+                             const std::vector<exec::JoinKey>& keys,
+                             uint64_t join_buffer_bytes,
+                             sim::AccessContext* ctx) {
+  switch (algo) {
+    case JoinAlgo::kNLJ:
+      return std::make_unique<exec::NestedLoopJoinOp>(
+          std::move(outer), std::move(inner), keys, nullptr, ctx);
+    case JoinAlgo::kGHJ:
+      return std::make_unique<exec::GraceHashJoinOp>(
+          std::move(outer), std::move(inner), keys, nullptr,
+          /*num_partitions=*/8, ctx);
+    case JoinAlgo::kBNLJ:
+    case JoinAlgo::kBNLJI:
+      break;
+  }
+  return std::make_unique<exec::BlockNLJoinOp>(std::move(outer),
+                                               std::move(inner), keys, nullptr,
+                                               join_buffer_bytes, ctx);
+}
+
 exec::OperatorPtr BuildJoin(exec::OperatorPtr outer, const NdpJoinStage& stage,
-                            const NdpTableAccess& inner_access,
+                            const TableAccess& inner_access,
                             const rel::TableAccessor* accessor,
                             const lsm::ReadOptions& opts,
                             uint64_t join_buffer_bytes) {
-  switch (stage.algo) {
-    case JoinAlgo::kBNLJI: {
-      exec::OperatorPtr join = std::make_unique<exec::BlockNLIndexJoinOp>(
-          std::move(outer), stage.outer_key_col, accessor, inner_access.alias,
-          stage.inner_join_col, opts, inner_access.predicate,
-          inner_access.projection, join_buffer_bytes, opts.ctx);
-      if (stage.residual == nullptr) return join;
-      return std::make_unique<exec::FilterOp>(std::move(join), stage.residual,
-                                              opts.ctx);
-    }
-    case JoinAlgo::kBNLJ:
-      return std::make_unique<exec::BlockNLJoinOp>(
-          std::move(outer), BuildScan(inner_access, accessor, opts),
-          stage.keys, stage.residual, join_buffer_bytes, opts.ctx);
-    case JoinAlgo::kNLJ:
-      return std::make_unique<exec::NestedLoopJoinOp>(
-          std::move(outer), BuildScan(inner_access, accessor, opts),
-          stage.keys, stage.residual, opts.ctx);
-    case JoinAlgo::kGHJ:
-      break;
+  if (stage.algo != JoinAlgo::kBNLJI) {
+    return JoinInputs(std::move(outer), BuildScan(inner_access, accessor, opts),
+                      stage.algo, stage.keys, join_buffer_bytes, opts.ctx);
   }
-  return std::make_unique<exec::GraceHashJoinOp>(
-      std::move(outer), BuildScan(inner_access, accessor, opts), stage.keys,
-      stage.residual, /*num_partitions=*/8, opts.ctx);
+  exec::OperatorPtr join = std::make_unique<exec::BlockNLIndexJoinOp>(
+      std::move(outer), stage.outer_key_col, accessor, inner_access.alias,
+      stage.inner_join_col, opts, inner_access.predicate,
+      inner_access.projection, join_buffer_bytes, opts.ctx);
+  if (stage.residual == nullptr) return join;
+  return std::make_unique<exec::FilterOp>(std::move(join), stage.residual,
+                                          opts.ctx);
 }
 
 exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
@@ -146,28 +155,15 @@ lsm::IteratorPtr DeviceTableAccessor::NewIndexIterator(
   return lsm::NewUserKeyIterator(std::move(internal), seq, opts.ctx);
 }
 
-uint64_t DeviceTableAccessor::row_count() const {
-  uint64_t total = access_->primary.version.TotalEntries();
-  if (access_->primary.mem != nullptr) {
-    total += access_->primary.mem->num_entries();
-  }
-  return total;
-}
-
-void AttachSnapshots(const rel::Table& table, NdpTableAccess* access) {
-  access->table_name = table.name();
-  access->def = table.def();
-  access->primary = table.db()->GetCfSnapshot(table.primary_cf());
+NdpTableAccess SnapshotTable(const rel::Table& table, TableAccess access) {
+  NdpTableAccess shipped;
+  static_cast<TableAccess&>(shipped) = std::move(access);
+  shipped.def = table.def();
+  shipped.primary = table.db()->GetCfSnapshot(table.primary_cf());
   for (size_t i = 0; i < table.def().indexes.size(); ++i) {
-    access->indexes.push_back(table.db()->GetCfSnapshot(table.index_cf(i)));
+    shipped.indexes.push_back(table.db()->GetCfSnapshot(table.index_cf(i)));
   }
-}
-
-NdpTableAccess SnapshotTable(const rel::Table& table, std::string alias) {
-  NdpTableAccess access;
-  access.alias = std::move(alias);
-  AttachSnapshots(table, &access);
-  return access;
+  return shipped;
 }
 
 }  // namespace hybridndp::nkv

@@ -28,16 +28,11 @@ enum class JoinAlgo : uint8_t {
 
 const char* JoinAlgoName(JoinAlgo algo);
 
-/// Access to one table inside the NDP PQEP: snapshots of the primary and
-/// secondary column families plus the early selection / projection pushed
-/// into the on-device scan.
-struct NdpTableAccess {
-  std::string table_name;
+/// The PQEP leaf descriptor of one plan position (paper Sect. 3.3): the
+/// early selection / projection pushed into the table's scan and the
+/// access path. The planner emits it; both sides of a split build from it.
+struct TableAccess {
   std::string alias;
-  rel::TableDef def;
-  lsm::CfSnapshot primary;                 ///< shared state + placements
-  std::vector<lsm::CfSnapshot> indexes;    ///< one per secondary index
-
   /// Early selection on this table (aliased column names).
   exec::Expr::Ptr predicate;
   /// Early projection: columns (aliased) this table contributes upstream.
@@ -50,11 +45,20 @@ struct NdpTableAccess {
   int64_t index_hi = 0;
 };
 
-/// One join stage of the NDP pipeline; joins the running intermediate result
-/// with tables[i+1].
+/// One table of an NDP command: its access plus the shipped state, i.e.
+/// snapshots of the primary and secondary column families.
+struct NdpTableAccess : TableAccess {
+  rel::TableDef def;
+  lsm::CfSnapshot primary;                 ///< shared state + placements
+  std::vector<lsm::CfSnapshot> indexes;    ///< one per secondary index
+};
+
+/// One join stage of a left-deep PQEP; joins the running intermediate
+/// result with the next table.
 struct NdpJoinStage {
   JoinAlgo algo = JoinAlgo::kBNLJ;
-  std::vector<exec::JoinKey> keys;  ///< empty for BNLJI (uses the columns below)
+  std::vector<exec::JoinKey> keys;  ///< every equi-edge to the prefix
+  /// BNLJI only: the edges past the indexed one, filtered after the join.
   exec::Expr::Ptr residual;
   /// BNLJI: outer stream key column and inner (unaliased) join column.
   std::string outer_key_col;
@@ -71,7 +75,6 @@ struct NdpBufferConfig {
 
 /// A complete NDP command.
 struct NdpCommand {
-  lsm::SequenceNumber snapshot = lsm::kMaxSequenceNumber;
   std::vector<NdpTableAccess> tables;  ///< in join order
   std::vector<NdpJoinStage> joins;     ///< joins.size() <= tables.size()-1
 
@@ -119,14 +122,24 @@ uint64_t ReservedBufferBytes(const NdpBufferConfig& buffers, size_t num_tables,
 // read options whose context is charged.
 
 /// Leaf scan: index range scan or full scan with early selection/projection.
-exec::OperatorPtr BuildScan(const NdpTableAccess& access,
+exec::OperatorPtr BuildScan(const TableAccess& access,
                             const rel::TableAccessor* accessor,
                             const lsm::ReadOptions& opts);
 
-/// Join `outer` with `inner_access` under `stage.algo`. BNLJI applies
-/// `stage.residual` as a post-join filter, the other joins evaluate it.
+/// Join two operator inputs on `keys` with NLJ, BNLJ or GHJ; kBNLJI probes
+/// an index instead of an input, so it builds BNLJ here. The one place these
+/// three operators are built.
+exec::OperatorPtr JoinInputs(exec::OperatorPtr outer, exec::OperatorPtr inner,
+                             JoinAlgo algo,
+                             const std::vector<exec::JoinKey>& keys,
+                             uint64_t join_buffer_bytes,
+                             sim::AccessContext* ctx);
+
+/// Join `outer` with `inner_access` under `stage.algo`. BNLJI joins on one
+/// edge and applies `stage.residual` as a post-join filter; the other
+/// algorithms join on every edge in `stage.keys`.
 exec::OperatorPtr BuildJoin(exec::OperatorPtr outer, const NdpJoinStage& stage,
-                            const NdpTableAccess& inner_access,
+                            const TableAccess& inner_access,
                             const rel::TableAccessor* accessor,
                             const lsm::ReadOptions& opts,
                             uint64_t join_buffer_bytes);
@@ -154,7 +167,6 @@ class DeviceTableAccessor final : public rel::TableAccessor {
       const lsm::ReadOptions& opts) const override;
   lsm::IteratorPtr NewIndexIterator(const lsm::ReadOptions& opts,
                                     size_t index_no) const override;
-  uint64_t row_count() const override;
 
  private:
   lsm::SstReader* GetReader(const lsm::FileMetaData& meta) const;
@@ -164,11 +176,8 @@ class DeviceTableAccessor final : public rel::TableAccessor {
   mutable std::map<lsm::FileId, std::unique_ptr<lsm::SstReader>> readers_;
 };
 
-/// Fill `access` with a live table's definition and the shared-state
+/// Ship `access` for a live table: its definition and the shared-state
 /// snapshots of its primary and secondary column families.
-void AttachSnapshots(const rel::Table& table, NdpTableAccess* access);
-
-/// Build an NdpTableAccess snapshot bundle from a live table.
-NdpTableAccess SnapshotTable(const rel::Table& table, std::string alias);
+NdpTableAccess SnapshotTable(const rel::Table& table, TableAccess access);
 
 }  // namespace hybridndp::nkv

@@ -69,7 +69,6 @@ class TableAccessor {
   /// Iterator over a secondary index. Keys are secondary_bytes | pk_bytes.
   virtual lsm::IteratorPtr NewIndexIterator(const lsm::ReadOptions& opts,
                                             size_t index_no) const = 0;
-  virtual uint64_t row_count() const = 0;
 
   /// Index number for a column, or -1 if the column has no index.
   int FindIndexOn(int col) const {
@@ -108,7 +107,7 @@ class Table : public TableAccessor {
   }
   lsm::DB* db() const { return db_; }
 
-  uint64_t row_count() const override { return row_count_; }
+  uint64_t row_count() const { return row_count_; }
   /// Total row bytes (tbl_tbn * rows).
   uint64_t data_bytes() const { return row_count_ * def_.schema.row_size(); }
   /// Physical bytes of the primary column family on flash (SST overhead

@@ -420,7 +420,6 @@ class CorruptIndexAccessor final : public rel::TableAccessor {
     return std::make_unique<lsm::EmptyIterator>(
         Status::Corruption("bad index block"));
   }
-  uint64_t row_count() const override { return base_->row_count(); }
 
  private:
   const rel::Table* base_;
@@ -490,7 +489,6 @@ class MalformedIndexKeyAccessor final : public rel::TableAccessor {
     entries.emplace_back(rel::EncodeIndexPrefixInt(value_) + '\0', "");
     return std::make_unique<SortedEntriesIterator>(std::move(entries));
   }
-  uint64_t row_count() const override { return base_->row_count(); }
 
  private:
   const rel::Table* base_;
@@ -596,7 +594,8 @@ TEST_F(ExecTest, GlobalAggregateWithStringMin) {
   auto agg = std::make_unique<GroupByAggOp>(
       ScanEmp(Expr::CmpInt("e.id", CmpOp::kLt, 3)), std::vector<std::string>{},
       std::vector<AggSpec>{{AggFn::kMin, "e.name", "min_name"},
-                           {AggFn::kCount, "", "cnt"}},
+                           {AggFn::kCount, "", "cnt"},
+                           {AggFn::kMax, "e.name", "max_name"}},
       &ctx_);
   auto rows = CollectAll(agg.get());
   ASSERT_TRUE(rows.ok());
@@ -604,6 +603,29 @@ TEST_F(ExecTest, GlobalAggregateWithStringMin) {
   RowView v((*rows)[0].data(), &agg->output_schema());
   EXPECT_EQ(v.GetString(0).ToString(), "emp0");
   EXPECT_EQ(v.GetInt(1), 3);
+  EXPECT_EQ(v.GetString(2).ToString(), "emp2");
+
+  // Grouped by dept_id (id % 20) over ids < 120: dept 5 holds emp5, emp25,
+  // ..., emp105, whose string order differs from the numeric one.
+  auto grouped = std::make_unique<GroupByAggOp>(
+      ScanEmp(Expr::CmpInt("e.id", CmpOp::kLt, 120)),
+      std::vector<std::string>{"e.dept_id"},
+      std::vector<AggSpec>{{AggFn::kMin, "e.name", "min_name"},
+                           {AggFn::kMax, "e.name", "max_name"}},
+      &ctx_);
+  auto group_rows = CollectAll(grouped.get());
+  ASSERT_TRUE(group_rows.ok());
+  ASSERT_EQ(group_rows->size(), 20u);
+  std::map<int64_t, std::pair<std::string, std::string>> by_dept;
+  for (const auto& row : *group_rows) {
+    RowView g(row.data(), &grouped->output_schema());
+    by_dept[g.GetInt(0)] = {g.GetString(1).ToString(),
+                            g.GetString(2).ToString()};
+  }
+  EXPECT_EQ(by_dept[0], std::make_pair(std::string("emp0"),
+                                       std::string("emp80")));
+  EXPECT_EQ(by_dept[5], std::make_pair(std::string("emp105"),
+                                       std::string("emp85")));
 }
 
 TEST_F(ExecTest, GlobalAggregateOnEmptyInputEmitsOneRow) {

@@ -524,7 +524,7 @@ class FaultE2ETest : public ::testing::Test {
     hybrid::Planner planner(&catalog_, &hw_, MakePlannerConfig());
     auto plan = planner.PlanQuery(q);
     if (plan.ok() && plan->order.size() == 2) {
-      plan->order[1].algo = nkv::JoinAlgo::kBNLJI;
+      plan->order[1].join.algo = nkv::JoinAlgo::kBNLJI;
     }
     return plan;
   }
@@ -700,8 +700,8 @@ TEST_F(FaultE2ETest, SstReadSweepNeverTruncatesSecondaryIndexJoin) {
   auto plan = MakeIndexJoinPlan();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_EQ(plan->order.size(), 2u);
-  ASSERT_EQ(plan->order[1].outer_key_col, "c.id");
-  ASSERT_EQ(plan->order[1].inner_join_col, "customer_id");
+  ASSERT_EQ(plan->order[1].join.outer_key_col, "c.id");
+  ASSERT_EQ(plan->order[1].join.inner_join_col, "customer_id");
   auto executor = MakeExecutor();
   auto host_ref = executor.Run(*plan, {Strategy::kHostNative, 0});
   ASSERT_TRUE(host_ref.ok());

@@ -180,7 +180,7 @@ TEST_F(HybridTest, PlannerBuildsConnectedLeftDeepOrder) {
   // Every non-first table must join the prefix with keys or an index edge.
   for (size_t i = 1; i < plan->order.size(); ++i) {
     const auto& pt = plan->order[i];
-    EXPECT_TRUE(!pt.keys.empty() || !pt.outer_key_col.empty())
+    EXPECT_TRUE(!pt.join.keys.empty() || !pt.join.outer_key_col.empty())
         << "position " << i;
   }
   // Cumulative device costs are monotone (Fig. 5).
@@ -199,10 +199,10 @@ TEST_F(HybridTest, JoinAlgorithmChoiceIsCostBased) {
   // beats per-row random index lookups, and the cost model must say so.
   // Every join still records its equi-keys for the hash path.
   for (size_t i = 1; i < plan->order.size(); ++i) {
-    EXPECT_EQ(plan->order[i].algo, nkv::JoinAlgo::kBNLJ) << i;
-    EXPECT_FALSE(plan->order[i].keys.empty()) << i;
+    EXPECT_EQ(plan->order[i].join.algo, nkv::JoinAlgo::kBNLJ) << i;
+    EXPECT_FALSE(plan->order[i].join.keys.empty()) << i;
     // The BNLJI candidacy was detected (pk join columns).
-    EXPECT_FALSE(plan->order[i].outer_key_col.empty()) << i;
+    EXPECT_FALSE(plan->order[i].join.outer_key_col.empty()) << i;
   }
 }
 
@@ -257,7 +257,7 @@ TEST(JoinAlgoCrossoverTest, IndexJoinWinsForLargeInnerTables) {
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->order.size(), 2u);
   EXPECT_EQ(plan->order[0].table->name(), "tiny");  // smallest first
-  EXPECT_EQ(plan->order[1].algo, nkv::JoinAlgo::kBNLJI)
+  EXPECT_EQ(plan->order[1].join.algo, nkv::JoinAlgo::kBNLJI)
       << "a few dozen seeks must beat streaming a ~1000-page table\n"
       << plan->Explain();
 }
@@ -419,7 +419,7 @@ TEST_F(HybridTest, PlannerMarksFeasibleExactlyWhatTheDeviceAccepts) {
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(std::any_of(plan->order.begin(), plan->order.begin() + 2,
                           [](const PlannedTable& pt) {
-                            return pt.access.use_index;
+                            return pt.access.use_index_scan;
                           }));
 
   // The plan marks an infeasible split with an infinite distance and an

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -282,6 +283,104 @@ TEST_F(JobDatabaseTest, SampleQueriesConsistentAcrossStrategies) {
     EXPECT_TRUE(have_reference) << id.ToString();
     // Aggregate queries always emit one row.
     EXPECT_EQ(reference.size(), 1u) << id.ToString();
+  }
+}
+
+TEST_F(JobDatabaseTest, SampleQueriesKeepResultsUnderForcedJoinAlgos) {
+  // Callers may override a position's join algorithm after planning (the
+  // join-algorithm benches do). Every override that applies must keep the
+  // host-only result under every strategy: BNLJI joins on one indexed edge
+  // and filters the plan's residual, BNLJ and GHJ join on every key.
+  const std::vector<JobQueryId> sample = {
+      {1, 'a'}, {3, 'b'}, {8, 'c'}, {8, 'd'}, {17, 'b'}, {32, 'b'}};
+  Planner planner(&catalog_, &hw_, MakePlannerConfig());
+  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto run = [&](const hybrid::Plan& plan, const ExecChoice& choice) {
+    lsm::BlockCache cache(256 << 20);
+    return executor.Run(plan, choice, &cache);
+  };
+
+  bool saw_residual = false;
+  for (const auto& id : sample) {
+    auto q = MakeJobQuery(id);
+    ASSERT_TRUE(q.ok());
+    auto plan = planner.PlanQuery(*q);
+    ASSERT_TRUE(plan.ok()) << id.ToString();
+    auto host = run(*plan, {Strategy::kHostNative, 0});
+    ASSERT_TRUE(host.ok()) << id.ToString();
+    const std::multiset<std::string> reference(host->rows.begin(),
+                                               host->rows.end());
+    for (const auto& pt : plan->order) {
+      if (pt.join.residual != nullptr) saw_residual = true;
+    }
+
+    for (auto algo : {nkv::JoinAlgo::kBNLJI, nkv::JoinAlgo::kBNLJ,
+                      nkv::JoinAlgo::kGHJ}) {
+      hybrid::Plan forced = *plan;
+      for (size_t i = 1; i < forced.order.size(); ++i) {
+        nkv::NdpJoinStage& join = forced.order[i].join;
+        const bool applies = algo == nkv::JoinAlgo::kBNLJI
+                                 ? !join.outer_key_col.empty()
+                                 : !join.keys.empty();
+        if (applies) join.algo = algo;
+      }
+      for (const auto& choice : HybridExecutor::AllChoices(forced)) {
+        auto result = run(forced, choice);
+        if (!result.ok() && result.status().IsResourceExhausted()) continue;
+        ASSERT_TRUE(result.ok())
+            << id.ToString() << " " << nkv::JoinAlgoName(algo) << " "
+            << choice.ToString() << ": " << result.status().ToString();
+        EXPECT_EQ(std::multiset<std::string>(result->rows.begin(),
+                                             result->rows.end()),
+                  reference)
+            << id.ToString() << " " << nkv::JoinAlgoName(algo) << " "
+            << choice.ToString();
+      }
+    }
+  }
+  // The sample exercises BNLJI's residual over the edges past the first.
+  EXPECT_TRUE(saw_residual);
+}
+
+TEST_F(JobDatabaseTest, PlanResidualFiltersOnlyUnderBnlji) {
+  // JOB's extra join edges are implied by earlier ones, so the test above
+  // cannot tell whether a residual is applied at all. A never-true residual
+  // can: under BNLJI it filters every joined row on both sides of the
+  // split, while BNLJ joins on every key and ignores it, and so does H0,
+  // whose host joins the shipped streams on every key.
+  Planner planner(&catalog_, &hw_, MakePlannerConfig());
+  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto q = MakeJobQuery({1, 'a'});
+  ASSERT_TRUE(q.ok());
+  auto plan = planner.PlanQuery(*q);
+  ASSERT_TRUE(plan.ok());
+  auto pos = std::find_if(plan->order.begin(), plan->order.end(),
+                          [](const hybrid::PlannedTable& pt) {
+                            return pt.join.residual != nullptr;
+                          });
+  ASSERT_NE(pos, plan->order.end());
+  auto host = executor.Run(*plan, {Strategy::kHostNative, 0});
+  ASSERT_TRUE(host.ok());
+
+  hybrid::Plan forced = *plan;
+  nkv::NdpJoinStage& join = forced.order[pos - plan->order.begin()].join;
+  join.residual = exec::Expr::CmpCol(join.keys[0].left_col, exec::CmpOp::kNe,
+                                     join.keys[0].right_col);
+  for (auto algo : {nkv::JoinAlgo::kBNLJI, nkv::JoinAlgo::kBNLJ}) {
+    join.algo = algo;
+    for (const auto& choice : HybridExecutor::AllChoices(forced)) {
+      lsm::BlockCache cache(256 << 20);
+      auto result = executor.Run(forced, choice, &cache);
+      if (!result.ok() && result.status().IsResourceExhausted()) continue;
+      ASSERT_TRUE(result.ok()) << choice.ToString();
+      const bool h0 = choice.strategy == Strategy::kHybrid &&
+                      choice.split_joins == 0;
+      if (algo == nkv::JoinAlgo::kBNLJI && !h0) {
+        EXPECT_NE(result->rows, host->rows) << choice.ToString();
+      } else {
+        EXPECT_EQ(result->rows, host->rows) << choice.ToString();
+      }
+    }
   }
 }
 

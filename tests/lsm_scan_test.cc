@@ -205,7 +205,6 @@ class ScanGoldenTest : public ::testing::Test {
                                  size_t) const override {
       return std::make_unique<lsm::EmptyIterator>();
     }
-    uint64_t row_count() const override { return 600; }
 
    private:
     ScanGoldenTest* t_;

@@ -75,15 +75,21 @@ class NdpTest : public ::testing::Test {
     return b;
   }
 
+  /// Ship `table` under `alias`: full scan, no selection or projection.
+  static nkv::NdpTableAccess Ship(const rel::Table& table, std::string alias) {
+    nkv::TableAccess access;
+    access.alias = std::move(alias);
+    return nkv::SnapshotTable(table, std::move(access));
+  }
+
   /// Scan-only command over orders with an early selection + projection.
   nkv::NdpCommand ScanCommand() {
     nkv::NdpCommand cmd;
     cmd.buffers = SmallBuffers();
     cmd.scans_only = true;
-    nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
+    nkv::NdpTableAccess access = Ship(*orders_, "o");
     access.predicate = Expr::CmpStr("o.note", CmpOp::kEq, "rush");
     access.projection = {"o.id", "o.item_id"};
-    cmd.snapshot = access.primary.sequence;
     cmd.tables.push_back(std::move(access));
     return cmd;
   }
@@ -97,12 +103,6 @@ class NdpTest : public ::testing::Test {
 };
 
 TEST_F(NdpTest, DeviceAccessorMatchesHostReads) {
-  {
-    nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
-    nkv::DeviceTableAccessor accessor(&storage_, &access);
-    EXPECT_EQ(accessor.row_count(), orders_->row_count());
-  }
-
   // Layer deletions and overwrites so that tombstones and newer versions
   // sit in a compacted level (C2), in C1 and in the MemTable, each
   // shadowing older versions further down.
@@ -131,7 +131,7 @@ TEST_F(NdpTest, DeviceAccessorMatchesHostReads) {
   for (int32_t pk = 201; pk <= 250; ++pk) erase(pk);
   for (int32_t pk = 251; pk <= 300; ++pk) overwrite(pk, 300);
 
-  nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
+  nkv::NdpTableAccess access = Ship(*orders_, "o");
   const lsm::Version& version = access.primary.version;
   ASSERT_FALSE(version.levels[0].empty());
   ASSERT_FALSE(version.levels[1].empty());
@@ -171,7 +171,7 @@ TEST_F(NdpTest, DeviceAccessorSeesSharedStateMemTable) {
   rb.SetInt(0, 7777).SetInt(1, 1).SetInt(2, 1).SetString(3, "hot");
   ASSERT_TRUE(orders_->Insert(rb.row()).ok());
 
-  nkv::NdpTableAccess access = nkv::SnapshotTable(*orders_, "o");
+  nkv::NdpTableAccess access = Ship(*orders_, "o");
   nkv::DeviceTableAccessor accessor(&storage_, &access);
   std::string row;
   ASSERT_TRUE(accessor.GetByPk(lsm::ReadOptions{}, 7777, &row).ok());
@@ -198,12 +198,11 @@ TEST_F(NdpTest, ScanCommandFiltersAndProjects) {
 TEST_F(NdpTest, PipelinedJoinCommandProducesJoinedRows) {
   nkv::NdpCommand cmd;
   cmd.buffers = SmallBuffers();
-  nkv::NdpTableAccess orders_access = nkv::SnapshotTable(*orders_, "o");
+  nkv::NdpTableAccess orders_access = Ship(*orders_, "o");
   orders_access.predicate = Expr::CmpInt("o.qty", CmpOp::kGe, 5);
   orders_access.projection = {"o.id", "o.item_id"};
-  cmd.snapshot = orders_access.primary.sequence;
   cmd.tables.push_back(std::move(orders_access));
-  nkv::NdpTableAccess items_access = nkv::SnapshotTable(*items_, "i");
+  nkv::NdpTableAccess items_access = Ship(*items_, "i");
   items_access.projection = {"i.id", "i.price"};
   cmd.tables.push_back(std::move(items_access));
   nkv::NdpJoinStage stage;
@@ -291,11 +290,10 @@ TEST_F(NdpTest, DeviceBloomExtensionSavesLookupFlash) {
     nkv::NdpCommand cmd;
     cmd.buffers = SmallBuffers();
     cmd.device_bloom = bloom;
-    nkv::NdpTableAccess orders_access = nkv::SnapshotTable(*orders_, "o");
+    nkv::NdpTableAccess orders_access = Ship(*orders_, "o");
     orders_access.projection = {"o.id", "o.item_id"};
-    cmd.snapshot = orders_access.primary.sequence;
     cmd.tables.push_back(std::move(orders_access));
-    nkv::NdpTableAccess items_access = nkv::SnapshotTable(*sparse_t, "i");
+    nkv::NdpTableAccess items_access = Ship(*sparse_t, "i");
     items_access.projection = {"i.id", "i.price"};
     cmd.tables.push_back(std::move(items_access));
     nkv::NdpJoinStage stage;
@@ -332,12 +330,11 @@ TEST_F(NdpTest, BnljDrainCutsBatchesAtSlotBoundaries) {
   cmd.buffers = SmallBuffers();
   cmd.buffers.join_buffer_bytes = 1 << 10;
   cmd.buffers.shared_slot_bytes = 1 << 10;
-  nkv::NdpTableAccess orders_access = nkv::SnapshotTable(*orders_, "o");
+  nkv::NdpTableAccess orders_access = Ship(*orders_, "o");
   orders_access.predicate = Expr::CmpInt("o.qty", CmpOp::kGe, 5);
   orders_access.projection = {"o.id", "o.item_id"};
-  cmd.snapshot = orders_access.primary.sequence;
   cmd.tables.push_back(std::move(orders_access));
-  nkv::NdpTableAccess items_access = nkv::SnapshotTable(*items_, "i");
+  nkv::NdpTableAccess items_access = Ship(*items_, "i");
   items_access.projection = {"i.id", "i.price"};
   cmd.tables.push_back(std::move(items_access));
   nkv::NdpJoinStage stage;
