@@ -17,9 +17,4 @@ inline uint64_t Hash64(const Slice& s, uint64_t seed = 0) {
   return Hash64(s.data(), s.size(), seed);
 }
 
-/// 32-bit convenience truncation of Hash64.
-inline uint32_t Hash32(const Slice& s, uint64_t seed = 0) {
-  return static_cast<uint32_t>(Hash64(s, seed));
-}
-
 }  // namespace hybridndp

@@ -44,7 +44,6 @@ class Slice {
   }
 
   std::string ToString() const { return std::string(data_, size_); }
-  std::string_view ToView() const { return std::string_view(data_, size_); }
 
   /// Three-way lexicographic byte comparison: <0, 0, >0.
   int compare(const Slice& other) const {

@@ -50,8 +50,6 @@ Status GroupByAggOp::Open() {
   return Status::OK();
 }
 
-Status GroupByAggOp::Rewind() { return Open(); }
-
 bool GroupByAggOp::UpdateGroups(const char* row) {
   const Schema& in = child_->output_schema();
   const RowView view(row, &in);

@@ -24,7 +24,6 @@ Result<std::vector<std::string>> CollectAll(Operator* op, size_t batch_rows) {
       rows.emplace_back(b->active_row(k), row_size);
     }
   }
-  op->Close();
   // nullptr means end-of-stream OR error; disambiguate before returning.
   HNDP_RETURN_IF_ERROR(TreeStatus(*op));
   return rows;

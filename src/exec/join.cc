@@ -70,36 +70,25 @@ void KeyBytesInto(const Schema& schema, const std::vector<int>& cols,
 
 NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr outer, OperatorPtr inner,
                                    std::vector<JoinKey> keys,
-                                   Expr::Ptr residual, sim::AccessContext* ctx)
+                                   sim::AccessContext* ctx)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       keys_(std::move(keys)),
-      residual_(std::move(residual)),
       ctx_(ctx) {}
-
-Status NestedLoopJoinOp::BindKeys() {
-  HNDP_RETURN_IF_ERROR(ResolveKeys(keys_, outer_->output_schema(),
-                                   inner_->output_schema(), &key_cols_));
-  out_schema_ =
-      Schema::Concat(outer_->output_schema(), inner_->output_schema());
-  if (residual_ != nullptr) {
-    HNDP_ASSIGN_OR_RETURN(residual_, residual_->Bind(out_schema_));
-  }
-  return Status::OK();
-}
 
 Status NestedLoopJoinOp::Open() {
   status_ = Status::OK();
   HNDP_RETURN_IF_ERROR(outer_->Open());
   HNDP_RETURN_IF_ERROR(inner_->Open());
-  HNDP_RETURN_IF_ERROR(BindKeys());
+  HNDP_RETURN_IF_ERROR(ResolveKeys(keys_, outer_->output_schema(),
+                                   inner_->output_schema(), &key_cols_));
+  out_schema_ =
+      Schema::Concat(outer_->output_schema(), inner_->output_schema());
   have_outer_ = false;
   inner_batch_ = nullptr;
   inner_pos_ = 0;
   return Status::OK();
 }
-
-Status NestedLoopJoinOp::Rewind() { return Open(); }
 
 RowBatch* NestedLoopJoinOp::NextBatch(size_t max_rows) {
   const Schema& lschema = outer_->output_schema();
@@ -114,7 +103,7 @@ RowBatch* NestedLoopJoinOp::NextBatch(size_t max_rows) {
       have_outer_ = true;
       inner_batch_ = nullptr;
       inner_pos_ = 0;
-      Status s = inner_->Rewind();
+      Status s = inner_->Open();
       if (!s.ok()) {
         status_ = std::move(s);
         return nullptr;
@@ -135,13 +124,8 @@ RowBatch* NestedLoopJoinOp::NextBatch(size_t max_rows) {
         }
       }
       if (!match) continue;
-      char* dst = batch_.PeekRow();
-      ConcatRowsInto(lschema, rschema, outer_row_.data(), inner_row, dst, ctx_);
-      if (residual_ != nullptr &&
-          !residual_->Eval(RowView(dst, &out_schema_), ctx_)) {
-        continue;
-      }
-      batch_.CommitRow();
+      ConcatRowsInto(lschema, rschema, outer_row_.data(), inner_row,
+                     batch_.AppendRow(), ctx_);
       ++rows_produced_;
     }
     // No child pull after rows were placed: return the partial batch.
@@ -155,17 +139,19 @@ RowBatch* NestedLoopJoinOp::NextBatch(size_t max_rows) {
 // --------------------------------------------------------------- BlockNLJoin
 
 BlockNLJoinOp::BlockNLJoinOp(OperatorPtr outer, OperatorPtr inner,
-                             std::vector<JoinKey> keys, Expr::Ptr residual,
-                             uint64_t buffer_bytes, sim::AccessContext* ctx)
+                             std::vector<JoinKey> keys, uint64_t buffer_bytes,
+                             sim::AccessContext* ctx)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       keys_(std::move(keys)),
-      residual_(std::move(residual)),
       buffer_bytes_(buffer_bytes),
       ctx_(ctx) {}
 
 Status BlockNLJoinOp::Open() {
   status_ = Status::OK();
+  if (buffer_bytes_ == 0) {
+    return Status::InvalidArgument("BNLJ: zero-byte join buffer");
+  }
   HNDP_RETURN_IF_ERROR(outer_->Open());
   HNDP_RETURN_IF_ERROR(inner_->Open());
   HNDP_RETURN_IF_ERROR(ResolveKeys(keys_, outer_->output_schema(),
@@ -174,9 +160,6 @@ Status BlockNLJoinOp::Open() {
   inner_key_ = KeyLayout(inner_->output_schema(), RightCols(key_cols_));
   out_schema_ =
       Schema::Concat(outer_->output_schema(), inner_->output_schema());
-  if (residual_ != nullptr) {
-    HNDP_ASSIGN_OR_RETURN(residual_, residual_->Bind(out_schema_));
-  }
   outer_exhausted_ = false;
   block_active_ = false;
   match_ = JoinTable::kNone;
@@ -186,8 +169,6 @@ Status BlockNLJoinOp::Open() {
   inner_row_ptr_ = nullptr;
   return Status::OK();
 }
-
-Status BlockNLJoinOp::Rewind() { return Open(); }
 
 Status BlockNLJoinOp::LoadNextBlock() {
   block_.Clear();
@@ -220,7 +201,7 @@ Status BlockNLJoinOp::LoadNextBlock() {
   inner_batch_ = nullptr;
   inner_pos_ = 0;
   // Fresh pass over the inner input for this block.
-  return inner_->Rewind();
+  return inner_->Open();
 }
 
 RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
@@ -243,13 +224,8 @@ RowBatch* BlockNLJoinOp::NextBatch(size_t max_rows) {
       if (batch_.full()) return &batch_;
       const char* outer_row = block_.row(match_);
       match_ = block_.Next(match_);
-      char* dst = batch_.PeekRow();
-      ConcatRowsInto(lschema, rschema, outer_row, inner_row_ptr_, dst, ctx_);
-      if (residual_ != nullptr &&
-          !residual_->Eval(RowView(dst, &out_schema_), ctx_)) {
-        continue;
-      }
-      batch_.CommitRow();
+      ConcatRowsInto(lschema, rschema, outer_row, inner_row_ptr_,
+                     batch_.AppendRow(), ctx_);
       ++rows_produced_;
     }
     if (batch_.full()) return &batch_;
@@ -298,6 +274,9 @@ BlockNLIndexJoinOp::BlockNLIndexJoinOp(
 
 Status BlockNLIndexJoinOp::Open() {
   status_ = Status::OK();
+  if (buffer_bytes_ == 0) {
+    return Status::InvalidArgument("BNLJI: zero-byte join buffer");
+  }
   HNDP_RETURN_IF_ERROR(outer_->Open());
   if (inner_join_col_ < 0) {
     return Status::InvalidArgument("BNLJI: unknown inner join column");
@@ -335,8 +314,6 @@ Status BlockNLIndexJoinOp::Open() {
   lookups_ = 0;
   return Status::OK();
 }
-
-Status BlockNLIndexJoinOp::Rewind() { return Open(); }
 
 void BlockNLIndexJoinOp::LoadOuterBlock() {
   block_.Clear();
@@ -435,12 +412,11 @@ std::string BlockNLIndexJoinOp::Describe() const {
 // ------------------------------------------------------------ GraceHashJoin
 
 GraceHashJoinOp::GraceHashJoinOp(OperatorPtr left, OperatorPtr right,
-                                 std::vector<JoinKey> keys, Expr::Ptr residual,
-                                 int num_partitions, sim::AccessContext* ctx)
+                                 std::vector<JoinKey> keys, int num_partitions,
+                                 sim::AccessContext* ctx)
     : left_(std::move(left)),
       right_(std::move(right)),
       keys_(std::move(keys)),
-      residual_(std::move(residual)),
       num_partitions_(num_partitions < 1 ? 1 : num_partitions),
       ctx_(ctx) {}
 
@@ -454,16 +430,11 @@ Status GraceHashJoinOp::Open() {
   left_key_ = KeyLayout(left_->output_schema(), left_key_cols_);
   right_key_ = KeyLayout(right_->output_schema(), RightCols(key_cols_));
   out_schema_ = Schema::Concat(left_->output_schema(), right_->output_schema());
-  if (residual_ != nullptr) {
-    HNDP_ASSIGN_OR_RETURN(residual_, residual_->Bind(out_schema_));
-  }
   partitioned_ = false;
   part_ = 0;
   match_ = JoinTable::kNone;
   return Status::OK();
 }
-
-Status GraceHashJoinOp::Rewind() { return Open(); }
 
 void GraceHashJoinOp::StartPartition(size_t p) {
   JoinTable& build = left_parts_[p];
@@ -529,14 +500,8 @@ RowBatch* GraceHashJoinOp::NextBatch(size_t max_rows) {
         if (batch_.full()) return &batch_;
         const char* build_row = build.row(match_);
         match_ = build.Next(match_);
-        char* dst = batch_.PeekRow();
         ConcatRowsInto(lschema, rschema, build_row, probe.row(probe_pos_ - 1),
-                       dst, ctx_);
-        if (residual_ != nullptr &&
-            !residual_->Eval(RowView(dst, &out_schema_), ctx_)) {
-          continue;
-        }
-        batch_.CommitRow();
+                       batch_.AppendRow(), ctx_);
         ++rows_produced_;
         continue;
       }

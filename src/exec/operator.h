@@ -42,18 +42,18 @@ inline void ProjectRowInto(const Schema& schema, const std::vector<int>& cols,
   }
 }
 
-/// Base volcano operator: Open / NextBatch / Close, plus Rewind for join
-/// inners.
+/// Base volcano operator: Open / NextBatch.
 class Operator {
  public:
   virtual ~Operator() = default;
 
   virtual const Schema& output_schema() const = 0;
+  /// Start the stream from the beginning: open the children and reset all
+  /// per-stream state. Called before the first NextBatch, and again for
+  /// every pass a join makes over its inner input (NLJ per outer row, BNLJ
+  /// per outer block). A re-opened scan re-reads storage, which re-charges
+  /// I/O unless a cache absorbs it.
   virtual Status Open() = 0;
-  virtual void Close() {}
-  /// Restart the stream from the beginning (used by nested-loop inners;
-  /// re-reads storage, which re-charges I/O unless a cache absorbs it).
-  virtual Status Rewind() = 0;
 
   virtual std::string Describe() const = 0;
 
@@ -155,7 +155,6 @@ class TableScanOp final : public Operator {
   /// than the batch has room left for) and projects the qualifying rows
   /// straight into the batch (no std::string per row).
   RowBatch* NextBatch(size_t max_rows) override;
-  Status Rewind() override { return Open(); }
   std::string Describe() const override;
 
  private:
@@ -183,7 +182,6 @@ class IndexScanOp final : public Operator {
   Status Open() override;
   /// Steps the index, then fetches the row (DESIGN.md §10).
   RowBatch* NextBatch(size_t max_rows) override;
-  Status Rewind() override { return Open(); }
   std::string Describe() const override;
 
  private:
@@ -210,7 +208,6 @@ class FilterOp final : public Operator {
   /// Narrows the child batch's selection vector in place — survivors are
   /// never copied. The returned batch is the child's.
   RowBatch* NextBatch(size_t max_rows) override;
-  Status Rewind() override;
   std::string Describe() const override;
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {
@@ -219,7 +216,9 @@ class FilterOp final : public Operator {
 
  private:
   OperatorPtr child_;
-  Expr::Ptr predicate_;  ///< the plan's tree until Open() binds this op's copy
+  /// The plan's tree until Open() binds this op's copy; a later Open
+  /// re-binds that copy.
+  Expr::Ptr predicate_;
   sim::AccessContext* ctx_;
 };
 
@@ -231,7 +230,6 @@ class ProjectOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  Status Rewind() override;
   std::string Describe() const override;
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {
@@ -254,12 +252,10 @@ class ProjectOp final : public Operator {
 class NestedLoopJoinOp final : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr outer, OperatorPtr inner,
-                   std::vector<JoinKey> keys, Expr::Ptr residual,
-                   sim::AccessContext* ctx);
+                   std::vector<JoinKey> keys, sim::AccessContext* ctx);
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  Status Rewind() override;
   std::string Describe() const override { return "NLJ"; }
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {
@@ -273,11 +269,8 @@ class NestedLoopJoinOp final : public Operator {
   RowBatch* NextBatch(size_t max_rows) override;
 
  private:
-  Status BindKeys();
-
   OperatorPtr outer_, inner_;
   std::vector<JoinKey> keys_;
-  Expr::Ptr residual_;  ///< the plan's tree until Open() binds this op's copy
   sim::AccessContext* ctx_;
   Schema out_schema_;
   std::vector<std::pair<int, int>> key_cols_;  ///< (outer idx, inner idx)
@@ -294,13 +287,12 @@ class NestedLoopJoinOp final : public Operator {
 /// the on-device join buffer (hw_MSJ) or a host join buffer.
 class BlockNLJoinOp final : public Operator {
  public:
+  /// Open() rejects a zero `buffer_bytes`: no outer row fits the block.
   BlockNLJoinOp(OperatorPtr outer, OperatorPtr inner, std::vector<JoinKey> keys,
-                Expr::Ptr residual, uint64_t buffer_bytes,
-                sim::AccessContext* ctx);
+                uint64_t buffer_bytes, sim::AccessContext* ctx);
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  Status Rewind() override;
   std::string Describe() const override { return "BNLJ"; }
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {
@@ -322,7 +314,6 @@ class BlockNLJoinOp final : public Operator {
 
   OperatorPtr outer_, inner_;
   std::vector<JoinKey> keys_;
-  Expr::Ptr residual_;  ///< the plan's tree until Open() binds this op's copy
   uint64_t buffer_bytes_;
   sim::AccessContext* ctx_;
   Schema out_schema_;
@@ -347,6 +338,7 @@ class BlockNLJoinOp final : public Operator {
 class BlockNLIndexJoinOp final : public Operator {
  public:
   /// `inner_join_col` is a column name in the *table* schema (unaliased).
+  /// Open() rejects a zero `buffer_bytes`, like BlockNLJoinOp.
   BlockNLIndexJoinOp(OperatorPtr outer, std::string outer_key_col,
                      const TableAccessor* inner_table, std::string inner_alias,
                      std::string inner_join_col, lsm::ReadOptions inner_opts,
@@ -356,7 +348,6 @@ class BlockNLIndexJoinOp final : public Operator {
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  Status Rewind() override;
   std::string Describe() const override;
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {
@@ -402,12 +393,11 @@ class BlockNLIndexJoinOp final : public Operator {
 class GraceHashJoinOp final : public Operator {
  public:
   GraceHashJoinOp(OperatorPtr left, OperatorPtr right,
-                  std::vector<JoinKey> keys, Expr::Ptr residual,
-                  int num_partitions, sim::AccessContext* ctx);
+                  std::vector<JoinKey> keys, int num_partitions,
+                  sim::AccessContext* ctx);
 
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
-  Status Rewind() override;
   std::string Describe() const override { return "GHJ"; }
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {
@@ -423,7 +413,6 @@ class GraceHashJoinOp final : public Operator {
 
   OperatorPtr left_, right_;
   std::vector<JoinKey> keys_;
-  Expr::Ptr residual_;  ///< the plan's tree until Open() binds this op's copy
   int num_partitions_;
   sim::AccessContext* ctx_;
   Schema out_schema_;
@@ -459,7 +448,6 @@ class GroupByAggOp final : public Operator {
   const Schema& output_schema() const override { return out_schema_; }
   Status Open() override;
   RowBatch* NextBatch(size_t max_rows) override;
-  Status Rewind() override;
   std::string Describe() const override { return "GroupByAgg"; }
   void ForEachChild(
       const std::function<void(const Operator&)>& fn) const override {

@@ -71,19 +71,10 @@ class RowBatch {
   size_t size() const { return n_rows_; }
   bool full() const { return n_rows_ >= cap_; }
 
-  /// Pointer to the next free row slot without committing it. Producers
-  /// that may discard a row (e.g. a join writing the concatenation before
-  /// evaluating the residual) write here first and CommitRow() on success;
-  /// a rejected row simply leaves the slot to be overwritten.
-  char* PeekRow() { return data_ + n_rows_ * row_size_; }
-  void CommitRow() {
-    sel_[n_active_++] = static_cast<uint32_t>(n_rows_++);
-  }
-  /// Commit-and-return: the common append for rows that always survive.
+  /// Select the next free row slot and return it for the caller to fill.
   char* AppendRow() {
-    char* p = PeekRow();
-    CommitRow();
-    return p;
+    sel_[n_active_++] = static_cast<uint32_t>(n_rows_);
+    return data_ + n_rows_++ * row_size_;
   }
   void AppendCopy(const char* src) { memcpy(AppendRow(), src, row_size_); }
 

@@ -238,8 +238,6 @@ RowBatch* FilterOp::NextBatch(size_t max_rows) {
   return b;  // possibly zero active rows; callers loop
 }
 
-Status FilterOp::Rewind() { return child_->Rewind(); }
-
 std::string FilterOp::Describe() const {
   return "Filter(" + predicate_->ToString() + ")";
 }
@@ -271,8 +269,6 @@ RowBatch* ProjectOp::NextBatch(size_t max_rows) {
   if (ctx_ != nullptr) ctx_->ChargeCopyRepeated(out_schema_.row_size(), n);
   return &batch_;  // 1:1 with the child batch; no refill (stall alignment)
 }
-
-Status ProjectOp::Rewind() { return child_->Rewind(); }
 
 std::string ProjectOp::Describe() const {
   return "Project(" + std::to_string(cols_.size()) + " cols)";

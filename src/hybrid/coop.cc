@@ -180,8 +180,6 @@ Status StallingSourceOp::Open() {
   return Status::OK();
 }
 
-Status StallingSourceOp::Rewind() { return Open(); }
-
 bool StallingSourceOp::FetchNextDeviceBatch() {
   while (batch_rows_left_ == 0) {
     const bool past_end = next_batch_ >= schedule_->num_batches();

@@ -107,8 +107,9 @@ class BatchSchedule {
 };
 
 /// Volcano source over device-produced rows that stalls the host clock
-/// until each batch has arrived (paper Fig. 7.B/D). Rewind replays from
-/// host memory without new waits (data already fetched).
+/// until each batch has arrived (paper Fig. 7.B/D). A re-open (a join
+/// inner's next pass) replays from host memory without new waits: the data
+/// was already fetched.
 class StallingSourceOp final : public exec::Operator {
  public:
   StallingSourceOp(rel::Schema schema, const std::vector<std::string>* rows,
@@ -121,7 +122,6 @@ class StallingSourceOp final : public exec::Operator {
   /// point always falls between host batches, whatever `max_rows` is
   /// (bit-identical wait attribution).
   exec::RowBatch* NextBatch(size_t max_rows) override;
-  Status Rewind() override;
   std::string Describe() const override { return "StallingSource"; }
 
  private:

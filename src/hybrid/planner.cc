@@ -206,6 +206,10 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
   if (query.tables.empty()) {
     return Status::InvalidArgument("query without tables");
   }
+  HNDP_RETURN_IF_ERROR(nkv::CheckBufferConfig(config_.buffers));
+  if (config_.host_join_buffer_bytes == 0) {
+    return Status::InvalidArgument("zero-byte host join buffer");
+  }
   Plan plan;
   plan.query = query;
   const auto& hw = *hw_;
@@ -450,10 +454,10 @@ Result<Plan> Planner::PlanQuery(const Query& query) const {
       // picks the access path; the device reuses the chosen plan).
       const uint64_t dev_passes = std::max<uint64_t>(
           1, run_prefix_rows * run_prefix_bytes /
-                 std::max<uint64_t>(1, config_.buffers.join_buffer_bytes));
+                 config_.buffers.join_buffer_bytes);
       const uint64_t host_passes = std::max<uint64_t>(
           1, run_prefix_rows * run_prefix_bytes /
-                 std::max<uint64_t>(1, config_.host_join_buffer_bytes));
+                 config_.host_join_buffer_bytes);
       const uint64_t inner_bytes =
           pt.access.use_index_scan
               ? pt.est.est_rows_out * t.schema().row_size()

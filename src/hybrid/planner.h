@@ -37,6 +37,8 @@ class Planner {
       : catalog_(catalog), hw_(hw), config_(config) {}
 
   /// Produce the full plan: join order, access paths, costs, split choice.
+  /// InvalidArgument when a configured buffer is empty (nkv::
+  /// CheckBufferConfig, or a zero host join buffer).
   Result<Plan> PlanQuery(const Query& query) const;
 
   const PlannerConfig& config() const { return config_; }

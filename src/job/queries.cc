@@ -952,11 +952,6 @@ const std::map<int, std::pair<GroupFn, int>>& Groups() {
 
 }  // namespace
 
-int NumVariants(int group) {
-  auto it = Groups().find(group);
-  return it == Groups().end() ? 0 : it->second.second;
-}
-
 std::vector<JobQueryId> AllJobQueries() {
   std::vector<JobQueryId> out;
   for (const auto& [group, entry] : Groups()) {

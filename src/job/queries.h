@@ -27,9 +27,6 @@ struct JobQueryId {
 /// All 113 query ids in benchmark order (1a..33c).
 std::vector<JobQueryId> AllJobQueries();
 
-/// Number of variants in a group (matches the original JOB distribution).
-int NumVariants(int group);
-
 /// Build one JOB query. Fails for unknown group/variant.
 Result<hybrid::Query> MakeJobQuery(const JobQueryId& id);
 

@@ -28,14 +28,6 @@ uint64_t Version::TotalBytes() const {
   return total;
 }
 
-uint64_t Version::TotalEntries() const {
-  uint64_t total = 0;
-  for (const auto& level : levels) {
-    for (const auto& f : level) total += f.num_entries;
-  }
-  return total;
-}
-
 DB::DB(VirtualStorage* storage, DBOptions options)
     : storage_(storage), options_(options) {}
 

@@ -52,7 +52,6 @@ struct Version {
 
   uint64_t LevelBytes(int level) const;
   uint64_t TotalBytes() const;
-  uint64_t TotalEntries() const;
 };
 
 /// Shared state shipped with an NDP invocation (paper Sect. 2.1): the

@@ -8,6 +8,7 @@ using exec::OperatorPtr;
 using nkv::NdpCommand;
 
 Status DeviceExecutor::CheckResources(const NdpCommand& cmd) const {
+  HNDP_RETURN_IF_ERROR(nkv::CheckBufferConfig(cmd.buffers));
   const uint64_t reserved = cmd.ReservedBufferBytes();
   if (reserved > hw_->mem.device_ndp_budget_bytes) {
     return Status::ResourceExhausted(
@@ -113,7 +114,6 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
     }
     result.stream_schemas.push_back(op->output_schema());
     result.stream_rows.push_back(std::move(rows));
-    op->Close();
     return st;
   };
 

@@ -74,8 +74,9 @@ class DeviceExecutor {
                                   obs::MetricsRegistry* metrics = nullptr)
       const;
 
-  /// Admission check: the reservation (nkv::ReservedBufferBytes) fits the
-  /// NDP budget and the command is well formed.
+  /// Admission check: the buffers pass nkv::CheckBufferConfig, the
+  /// reservation (nkv::ReservedBufferBytes) fits the NDP budget and the
+  /// command is well formed.
   Status CheckResources(const nkv::NdpCommand& cmd) const;
 
  private:

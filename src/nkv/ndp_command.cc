@@ -26,6 +26,15 @@ uint64_t ReservedBufferBytes(const NdpBufferConfig& buffers, size_t num_tables,
              buffers.shared_slot_bytes;
 }
 
+Status CheckBufferConfig(const NdpBufferConfig& buffers) {
+  if (buffers.selection_buffer_bytes == 0 || buffers.join_buffer_bytes == 0 ||
+      buffers.shared_slot_bytes == 0 || buffers.shared_slots < 1) {
+    return Status::InvalidArgument(
+        "NDP buffers need positive sizes and at least one shared slot");
+  }
+  return Status::OK();
+}
+
 uint64_t NdpCommand::ReservedBufferBytes() const {
   const size_t index_scans = static_cast<size_t>(
       std::count_if(tables.begin(), tables.end(),
@@ -55,18 +64,17 @@ exec::OperatorPtr JoinInputs(exec::OperatorPtr outer, exec::OperatorPtr inner,
   switch (algo) {
     case JoinAlgo::kNLJ:
       return std::make_unique<exec::NestedLoopJoinOp>(
-          std::move(outer), std::move(inner), keys, nullptr, ctx);
+          std::move(outer), std::move(inner), keys, ctx);
     case JoinAlgo::kGHJ:
       return std::make_unique<exec::GraceHashJoinOp>(
-          std::move(outer), std::move(inner), keys, nullptr,
-          /*num_partitions=*/8, ctx);
+          std::move(outer), std::move(inner), keys, /*num_partitions=*/8,
+          ctx);
     case JoinAlgo::kBNLJ:
     case JoinAlgo::kBNLJI:
       break;
   }
-  return std::make_unique<exec::BlockNLJoinOp>(std::move(outer),
-                                               std::move(inner), keys, nullptr,
-                                               join_buffer_bytes, ctx);
+  return std::make_unique<exec::BlockNLJoinOp>(
+      std::move(outer), std::move(inner), keys, join_buffer_bytes, ctx);
 }
 
 exec::OperatorPtr BuildJoin(exec::OperatorPtr outer, const NdpJoinStage& stage,

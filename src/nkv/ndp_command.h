@@ -117,6 +117,11 @@ struct NdpCommand {
 uint64_t ReservedBufferBytes(const NdpBufferConfig& buffers, size_t num_tables,
                              size_t num_index_scans, size_t num_joins);
 
+/// InvalidArgument unless every buffer holds something: each byte size is
+/// positive and there is at least one shared slot. The planner and the
+/// device's admission check both apply it.
+Status CheckBufferConfig(const NdpBufferConfig& buffers);
+
 // ---- The PQEP builder both sides of a split use (paper Sect. 3.3, 4). The
 // caller passes its accessor (host Table or DeviceTableAccessor) and the
 // read options whose context is charged.

@@ -318,7 +318,7 @@ std::multiset<std::pair<int, int>> ExtractJoin(
 TEST_F(ExecTest, NestedLoopJoinMatchesReference) {
   auto join = std::make_unique<NestedLoopJoinOp>(
       ScanDept(), ScanEmp(), std::vector<JoinKey>{{"d.id", "e.dept_id"}},
-      nullptr, &ctx_);
+      &ctx_);
   auto rows = CollectAll(join.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 500u);
@@ -330,7 +330,7 @@ TEST_F(ExecTest, BlockNLJoinMatchesReferenceAcrossBufferSizes) {
   for (uint64_t buffer : {64u, 512u, 1u << 20}) {
     auto join = std::make_unique<BlockNLJoinOp>(
         ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.dept_id", "d.id"}},
-        nullptr, buffer, &ctx_);
+        buffer, &ctx_);
     auto rows = CollectAll(join.get());
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows->size(), 500u) << "buffer=" << buffer;
@@ -343,9 +343,12 @@ TEST_F(ExecTest, BlockNLJoinMatchesReferenceAcrossBufferSizes) {
 }
 
 TEST_F(ExecTest, BlockNLJoinWithResidual) {
-  auto join = std::make_unique<BlockNLJoinOp>(
-      ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.dept_id", "d.id"}},
-      Expr::CmpInt("d.budget", CmpOp::kGe, 100000), 1 << 20, &ctx_);
+  // The residual is a FilterOp above the join.
+  auto join = std::make_unique<FilterOp>(
+      std::make_unique<BlockNLJoinOp>(
+          ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.dept_id", "d.id"}},
+          1 << 20, &ctx_),
+      Expr::CmpInt("d.budget", CmpOp::kGe, 100000), &ctx_);
   auto rows = CollectAll(join.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 250u);  // depts 10..19
@@ -361,8 +364,7 @@ TEST_F(ExecTest, BlockNLJoinProbesEveryInnerRowItPulls) {
     const Operator* inner_ptr = inner.get();
     auto join = std::make_unique<BlockNLJoinOp>(
         ScanEmp(Expr::CmpInt("e.id", CmpOp::kLt, 40)), std::move(inner),
-        std::vector<JoinKey>{{"e.dept_id", "d.id"}}, nullptr, 1 << 20,
-        &join_ctx);
+        std::vector<JoinKey>{{"e.dept_id", "d.id"}}, 1 << 20, &join_ctx);
     ASSERT_TRUE(join->Open().ok());
     size_t rows = 0;
     while (RowBatch* b = join->NextBatch(k)) {
@@ -538,7 +540,7 @@ TEST_F(ExecTest, GraceHashJoinMatchesReference) {
   for (int parts : {1, 4, 16}) {
     auto join = std::make_unique<GraceHashJoinOp>(
         ScanDept(), ScanEmp(), std::vector<JoinKey>{{"d.id", "e.dept_id"}},
-        nullptr, parts, &ctx_);
+        parts, &ctx_);
     auto rows = CollectAll(join.get());
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows->size(), 500u) << "parts=" << parts;
@@ -549,8 +551,8 @@ TEST_F(ExecTest, GraceHashJoinMatchesReference) {
 
 TEST_F(ExecTest, JoinKeyWidthMismatchIsRejected) {
   auto join = std::make_unique<BlockNLJoinOp>(
-      ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.name", "d.id"}}, nullptr,
-      1 << 20, &ctx_);
+      ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.name", "d.id"}}, 1 << 20,
+      &ctx_);
   EXPECT_FALSE(join->Open().ok());
 }
 
@@ -643,7 +645,7 @@ TEST_F(ExecTest, OperatorsChargeCosts) {
   ctx_.ResetCosts();
   auto join = std::make_unique<BlockNLJoinOp>(
       ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.dept_id", "d.id"}},
-      nullptr, 1 << 20, &ctx_);
+      1 << 20, &ctx_);
   auto rows = CollectAll(join.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_GT(ctx_.counters().Units(sim::CostKind::kHashBuild), 0u);
@@ -661,13 +663,6 @@ TEST(RowBatchTest, SelectionNarrowsInPlace) {
   EXPECT_EQ(b.capacity(), 4u);
   EXPECT_EQ(b.size(), 0u);
   EXPECT_FALSE(b.full());
-
-  // PeekRow without CommitRow leaves the slot uncommitted: a join that
-  // writes the concatenation first and then fails the residual discards by
-  // simply not committing.
-  memset(b.PeekRow(), 0xab, schema.row_size());
-  EXPECT_EQ(b.size(), 0u);
-  EXPECT_EQ(b.num_active(), 0u);
 
   for (int i = 0; i < 4; ++i) {
     RowBuilder rb(&schema);
@@ -750,7 +745,6 @@ TEST_F(ExecTest, FilterNextBatchCompactsSelection) {
       ++survivors;
     }
   }
-  filter->Close();
   // Reference count.
   size_t expected = 0;
   for (int i = 0; i < 500; ++i) {
@@ -772,7 +766,7 @@ TEST_F(ExecTest, BatchedScanFilterProjectJoinMatchesRowExecution) {
         dept_, "d", o, nullptr, std::vector<std::string>{});
     auto join = std::make_unique<BlockNLJoinOp>(
         std::move(scan_e), std::move(scan_d),
-        std::vector<JoinKey>{{"e.dept_id", "d.id"}}, nullptr, 4 << 10, ctx);
+        std::vector<JoinKey>{{"e.dept_id", "d.id"}}, 4 << 10, ctx);
     auto filter = std::make_unique<FilterOp>(
         std::move(join), Expr::CmpInt("d.budget", CmpOp::kGe, 30000), ctx);
     return std::make_unique<ProjectOp>(
@@ -810,7 +804,7 @@ TEST_F(ExecTest, BatchedGraceHashJoinMatchesRowExecution) {
         emp_, "e", o, nullptr, std::vector<std::string>{});
     return std::make_unique<GraceHashJoinOp>(
         std::move(scan_d), std::move(scan_e),
-        std::vector<JoinKey>{{"d.id", "e.dept_id"}}, nullptr, 4, ctx);
+        std::vector<JoinKey>{{"d.id", "e.dept_id"}}, 4, ctx);
   };
   ExpectBatchSizeInvariant(build, {100, 137, 1024});
 }
@@ -825,12 +819,127 @@ TEST_F(ExecTest, BatchedNestedLoopJoinMatchesRowExecution) {
     auto scan_e = std::make_unique<TableScanOp>(
         emp_, "e", o, Expr::CmpInt("e.salary", CmpOp::kGe, 3000),
         std::vector<std::string>{});
-    return std::make_unique<NestedLoopJoinOp>(
+    auto join = std::make_unique<NestedLoopJoinOp>(
         std::move(scan_d), std::move(scan_e),
-        std::vector<JoinKey>{{"d.id", "e.dept_id"}},
-        Expr::CmpInt("e.id", CmpOp::kGe, 100), ctx);
+        std::vector<JoinKey>{{"d.id", "e.dept_id"}}, ctx);
+    return std::make_unique<FilterOp>(
+        std::move(join), Expr::CmpInt("e.id", CmpOp::kGe, 100), ctx);
   };
   ExpectBatchSizeInvariant(build, {7, 100, 1024});
+}
+
+TEST_F(ExecTest, ReopenReplaysEveryOperator) {
+  // Open restarts a stream: a drained operator opened again yields the
+  // same rows and charges the same work (no cache absorbs the re-reads).
+  auto opts = [](AccessContext* ctx) {
+    lsm::ReadOptions o;
+    o.ctx = ctx;
+    return o;
+  };
+  auto scan = [&](const rel::Table* table, const char* alias,
+                  AccessContext* ctx, Expr::Ptr pred = nullptr) -> OperatorPtr {
+    return std::make_unique<TableScanOp>(table, alias, opts(ctx),
+                                         std::move(pred),
+                                         std::vector<std::string>{});
+  };
+  const std::vector<std::pair<std::string,
+                              std::function<OperatorPtr(AccessContext*)>>>
+      builds = {
+          {"TableScan",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<TableScanOp>(
+                 emp_, "e", opts(ctx),
+                 Expr::CmpInt("e.salary", CmpOp::kGe, 2000),
+                 std::vector<std::string>{"e.id", "e.name"});
+           }},
+          {"IndexScan",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<IndexScanOp>(
+                 emp_, "e", 0, opts(ctx), 5, 8,
+                 Expr::CmpInt("e.salary", CmpOp::kLt, 3000),
+                 std::vector<std::string>{});
+           }},
+          {"Filter",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<FilterOp>(
+                 scan(emp_, "e", ctx),
+                 Expr::CmpInt("e.dept_id", CmpOp::kLe, 4), ctx);
+           }},
+          {"Project",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<ProjectOp>(
+                 scan(dept_, "d", ctx),
+                 std::vector<std::string>{"d.dname", "d.id"}, ctx);
+           }},
+          {"NLJ",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<NestedLoopJoinOp>(
+                 scan(dept_, "d", ctx, Expr::CmpInt("d.id", CmpOp::kLt, 4)),
+                 scan(emp_, "e", ctx),
+                 std::vector<JoinKey>{{"d.id", "e.dept_id"}}, ctx);
+           }},
+          {"BNLJ",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<BlockNLJoinOp>(
+                 scan(emp_, "e", ctx), scan(dept_, "d", ctx),
+                 std::vector<JoinKey>{{"e.dept_id", "d.id"}}, 2 << 10, ctx);
+           }},
+          {"BNLJI",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<BlockNLIndexJoinOp>(
+                 scan(dept_, "d", ctx), "d.id", emp_, "e", "dept_id",
+                 opts(ctx), nullptr, std::vector<std::string>{}, 1 << 8, ctx);
+           }},
+          {"GHJ",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<GraceHashJoinOp>(
+                 scan(dept_, "d", ctx), scan(emp_, "e", ctx),
+                 std::vector<JoinKey>{{"d.id", "e.dept_id"}}, 4, ctx);
+           }},
+          {"GroupByAgg",
+           [&](AccessContext* ctx) -> OperatorPtr {
+             return std::make_unique<GroupByAggOp>(
+                 scan(emp_, "e", ctx), std::vector<std::string>{"e.dept_id"},
+                 std::vector<AggSpec>{{AggFn::kCount, "", "cnt"},
+                                      {AggFn::kMax, "e.name", "hi"}},
+                 ctx);
+           }},
+      };
+  for (const auto& [name, build] : builds) {
+    SCOPED_TRACE(name);
+    // Warm-up: absorb the SST readers' one-time index loads (see
+    // ExpectBatchSizeInvariant).
+    {
+      AccessContext warm(&hw_, Actor::kHost, IoPath::kNative);
+      auto op = build(&warm);
+      ASSERT_TRUE(CollectAll(op.get()).ok());
+    }
+    AccessContext ctx(&hw_, Actor::kHost, IoPath::kNative);
+    auto op = build(&ctx);
+    auto first = CollectAll(op.get(), 64);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_GT(first->size(), 0u);
+    const sim::CostCounters first_costs = ctx.counters();
+    ctx.ResetCosts();
+    auto second = CollectAll(op.get(), 64);  // opens the same operator again
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(*second, *first);
+    EXPECT_EQ(ctx.counters().units, first_costs.units);
+    EXPECT_EQ(ctx.counters().time_ps, first_costs.time_ps);
+  }
+}
+
+TEST_F(ExecTest, ZeroByteJoinBufferFailsOpen) {
+  // No outer row fits an empty block: both block joins refuse to open
+  // instead of returning an empty result.
+  auto bnlj = std::make_unique<BlockNLJoinOp>(
+      ScanEmp(), ScanDept(), std::vector<JoinKey>{{"e.dept_id", "d.id"}}, 0,
+      &ctx_);
+  EXPECT_TRUE(bnlj->Open().IsInvalidArgument());
+  auto bnlji = std::make_unique<BlockNLIndexJoinOp>(
+      ScanEmp(), "e.dept_id", dept_, "d", "id", ReadOpts(), nullptr,
+      std::vector<std::string>{}, 0, &ctx_);
+  EXPECT_TRUE(bnlji->Open().IsInvalidArgument());
 }
 
 TEST_F(ExecTest, ExprSplitConjuncts) {

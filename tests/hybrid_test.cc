@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 
@@ -495,6 +496,51 @@ TEST_F(HybridTest, SplitDistanceSelectsFeasibleSplit) {
   EXPECT_LE(plan->recommended.split_joins, plan->max_feasible_split);
 }
 
+TEST_F(HybridTest, ZeroSizedBuffersFailCleanlyOrMatchReference) {
+  // An empty buffer holds no row. Planning with it, or running a plan made
+  // with working buffers under it, must end in a non-OK Status or the
+  // reference rows on every strategy, never in a silently empty result.
+  const std::vector<std::pair<std::string, std::function<void(PlannerConfig*)>>>
+      zeroings = {
+          {"host_join_buffer_bytes",
+           [](PlannerConfig* c) { c->host_join_buffer_bytes = 0; }},
+          {"selection_buffer_bytes",
+           [](PlannerConfig* c) { c->buffers.selection_buffer_bytes = 0; }},
+          {"join_buffer_bytes",
+           [](PlannerConfig* c) { c->buffers.join_buffer_bytes = 0; }},
+          {"shared_slot_bytes",
+           [](PlannerConfig* c) { c->buffers.shared_slot_bytes = 0; }},
+          {"shared_slots", [](PlannerConfig* c) { c->buffers.shared_slots = 0; }},
+      };
+  Planner planner(&catalog_, &hw_, MakePlannerConfig());
+  auto plan = planner.PlanQuery(MakeQuery());
+  ASSERT_TRUE(plan.ok());
+  lsm::BlockCache ref_cache(64 << 20);
+  auto reference = HybridExecutor(&catalog_, &storage_, &hw_,
+                                  MakePlannerConfig())
+                       .Run(*plan, {Strategy::kHostNative, 0}, &ref_cache);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GT(reference->rows.size(), 0u);
+
+  for (const auto& [name, zero] : zeroings) {
+    SCOPED_TRACE(name + " = 0");
+    PlannerConfig cfg = MakePlannerConfig();
+    zero(&cfg);
+    EXPECT_TRUE(Planner(&catalog_, &hw_, cfg)
+                    .PlanQuery(MakeQuery())
+                    .status()
+                    .IsInvalidArgument());
+    HybridExecutor executor(&catalog_, &storage_, &hw_, cfg);
+    for (const ExecChoice& choice : HybridExecutor::AllChoices(*plan)) {
+      lsm::BlockCache cache(64 << 20);
+      auto result = executor.Run(*plan, choice, &cache);
+      if (result.ok()) {
+        EXPECT_EQ(Canon(*result), Canon(*reference)) << choice.ToString();
+      }
+    }
+  }
+}
+
 // ----------------------- BatchSchedule accounting regressions
 
 TEST(BatchScheduleTest, RewindReplayDoesNotDoubleChargeStages) {
@@ -517,8 +563,8 @@ TEST(BatchScheduleTest, RewindReplayDoesNotDoubleChargeStages) {
   EXPECT_GT(first.initial_wait, 0);
   EXPECT_GT(first.result_transfer, 0);
 
-  // Replay from host memory (join-inner Rewind): no new wait/transfer, and
-  // the host clock is untouched.
+  // Replay from host memory (a join inner's re-open): no new wait/transfer,
+  // and the host clock is untouched.
   for (size_t j = 0; j < batches.size(); ++j) {
     EXPECT_EQ(sched.Fetch(j, now, &st), now) << "batch " << j;
   }
@@ -526,7 +572,7 @@ TEST(BatchScheduleTest, RewindReplayDoesNotDoubleChargeStages) {
   EXPECT_EQ(st.later_waits, first.later_waits);
   EXPECT_EQ(st.result_transfer, first.result_transfer);
 
-  // A rewound consumer must never observe a batch before it first arrived,
+  // A re-opened consumer must never observe a batch before it first arrived,
   // even if it presents a stale clock.
   for (size_t j = 0; j < batches.size(); ++j) {
     EXPECT_EQ(sched.Fetch(j, /*host_now=*/0, &st), arrivals[j])

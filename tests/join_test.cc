@@ -1,8 +1,8 @@
 // Pins the join operators and the index range scan: the exact simulated
-// charges and output row sequence of BNLJ, GHJ, BNLJI (primary key and
-// secondary index) and IndexScanOp on a fixed fixture with duplicate keys,
-// under host and device contexts, and exec::JoinTable against a
-// std::unordered_multimap model.
+// charges and output row sequence of BNLJ and GHJ (each under a FilterOp),
+// BNLJI (primary key and secondary index) and IndexScanOp on a fixed fixture
+// with duplicate keys, under host and device contexts, and exec::JoinTable
+// against a std::unordered_multimap model.
 
 #include <gtest/gtest.h>
 
@@ -142,27 +142,32 @@ class JoinGoldenTest : public ::testing::Test {
     }
   }
 
-  /// fact ⋈ dim on dim_id = id, residual f.grp <= d.grp, in 600-byte
-  /// blocks of 34 outer rows.
+  /// Filters a join's output on f.grp <= d.grp.
+  static OperatorPtr GrpFilter(OperatorPtr join, AccessContext* ctx) {
+    return std::make_unique<FilterOp>(
+        std::move(join), Expr::CmpCol("f.grp", CmpOp::kLe, "d.grp"), ctx);
+  }
+  /// fact ⋈ dim on dim_id = id in 600-byte blocks of 34 outer rows, then
+  /// the f.grp <= d.grp filter.
   OperatorPtr Bnlj(AccessContext* ctx) {
-    return std::make_unique<BlockNLJoinOp>(
-        Scan(fact_, "f", ctx), Scan(dim_, "d", ctx),
-        std::vector<JoinKey>{{"f.dim_id", "d.id"}},
-        Expr::CmpCol("f.grp", CmpOp::kLe, "d.grp"), 600, ctx);
+    return GrpFilter(std::make_unique<BlockNLJoinOp>(
+                         Scan(fact_, "f", ctx), Scan(dim_, "d", ctx),
+                         std::vector<JoinKey>{{"f.dim_id", "d.id"}}, 600, ctx),
+                     ctx);
   }
   /// fact ⋈ dim on (dim_id, grp) = (id, grp), same blocks.
   OperatorPtr BnljTwoColumnKey(AccessContext* ctx) {
     return std::make_unique<BlockNLJoinOp>(
         Scan(fact_, "f", ctx), Scan(dim_, "d", ctx),
-        std::vector<JoinKey>{{"f.dim_id", "d.id"}, {"f.grp", "d.grp"}},
-        nullptr, 600, ctx);
+        std::vector<JoinKey>{{"f.dim_id", "d.id"}, {"f.grp", "d.grp"}}, 600,
+        ctx);
   }
-  /// fact (build) ⋈ dim (probe) in four partitions, same residual.
+  /// fact (build) ⋈ dim (probe) in four partitions, same filter.
   OperatorPtr Ghj(AccessContext* ctx) {
-    return std::make_unique<GraceHashJoinOp>(
-        Scan(fact_, "f", ctx), Scan(dim_, "d", ctx),
-        std::vector<JoinKey>{{"f.dim_id", "d.id"}},
-        Expr::CmpCol("f.grp", CmpOp::kLe, "d.grp"), 4, ctx);
+    return GrpFilter(std::make_unique<GraceHashJoinOp>(
+                         Scan(fact_, "f", ctx), Scan(dim_, "d", ctx),
+                         std::vector<JoinKey>{{"f.dim_id", "d.id"}}, 4, ctx),
+                     ctx);
   }
   /// fact ⋈ dim by primary-key lookups, inner residual d.grp != 2,
   /// projected to (d.id, d.name).
@@ -204,19 +209,19 @@ class JoinGoldenTest : public ::testing::Test {
 
 TEST_F(JoinGoldenTest, BlockNLJoinHost) {
   ExpectGolden(Actor::kHost, [&](AccessContext* c) { return Bnlj(c); },
-               Golden{{780, 1419, 0, 480, 0, 16053, 0, 240, 240, 31040, 0, 0,
-                       0},
+               Golden{{780, 1419, 0, 480, 0, 16053, 0, 240, 240, 31040, 195,
+                       0, 0},
                       {90090, 2182647, 0, 2769120, 0, 1090733874, 0, 1384560,
-                       923040, 3880000, 0, 0, 0},
+                       923040, 3880000, 1499940, 0, 0},
                       127, 15359512015593396097u});
 }
 
 TEST_F(JoinGoldenTest, BlockNLJoinDevice) {
   ExpectGolden(Actor::kDevice, [&](AccessContext* c) { return Bnlj(c); },
-               Golden{{780, 1419, 0, 480, 0, 16053, 0, 240, 240, 31040, 0, 0,
-                       0},
+               Golden{{780, 1419, 0, 480, 0, 16053, 0, 240, 240, 31040, 195,
+                       0, 0},
                       {1403220, 34038972, 0, 43178400, 0, 3306801, 0, 21589200,
-                       14392800, 38800000, 0, 0, 0},
+                       14392800, 38800000, 23388300, 0, 0},
                       127, 15359512015593396097u});
 }
 
@@ -240,17 +245,19 @@ TEST_F(JoinGoldenTest, BlockNLJoinTwoColumnKeyDevice) {
 
 TEST_F(JoinGoldenTest, GraceHashJoinHost) {
   ExpectGolden(Actor::kHost, [&](AccessContext* c) { return Ghj(c); },
-               Golden{{780, 597, 0, 270, 0, 19839, 0, 240, 300, 18660, 0, 0, 0},
+               Golden{{780, 597, 0, 270, 0, 19839, 0, 240, 300, 18660, 195, 0,
+                       0},
                       {90090, 918214, 0, 1557630, 0, 581265402, 0, 1384560,
-                       1153800, 2332500, 0, 0, 0},
+                       1153800, 2332500, 1499940, 0, 0},
                       127, 6128081795885054064u});
 }
 
 TEST_F(JoinGoldenTest, GraceHashJoinDevice) {
   ExpectGolden(Actor::kDevice, [&](AccessContext* c) { return Ghj(c); },
-               Golden{{780, 597, 0, 270, 0, 19839, 0, 240, 300, 18660, 0, 0, 0},
+               Golden{{780, 597, 0, 270, 0, 19839, 0, 240, 300, 18660, 195, 0,
+                       0},
                       {1403220, 14320836, 0, 24287850, 0, 4086699, 0, 21589200,
-                       17991000, 23325000, 0, 0, 0},
+                       17991000, 23325000, 23388300, 0, 0},
                       127, 6128081795885054064u});
 }
 

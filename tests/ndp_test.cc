@@ -429,7 +429,7 @@ TEST(BatchScheduleTest, ReplayedFetchesAreFree) {
   hybrid::StageTimes stages;
   SimNanos t = sched.Fetch(0, 0.0, &stages);
   const SimNanos wait_once = stages.initial_wait;
-  // Rewind: same batch again — already in host memory, no new wait.
+  // Re-open: same batch again — already in host memory, no new wait.
   SimNanos t2 = sched.Fetch(0, t, &stages);
   EXPECT_EQ(t2, t);
   EXPECT_EQ(stages.initial_wait, wait_once);
