@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "lsm/merge_iterator.h"
 #include "obs/metrics.h"
 
 namespace hybridndp::lsm {
@@ -199,12 +200,12 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
   for (auto it = src_idx.rbegin(); it != src_idx.rend(); ++it) {
     const FileMetaData& meta = src_files[*it];
     consumed.push_back(meta);
-    inputs.push_back(GetReader(meta)->NewIterator(nullptr, nullptr));
+    inputs.push_back(readers_.Get(meta)->NewIterator(nullptr, nullptr));
   }
   for (size_t i : dst_idx) {
     const FileMetaData& meta = cf->version.levels[target][i];
     consumed.push_back(meta);
-    inputs.push_back(GetReader(meta)->NewIterator(nullptr, nullptr));
+    inputs.push_back(readers_.Get(meta)->NewIterator(nullptr, nullptr));
   }
 
   MergingIterator merged(std::move(inputs), nullptr);
@@ -264,7 +265,7 @@ Status DB::CompactLevel(ColumnFamily* cf, int level) {
                                 }),
                  files->end());
     for (const auto& v : victims) {
-      readers_.erase(v.file_id);
+      readers_.Erase(v.file_id);
       storage_->RemoveFile(v.file_id);
     }
   };
@@ -285,14 +286,29 @@ Status DB::OpenReader(const FileMetaData& meta) {
   // No context: decoding charges nothing. Charged reads find the index
   // pinned, so no run's simulated time depends on an earlier run's touch.
   HNDP_RETURN_IF_ERROR(reader->EnsureOpened(nullptr, nullptr));
-  readers_[meta.file_id] = std::move(reader);
+  readers_.Add(std::move(reader));
   return Status::OK();
 }
 
-SstReader* DB::GetReader(const FileMetaData& meta) const {
+void ReaderTable::Add(std::unique_ptr<SstReader> reader) {
+  const FileId file_id = reader->meta().file_id;
+  readers_[file_id] = std::move(reader);
+}
+
+void ReaderTable::AddFiles(const VirtualStorage* storage,
+                           const Version& version) {
+  for (const auto& level : version.levels) {
+    for (const FileMetaData& meta : level) {
+      auto& reader = readers_[meta.file_id];
+      if (reader == nullptr) reader = std::make_unique<SstReader>(storage, meta);
+    }
+  }
+}
+
+SstReader* ReaderTable::Get(const FileMetaData& meta) const {
   auto it = readers_.find(meta.file_id);
   if (it == readers_.end()) {
-    fprintf(stderr, "DB::GetReader: file %llu is not live\n",
+    fprintf(stderr, "ReaderTable::Get: file %llu has no reader\n",
             static_cast<unsigned long long>(meta.file_id));
     abort();
   }
@@ -320,15 +336,14 @@ void DB::ExportMetrics(obs::MetricsRegistry* metrics) const {
 
   uint64_t block_reads = 0, block_read_bytes = 0, cache_hits = 0,
            index_loads = 0, pinned_seeks = 0;
-  for (const auto& [id, reader] : readers_) {
-    (void)id;
-    const SstReadStats& rs = reader->read_stats();
+  readers_.ForEach([&](const SstReader& reader) {
+    const SstReadStats& rs = reader.read_stats();
     block_reads += rs.block_reads.load(std::memory_order_relaxed);
     block_read_bytes += rs.block_read_bytes.load(std::memory_order_relaxed);
     cache_hits += rs.block_cache_hits.load(std::memory_order_relaxed);
     index_loads += rs.index_loads.load(std::memory_order_relaxed);
     pinned_seeks += rs.pinned_index_seeks.load(std::memory_order_relaxed);
-  }
+  });
   metrics->counter("lsm.sst.block_reads")->Set(block_reads);
   metrics->counter("lsm.sst.block_read_bytes")->Set(block_read_bytes);
   metrics->counter("lsm.sst.block_cache_hits")->Set(cache_hits);
@@ -345,26 +360,21 @@ const Version& DB::GetVersion(ColumnFamilyId cf) const {
 Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
                std::string* value) const {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
-  const ColumnFamily* cf = cfs_[cf_id].get();
-  return SnapshotGet(cf->mem.get(), cf->version, opts, key, value,
-                     [this](const FileMetaData& meta) {
-                       return GetReader(meta);
-                     });
+  const ColumnFamily& cf = *cfs_[cf_id];
+  return SnapshotGet(*cf.mem, cf.version, readers_, opts, key, value);
 }
 
-Status SnapshotGet(
-    const MemTable* mem, const Version& version, const ReadOptions& opts,
-    const Slice& key, std::string* value,
-    const std::function<SstReader*(const FileMetaData&)>& reader_fn) {
+Status SnapshotGet(const MemTable& mem, const Version& version,
+                   const ReaderTable& readers, const ReadOptions& opts,
+                   const Slice& key, std::string* value) {
   bool deleted = false;
-  if (mem != nullptr &&
-      mem->Get(key, opts.snapshot, value, &deleted, opts.ctx)) {
+  if (mem.Get(key, opts.snapshot, value, &deleted, opts.ctx)) {
     return deleted ? Status::NotFound() : Status::OK();
   }
   if (version.levels.empty()) return Status::NotFound();
   auto probe = [&](const FileMetaData& file) {
-    return reader_fn(file)->Get(opts.ctx, opts.cache, key, opts.snapshot,
-                                value, &deleted, opts.use_bloom);
+    return readers.Get(file)->Get(opts.ctx, opts.cache, key, opts.snapshot,
+                                  value, &deleted, opts.use_bloom);
   };
   // C1: overlapping, search newest (last flushed) first.
   const auto& l0 = version.levels[0];
@@ -395,14 +405,15 @@ namespace {
 
 /// Concatenating iterator over the sorted, non-overlapping files of one
 /// level (C2..Ck). One SstIterator, held by value, is re-pointed at file
-/// after file.
+/// after file. It refers to the level's file list and the reader table, so
+/// it must not outlive either.
 class LevelConcatIterator final : public Iterator {
  public:
-  LevelConcatIterator(std::vector<FileMetaData> files,
-                      std::function<SstReader*(const FileMetaData&)> reader_fn,
-                      sim::AccessContext* ctx, BlockCache* cache)
-      : files_(std::move(files)),
-        reader_fn_(std::move(reader_fn)),
+  LevelConcatIterator(const std::vector<FileMetaData>& files,
+                      const ReaderTable& readers, sim::AccessContext* ctx,
+                      BlockCache* cache)
+      : files_(files),
+        readers_(readers),
         ctx_(ctx),
         cache_(cache),
         file_iter_(ctx, cache) {}
@@ -454,7 +465,7 @@ class LevelConcatIterator final : public Iterator {
   bool OpenCurrent() {
     file_open_ = false;
     if (index_ >= files_.size()) return false;
-    SstReader* reader = reader_fn_(files_[index_]);
+    SstReader* reader = readers_.Get(files_[index_]);
     Status s = reader->EnsureOpened(ctx_, cache_);
     if (!s.ok()) {
       status_ = std::move(s);
@@ -481,8 +492,8 @@ class LevelConcatIterator final : public Iterator {
     }
   }
 
-  std::vector<FileMetaData> files_;
-  std::function<SstReader*(const FileMetaData&)> reader_fn_;
+  const std::vector<FileMetaData>& files_;
+  const ReaderTable& readers_;
   sim::AccessContext* ctx_;
   BlockCache* cache_;
   size_t index_ = 0;
@@ -651,37 +662,30 @@ class UserKeyIterator final : public Iterator {
 
 }  // namespace
 
-std::unique_ptr<MergingIterator> NewSnapshotInternalIterator(
-    const CfSnapshot& snap, sim::AccessContext* ctx, BlockCache* cache,
-    const std::function<SstReader*(const FileMetaData&)>& reader_fn) {
+IteratorPtr NewSnapshotIterator(const MemTable& mem, const Version& version,
+                                const ReaderTable& readers,
+                                const ReadOptions& opts) {
   std::vector<IteratorPtr> children;
-  if (snap.mem != nullptr) children.push_back(snap.mem->NewIterator(ctx));
-  if (!snap.version.levels.empty()) {
-    for (const auto& f : snap.version.levels[0]) {
-      children.push_back(reader_fn(f)->NewIterator(ctx, cache));
+  children.push_back(mem.NewIterator(opts.ctx));
+  if (!version.levels.empty()) {
+    for (const auto& f : version.levels[0]) {
+      children.push_back(readers.Get(f)->NewIterator(opts.ctx, opts.cache));
     }
-    for (size_t level = 1; level < snap.version.levels.size(); ++level) {
-      if (snap.version.levels[level].empty()) continue;
+    for (size_t level = 1; level < version.levels.size(); ++level) {
+      if (version.levels[level].empty()) continue;
       children.push_back(std::make_unique<LevelConcatIterator>(
-          snap.version.levels[level], reader_fn, ctx, cache));
+          version.levels[level], readers, opts.ctx, opts.cache));
     }
   }
-  return std::make_unique<MergingIterator>(std::move(children), ctx);
-}
-
-IteratorPtr NewUserKeyIterator(std::unique_ptr<MergingIterator> internal_iter,
-                               SequenceNumber seq, sim::AccessContext* ctx) {
-  return std::make_unique<UserKeyIterator>(std::move(internal_iter), seq, ctx);
+  return std::make_unique<UserKeyIterator>(
+      std::make_unique<MergingIterator>(std::move(children), opts.ctx),
+      opts.snapshot, opts.ctx);
 }
 
 IteratorPtr DB::NewIterator(const ReadOptions& opts, ColumnFamilyId cf_id) const {
   if (cf_id >= cfs_.size()) return std::make_unique<EmptyIterator>();
-  CfSnapshot snap = GetCfSnapshot(cf_id);
-  snap.sequence = opts.snapshot;
-  auto internal = NewSnapshotInternalIterator(
-      snap, opts.ctx, opts.cache,
-      [this](const FileMetaData& meta) { return GetReader(meta); });
-  return NewUserKeyIterator(std::move(internal), opts.snapshot, opts.ctx);
+  const ColumnFamily& cf = *cfs_[cf_id];
+  return NewSnapshotIterator(*cf.mem, cf.version, readers_, opts);
 }
 
 CfSnapshot DB::GetCfSnapshot(ColumnFamilyId cf_id) const {

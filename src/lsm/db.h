@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,7 +15,6 @@
 #include "lsm/internal_key.h"
 #include "lsm/iterator.h"
 #include "lsm/memtable.h"
-#include "lsm/merge_iterator.h"
 #include "lsm/sst.h"
 #include "lsm/storage.h"
 #include "sim/cost.h"
@@ -52,6 +50,31 @@ struct Version {
 
   uint64_t LevelBytes(int level) const;
   uint64_t TotalBytes() const;
+};
+
+/// One SstReader per file, by FileId: the reader table a snapshot read looks
+/// its files up in. The host DB keeps one, opened as each file is installed;
+/// each device table accessor builds its own over the files it was shipped,
+/// and their readers open (charged) on first use.
+class ReaderTable {
+ public:
+  /// Add `reader`, keyed by its file id.
+  void Add(std::unique_ptr<SstReader> reader);
+  /// Add an unopened reader of every file of `version` not yet present.
+  void AddFiles(const VirtualStorage* storage, const Version& version);
+  void Erase(FileId file_id) { readers_.erase(file_id); }
+
+  /// The reader of `meta`'s file. Aborts on a file not in the table: callers
+  /// only pass metadata of the version the table was built from.
+  SstReader* Get(const FileMetaData& meta) const;
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& entry : readers_) fn(*entry.second);
+  }
+
+ private:
+  std::map<FileId, std::unique_ptr<SstReader>> readers_;
 };
 
 /// Shared state shipped with an NDP invocation (paper Sect. 2.1): the
@@ -102,9 +125,8 @@ class DB {
   /// Export the NDP shared-state snapshot for a column family.
   CfSnapshot GetCfSnapshot(ColumnFamilyId cf) const;
 
-  /// Opened reader of a live file (host-side use). Aborts on a file that is
-  /// not live: callers only pass metadata from the current version.
-  SstReader* GetReader(const FileMetaData& meta) const;
+  /// The opened reader of every live file.
+  const ReaderTable& readers() const { return readers_; }
 
   /// No-op: every reader is opened when its file is installed. Kept only for
   /// perfbench/driver/job_store.cc, which still calls it.
@@ -159,33 +181,28 @@ class DB {
   std::vector<std::unique_ptr<ColumnFamily>> cfs_;
   std::map<std::string, ColumnFamilyId> cf_names_;
   /// One opened reader per live SST; changed only on the write path.
-  std::map<FileId, std::unique_ptr<SstReader>> readers_;
+  ReaderTable readers_;
   Stats stats_;
 };
 
-/// Build a merged internal-key iterator over every component of a snapshot,
-/// reading SSTs through `ctx`/`cache`. Used by both the host read path and
-/// the on-device NDP engine (which passes a device context and its own
-/// reader table). `reader_fn` maps file metadata to a live SstReader.
-std::unique_ptr<MergingIterator> NewSnapshotInternalIterator(
-    const CfSnapshot& snap, sim::AccessContext* ctx, BlockCache* cache,
-    const std::function<SstReader*(const FileMetaData&)>& reader_fn);
+/// Point lookup at `opts.snapshot` through one snapshot: `mem`, then C1
+/// newest file first, then one binary-searched file per level C2..Ck, each
+/// file read through its reader in `readers`. NotFound for an absent or
+/// deleted key. The host DB::Get and the NDP engine's primary-key lookups
+/// both call it.
+Status SnapshotGet(const MemTable& mem, const Version& version,
+                   const ReaderTable& readers, const ReadOptions& opts,
+                   const Slice& key, std::string* value);
 
-/// Point lookup at `opts.snapshot` through one snapshot: `mem` (may be
-/// null), then C1 newest file first, then one binary-searched file per
-/// level C2..Ck. NotFound for an absent or deleted key. The host DB::Get and
-/// the NDP engine's primary-key lookups both call it.
-Status SnapshotGet(
-    const MemTable* mem, const Version& version, const ReadOptions& opts,
-    const Slice& key, std::string* value,
-    const std::function<SstReader*(const FileMetaData&)>& reader_fn);
-
-/// Wrap a merged internal-key iterator into a user-key iterator visible at
-/// `seq` (collapses versions, hides tombstones). Its value(), and each view
-/// its NextValues hands out, points into the SST file or the MemTable
-/// arena and stays valid until the next pull: the iterator must not
-/// outlive its snapshot's MemTable or files.
-IteratorPtr NewUserKeyIterator(std::unique_ptr<MergingIterator> internal_iter,
-                               SequenceNumber seq, sim::AccessContext* ctx);
+/// User-key iterator over every component of one snapshot, visible at
+/// `opts.snapshot` (versions collapsed, tombstones hidden), reading SSTs
+/// through `readers` and charging `opts.ctx`/`opts.cache`. The host
+/// DB::NewIterator and the NDP engine's scans both call it. Its value(), and
+/// each view its NextValues hands out, points into the SST file or the
+/// MemTable arena and stays valid until the next pull: the iterator must not
+/// outlive `mem`, `version`, `readers` or the files.
+IteratorPtr NewSnapshotIterator(const MemTable& mem, const Version& version,
+                                const ReaderTable& readers,
+                                const ReadOptions& opts);
 
 }  // namespace hybridndp::lsm

@@ -112,41 +112,38 @@ exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
 
 DeviceTableAccessor::DeviceTableAccessor(const lsm::VirtualStorage* storage,
                                          const NdpTableAccess* access)
-    : storage_(storage), access_(access) {}
-
-lsm::SstReader* DeviceTableAccessor::GetReader(
-    const lsm::FileMetaData& meta) const {
-  auto it = readers_.find(meta.file_id);
-  if (it != readers_.end()) return it->second.get();
-  auto reader = std::make_unique<lsm::SstReader>(storage_, meta);
-  lsm::SstReader* raw = reader.get();
-  readers_[meta.file_id] = std::move(reader);
-  return raw;
+    : access_(access) {
+  readers_.AddFiles(storage, access->primary.version);
+  for (const auto& index : access->indexes) {
+    readers_.AddFiles(storage, index.version);
+  }
 }
+
+namespace {
+
+/// `opts` with kMaxSequenceNumber resolved to the shipped snapshot's.
+lsm::ReadOptions AtSnapshot(lsm::ReadOptions opts,
+                            const lsm::CfSnapshot& snap) {
+  if (opts.snapshot == lsm::kMaxSequenceNumber) opts.snapshot = snap.sequence;
+  return opts;
+}
+
+}  // namespace
 
 Status DeviceTableAccessor::GetByPk(const lsm::ReadOptions& opts, int32_t pk,
                                     std::string* row) const {
   std::string pk_key;
   PutOrderedInt32(&pk_key, pk);
-  lsm::ReadOptions snap_opts = opts;
-  if (snap_opts.snapshot == lsm::kMaxSequenceNumber) {
-    snap_opts.snapshot = access_->primary.sequence;
-  }
   const lsm::CfSnapshot& snap = access_->primary;
-  return lsm::SnapshotGet(
-      snap.mem, snap.version, snap_opts, Slice(pk_key), row,
-      [this](const lsm::FileMetaData& meta) { return GetReader(meta); });
+  return lsm::SnapshotGet(*snap.mem, snap.version, readers_,
+                          AtSnapshot(opts, snap), Slice(pk_key), row);
 }
 
 lsm::IteratorPtr DeviceTableAccessor::NewScanIterator(
     const lsm::ReadOptions& opts) const {
-  const lsm::SequenceNumber seq = opts.snapshot == lsm::kMaxSequenceNumber
-                                      ? access_->primary.sequence
-                                      : opts.snapshot;
-  auto internal = lsm::NewSnapshotInternalIterator(
-      access_->primary, opts.ctx, opts.cache,
-      [this](const lsm::FileMetaData& meta) { return GetReader(meta); });
-  return lsm::NewUserKeyIterator(std::move(internal), seq, opts.ctx);
+  const lsm::CfSnapshot& snap = access_->primary;
+  return lsm::NewSnapshotIterator(*snap.mem, snap.version, readers_,
+                                  AtSnapshot(opts, snap));
 }
 
 lsm::IteratorPtr DeviceTableAccessor::NewIndexIterator(
@@ -154,13 +151,9 @@ lsm::IteratorPtr DeviceTableAccessor::NewIndexIterator(
   if (index_no >= access_->indexes.size()) {
     return std::make_unique<lsm::EmptyIterator>();
   }
-  const auto& snap = access_->indexes[index_no];
-  const lsm::SequenceNumber seq =
-      opts.snapshot == lsm::kMaxSequenceNumber ? snap.sequence : opts.snapshot;
-  auto internal = lsm::NewSnapshotInternalIterator(
-      snap, opts.ctx, opts.cache,
-      [this](const lsm::FileMetaData& meta) { return GetReader(meta); });
-  return lsm::NewUserKeyIterator(std::move(internal), seq, opts.ctx);
+  const lsm::CfSnapshot& snap = access_->indexes[index_no];
+  return lsm::NewSnapshotIterator(*snap.mem, snap.version, readers_,
+                                  AtSnapshot(opts, snap));
 }
 
 NdpTableAccess SnapshotTable(const rel::Table& table, TableAccess access) {

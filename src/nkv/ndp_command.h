@@ -157,9 +157,12 @@ exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
                             const std::vector<std::string>& projection,
                             sim::AccessContext* ctx);
 
-/// Device-side table accessor: reads the shipped CfSnapshots through
-/// device-owned SstReaders, charging the *internal* flash path. This is the
+/// Device-side table accessor: reads the shipped CfSnapshots through its
+/// own reader table, charging the *internal* flash path. This is the
 /// device's own view of the LSM-trees — it never touches host reader state.
+/// The table holds a reader of every shipped file from construction; each
+/// opens on first use and charges its index load to that read. A read at
+/// kMaxSequenceNumber reads at the shipped snapshot's sequence.
 class DeviceTableAccessor final : public rel::TableAccessor {
  public:
   DeviceTableAccessor(const lsm::VirtualStorage* storage,
@@ -174,11 +177,8 @@ class DeviceTableAccessor final : public rel::TableAccessor {
                                     size_t index_no) const override;
 
  private:
-  lsm::SstReader* GetReader(const lsm::FileMetaData& meta) const;
-
-  const lsm::VirtualStorage* storage_;
   const NdpTableAccess* access_;
-  mutable std::map<lsm::FileId, std::unique_ptr<lsm::SstReader>> readers_;
+  lsm::ReaderTable readers_;
 };
 
 /// Ship `access` for a live table: its definition and the shared-state

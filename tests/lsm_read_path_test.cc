@@ -175,28 +175,22 @@ TEST_F(ReadPathGoldenTest, HostChargesArePinned) {
 TEST_F(ReadPathGoldenTest, DeviceChargesArePinned) {
   AccessContext ctx(&hw_, Actor::kDevice, IoPath::kInternal);
   BlockCache cache(2048);
-  // The device opens its own readers, charging each index load.
-  std::map<FileId, std::unique_ptr<SstReader>> readers;
-  auto reader_fn = [&](const FileMetaData& meta) {
-    auto& r = readers[meta.file_id];
-    if (r == nullptr) r = std::make_unique<SstReader>(&storage_, meta);
-    return r.get();
-  };
   const CfSnapshot snap = db_->GetCfSnapshot(cf_);
+  // The device opens its own readers, charging each index load.
+  ReaderTable readers;
+  readers.AddFiles(&storage_, snap.version);
   ReadOptions opts;
   opts.ctx = &ctx;
   opts.cache = &cache;
   opts.snapshot = snap.sequence;
   RunReads(
       [&] {
-        return NewUserKeyIterator(
-            NewSnapshotInternalIterator(snap, &ctx, &cache, reader_fn),
-            snap.sequence, &ctx);
+        return NewSnapshotIterator(*snap.mem, snap.version, readers, opts);
       },
       [&](const Slice& k, bool bloom, std::string* v) {
         ReadOptions o = opts;
         o.use_bloom = bloom;
-        return SnapshotGet(snap.mem, snap.version, o, k, v, reader_fn);
+        return SnapshotGet(*snap.mem, snap.version, readers, o, k, v);
       });
   ExpectCharges(ctx, cache,
                 Charges{{0, 1005, 8, 0, 16, 70493, 0, 0, 0, 2458, 0, 0, 0},

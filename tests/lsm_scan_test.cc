@@ -10,8 +10,6 @@
 
 #include <array>
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,7 +156,8 @@ class ScanGoldenTest : public ::testing::Test {
     EXPECT_TRUE(meta.ok());
     auto reader = std::make_unique<SstReader>(&storage_, *meta);
     EXPECT_TRUE(reader->EnsureOpened(nullptr, nullptr).ok());
-    host_readers_[meta->file_id] = std::move(reader);
+    host_readers_.Add(std::move(reader));
+    device_readers_.Add(std::make_unique<SstReader>(&storage_, *meta));
     return *meta;
   }
 
@@ -168,25 +167,14 @@ class ScanGoldenTest : public ::testing::Test {
     return rb.row();
   }
 
-  /// Host readers were opened uncharged when the files were written, like
-  /// the DB's; the device opens its own on first use, charging the loads.
-  std::function<SstReader*(const FileMetaData&)> ReaderFn(bool device) {
-    if (!device) {
-      return [this](const FileMetaData& meta) {
-        return host_readers_.at(meta.file_id).get();
-      };
-    }
-    return [this](const FileMetaData& meta) {
-      auto& r = device_readers_[meta.file_id];
-      if (r == nullptr) r = std::make_unique<SstReader>(&storage_, meta);
-      return r.get();
-    };
-  }
-
   IteratorPtr NewScan(bool device, AccessContext* ctx, BlockCache* cache) {
-    return lsm::NewUserKeyIterator(
-        lsm::NewSnapshotInternalIterator(snap_, ctx, cache, ReaderFn(device)),
-        snap_.sequence, ctx);
+    lsm::ReadOptions opts;
+    opts.snapshot = snap_.sequence;
+    opts.ctx = ctx;
+    opts.cache = cache;
+    return lsm::NewSnapshotIterator(*snap_.mem, snap_.version,
+                                    device ? device_readers_ : host_readers_,
+                                    opts);
   }
 
   /// Scans the snapshot as a table (GetByPk and indexes are not used).
@@ -265,8 +253,10 @@ class ScanGoldenTest : public ::testing::Test {
   rel::TableDef def_;
   lsm::MemTable mem_;
   CfSnapshot snap_;
-  std::map<lsm::FileId, std::unique_ptr<SstReader>> host_readers_;
-  std::map<lsm::FileId, std::unique_ptr<SstReader>> device_readers_;
+  /// Host readers were opened uncharged when the files were written, like
+  /// the DB's; the device's open on first use, charging the loads.
+  lsm::ReaderTable host_readers_;
+  lsm::ReaderTable device_readers_;
 };
 
 TEST_F(ScanGoldenTest, SnapshotSeesTheRightVersions) {
@@ -471,8 +461,10 @@ TEST(ScanPullCorruptionTest, PullStopsAtABadKeyWithTheSameCharges) {
     }
     auto meta = builder.Finish();
     ASSERT_TRUE(meta.ok());
-    SstReader reader(&storage, *meta);
-    ASSERT_TRUE(reader.EnsureOpened(nullptr, nullptr).ok());
+    auto reader = std::make_unique<SstReader>(&storage, *meta);
+    ASSERT_TRUE(reader->EnsureOpened(nullptr, nullptr).ok());
+    lsm::ReaderTable readers;
+    readers.Add(std::move(reader));
 
     for (const bool live_mem : {false, true}) {
       lsm::MemTable mem;
@@ -489,11 +481,12 @@ TEST(ScanPullCorruptionTest, PullStopsAtABadKeyWithTheSameCharges) {
       auto read = [&](size_t pull) {
         AccessContext ctx(&hw, Actor::kDevice, IoPath::kInternal);
         BlockCache cache(4096);
-        auto iter = lsm::NewUserKeyIterator(
-            lsm::NewSnapshotInternalIterator(
-                snap, &ctx, &cache,
-                [&](const FileMetaData&) { return &reader; }),
-            snap.sequence, &ctx);
+        lsm::ReadOptions opts;
+        opts.snapshot = snap.sequence;
+        opts.ctx = &ctx;
+        opts.cache = &cache;
+        auto iter =
+            lsm::NewSnapshotIterator(*snap.mem, snap.version, readers, opts);
         ReadLog log;
         iter->SeekToFirst();
         Drain(iter.get(), pull, &log);

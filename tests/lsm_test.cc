@@ -741,11 +741,13 @@ TEST_F(SstTest, UnknownValueTypeIsCorruptionNotARow) {
   ASSERT_TRUE(meta.ok());
   SstReader reader(&storage_, *meta);
 
-  std::vector<IteratorPtr> children;
-  children.push_back(reader.NewIterator(nullptr, nullptr));
-  auto iter = NewUserKeyIterator(
-      std::make_unique<MergingIterator>(std::move(children), nullptr),
-      kMaxSequenceNumber, nullptr);
+  MemTable mem;
+  Version version;
+  version.levels.resize(1);
+  version.levels[0].push_back(*meta);
+  ReaderTable readers;
+  readers.AddFiles(&storage_, version);
+  auto iter = NewSnapshotIterator(mem, version, readers, ReadOptions{});
   std::vector<std::string> seen;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     seen.push_back(iter->key().ToString());
@@ -957,11 +959,9 @@ TEST_F(DBTest, SharedStateSnapshotSeesUnflushedWrites) {
   ASSERT_TRUE(db_->Put(cf_, "key42", "hot").ok());
 
   CfSnapshot snap = db_->GetCfSnapshot(cf_);
-  auto internal = NewSnapshotInternalIterator(
-      snap, nullptr, nullptr, [&](const FileMetaData& meta) {
-        return db_->GetReader(meta);
-      });
-  auto iter = NewUserKeyIterator(std::move(internal), snap.sequence, nullptr);
+  ReadOptions opts;
+  opts.snapshot = snap.sequence;
+  auto iter = NewSnapshotIterator(*snap.mem, snap.version, db_->readers(), opts);
   iter->Seek("key42");
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(iter->key().ToString(), "key42");
