@@ -137,16 +137,6 @@ bool Expr::Eval(const RowView& row, sim::AccessContext* ctx) const {
       }
       return false;
     }
-    case ExprKind::kInInt: {
-      const int32_t v = row.GetInt(col_index);
-      if (ctx != nullptr) {
-        ctx->Charge(sim::CostKind::kMemcmp, 4 * int_list.size());
-      }
-      for (int64_t candidate : int_list) {
-        if (v == candidate) return true;
-      }
-      return false;
-    }
     case ExprKind::kBetween: {
       if (ctx != nullptr) ctx->Charge(sim::CostKind::kMemcmp, 8);
       const int32_t v = row.GetInt(col_index);
@@ -175,12 +165,6 @@ bool Expr::Eval(const RowView& row, sim::AccessContext* ctx) const {
   return false;
 }
 
-void Expr::CollectColumns(std::vector<std::string>* out) const {
-  if (!column.empty()) out->push_back(column);
-  if (!column2.empty()) out->push_back(column2);
-  for (const auto& child : children) child->CollectColumns(out);
-}
-
 std::string Expr::ToString() const {
   std::ostringstream os;
   switch (kind) {
@@ -201,14 +185,6 @@ std::string Expr::ToString() const {
       os << column << " IN (";
       for (size_t i = 0; i < str_list.size(); ++i) {
         os << (i ? ", '" : "'") << str_list[i] << "'";
-      }
-      os << ")";
-      break;
-    }
-    case ExprKind::kInInt: {
-      os << column << " IN (";
-      for (size_t i = 0; i < int_list.size(); ++i) {
-        os << (i ? ", " : "") << int_list[i];
       }
       os << ")";
       break;
@@ -277,14 +253,6 @@ Expr::Ptr Expr::InStr(std::string col, std::vector<std::string> values) {
   e->kind = ExprKind::kInStr;
   e->column = std::move(col);
   e->str_list = std::move(values);
-  return e;
-}
-
-Expr::Ptr Expr::InInt(std::string col, std::vector<int64_t> values) {
-  auto e = std::make_shared<Expr>();
-  e->kind = ExprKind::kInInt;
-  e->column = std::move(col);
-  e->int_list = std::move(values);
   return e;
 }
 

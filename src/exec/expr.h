@@ -28,7 +28,6 @@ enum class ExprKind : uint8_t {
   kCmpCol,     ///< column <op> column (same row; used post-join)
   kLike,       ///< column LIKE pattern ('%' wildcards), or NOT LIKE
   kInStr,      ///< column IN (string list)
-  kInInt,      ///< column IN (int list)
   kBetween,    ///< int column BETWEEN lo AND hi
   kAnd,
   kOr,
@@ -50,7 +49,6 @@ class Expr {
   int64_t int_value2 = 0;    ///< hi (kBetween)
   std::string str_value;     ///< rhs string / LIKE pattern
   std::vector<std::string> str_list;  ///< kInStr
-  std::vector<int64_t> int_list;      ///< kInInt
   bool negated = false;      ///< NOT LIKE
   std::vector<Ptr> children; ///< kAnd / kOr / kNot
 
@@ -66,9 +64,6 @@ class Expr {
   /// comparison costs to ctx when set.
   bool Eval(const RowView& row, sim::AccessContext* ctx) const;
 
-  /// Collect all referenced column names.
-  void CollectColumns(std::vector<std::string>* out) const;
-
   /// Human-readable rendering for plan explains.
   std::string ToString() const;
 
@@ -78,7 +73,6 @@ class Expr {
   static Ptr CmpCol(std::string col, CmpOp op, std::string col2);
   static Ptr Like(std::string col, std::string pattern, bool negated = false);
   static Ptr InStr(std::string col, std::vector<std::string> values);
-  static Ptr InInt(std::string col, std::vector<int64_t> values);
   static Ptr Between(std::string col, int64_t lo, int64_t hi);
   static Ptr And(std::vector<Ptr> children);
   static Ptr Or(std::vector<Ptr> children);

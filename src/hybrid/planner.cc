@@ -83,12 +83,6 @@ double EstimateSelectivity(const exec::Expr* expr,
       return std::min(1.0, static_cast<double>(expr->str_list.size()) /
                                static_cast<double>(cs->ndv));
     }
-    case ExprKind::kInInt: {
-      const rel::ColumnStats* cs = col_stats(expr->column);
-      if (cs == nullptr || cs->ndv == 0) return 0.2;
-      return std::min(1.0, static_cast<double>(expr->int_list.size()) /
-                               static_cast<double>(cs->ndv));
-    }
     case ExprKind::kBetween: {
       const rel::ColumnStats* cs = col_stats(expr->column);
       if (cs == nullptr) return 0.25;
