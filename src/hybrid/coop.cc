@@ -1,5 +1,7 @@
 #include "hybrid/coop.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "sim/fault.h"
@@ -29,10 +31,15 @@ BatchSchedule::BatchSchedule(std::vector<ndp::DeviceBatch> batches,
                              int shared_slots, const sim::HwParams* hw,
                              SimNanos start_time, bool eager)
     : batches_(std::move(batches)),
-      shared_slots_(shared_slots < 1 ? 1 : shared_slots),
+      shared_slots_(shared_slots),
       hw_(hw),
       start_(start_time),
       eager_(eager) {
+  if (shared_slots < 1) {
+    fprintf(stderr, "BatchSchedule: %d shared slots, at least one needed\n",
+            shared_slots);
+    abort();
+  }
   done_.assign(batches_.size(), -1.0);
   fetched_.assign(batches_.size(), -1.0);
 }

@@ -38,6 +38,8 @@ struct StageTimes {
 class BatchSchedule {
  public:
   /// `batches`: device work duration + bytes per batch, in production order.
+  /// `shared_slots` must be at least one; the constructor aborts otherwise
+  /// (nkv::CheckBufferConfig rejects such a command before any schedule).
   /// `eager`: fetch without slot back-pressure (H0 leaf shipping — the host
   /// drains every selection stream into host memory as it is produced).
   BatchSchedule(std::vector<ndp::DeviceBatch> batches, int shared_slots,

@@ -267,6 +267,14 @@ std::vector<ndp::DeviceBatch> ThreeBatches() {
   return {{0, 2, 8, 1000}, {0, 2, 8, 1000}, {0, 2, 8, 1000}};
 }
 
+TEST(BatchScheduleDeathTest, ZeroSharedSlotsAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::HwParams hw = sim::HwParams::PaperDefaults();
+  EXPECT_DEATH(hybrid::BatchSchedule(ThreeBatches(), /*shared_slots=*/0, &hw,
+                                     /*start_time=*/0, /*eager=*/false),
+               "0 shared slots, at least one needed");
+}
+
 TEST(PoisonedScheduleTest, FetchOfDeadBatchWakesAtDeathTime) {
   sim::HwParams hw = sim::HwParams::PaperDefaults();
   hybrid::BatchSchedule sched(ThreeBatches(), /*shared_slots=*/4, &hw,
