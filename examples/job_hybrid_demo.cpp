@@ -4,7 +4,11 @@
 //
 //   ./build/examples/job_hybrid_demo [group] [variant] [scale]
 //   ./build/examples/job_hybrid_demo 17 b 0.001
+//
+// HNDP_THREADS sets the size of the pool the strategies run on (default:
+// the hardware's thread count); the output is the same at any size.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,6 +19,28 @@
 #include "job/queries.h"
 
 using namespace hybridndp;
+
+namespace {
+
+/// Pool size from HNDP_THREADS: a whole number from 1 to 1024. Anything else
+/// is rejected with a note on stderr, and the hardware default is used.
+int PoolThreads() {
+  const int fallback = common::ThreadPool::DefaultThreads();
+  const char* s = std::getenv("HNDP_THREADS");
+  if (s == nullptr || *s == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < 1 || v > 1024) {
+    fprintf(stderr,
+            "# ignoring HNDP_THREADS=\"%s\": expected 1..1024, using %d\n", s,
+            fallback);
+    return fallback;
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const int group = argc > 1 ? atoi(argv[1]) : 8;
@@ -66,7 +92,7 @@ int main(int argc, char** argv) {
          "interm. rows", "batches");
   // All strategies are independent cold-start runs; fan them over a worker
   // pool (each with its own fresh cache) and print in choice order.
-  common::ThreadPool pool(common::ThreadPool::DefaultThreads());
+  common::ThreadPool pool(PoolThreads());
   const uint64_t cache_bytes = storage.TotalBytes() * 2 / 5;
   const auto choices = hybrid::HybridExecutor::AllChoices(*plan);
   auto results = executor.RunAll(*plan, choices, &pool, [cache_bytes] {
