@@ -125,9 +125,6 @@ class DB {
   /// Export the NDP shared-state snapshot for a column family.
   CfSnapshot GetCfSnapshot(ColumnFamilyId cf) const;
 
-  /// The opened reader of every live file.
-  const ReaderTable& readers() const { return readers_; }
-
   /// No-op: every reader is opened when its file is installed. Kept only for
   /// perfbench/driver/job_store.cc, which still calls it.
   void OpenAllReaders() const {}

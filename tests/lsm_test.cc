@@ -959,9 +959,11 @@ TEST_F(DBTest, SharedStateSnapshotSeesUnflushedWrites) {
   ASSERT_TRUE(db_->Put(cf_, "key42", "hot").ok());
 
   CfSnapshot snap = db_->GetCfSnapshot(cf_);
+  ReaderTable readers;
+  readers.AddFiles(&storage_, snap.version);
   ReadOptions opts;
   opts.snapshot = snap.sequence;
-  auto iter = NewSnapshotIterator(*snap.mem, snap.version, db_->readers(), opts);
+  auto iter = NewSnapshotIterator(*snap.mem, snap.version, readers, opts);
   iter->Seek("key42");
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(iter->key().ToString(), "key42");
