@@ -29,6 +29,31 @@ uint64_t Version::TotalBytes() const {
   return total;
 }
 
+void ReaderTable::Add(std::unique_ptr<SstReader> reader) {
+  const FileId file_id = reader->meta().file_id;
+  readers_[file_id] = std::move(reader);
+}
+
+void ReaderTable::AddFiles(const VirtualStorage* storage,
+                           const Version& version) {
+  for (const auto& level : version.levels) {
+    for (const FileMetaData& meta : level) {
+      auto& reader = readers_[meta.file_id];
+      if (reader == nullptr) reader = std::make_unique<SstReader>(storage, meta);
+    }
+  }
+}
+
+SstReader* ReaderTable::Get(const FileMetaData& meta) const {
+  auto it = readers_.find(meta.file_id);
+  if (it == readers_.end()) {
+    fprintf(stderr, "ReaderTable::Get: file %llu has no reader\n",
+            static_cast<unsigned long long>(meta.file_id));
+    abort();
+  }
+  return it->second.get();
+}
+
 DB::DB(VirtualStorage* storage, DBOptions options)
     : storage_(storage), options_(options) {}
 
@@ -288,31 +313,6 @@ Status DB::OpenReader(const FileMetaData& meta) {
   HNDP_RETURN_IF_ERROR(reader->EnsureOpened(nullptr, nullptr));
   readers_.Add(std::move(reader));
   return Status::OK();
-}
-
-void ReaderTable::Add(std::unique_ptr<SstReader> reader) {
-  const FileId file_id = reader->meta().file_id;
-  readers_[file_id] = std::move(reader);
-}
-
-void ReaderTable::AddFiles(const VirtualStorage* storage,
-                           const Version& version) {
-  for (const auto& level : version.levels) {
-    for (const FileMetaData& meta : level) {
-      auto& reader = readers_[meta.file_id];
-      if (reader == nullptr) reader = std::make_unique<SstReader>(storage, meta);
-    }
-  }
-}
-
-SstReader* ReaderTable::Get(const FileMetaData& meta) const {
-  auto it = readers_.find(meta.file_id);
-  if (it == readers_.end()) {
-    fprintf(stderr, "ReaderTable::Get: file %llu has no reader\n",
-            static_cast<unsigned long long>(meta.file_id));
-    abort();
-  }
-  return it->second.get();
 }
 
 void DB::ExportMetrics(obs::MetricsRegistry* metrics) const {
