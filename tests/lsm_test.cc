@@ -128,6 +128,153 @@ TEST(MemTableTest, IteratorSeek) {
   EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), "k006");
 }
 
+/// Big-endian bytes of v: ascending v gives ascending keys.
+std::string BigEndian64(uint64_t v) {
+  std::string s(8, '\0');
+  for (int i = 7; i >= 0; --i, v >>= 8) s[i] = static_cast<char>(v & 0xff);
+  return s;
+}
+
+// Model test: a seeded stream of ascending runs past every key so far,
+// ascending runs inside the key space, rewrites of the largest key (each
+// sorts before its older version), and random keys and deletions of 1 to 14
+// bytes over {0x00, 'a', 0x80, 0xfe} (so keys share prefixes, are prefixes
+// of each other and differ in high bytes). The MemTable must iterate like a
+// std::map of internal keys and answer Get at several snapshots like a
+// per-key version list. The arena's reserved bytes after every 1 000
+// inserts and the compares charged by a fixed set of Gets and Seeks are
+// pinned: the first fixes the flush points of a DB, the second the
+// skiplist's shape, and a faster insert path must move neither.
+TEST(MemTableModelTest, MatchesModelAndKeepsShape) {
+  struct Version {
+    SequenceNumber seq;
+    ValueType type;
+    std::string value;
+  };
+  auto ikey_less = [](const std::string& a, const std::string& b) {
+    return CompareInternalKey(a, b) < 0;
+  };
+  std::map<std::string, std::string, decltype(ikey_less)> entries(ikey_less);
+  std::map<std::string, std::vector<Version>> versions;  // oldest first
+  MemTable mem;
+  Rng rng(2024);
+  constexpr SequenceNumber kInserts = 20000;
+  SequenceNumber seq = 0;
+  uint64_t next_top = 0;
+  std::string top;  // the largest user key so far
+  std::vector<size_t> usage;
+  auto add = [&](const std::string& key, ValueType type) {
+    const std::string value = rng.NextString(rng.Uniform(24));
+    mem.Add(++seq, type, key, value);
+    versions[key].push_back({seq, type, value});
+    entries.emplace(IKey(key, seq, type), value);
+    if (seq % 1000 == 0) usage.push_back(mem.ApproximateMemoryUsage());
+  };
+  auto random_key = [&] {
+    static const char kAlphabet[] = {'\0', 'a', '\x80', '\xfe'};
+    std::string k(1 + rng.Uniform(14), '\0');
+    for (char& c : k) c = kAlphabet[rng.Uniform(4)];
+    return k;
+  };
+  while (seq < kInserts) {
+    const uint64_t kind = rng.Uniform(4);
+    const size_t run = 1 + rng.Uniform(64);
+    const std::string prefix = random_key();
+    for (size_t i = 0; i < run && seq < kInserts; ++i) {
+      switch (kind) {
+        case 0:  // past every key so far: "\xff\xff" beats every random key
+          top = "\xff\xff" + BigEndian64(next_top++);
+          add(top, ValueType::kValue);
+          break;
+        case 1:  // the largest key again, newest version first
+          if (top.empty()) top = "\xff\xff" + BigEndian64(next_top++);
+          add(top, rng.Uniform(4) == 0 ? ValueType::kDeletion
+                                       : ValueType::kValue);
+          break;
+        case 2:  // ascending inside the key space
+          add(prefix + BigEndian64(i).substr(4), ValueType::kValue);
+          break;
+        default:
+          add(random_key(), rng.Uniform(5) == 0 ? ValueType::kDeletion
+                                                : ValueType::kValue);
+          break;
+      }
+    }
+  }
+  ASSERT_EQ(mem.num_entries(), kInserts);
+
+  // Iteration order and contents.
+  auto iter = mem.NewIterator();
+  iter->SeekToFirst();
+  for (const auto& [ikey, value] : entries) {
+    ASSERT_TRUE(iter->Valid());
+    ASSERT_EQ(iter->key().ToString(), ikey);
+    ASSERT_EQ(iter->value().ToString(), value);
+    iter->Next();
+  }
+  EXPECT_FALSE(iter->Valid());
+
+  // Get of every key and of absent ones at several snapshots.
+  std::vector<std::string> lookups;
+  for (const auto& [key, _] : versions) lookups.push_back(key);
+  for (int i = 0; i < 500; ++i) lookups.push_back(random_key());
+  for (SequenceNumber snap :
+       {kInserts / 4, kInserts / 2, kInserts - 1, kMaxSequenceNumber}) {
+    for (const std::string& key : lookups) {
+      const Version* want = nullptr;
+      auto it = versions.find(key);
+      if (it != versions.end()) {
+        for (const Version& v : it->second) {
+          if (v.seq <= snap) want = &v;
+        }
+      }
+      std::string value;
+      bool deleted = false;
+      const bool found = mem.Get(key, snap, &value, &deleted, nullptr);
+      ASSERT_EQ(found, want != nullptr) << "snapshot " << snap;
+      if (!found) continue;
+      ASSERT_EQ(deleted, want->type == ValueType::kDeletion);
+      if (!deleted) {
+        ASSERT_EQ(value, want->value);
+      }
+    }
+  }
+
+  // Recorded while Add still encoded each entry into a temporary string and
+  // always descended the skiplist.
+  const std::vector<size_t> kUsage = {
+      53352,  106704, 160056, 213408, 270864, 324216, 377568,
+      430920, 484272, 541728, 595080, 644328, 697680, 751032,
+      808488, 861840, 915192, 968544, 1021896, 1075248};
+  EXPECT_EQ(usage, kUsage);
+
+  HwParams hw = HwParams::PaperDefaults();
+  AccessContext ctx(&hw, Actor::kDevice, IoPath::kInternal);
+  auto compares = [&] {
+    return ctx.counters().Units(CostKind::kCompareInternalKeys);
+  };
+  std::vector<uint64_t> get_units, seek_units;
+  auto charged = mem.NewIterator(&ctx);
+  for (size_t i = 0; i < 16; ++i) {
+    const std::string& key = lookups[i * (versions.size() / 16)];
+    std::string value;
+    bool deleted = false;
+    uint64_t before = compares();
+    mem.Get(key, i % 2 == 0 ? kMaxSequenceNumber : kInserts / 2, &value,
+            &deleted, &ctx);
+    get_units.push_back(compares() - before);
+    before = compares();
+    charged->Seek(IKey(lookups[lookups.size() - 1 - i], kMaxSequenceNumber));
+    seek_units.push_back(compares() - before);
+  }
+  const std::vector<uint64_t> kGetUnits = {10, 26, 18, 21, 32, 22, 23, 24,
+                                           32, 27, 42, 26, 41, 51, 18, 12};
+  const std::vector<uint64_t> kSeekUnits = {23, 28, 41, 21, 26, 25, 28, 22,
+                                            32, 18, 32, 27, 27, 26, 34, 33};
+  EXPECT_EQ(get_units, kGetUnits);
+  EXPECT_EQ(seek_units, kSeekUnits);
+}
+
 TEST(BlockTest, BuildAndScan) {
   BlockBuilder builder(4);
   std::vector<std::pair<std::string, std::string>> entries;
