@@ -27,7 +27,8 @@ char* Arena::Allocate(size_t bytes) {
 }
 
 char* Arena::AllocateNewBlock(size_t block_bytes) {
-  blocks_.push_back(std::make_unique<char[]>(block_bytes));
+  // Not zero-filled: every caller writes what it allocates before reading.
+  blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_bytes));
   memory_usage_ += block_bytes + sizeof(char*);
   return blocks_.back().get();
 }

@@ -23,9 +23,9 @@ std::string BloomFilterBuilder::Finish() {
   const size_t bytes = (bits + 7) / 8;
   bits = bytes * 8;
 
-  std::string out(bytes, '\0');
   // Last byte stores the probe count (LevelDB convention).
-  out.push_back(static_cast<char>(num_probes_));
+  std::string out(bytes + 1, '\0');
+  out[bytes] = static_cast<char>(num_probes_);
 
   for (uint64_t h : hashes_) {
     const uint64_t delta = (h >> 17) | (h << 47);  // Rotate for double hash.

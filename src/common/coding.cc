@@ -2,17 +2,6 @@
 
 namespace hybridndp {
 
-void PutVarint32(std::string* dst, uint32_t v) {
-  unsigned char buf[5];
-  int n = 0;
-  while (v >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(v | 0x80);
-    v >>= 7;
-  }
-  buf[n++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<char*>(buf), n);
-}
-
 void PutVarint64(std::string* dst, uint64_t v) {
   unsigned char buf[10];
   int n = 0;

@@ -36,8 +36,24 @@ inline void PutFixed64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
+/// Write the LEB128 varint32 of v at dst (room for 5 bytes); returns the
+/// byte after it. Inline: MemTable::Add and BlockBuilder::Add encode their
+/// headers in place with it.
+inline char* EncodeVarint32(char* dst, uint32_t v) {
+  auto* p = reinterpret_cast<unsigned char*>(dst);
+  while (v >= 0x80) {
+    *p++ = static_cast<unsigned char>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<unsigned char>(v);
+  return reinterpret_cast<char*>(p);
+}
+
 /// Append a LEB128 varint32 to dst.
-void PutVarint32(std::string* dst, uint32_t v);
+inline void PutVarint32(std::string* dst, uint32_t v) {
+  char buf[5];
+  dst->append(buf, EncodeVarint32(buf, v) - buf);
+}
 /// Append a LEB128 varint64 to dst.
 void PutVarint64(std::string* dst, uint64_t v);
 

@@ -25,17 +25,26 @@ void BlockBuilder::Reset() {
 void BlockBuilder::Add(const Slice& key, const Slice& value) {
   size_t shared = 0;
   if (counter_ < restart_interval_) {
-    // Shared-prefix compress against the previous key.
+    // Shared-prefix compress against the previous key, a word at a time.
     const size_t min_len = std::min(last_key_.size(), key.size());
+    while (shared + 8 <= min_len) {
+      uint64_t a, b;
+      memcpy(&a, last_key_.data() + shared, 8);
+      memcpy(&b, key.data() + shared, 8);
+      if (a != b) break;
+      shared += 8;
+    }
     while (shared < min_len && last_key_[shared] == key[shared]) ++shared;
   } else {
     restarts_.push_back(static_cast<uint32_t>(buffer_.size()));
     counter_ = 0;
   }
   const size_t non_shared = key.size() - shared;
-  PutVarint32(&buffer_, static_cast<uint32_t>(shared));
-  PutVarint32(&buffer_, static_cast<uint32_t>(non_shared));
-  PutVarint32(&buffer_, static_cast<uint32_t>(value.size()));
+  char header[15];
+  char* p = EncodeVarint32(header, static_cast<uint32_t>(shared));
+  p = EncodeVarint32(p, static_cast<uint32_t>(non_shared));
+  p = EncodeVarint32(p, static_cast<uint32_t>(value.size()));
+  buffer_.append(header, p - header);
   buffer_.append(key.data() + shared, non_shared);
   buffer_.append(value.data(), value.size());
 
@@ -48,12 +57,10 @@ size_t BlockBuilder::CurrentSizeEstimate() const {
   return buffer_.size() + restarts_.size() * 4 + 4;
 }
 
-std::string BlockBuilder::Finish() {
+Slice BlockBuilder::Finish() {
   for (uint32_t r : restarts_) PutFixed32(&buffer_, r);
   PutFixed32(&buffer_, static_cast<uint32_t>(restarts_.size()));
-  std::string out = std::move(buffer_);
-  Reset();
-  return out;
+  return Slice(buffer_);
 }
 
 void BlockIter::Clear() {

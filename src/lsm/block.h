@@ -27,8 +27,9 @@ class BlockBuilder {
   /// Keys must be added in strictly increasing order.
   void Add(const Slice& key, const Slice& value);
 
-  /// Serialize and reset.
-  std::string Finish();
+  /// Append the restart trailer and return the block. The bytes stay valid
+  /// until Reset, which starts the next block in the same buffer.
+  Slice Finish();
 
   /// Bytes the block would occupy if finished now.
   size_t CurrentSizeEstimate() const;

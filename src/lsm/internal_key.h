@@ -59,11 +59,41 @@ inline Slice ExtractUserKey(const Slice& ikey) {
   return Slice(ikey.data(), ikey.size() - 8);
 }
 
+/// Byte-wise order of two user keys (the sign of Slice::compare). The
+/// first eight bytes, or four of a shorter key, compare as one big-endian
+/// word, so the engine's 4-byte primary keys and 8-byte int index keys
+/// reach memcmp only when they are equal.
+inline int CompareUserKey(const Slice& a, const Slice& b) {
+  const size_t n = a.size() < b.size() ? a.size() : b.size();
+  size_t done = 0;
+  if (n >= 8) {
+    uint64_t wa, wb;
+    memcpy(&wa, a.data(), 8);
+    memcpy(&wb, b.data(), 8);
+    if (wa != wb) {
+      return __builtin_bswap64(wa) < __builtin_bswap64(wb) ? -1 : +1;
+    }
+    done = 8;
+  } else if (n >= 4) {
+    uint32_t wa, wb;
+    memcpy(&wa, a.data(), 4);
+    memcpy(&wb, b.data(), 4);
+    if (wa != wb) {
+      return __builtin_bswap32(wa) < __builtin_bswap32(wb) ? -1 : +1;
+    }
+    done = 4;
+  }
+  if (n > done) {
+    const int r = memcmp(a.data() + done, b.data() + done, n - done);
+    if (r != 0) return r;
+  }
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : +1;
+  return 0;
+}
+
 /// Total-order comparator over internal keys. Returns <0, 0, >0.
 inline int CompareInternalKey(const Slice& a, const Slice& b) {
-  const Slice ua = ExtractUserKey(a);
-  const Slice ub = ExtractUserKey(b);
-  int r = ua.compare(ub);
+  const int r = CompareUserKey(ExtractUserKey(a), ExtractUserKey(b));
   if (r != 0) return r;
   const uint64_t pa = DecodeFixed64(a.data() + a.size() - 8);
   const uint64_t pb = DecodeFixed64(b.data() + b.size() - 8);

@@ -14,7 +14,10 @@ struct MemTable::Node {
 
 MemTable::MemTable() : rng_(0x5ee7a11) {
   head_ = NewNode(nullptr, kMaxHeight);
-  for (int i = 0; i < kMaxHeight; ++i) head_->next[i] = nullptr;
+  for (int i = 0; i < kMaxHeight; ++i) {
+    head_->next[i] = nullptr;
+    tail_[i] = head_;
+  }
 }
 
 MemTable::~MemTable() = default;
@@ -54,12 +57,17 @@ MemTable::Node* MemTable::FindGreaterOrEqual(const Slice& ikey, Node** prev,
   int level = max_height_ - 1;
   uint64_t compares = 0;
   Node* result = nullptr;
+  // The node that ended the level above is known to be >= ikey; meeting it
+  // again one level down needs no compare, though it is charged as one.
+  const Node* known_ge = nullptr;
   while (true) {
     Node* next = x->next[level];
     if (next != nullptr) ++compares;
-    if (next != nullptr && CompareInternalKey(EntryInternalKey(next->entry), ikey) < 0) {
+    if (next != nullptr && next != known_ge &&
+        CompareInternalKey(EntryInternalKey(next->entry), ikey) < 0) {
       x = next;  // keep searching at this level
     } else {
+      known_ge = next;
       if (prev != nullptr) prev[level] = x;
       if (level == 0) {
         result = next;
@@ -77,22 +85,30 @@ MemTable::Node* MemTable::FindGreaterOrEqual(const Slice& ikey, Node** prev,
 void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
                    const Slice& value) {
   // Encode: varint32 ikey_len | ikey | varint32 val_len | val.
-  const size_t ikey_len = user_key.size() + 8;
+  const uint32_t ikey_len = static_cast<uint32_t>(user_key.size() + 8);
+  const uint32_t value_len = static_cast<uint32_t>(value.size());
   const size_t encoded_len = VarintLength(ikey_len) + ikey_len +
-                             VarintLength(value.size()) + value.size();
-  std::string buf;
-  buf.reserve(encoded_len);
-  PutVarint32(&buf, static_cast<uint32_t>(ikey_len));
-  AppendInternalKey(&buf, user_key, seq, type);
-  PutVarint32(&buf, static_cast<uint32_t>(value.size()));
-  buf.append(value.data(), value.size());
+                             VarintLength(value_len) + value_len;
+  char* entry = arena_.Allocate(encoded_len);
+  char* p = EncodeVarint32(entry, ikey_len);
+  const Slice ikey(p, ikey_len);
+  memcpy(p, user_key.data(), user_key.size());
+  p += user_key.size();
+  EncodeFixed64(p, PackSeqAndType(seq, type));
+  p = EncodeVarint32(p + 8, value_len);
+  memcpy(p, value.data(), value_len);
 
-  char* entry = arena_.Allocate(buf.size());
-  memcpy(entry, buf.data(), buf.size());
-
+  // Splice: the tails when the entry sorts after the last one, otherwise
+  // the nodes a descent stops at. Levels at or above max_height_ start at
+  // head_ either way.
   Node* prev[kMaxHeight];
-  const Slice ikey(entry + VarintLength(ikey_len), ikey_len);
-  FindGreaterOrEqual(ikey, prev, nullptr);
+  const Node* last = tail_[0];
+  if (last == head_ ||
+      CompareInternalKey(EntryInternalKey(last->entry), ikey) < 0) {
+    for (int i = 0; i < kMaxHeight; ++i) prev[i] = tail_[i];
+  } else {
+    FindGreaterOrEqual(ikey, prev, nullptr);
+  }
 
   const int height = RandomHeight();
   if (height > max_height_) {
@@ -103,6 +119,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   for (int i = 0; i < height; ++i) {
     node->next[i] = prev[i]->next[i];
     prev[i]->next[i] = node;
+    if (node->next[i] == nullptr) tail_[i] = node;
   }
   ++num_entries_;
 }

@@ -28,7 +28,11 @@ class MemTable {
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
-  /// Insert a (key, seq, type, value) entry.
+  /// Insert a (key, seq, type, value) entry. The entry is encoded straight
+  /// into the arena. An entry that sorts after the last one (the ascending
+  /// primary keys of a load) links after each level's tail without a
+  /// descent; the list, its heights and the arena's allocations are the
+  /// same as a descent's.
   void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
            const Slice& value);
 
@@ -60,6 +64,8 @@ class MemTable {
   Arena arena_;
   Rng rng_;
   Node* head_;
+  /// Last node of each level (head_ while the level is empty).
+  Node* tail_[kMaxHeight];
   int max_height_ = 1;
   uint64_t num_entries_ = 0;
 };

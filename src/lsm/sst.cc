@@ -29,11 +29,9 @@ BlockHandle BlockHandle::Decode(const Slice& v) {
   return h;
 }
 
-std::string BlockHandle::Encode() const {
-  std::string s;
-  PutFixed64(&s, offset);
-  PutFixed64(&s, size);
-  return s;
+void BlockHandle::EncodeTo(char* dst) const {
+  EncodeFixed64(dst, offset);
+  EncodeFixed64(dst + 8, size);
 }
 
 SstBuilder::SstBuilder(VirtualStorage* storage, SstOptions options)
@@ -68,11 +66,12 @@ void SstBuilder::Add(const Slice& ikey, const Slice& value) {
 
 void SstBuilder::FlushDataBlock() {
   if (!data_pending_) return;
-  const uint64_t offset = file_.size();
-  std::string block = data_block_.Finish();
-  file_.append(block);
-  BlockHandle handle{offset, block.size()};
-  index_block_.Add(Slice(last_ikey_), Slice(handle.Encode()));
+  const Slice block = data_block_.Finish();
+  char handle[BlockHandle::kEncodedLength];
+  BlockHandle{file_.size(), block.size()}.EncodeTo(handle);
+  file_.append(block.data(), block.size());
+  data_block_.Reset();
+  index_block_.Add(Slice(last_ikey_), Slice(handle, sizeof(handle)));
   data_pending_ = false;
 }
 
@@ -84,8 +83,8 @@ Result<FileMetaData> SstBuilder::Finish() {
   meta_.largest = last_ikey_;
 
   const uint64_t index_off = file_.size();
-  std::string index = index_block_.Finish();
-  file_.append(index);
+  const Slice index = index_block_.Finish();
+  file_.append(index.data(), index.size());
   const uint64_t index_sz = index.size();
 
   const uint64_t bloom_off = file_.size();

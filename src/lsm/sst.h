@@ -48,8 +48,11 @@ struct BlockHandle {
   uint64_t offset = 0;
   uint64_t size = 0;
 
+  static constexpr size_t kEncodedLength = 16;
+
   static BlockHandle Decode(const Slice& v);
-  std::string Encode() const;
+  /// Write the kEncodedLength-byte encoding at dst.
+  void EncodeTo(char* dst) const;
 };
 
 /// One pinned (pre-decoded) sparse-index entry: last internal key of a data

@@ -284,7 +284,7 @@ TEST(BlockTest, BuildAndScan) {
     entries.push_back({IKey(buf, 1), "value" + std::to_string(i)});
   }
   for (const auto& [k, v] : entries) builder.Add(k, v);
-  std::string data = builder.Finish();
+  std::string data = builder.Finish().ToString();
 
   BlockIter iter;
   iter.Reset(Slice(data));
@@ -305,7 +305,7 @@ TEST(BlockTest, SeekFindsFirstGreaterOrEqual) {
     snprintf(buf, sizeof(buf), "key%04d", i);
     builder.Add(IKey(buf, 1), "v");
   }
-  std::string data = builder.Finish();
+  std::string data = builder.Finish().ToString();
   BlockIter iter;
   iter.Reset(Slice(data));
 
@@ -332,7 +332,7 @@ TEST(BlockTest, ResetRepointsTheCursor) {
       snprintf(buf, sizeof(buf), "b%dkey%04d", b, i);
       builder.Add(IKey(buf, 1), std::to_string(b));
     }
-    blocks[b] = builder.Finish();
+    blocks[b] = builder.Finish().ToString();
   }
   BlockIter iter;
   for (int b = 0; b < 2; ++b) {
@@ -360,7 +360,7 @@ TEST(BlockTest, RestartOffsetAtRestartArrayIsCorruption) {
     snprintf(buf, sizeof(buf), "key%04d", i);
     builder.Add(IKey(buf, 1), "v");
   }
-  std::string data = builder.Finish();
+  std::string data = builder.Finish().ToString();
   const uint32_t num_restarts = DecodeFixed32(data.data() + data.size() - 4);
   ASSERT_EQ(num_restarts, 3u);
   const size_t restarts_offset = data.size() - 4 - 4 * num_restarts;
@@ -410,7 +410,7 @@ TEST(BlockTest, EmptyAndCorruptBlocksAreSafe) {
 
   // A finished empty builder is a block without entries, not a corrupt one.
   BlockBuilder builder;
-  const std::string no_entries = builder.Finish();
+  const std::string no_entries = builder.Finish().ToString();
   it.Reset(Slice(no_entries));
   it.SeekToFirst();
   EXPECT_FALSE(it.Valid());
@@ -829,13 +829,14 @@ TEST_F(SstTest, IndexValueThatIsNotAHandleIsCorruption) {
   const std::string ikey = IKey("key000001", 1);
   BlockBuilder data_block(16);
   data_block.Add(ikey, "v");
-  std::string file = data_block.Finish();
-  std::string handle = BlockHandle{0, file.size()}.Encode();
+  std::string file = data_block.Finish().ToString();
+  std::string handle(BlockHandle::kEncodedLength, '\0');
+  BlockHandle{0, file.size()}.EncodeTo(handle.data());
   handle.pop_back();
   BlockBuilder index_block(1);
   index_block.Add(ikey, handle);
   const uint64_t index_off = file.size();
-  file += index_block.Finish();
+  file += index_block.Finish().ToString();
   const uint64_t index_sz = file.size() - index_off;
   const uint64_t bloom_off = file.size();
   PutFixed64(&file, index_off);
