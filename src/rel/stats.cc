@@ -59,9 +59,26 @@ double ColumnStats::RangeSelectivity(int64_t lo, int64_t hi) const {
   return std::clamp(s, 0.0, 1.0);
 }
 
+void KmvSketch::Compact() {
+  // buf_[0, sorted_) is sorted and distinct from the last compaction: sort
+  // and deduplicate only what came since, then merge the two runs.
+  const auto tail = buf_.begin() + sorted_;
+  std::sort(tail, buf_.end());
+  buf_.erase(std::unique(tail, buf_.end()), buf_.end());
+  std::inplace_merge(buf_.begin(), buf_.begin() + sorted_, buf_.end());
+  buf_.erase(std::unique(buf_.begin(), buf_.end()), buf_.end());
+  sorted_ = buf_.size();
+  if (buf_.size() >= k_) {
+    buf_.resize(k_);
+    full_ = true;
+    bound_ = buf_.back();
+    sorted_ = k_;
+  }
+}
+
 StatsCollector::StatsCollector(const Schema* schema) : schema_(schema) {
   stats_.columns.resize(schema->num_columns());
-  distinct_samples_.resize(schema->num_columns());
+  distinct_samples_.assign(schema->num_columns(), KmvSketch(kSampleDistinct));
   int_values_.resize(schema->num_columns());
   for (size_t i = 0; i < schema->num_columns(); ++i) {
     stats_.columns[i].is_int = schema->column(i).type == ColType::kInt32;
@@ -89,26 +106,19 @@ void StatsCollector::AddRow(const RowView& row) {
       if (s.empty()) cs.null_fraction += 1;
       h = Hash64(s);
     }
-    // KMV distinct sketch: keep the k smallest distinct hashes.
-    auto& sample = distinct_samples_[i];
-    if (sample.size() < kSampleDistinct) {
-      sample.insert(h);
-    } else if (h < *sample.rbegin() && !sample.count(h)) {
-      sample.insert(h);
-      sample.erase(std::prev(sample.end()));
-    }
+    distinct_samples_[i].Add(h);
   }
 }
 
 TableStats StatsCollector::Finish() {
   for (size_t i = 0; i < stats_.columns.size(); ++i) {
     ColumnStats& cs = stats_.columns[i];
-    auto& sample = distinct_samples_[i];
+    const std::vector<uint64_t>& sample = distinct_samples_[i].Sample();
     if (sample.size() < kSampleDistinct) {
       cs.ndv = sample.size();
     } else {
       // KMV estimator: (k-1) / kth_smallest_normalized.
-      const double kth = static_cast<double>(*sample.rbegin()) /
+      const double kth = static_cast<double>(sample.back()) /
                          static_cast<double>(UINT64_MAX);
       cs.ndv = kth > 0 ? static_cast<uint64_t>((sample.size() - 1) / kth)
                        : sample.size();

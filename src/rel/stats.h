@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,9 +45,56 @@ struct TableStats {
   bool empty() const { return columns.empty(); }
 };
 
+/// KMV distinct-value sketch: the k smallest distinct hashes of a stream,
+/// kept in a flat buffer. Hashes below the current kth smallest are
+/// appended; when the buffer reaches 2k it is sorted, deduplicated and cut
+/// back to the k smallest. The sample is the same as a sorted set's.
+class KmvSketch {
+ public:
+  explicit KmvSketch(size_t k) : k_(k) {
+    // No hash matches its slot's initial value: their low bits differ.
+    for (size_t i = 0; i < kRecent; ++i) {
+      recent_[i] = ~static_cast<uint64_t>(i);
+    }
+  }
+
+  void Add(uint64_t h) {
+    if (full_ && h >= bound_) return;  // not below the kth smallest
+    // A hash appended before is in the buffer or was cut as too large, so
+    // a repeat changes nothing: low-NDV columns skip most of their rows.
+    uint64_t& seen = recent_[h % kRecent];
+    if (seen == h) return;
+    seen = h;
+    buf_.push_back(h);
+    if (buf_.size() >= 2 * k_) Compact();
+  }
+
+  /// The k smallest distinct hashes (all of them when fewer), ascending.
+  const std::vector<uint64_t>& Sample() {
+    Compact();
+    return buf_;
+  }
+
+ private:
+  void Compact();
+
+  static constexpr size_t kRecent = 256;
+
+  size_t k_;
+  /// Direct-mapped memory of appended hashes, by their low bits.
+  uint64_t recent_[kRecent];
+  /// Once k distinct hashes were seen: the kth smallest of them.
+  bool full_ = false;
+  uint64_t bound_ = 0;
+  size_t sorted_ = 0;  ///< leading run of buf_ that is sorted and distinct
+  std::vector<uint64_t> buf_;
+};
+
 /// Streaming stats collector (single pass over rows).
 class StatsCollector {
  public:
+  static constexpr int kSampleDistinct = 4096;
+
   explicit StatsCollector(const Schema* schema);
 
   void AddRow(const RowView& row);
@@ -56,12 +102,10 @@ class StatsCollector {
 
  private:
   static constexpr int kHistogramBuckets = 64;
-  static constexpr int kSampleDistinct = 4096;
 
   const Schema* schema_;
   TableStats stats_;
-  /// KMV sketch per column: the k smallest *distinct* hashes.
-  std::vector<std::set<uint64_t>> distinct_samples_;
+  std::vector<KmvSketch> distinct_samples_;       ///< one per column
   std::vector<std::vector<int32_t>> int_values_;  ///< for histogram build
 };
 

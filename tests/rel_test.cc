@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "common/random.h"
 #include "lsm/db.h"
 #include "rel/schema.h"
@@ -101,6 +105,55 @@ TEST(StatsTest, KmvEstimatesLargeNdv) {
   const double ndv = static_cast<double>(stats.col(0).ndv);
   EXPECT_GT(ndv, 30000 * 0.7);
   EXPECT_LT(ndv, 30000 * 1.3);
+}
+
+/// The k smallest distinct values of `stream`, ascending: the sample a
+/// std::set-based KMV sketch keeps.
+std::vector<uint64_t> SmallestDistinct(const std::vector<uint64_t>& stream,
+                                       size_t k) {
+  const std::set<uint64_t> all(stream.begin(), stream.end());
+  std::vector<uint64_t> out(all.begin(), all.end());
+  if (out.size() > k) out.resize(k);
+  return out;
+}
+
+TEST(KmvSketchTest, SampleIsTheKSmallestDistinctHashes) {
+  constexpr size_t k = StatsCollector::kSampleDistinct;
+  Rng rng(77);
+  for (size_t distinct : {size_t{1000}, k - 1, k, k + 1, size_t{20000}}) {
+    std::vector<uint64_t> values;
+    for (size_t i = 0; i < distinct; ++i) values.push_back(rng.Next());
+    // Extremes, and values sharing their low bits with a neighbour.
+    values[0] = 0;
+    values[1] = UINT64_MAX;
+    values[2] = values[3] ^ (uint64_t{1} << 40);
+    std::vector<uint64_t> stream = values;
+    // Heavy duplicates at the kth and (k+1)th smallest distinct value and
+    // a few everywhere else.
+    std::vector<uint64_t> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    for (size_t rank : {k - 1, k}) {
+      if (rank < sorted.size()) stream.insert(stream.end(), 3000, sorted[rank]);
+    }
+    for (int i = 0; i < 5000; ++i) {
+      stream.push_back(values[rng.Uniform(values.size())]);
+    }
+    for (size_t i = stream.size(); i > 1; --i) {
+      std::swap(stream[i - 1], stream[rng.Uniform(i)]);
+    }
+    const std::vector<uint64_t> want = SmallestDistinct(stream, k);
+
+    std::vector<uint64_t> descending = stream;
+    std::sort(descending.rbegin(), descending.rend());
+    std::vector<uint64_t> ascending = stream;
+    std::sort(ascending.begin(), ascending.end());
+    for (const auto* order : {&stream, &descending, &ascending}) {
+      KmvSketch sketch(k);
+      for (uint64_t h : *order) sketch.Add(h);
+      EXPECT_EQ(sketch.Sample(), want) << distinct << " distinct";
+    }
+  }
 }
 
 TEST(StatsTest, HistogramRangeSelectivity) {
