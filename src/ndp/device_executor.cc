@@ -7,6 +7,36 @@ namespace hybridndp::ndp {
 using exec::OperatorPtr;
 using nkv::NdpCommand;
 
+namespace {
+
+/// The secondary indexes the command reads, per table: an IndexScan's index
+/// and the index a BNLJI stage probes on its inner table (none when it
+/// joins on the primary key). Every other read goes to the primary.
+std::vector<std::vector<size_t>> IndexesRead(const NdpCommand& cmd) {
+  std::vector<std::vector<size_t>> read(cmd.tables.size());
+  for (size_t i = 0; i < cmd.tables.size(); ++i) {
+    if (cmd.tables[i].use_index_scan) {
+      read[i].push_back(cmd.tables[i].index_no);
+    }
+  }
+  if (cmd.scans_only) return read;
+  for (size_t j = 0; j < cmd.joins.size(); ++j) {
+    if (cmd.joins[j].algo != nkv::JoinAlgo::kBNLJI) continue;
+    const rel::TableDef& def = cmd.tables[j + 1].def;
+    const int col = def.schema.Find(cmd.joins[j].inner_join_col);
+    if (col == def.pk_col) continue;
+    for (size_t k = 0; k < def.indexes.size(); ++k) {
+      if (def.indexes[k].col == col) {  // the first, as FindIndexOn
+        read[j + 1].push_back(k);
+        break;
+      }
+    }
+  }
+  return read;
+}
+
+}  // namespace
+
 Status DeviceExecutor::CheckResources(const NdpCommand& cmd) const {
   HNDP_RETURN_IF_ERROR(nkv::CheckBufferConfig(cmd.buffers));
   const uint64_t reserved = cmd.ReservedBufferBytes();
@@ -65,9 +95,10 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
   // Device-side accessors over the shipped snapshots.
   std::vector<std::unique_ptr<nkv::DeviceTableAccessor>> accessors;
   accessors.reserve(cmd.tables.size());
-  for (const auto& t : cmd.tables) {
-    accessors.push_back(
-        std::make_unique<nkv::DeviceTableAccessor>(storage_, &t));
+  const std::vector<std::vector<size_t>> indexes_read = IndexesRead(cmd);
+  for (size_t i = 0; i < cmd.tables.size(); ++i) {
+    accessors.push_back(std::make_unique<nkv::DeviceTableAccessor>(
+        storage_, &cmd.tables[i], indexes_read[i]));
   }
 
   // Drain one operator into batches of shared-slot granularity. Each pull

@@ -110,12 +110,17 @@ exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
   return acc;
 }
 
-DeviceTableAccessor::DeviceTableAccessor(const lsm::VirtualStorage* storage,
-                                         const NdpTableAccess* access)
-    : access_(access) {
+DeviceTableAccessor::DeviceTableAccessor(
+    const lsm::VirtualStorage* storage, const NdpTableAccess* access,
+    const std::vector<size_t>& indexes_read)
+    : access_(access), index_readable_(access->indexes.size(), false) {
   readers_.AddFiles(storage, access->primary.version);
-  for (const auto& index : access->indexes) {
-    readers_.AddFiles(storage, index.version);
+  for (size_t index_no : indexes_read) {
+    if (index_no >= index_readable_.size() || index_readable_[index_no]) {
+      continue;
+    }
+    index_readable_[index_no] = true;
+    readers_.AddFiles(storage, access->indexes[index_no].version);
   }
 }
 
@@ -148,8 +153,10 @@ lsm::IteratorPtr DeviceTableAccessor::NewScanIterator(
 
 lsm::IteratorPtr DeviceTableAccessor::NewIndexIterator(
     const lsm::ReadOptions& opts, size_t index_no) const {
-  if (index_no >= access_->indexes.size()) {
-    return std::make_unique<lsm::EmptyIterator>();
+  if (index_no >= index_readable_.size() || !index_readable_[index_no]) {
+    return std::make_unique<lsm::EmptyIterator>(Status::InvalidArgument(
+        "index " + std::to_string(index_no) + " of " + access_->alias +
+        " is not read by the command"));
   }
   const lsm::CfSnapshot& snap = access_->indexes[index_no];
   return lsm::NewSnapshotIterator(*snap.mem, snap.version, readers_,

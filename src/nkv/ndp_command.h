@@ -160,13 +160,16 @@ exec::OperatorPtr BuildRoot(exec::OperatorPtr acc, bool has_agg,
 /// Device-side table accessor: reads the shipped CfSnapshots through its
 /// own reader table, charging the *internal* flash path. This is the
 /// device's own view of the LSM-trees — it never touches host reader state.
-/// The table holds a reader of every shipped file from construction; each
-/// opens on first use and charges its index load to that read. A read at
-/// kMaxSequenceNumber reads at the shipped snapshot's sequence.
+/// The table holds, from construction, a reader of every file of the
+/// primary snapshot and of the index snapshots in `indexes_read`, the ones
+/// the command reads; each opens on first use and charges its index load to
+/// that read. An iterator over any other index fails with InvalidArgument.
+/// A read at kMaxSequenceNumber reads at the shipped snapshot's sequence.
 class DeviceTableAccessor final : public rel::TableAccessor {
  public:
   DeviceTableAccessor(const lsm::VirtualStorage* storage,
-                      const NdpTableAccess* access);
+                      const NdpTableAccess* access,
+                      const std::vector<size_t>& indexes_read);
 
   const rel::TableDef& def() const override { return access_->def; }
   Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
@@ -178,6 +181,7 @@ class DeviceTableAccessor final : public rel::TableAccessor {
 
  private:
   const NdpTableAccess* access_;
+  std::vector<bool> index_readable_;  ///< by index_no
   lsm::ReaderTable readers_;
 };
 

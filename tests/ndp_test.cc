@@ -136,7 +136,7 @@ TEST_F(NdpTest, DeviceAccessorMatchesHostReads) {
   ASSERT_FALSE(version.levels[0].empty());
   ASSERT_FALSE(version.levels[1].empty());
   ASSERT_GT(access.primary.mem->num_entries(), 0u);
-  nkv::DeviceTableAccessor accessor(&storage_, &access);
+  nkv::DeviceTableAccessor accessor(&storage_, &access, {});
 
   // Point lookups agree with the host path for every key, including
   // NotFound for deleted rows and the newest version for overwritten ones.
@@ -172,11 +172,33 @@ TEST_F(NdpTest, DeviceAccessorSeesSharedStateMemTable) {
   ASSERT_TRUE(orders_->Insert(rb.row()).ok());
 
   nkv::NdpTableAccess access = Ship(*orders_, "o");
-  nkv::DeviceTableAccessor accessor(&storage_, &access);
+  nkv::DeviceTableAccessor accessor(&storage_, &access, {});
   std::string row;
   ASSERT_TRUE(accessor.GetByPk(lsm::ReadOptions{}, 7777, &row).ok());
   EXPECT_EQ(RowView(row.data(), &orders_->schema()).GetString(3).ToString(),
             "hot");
+}
+
+TEST_F(NdpTest, DeviceAccessorReadsOnlyTheIndexesItWasGiven) {
+  // The executor hands each accessor the indexes its command reads; an
+  // iterator over any other index fails instead of reading no rows.
+  nkv::NdpTableAccess access = Ship(*orders_, "o");
+  ASSERT_EQ(access.indexes.size(), 1u);
+  nkv::DeviceTableAccessor without(&storage_, &access, {});
+  lsm::IteratorPtr it = without.NewIndexIterator(lsm::ReadOptions{}, 0);
+  it->SeekToFirst();
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().IsInvalidArgument()) << it->status().ToString();
+  EXPECT_TRUE(without.NewIndexIterator(lsm::ReadOptions{}, 1)
+                  ->status()
+                  .IsInvalidArgument());
+
+  nkv::DeviceTableAccessor with(&storage_, &access, {0});
+  size_t entries = 0;
+  it = with.NewIndexIterator(lsm::ReadOptions{}, 0);
+  for (it->SeekToFirst(); it->Valid(); it->Next()) ++entries;
+  EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(entries, orders_->row_count());
 }
 
 TEST_F(NdpTest, ScanCommandFiltersAndProjects) {
