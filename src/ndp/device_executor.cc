@@ -24,12 +24,9 @@ std::vector<std::vector<size_t>> IndexesRead(const NdpCommand& cmd) {
     if (cmd.joins[j].algo != nkv::JoinAlgo::kBNLJI) continue;
     const rel::TableDef& def = cmd.tables[j + 1].def;
     const int col = def.schema.Find(cmd.joins[j].inner_join_col);
-    if (col == def.pk_col) continue;
-    for (size_t k = 0; k < def.indexes.size(); ++k) {
-      if (def.indexes[k].col == col) {  // the first, as FindIndexOn
-        read[j + 1].push_back(k);
-        break;
-      }
+    const int index_no = def.FindIndexOn(col);
+    if (col != def.pk_col && index_no >= 0) {
+      read[j + 1].push_back(static_cast<size_t>(index_no));
     }
   }
   return read;

@@ -29,6 +29,14 @@ struct TableDef {
   Schema schema;
   int pk_col = 0;  ///< must be an Int32 column
   std::vector<IndexDef> indexes;
+
+  /// Number of the first index on column `col`, or -1 if it has none.
+  int FindIndexOn(int col) const {
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (indexes[i].col == col) return static_cast<int>(i);
+    }
+    return -1;
+  }
 };
 
 /// Encode the secondary-index key prefix for a column value.
@@ -71,12 +79,7 @@ class TableAccessor {
                                             size_t index_no) const = 0;
 
   /// Index number for a column, or -1 if the column has no index.
-  int FindIndexOn(int col) const {
-    for (size_t i = 0; i < def().indexes.size(); ++i) {
-      if (def().indexes[i].col == col) return static_cast<int>(i);
-    }
-    return -1;
-  }
+  int FindIndexOn(int col) const { return def().FindIndexOn(col); }
 };
 
 /// A relational table bound to a DB (the host-side accessor).

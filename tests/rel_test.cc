@@ -142,15 +142,21 @@ TEST(KmvSketchTest, SampleIsTheKSmallestDistinctHashes) {
     for (size_t i = stream.size(); i > 1; --i) {
       std::swap(stream[i - 1], stream[rng.Uniform(i)]);
     }
-    const std::vector<uint64_t> want = SmallestDistinct(stream, k);
-
     std::vector<uint64_t> descending = stream;
     std::sort(descending.rbegin(), descending.rend());
     std::vector<uint64_t> ascending = stream;
     std::sort(ascending.begin(), ascending.end());
+    // Last in every order, when the sketch is full: a new value just below
+    // the kth smallest (after an ascending run, exactly below its bound).
+    std::vector<uint64_t> late;
+    if (k - 1 < sorted.size()) late.assign(3, sorted[k - 1] - 1);
+    std::vector<uint64_t> all = stream;
+    all.insert(all.end(), late.begin(), late.end());
+    const std::vector<uint64_t> want = SmallestDistinct(all, k);
     for (const auto* order : {&stream, &descending, &ascending}) {
       KmvSketch sketch(k);
       for (uint64_t h : *order) sketch.Add(h);
+      for (uint64_t h : late) sketch.Add(h);
       EXPECT_EQ(sketch.Sample(), want) << distinct << " distinct";
     }
   }
