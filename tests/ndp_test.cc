@@ -248,6 +248,39 @@ TEST_F(NdpTest, PipelinedJoinCommandProducesJoinedRows) {
   }
 }
 
+TEST_F(NdpTest, PipelinedIndexJoinProbesTheInnerSecondaryIndex) {
+  // BNLJI on a non-key inner column walks the inner table's secondary
+  // index on the device, so its accessor must be given that index.
+  nkv::NdpCommand cmd;
+  cmd.buffers = SmallBuffers();
+  nkv::NdpTableAccess items_access = Ship(*items_, "i");
+  items_access.predicate = Expr::CmpInt("i.price", CmpOp::kLe, 50);
+  cmd.tables.push_back(std::move(items_access));
+  nkv::NdpTableAccess orders_access = Ship(*orders_, "o");
+  orders_access.projection = {"o.id", "o.item_id"};
+  cmd.tables.push_back(std::move(orders_access));
+  nkv::NdpJoinStage stage;
+  stage.algo = nkv::JoinAlgo::kBNLJI;
+  stage.outer_key_col = "i.id";
+  stage.inner_join_col = "item_id";
+  cmd.joins.push_back(std::move(stage));
+
+  ndp::DeviceExecutor executor(&storage_, &hw_);
+  auto result = executor.Execute(cmd);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->device_status.ok()) << result->device_status.ToString();
+  // Items 1..5, each the item of 30 of the 3000 orders.
+  EXPECT_EQ(result->rows().size(), 150u);
+  const rel::Schema& schema = result->schema();
+  const int item = schema.Find("i.id");
+  const int order_item = schema.Find("o.item_id");
+  ASSERT_GE(order_item, 0);
+  for (const auto& row : result->rows()) {
+    RowView v(row.data(), &schema);
+    EXPECT_EQ(v.GetInt(order_item), v.GetInt(item));
+  }
+}
+
 TEST_F(NdpTest, ResourceCheckRejectsOverBudget) {
   nkv::NdpCommand cmd = ScanCommand();
   cmd.buffers.selection_buffer_bytes = 64ull << 20;  // > 2 MiB budget
