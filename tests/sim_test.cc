@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/cost.h"
 #include "sim/hw_model.h"
 #include "sim/profiler.h"
@@ -99,6 +101,91 @@ TEST(AccessContextTest, CopyFactorDiscountsPointerCache) {
   row.ChargeCopy(1 << 20);
   ptr.ChargeCopy(1 << 20);
   EXPECT_NEAR(ptr.now() / row.now(), 0.15, 0.01);
+}
+
+/// The quantized price of one charge, computed from the models directly.
+SimPicos DirectPicos(const HwParams& hw, Actor actor, CostKind kind,
+                     uint64_t units, double copy_factor) {
+  const CpuModel& cpu = actor == Actor::kHost ? hw.host_cpu : hw.device_cpu;
+  const CostCycleTable cycles;
+  double per_unit = 0;
+  switch (kind) {
+    case CostKind::kCopy:
+      return NanosToPicos(cpu.TimeForCopy(units) * copy_factor);
+    case CostKind::kMemcmp:
+      per_unit = cycles.memcmp_per_byte;
+      break;
+    case CostKind::kCompareInternalKeys:
+      per_unit = cycles.compare_internal_key;
+      break;
+    case CostKind::kSeekIndexBlock:
+      per_unit = cycles.seek_index_block;
+      break;
+    case CostKind::kSelectionProcessing:
+      per_unit = cycles.selection_per_record;
+      break;
+    case CostKind::kSeekDataBlock:
+      per_unit = cycles.seek_data_block;
+      break;
+    case CostKind::kOther:
+      per_unit = 1.0;
+      break;
+    case CostKind::kHashBuild:
+      per_unit = cycles.hash_build;
+      break;
+    case CostKind::kHashProbe:
+      per_unit = cycles.hash_probe;
+      break;
+    case CostKind::kRecordEval:
+      per_unit = cycles.record_eval;
+      break;
+    case CostKind::kAggUpdate:
+      per_unit = cycles.agg_update;
+      break;
+    default:
+      ADD_FAILURE() << "not a CPU kind";
+  }
+  return NanosToPicos(cpu.TimeForCycles(per_unit * units));
+}
+
+TEST(AccessContextTest, ChargesEqualTheDirectlyComputedPrice) {
+  const HwParams hw = HwParams::PaperDefaults();
+  // Unit counts below, at and above every table size up to 1024.
+  std::vector<uint64_t> units;
+  for (uint64_t u = 0; u <= 1025; ++u) units.push_back(u);
+  for (uint64_t u : {2047ull, 4096ull, 65537ull, 1ull << 30}) {
+    units.push_back(u);
+  }
+  for (Actor actor : {Actor::kHost, Actor::kDevice}) {
+    AccessContext ctx(&hw, actor, IoPath::kInternal);
+    for (double copy_factor : {1.0, 0.15}) {
+      ctx.SetCopyFactor(copy_factor);
+      for (int k = 0; k < kNumCostKinds; ++k) {
+        const auto kind = static_cast<CostKind>(k);
+        if (kind == CostKind::kFlashLoad || kind == CostKind::kTransfer) {
+          continue;
+        }
+        for (uint64_t u : units) {
+          const SimPicos want = DirectPicos(hw, actor, kind, u, copy_factor);
+          ctx.ResetCosts();
+          ctx.Charge(kind, u);
+          ASSERT_EQ(ctx.counters().time_ps[k], want)
+              << CostKindName(kind) << " x" << u << " factor " << copy_factor;
+          ASSERT_EQ(ctx.counters().units[k], u);
+          ASSERT_EQ(ctx.clock().now_ps(), want);
+          // n repetitions in one step are n single charges, exactly.
+          for (uint64_t n : {0ull, 1ull, 3ull, 1000ull}) {
+            ctx.ResetCosts();
+            ctx.ChargeRepeated(kind, u, n);
+            ASSERT_EQ(ctx.counters().time_ps[k],
+                      static_cast<SimPicos>(n) * want);
+            ASSERT_EQ(ctx.counters().units[k], u * n);
+            ASSERT_EQ(ctx.clock().now_ps(), static_cast<SimPicos>(n) * want);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CostCountersTest, MergeAndBreakdown) {
