@@ -137,8 +137,7 @@ class AccessContext {
   /// Charge `units_count` units of CPU-type work of the given kind: one
   /// repetition of ChargeRepeated. Inline: this is the hottest function in
   /// the engine (one call per row per operator, tens of millions per bench
-  /// run). The cycle math matches CostCycleTable member by member, so
-  /// simulated values are unaffected by the inlining.
+  /// run).
   void Charge(CostKind kind, uint64_t units_count) {
     ChargeRepeated(kind, units_count, 1);
   }
@@ -150,25 +149,39 @@ class AccessContext {
   /// batch path amortizes per-row accounting (DESIGN.md §10): a batch of
   /// uniform rows pays one multiply instead of n float-to-pico conversions.
   void ChargeRepeated(CostKind kind, uint64_t units_each, uint64_t n) {
-    if (n == 0) return;
-    SimNanos t;
-    switch (kind) {
-      case CostKind::kCopy:
-        t = cpu().TimeForCopy(units_each) * copy_factor_;
-        break;
-      case CostKind::kFlashLoad:
-      case CostKind::kTransfer:
-      case CostKind::kNumKinds:
-        // Charged via the dedicated Charge{FlashRead,Transfer} entry points.
-        return;
-      default:
-        t = cpu().TimeForCycles(cycles_per_unit_[static_cast<int>(kind)] *
-                                units_each);
+    // kFlashLoad and kTransfer are charged via the dedicated
+    // Charge{FlashRead,Transfer} entry points.
+    if (n == 0 || kind == CostKind::kFlashLoad ||
+        kind == CostKind::kTransfer || kind == CostKind::kNumKinds) {
+      return;
     }
-    const SimPicos total_ps =
-        static_cast<SimPicos>(n) * NanosToPicos(t);
-    counters_.AddQuantized(kind, units_each * n, total_ps);
-    clock_.AdvancePicos(total_ps);
+    PayQuantized(kind, units_each * n,
+                 static_cast<SimPicos>(n) * Price(kind, units_each));
+  }
+
+  /// Unit counts below this are priced once per context and then looked up
+  /// (see Price).
+  static constexpr uint64_t kPricedUnits = 256;
+
+  /// The quantized picoseconds of one charge of `units` units of CPU kind
+  /// `kind`: exactly what Charge(kind, units) adds. A small count is priced
+  /// on first use and kept in this context's table, so the float math and
+  /// the rounding run once per (kind, units) instead of once per charge.
+  /// Zero marks an unpriced slot; a count whose price is zero is simply
+  /// priced again.
+  SimPicos Price(CostKind kind, uint64_t units) {
+    if (units >= kPricedUnits) return ComputePrice(kind, units);
+    SimPicos& price = prices_[static_cast<int>(kind)][units];
+    if (price == 0) price = ComputePrice(kind, units);
+    return price;
+  }
+
+  /// Pay `units` units of `kind` whose one-charge prices (Price values)
+  /// sum to `ps`: bit-identical to charging them one by one. Tallies that
+  /// collect charges over many rows pay through here.
+  void PayQuantized(CostKind kind, uint64_t units, SimPicos ps) {
+    counters_.AddQuantized(kind, units, ps);
+    clock_.AdvancePicos(ps);
   }
 
   /// Charge `n` identical bulk copies of `bytes_each` (see ChargeRepeated).
@@ -197,7 +210,10 @@ class AccessContext {
   /// format (paper Sect. 4.2) stores addresses instead of full records in
   /// intermediate caches; the device executor models it by discounting
   /// intermediate copies.
-  void SetCopyFactor(double f) { copy_factor_ = f; }
+  void SetCopyFactor(double f) {
+    copy_factor_ = f;
+    prices_[static_cast<int>(CostKind::kCopy)].fill(0);
+  }
 
   void ResetCosts() {
     counters_.Reset();
@@ -207,6 +223,16 @@ class AccessContext {
  private:
   const CpuModel& cpu() const {
     return actor_ == Actor::kHost ? hw_->host_cpu : hw_->device_cpu;
+  }
+  /// The price of one charge, computed from the models: the cycles of
+  /// `units` units on this actor's CPU, or a copy of `units` bytes scaled
+  /// by the copy factor, quantized to picoseconds.
+  SimPicos ComputePrice(CostKind kind, uint64_t units) const {
+    if (kind == CostKind::kCopy) {
+      return NanosToPicos(cpu().TimeForCopy(units) * copy_factor_);
+    }
+    return NanosToPicos(cpu().TimeForCycles(
+        cycles_per_unit_[static_cast<int>(kind)] * units));
   }
   /// Interconnect + stack overhead for moving flash data to this actor.
   SimNanos PathOverhead(uint64_t bytes, bool random) const;
@@ -219,6 +245,40 @@ class AccessContext {
   CostCounters counters_;
   CostCycleTable cycles_;
   std::array<double, kNumCostKinds> cycles_per_unit_{};
+  /// Price(kind, units) for units < kPricedUnits; 0 = not yet priced. Per
+  /// context, so no thread shares it.
+  std::array<std::array<SimPicos, kPricedUnits>, kNumCostKinds> prices_{};
+};
+
+/// Charges of one CPU kind collected over many rows and paid at once: Add
+/// prices each charge exactly as Charge would, Pay settles their sum on the
+/// context, bit-identical to charging them one by one. Collects nothing
+/// without a context. A charge moves the clock only when paid, so the
+/// collector pays before anything can read the clock: before it returns or
+/// pulls a child (DESIGN.md §10).
+class ChargeTally {
+ public:
+  ChargeTally(AccessContext* ctx, CostKind kind) : ctx_(ctx), kind_(kind) {}
+  ChargeTally(const ChargeTally&) = delete;
+  ChargeTally& operator=(const ChargeTally&) = delete;
+
+  void Add(uint64_t units) {
+    if (ctx_ == nullptr) return;
+    units_ += units;
+    ps_ += ctx_->Price(kind_, units);
+  }
+  void Pay() {
+    if (ctx_ == nullptr) return;
+    ctx_->PayQuantized(kind_, units_, ps_);
+    units_ = 0;
+    ps_ = 0;
+  }
+
+ private:
+  AccessContext* ctx_;
+  CostKind kind_;
+  uint64_t units_ = 0;
+  SimPicos ps_ = 0;
 };
 
 }  // namespace hybridndp::sim

@@ -150,9 +150,10 @@ SimPicos DirectPicos(const HwParams& hw, Actor actor, CostKind kind,
 
 TEST(AccessContextTest, ChargesEqualTheDirectlyComputedPrice) {
   const HwParams hw = HwParams::PaperDefaults();
-  // Unit counts below, at and above every table size up to 1024.
+  // Unit counts below, at and above the size of the context's price table.
+  constexpr uint64_t kTable = AccessContext::kPricedUnits;
   std::vector<uint64_t> units;
-  for (uint64_t u = 0; u <= 1025; ++u) units.push_back(u);
+  for (uint64_t u = 0; u <= 2 * kTable + 1; ++u) units.push_back(u);
   for (uint64_t u : {2047ull, 4096ull, 65537ull, 1ull << 30}) {
     units.push_back(u);
   }
