@@ -1,5 +1,6 @@
 #include "exec/expr.h"
 
+#include <cstring>
 #include <sstream>
 
 namespace hybridndp::exec {
@@ -23,6 +24,65 @@ bool CompareOrdered(int r, CmpOp op) {
   return false;
 }
 
+int CompareInt(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "TrimmedSize reads the last byte of a word as its top byte");
+
+/// Size of a CHAR field with its trailing zero padding stripped (what
+/// RowView::GetString yields), a word at a time from the end.
+size_t TrimmedSize(const char* p, size_t n) {
+  while (n >= 8) {
+    uint64_t w;
+    memcpy(&w, p + n - 8, 8);
+    if (w != 0) return n - (static_cast<size_t>(__builtin_clzll(w)) >> 3);
+    n -= 8;
+  }
+  while (n > 0 && p[n - 1] == '\0') --n;
+  return n;
+}
+
+bool BytesEqual(const char* a, const char* b, size_t n) {
+  return memcmp(a, b, n) == 0;
+}
+
+/// First position >= `from` where `seg` starts and ends by `limit`, or
+/// npos: a first-byte scan, then a compare of the rest.
+size_t FindSegment(const char* v, size_t from, size_t limit,
+                   const std::string& seg) {
+  const char first = seg[0];
+  for (size_t i = from; i + seg.size() <= limit; ++i) {
+    if (v[i] == first &&
+        BytesEqual(v + i + 1, seg.data() + 1, seg.size() - 1)) {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
+/// LIKE with '%' as its only wildcard, against the `n` bytes at `v`: segs
+/// holds the prefix, the suffix and then the non-empty middle segments.
+/// Each middle goes at its leftmost place after the previous one, which
+/// finds a match whenever one exists.
+bool LikeSegments(const char* v, size_t n, const std::string* segs,
+                  size_t count) {
+  const std::string& prefix = segs[0];
+  const std::string& suffix = segs[1];
+  if (n < prefix.size() + suffix.size() ||
+      !BytesEqual(v, prefix.data(), prefix.size()) ||
+      !BytesEqual(v + n - suffix.size(), suffix.data(), suffix.size())) {
+    return false;
+  }
+  size_t pos = prefix.size();
+  const size_t limit = n - suffix.size();
+  for (size_t i = 2; i < count; ++i) {
+    const size_t at = FindSegment(v, pos, limit, segs[i]);
+    if (at == std::string::npos) return false;
+    pos = at + segs[i].size();
+  }
+  return true;
+}
+
 const char* OpName(CmpOp op) {
   switch (op) {
     case CmpOp::kEq:
@@ -43,17 +103,18 @@ const char* OpName(CmpOp op) {
 }  // namespace
 
 bool LikeMatch(const Slice& value, const Slice& pattern) {
-  // Iterative wildcard matching with backtracking over the last '%'.
+  // Iterative wildcard matching with backtracking over the last '%'. A '%'
+  // in the pattern is always a wildcard, also where the value holds a '%'.
   size_t v = 0, p = 0;
   size_t star_p = std::string::npos, star_v = 0;
   while (v < value.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '_' || pattern[p] == value[v])) {
-      ++v;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
+    if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_v = v;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '_' || pattern[p] == value[v])) {
+      ++v;
+      ++p;
     } else if (star_p != std::string::npos) {
       p = star_p + 1;
       v = ++star_v;
@@ -63,106 +124,6 @@ bool LikeMatch(const Slice& value, const Slice& pattern) {
   }
   while (p < pattern.size() && pattern[p] == '%') ++p;
   return p == pattern.size();
-}
-
-Result<Expr::Ptr> Expr::Bind(const Schema& schema) const {
-  auto bound = std::make_shared<Expr>(*this);
-  for (auto& child : bound->children) {
-    HNDP_ASSIGN_OR_RETURN(child, child->Bind(schema));
-  }
-  if (!column.empty()) {
-    bound->col_index = schema.Find(column);
-    if (bound->col_index < 0) {
-      return Status::InvalidArgument("unknown column: " + column);
-    }
-  }
-  if (!column2.empty()) {
-    bound->col_index2 = schema.Find(column2);
-    if (bound->col_index2 < 0) {
-      return Status::InvalidArgument("unknown column: " + column2);
-    }
-  }
-  return bound;
-}
-
-bool Expr::Eval(const RowView& row, sim::AccessContext* ctx) const {
-  switch (kind) {
-    case ExprKind::kCmpInt: {
-      if (ctx != nullptr) ctx->Charge(sim::CostKind::kMemcmp, 4);
-      const int32_t v = row.GetInt(col_index);
-      const int r = v < int_value ? -1 : (v > int_value ? 1 : 0);
-      return CompareOrdered(r, op);
-    }
-    case ExprKind::kCmpStr: {
-      const Slice v = row.GetString(col_index);
-      if (ctx != nullptr) {
-        ctx->Charge(sim::CostKind::kMemcmp,
-                    std::min(v.size(), str_value.size()) + 1);
-      }
-      return CompareOrdered(v.compare(Slice(str_value)), op);
-    }
-    case ExprKind::kCmpCol: {
-      const auto& col_a = row.schema().column(col_index);
-      if (col_a.type == rel::ColType::kInt32) {
-        if (ctx != nullptr) ctx->Charge(sim::CostKind::kMemcmp, 4);
-        const int32_t a = row.GetInt(col_index);
-        const int32_t b = row.GetInt(col_index2);
-        const int r = a < b ? -1 : (a > b ? 1 : 0);
-        return CompareOrdered(r, op);
-      }
-      const Slice a = row.GetString(col_index);
-      const Slice b = row.GetString(col_index2);
-      if (ctx != nullptr) {
-        ctx->Charge(sim::CostKind::kMemcmp, std::min(a.size(), b.size()) + 1);
-      }
-      return CompareOrdered(a.compare(b), op);
-    }
-    case ExprKind::kLike: {
-      const Slice v = row.GetString(col_index);
-      if (ctx != nullptr) {
-        // LIKE scans the value, possibly with backtracking; charge linear.
-        ctx->Charge(sim::CostKind::kMemcmp, v.size() + str_value.size());
-      }
-      const bool m = LikeMatch(v, Slice(str_value));
-      return negated ? !m : m;
-    }
-    case ExprKind::kInStr: {
-      const Slice v = row.GetString(col_index);
-      for (const auto& candidate : str_list) {
-        if (ctx != nullptr) {
-          ctx->Charge(sim::CostKind::kMemcmp,
-                      std::min(v.size(), candidate.size()) + 1);
-        }
-        if (v == Slice(candidate)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kBetween: {
-      if (ctx != nullptr) ctx->Charge(sim::CostKind::kMemcmp, 8);
-      const int32_t v = row.GetInt(col_index);
-      return v >= int_value && v <= int_value2;
-    }
-    case ExprKind::kAnd:
-      for (const auto& child : children) {
-        if (!child->Eval(row, ctx)) return false;
-      }
-      return true;
-    case ExprKind::kOr:
-      for (const auto& child : children) {
-        if (child->Eval(row, ctx)) return true;
-      }
-      return false;
-    case ExprKind::kNot:
-      return !children[0]->Eval(row, ctx);
-    case ExprKind::kIsNotNull: {
-      if (ctx != nullptr) ctx->Charge(sim::CostKind::kMemcmp, 4);
-      if (row.schema().column(col_index).type == rel::ColType::kInt32) {
-        return row.GetInt(col_index) != 0;
-      }
-      return !row.GetString(col_index).empty();
-    }
-  }
-  return false;
 }
 
 std::string Expr::ToString() const {
@@ -300,6 +261,188 @@ void Expr::SplitConjuncts(const Ptr& expr, std::vector<Ptr>* out) {
   } else {
     out->push_back(expr);
   }
+}
+
+// ----------------------------------------------------------------- Predicate
+
+Result<Predicate> Predicate::Compile(const Expr& expr, const Schema& schema) {
+  Predicate p;
+  HNDP_RETURN_IF_ERROR(p.Emit(expr, schema));
+  return p;
+}
+
+Status Predicate::Emit(const Expr& expr, const Schema& schema) {
+  const uint32_t pc = static_cast<uint32_t>(code_.size());
+  code_.push_back(Instr{});
+  Instr in;
+  in.cmp = expr.op;
+  in.negated = expr.negated;
+  in.lo = expr.int_value;
+  in.hi = expr.int_value2;
+  in.str_begin = static_cast<uint32_t>(strings_.size());
+  bool is_int = false;
+  if (!expr.column.empty()) {
+    const int col = schema.Find(expr.column);
+    if (col < 0) return Status::InvalidArgument("unknown column: " + expr.column);
+    in.offset = schema.offset(col);
+    in.width = schema.column(col).size;
+    is_int = schema.column(col).type == rel::ColType::kInt32;
+  }
+  if (!expr.column2.empty()) {
+    const int col = schema.Find(expr.column2);
+    if (col < 0) {
+      return Status::InvalidArgument("unknown column: " + expr.column2);
+    }
+    in.offset2 = schema.offset(col);
+    in.width2 = schema.column(col).size;
+  }
+  switch (expr.kind) {
+    case ExprKind::kCmpInt:
+      in.op = Op::kCmpInt;
+      break;
+    case ExprKind::kCmpStr:
+      in.op = Op::kCmpStr;
+      strings_.push_back(expr.str_value);
+      break;
+    case ExprKind::kCmpCol:
+      // The lhs column's type decides, as it always has.
+      in.op = is_int ? Op::kCmpIntCol : Op::kCmpStrCol;
+      break;
+    case ExprKind::kLike: {
+      const std::string& pattern = expr.str_value;
+      in.pattern_size = static_cast<uint32_t>(pattern.size());
+      if (pattern.find('_') != std::string::npos) {
+        in.op = Op::kLikeGeneral;
+        strings_.push_back(pattern);
+      } else if (pattern.find('%') == std::string::npos) {
+        in.op = Op::kLikeExact;
+        strings_.push_back(pattern);
+      } else {
+        // Split at '%': prefix, suffix, then the non-empty middles.
+        in.op = Op::kLikeSegments;
+        const size_t first = pattern.find('%');
+        const size_t last = pattern.rfind('%');
+        strings_.push_back(pattern.substr(0, first));
+        strings_.push_back(pattern.substr(last + 1));
+        size_t pos = first + 1;
+        while (pos < last) {
+          const size_t next = pattern.find('%', pos);
+          if (next > pos) strings_.push_back(pattern.substr(pos, next - pos));
+          pos = next + 1;
+        }
+      }
+      break;
+    }
+    case ExprKind::kInStr:
+      in.op = Op::kInStr;
+      strings_.insert(strings_.end(), expr.str_list.begin(),
+                      expr.str_list.end());
+      break;
+    case ExprKind::kBetween:
+      in.op = Op::kBetween;
+      break;
+    case ExprKind::kIsNotNull:
+      in.op = is_int ? Op::kIntNotNull : Op::kStrNotNull;
+      break;
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      in.op = expr.kind == ExprKind::kAnd  ? Op::kAnd
+              : expr.kind == ExprKind::kOr ? Op::kOr
+                                           : Op::kNot;
+      for (const auto& child : expr.children) {
+        HNDP_RETURN_IF_ERROR(Emit(*child, schema));
+      }
+      break;
+  }
+  in.str_count = static_cast<uint32_t>(strings_.size()) - in.str_begin;
+  in.end = static_cast<uint32_t>(code_.size());
+  code_[pc] = in;
+  return Status::OK();
+}
+
+bool Predicate::Run(uint32_t pc, const char* row,
+                    sim::ChargeTally* tally) const {
+  const Instr& in = code_[pc];
+  const char* field = row + in.offset;
+  switch (in.op) {
+    case Op::kCmpInt:
+      tally->Add(4);
+      return CompareOrdered(
+          CompareInt(static_cast<int32_t>(DecodeFixed32(field)), in.lo),
+          in.cmp);
+    case Op::kCmpStr: {
+      const Slice v(field, TrimmedSize(field, in.width));
+      const std::string& lit = strings_[in.str_begin];
+      tally->Add(std::min(v.size(), lit.size()) + 1);
+      return CompareOrdered(v.compare(Slice(lit)), in.cmp);
+    }
+    case Op::kCmpIntCol:
+      tally->Add(4);
+      return CompareOrdered(
+          CompareInt(static_cast<int32_t>(DecodeFixed32(field)),
+                     static_cast<int32_t>(DecodeFixed32(row + in.offset2))),
+          in.cmp);
+    case Op::kCmpStrCol: {
+      const Slice a(field, TrimmedSize(field, in.width));
+      const char* field2 = row + in.offset2;
+      const Slice b(field2, TrimmedSize(field2, in.width2));
+      tally->Add(std::min(a.size(), b.size()) + 1);
+      return CompareOrdered(a.compare(b), in.cmp);
+    }
+    case Op::kLikeExact:
+    case Op::kLikeSegments:
+    case Op::kLikeGeneral: {
+      const size_t n = TrimmedSize(field, in.width);
+      // LIKE scans the value, possibly with backtracking; charge linear.
+      tally->Add(n + in.pattern_size);
+      bool match;
+      if (in.op == Op::kLikeExact) {
+        const std::string& lit = strings_[in.str_begin];
+        match = n == lit.size() && BytesEqual(field, lit.data(), n);
+      } else if (in.op == Op::kLikeGeneral) {
+        match = LikeMatch(Slice(field, n), Slice(strings_[in.str_begin]));
+      } else {
+        match = LikeSegments(field, n, &strings_[in.str_begin], in.str_count);
+      }
+      return match != in.negated;
+    }
+    case Op::kInStr: {
+      const size_t n = TrimmedSize(field, in.width);
+      for (uint32_t i = 0; i < in.str_count; ++i) {
+        const std::string& candidate = strings_[in.str_begin + i];
+        tally->Add(std::min(n, candidate.size()) + 1);
+        if (n == candidate.size() && BytesEqual(field, candidate.data(), n)) {
+          return true;
+        }
+      }
+      return false;
+    }
+    case Op::kBetween: {
+      tally->Add(8);
+      const int32_t v = static_cast<int32_t>(DecodeFixed32(field));
+      return v >= in.lo && v <= in.hi;
+    }
+    case Op::kIntNotNull:
+      tally->Add(4);
+      return DecodeFixed32(field) != 0;
+    case Op::kStrNotNull:
+      tally->Add(4);
+      return TrimmedSize(field, in.width) != 0;
+    case Op::kAnd:
+      for (uint32_t c = pc + 1; c < in.end; c = code_[c].end) {
+        if (!Run(c, row, tally)) return false;
+      }
+      return true;
+    case Op::kOr:
+      for (uint32_t c = pc + 1; c < in.end; c = code_[c].end) {
+        if (Run(c, row, tally)) return true;
+      }
+      return false;
+    case Op::kNot:
+      return !Run(pc + 1, row, tally);
+  }
+  return false;
 }
 
 }  // namespace hybridndp::exec

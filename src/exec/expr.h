@@ -1,8 +1,8 @@
 // Predicate/expression trees over fixed-size rows. Expressions are built
-// against column *names*; Bind() resolves a tree against a concrete Schema
-// into the caller's own copy, so plan trees stay read-only and concurrent
-// runs share them. The planner introspects expressions to estimate
-// selectivities (calc_sel).
+// against column *names* and stay read-only, so concurrent runs share plan
+// trees; Predicate::Compile turns one into a flat program for a concrete
+// Schema, which is what operators evaluate. The planner introspects
+// expressions to estimate selectivities (calc_sel).
 
 #pragma once
 
@@ -35,8 +35,8 @@ enum class ExprKind : uint8_t {
   kIsNotNull,  ///< column non-empty / non-zero
 };
 
-/// One expression node. Trees are immutable after construction; Bind()
-/// returns a copy with column names resolved to indexes for one schema.
+/// One expression node. Trees are immutable after construction; operators
+/// evaluate the Predicate compiled from them.
 class Expr {
  public:
   using Ptr = std::shared_ptr<Expr>;
@@ -51,18 +51,6 @@ class Expr {
   std::vector<std::string> str_list;  ///< kInStr
   bool negated = false;      ///< NOT LIKE
   std::vector<Ptr> children; ///< kAnd / kOr / kNot
-
-  // Bound state (set in the copies Bind returns).
-  int col_index = -1;
-  int col_index2 = -1;
-
-  /// Deep copy of the tree with column names resolved against `schema`.
-  /// Fails if a referenced column is missing. Leaves this tree untouched.
-  Result<Ptr> Bind(const Schema& schema) const;
-
-  /// Evaluate a tree returned by Bind against a row of its schema; charges
-  /// comparison costs to ctx when set.
-  bool Eval(const RowView& row, sim::AccessContext* ctx) const;
 
   /// Human-readable rendering for plan explains.
   std::string ToString() const;
@@ -83,7 +71,68 @@ class Expr {
   static void SplitConjuncts(const Ptr& expr, std::vector<Ptr>* out);
 };
 
-/// SQL LIKE with '%' (any run) and '_' (single char) against a value.
+/// SQL LIKE with '%' (any run) and '_' (single char) against a value, by
+/// backtracking over the last '%'.
 bool LikeMatch(const Slice& value, const Slice& pattern);
+
+/// An expression compiled against one schema: a flat pre-order program
+/// whose leaves carry their fields' resolved offsets and widths. Eval runs
+/// it on one row with the tree's short circuits and adds each compare's
+/// kMemcmp charge to a tally: the same charges, in the same number and
+/// size, that walking the tree row by row would make. The caller pays the
+/// tally before it returns or pulls a child (DESIGN.md §10). A
+/// default-constructed Predicate keeps every row.
+class Predicate {
+ public:
+  Predicate() = default;
+
+  /// Compile `expr` against `schema`. Fails if a referenced column is
+  /// missing.
+  static Result<Predicate> Compile(const Expr& expr, const Schema& schema);
+
+  /// Whether `row` (laid out by the compile schema) passes.
+  bool Eval(const char* row, sim::ChargeTally* tally) const {
+    return code_.empty() || Run(0, row, tally);
+  }
+
+ private:
+  enum class Op : uint8_t {
+    kCmpInt,       ///< int field <op> literal
+    kCmpStr,       ///< CHAR field <op> literal
+    kCmpIntCol,    ///< int field <op> int field
+    kCmpStrCol,    ///< CHAR field <op> CHAR field
+    kLikeExact,    ///< LIKE without wildcards: equality
+    kLikeSegments, ///< LIKE with '%' only: prefix, suffix, middles in order
+    kLikeGeneral,  ///< LIKE with '_': LikeMatch
+    kInStr,
+    kBetween,
+    kIntNotNull,
+    kStrNotNull,
+    kAnd,
+    kOr,
+    kNot,
+  };
+
+  struct Instr {
+    Op op;
+    CmpOp cmp = CmpOp::kEq;
+    bool negated = false;  ///< NOT LIKE
+    uint32_t end = 0;      ///< one past this node's subtree
+    uint32_t offset = 0, width = 0;    ///< lhs field
+    uint32_t offset2 = 0, width2 = 0;  ///< rhs field (column compares)
+    int64_t lo = 0, hi = 0;            ///< int literal / BETWEEN bounds
+    /// Literals in strings_: the compare literal, the IN list, the LIKE
+    /// pattern (kLikeExact, kLikeGeneral) or its prefix, suffix and
+    /// non-empty middle segments (kLikeSegments).
+    uint32_t str_begin = 0, str_count = 0;
+    uint32_t pattern_size = 0;  ///< LIKE: the charged pattern length
+  };
+
+  Status Emit(const Expr& expr, const Schema& schema);
+  bool Run(uint32_t pc, const char* row, sim::ChargeTally* tally) const;
+
+  std::vector<Instr> code_;
+  std::vector<std::string> strings_;
+};
 
 }  // namespace hybridndp::exec

@@ -333,14 +333,15 @@ void BlockNLIndexJoinOp::LoadOuterBlock() {
   if (block_.size() == 0) outer_exhausted_ = true;
 }
 
-Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row) {
+Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row,
+                                        sim::ChargeTally* compares) {
   matches_.Clear();
   match_pos_ = 0;
   const int32_t key = outer_row.GetInt(outer_key_idx_);
 
   auto consider_row = [&](const std::string& base_row) {
     if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kSelectionProcessing, 1);
-    if (!inner_stage_.Keep(base_row.data(), ctx_)) return;
+    if (!inner_stage_.Keep(base_row.data(), compares)) return;
     inner_stage_.Project(base_row.data(), matches_.AppendRow());
     if (ctx_ != nullptr) ctx_->ChargeCopy(inner_stage_.out_schema().row_size());
   };
@@ -394,7 +395,9 @@ RowBatch* BlockNLIndexJoinOp::NextBatch(size_t max_rows) {
       continue;
     }
     current_outer_ = block_.row(block_pos_++);
-    Status s = FetchMatches(RowView(current_outer_, &lschema));
+    sim::ChargeTally compares(ctx_, sim::CostKind::kMemcmp);
+    Status s = FetchMatches(RowView(current_outer_, &lschema), &compares);
+    compares.Pay();
     if (!s.ok()) {
       // Rows already placed in batch_ stay delivered; the stream ends on
       // the next call and the drain surfaces status_.

@@ -97,9 +97,9 @@ using OperatorPtr = std::unique_ptr<Operator>;
 
 /// The stage every base-table reader starts with (TableScanOp, IndexScanOp
 /// and BlockNLIndexJoinOp's inner side): the table schema renamed to
-/// "alias.col", the pushed-down predicate bound to it, and the projection
-/// resolved against it. All of it happens once, at construction; an unknown
-/// column is kept in status() for the owner's Open() to return.
+/// "alias.col", the pushed-down predicate compiled against it, and the
+/// projection resolved against it. All of it happens once, at construction;
+/// an unknown column is kept in status() for the owner's Open() to return.
 class TableStage {
  public:
   /// `projection`: output column names (aliased); empty = all columns.
@@ -110,13 +110,13 @@ class TableStage {
   const Status& status() const { return status_; }
   const std::string& alias() const { return alias_; }
   const Schema& out_schema() const { return out_schema_; }
-  /// The bound predicate (nullptr = none), for Describe().
+  /// The pushed-down predicate (nullptr = none), for Describe().
   const Expr* predicate() const { return predicate_.get(); }
 
-  /// Whether a table row passes the predicate (its compares are charged).
-  bool Keep(const char* row, sim::AccessContext* ctx) const {
-    return predicate_ == nullptr ||
-           predicate_->Eval(RowView(row, &schema_), ctx);
+  /// Whether a table row passes the predicate. Its compares go to `tally`,
+  /// which the caller pays.
+  bool Keep(const char* row, sim::ChargeTally* tally) const {
+    return program_.Eval(row, tally);
   }
   /// Copy the projected fields of a table row into a pre-sized buffer of
   /// out_schema(). Uncharged: callers pay one copy per row in bulk.
@@ -127,7 +127,8 @@ class TableStage {
  private:
   std::string alias_;
   Schema schema_;  ///< full table schema with aliased names
-  Expr::Ptr predicate_;
+  Expr::Ptr predicate_;  ///< the plan's tree, read-only
+  Predicate program_;    ///< predicate_ compiled against schema_
   Schema out_schema_;
   std::vector<int> out_cols_;  ///< indexes into schema_
   Status status_;
@@ -216,9 +217,8 @@ class FilterOp final : public Operator {
 
  private:
   OperatorPtr child_;
-  /// The plan's tree until Open() binds this op's copy; a later Open
-  /// re-binds that copy.
-  Expr::Ptr predicate_;
+  Expr::Ptr predicate_;  ///< the plan's tree, read-only
+  Predicate program_;    ///< compiled against the child's schema by Open()
   sim::AccessContext* ctx_;
 };
 
@@ -360,9 +360,11 @@ class BlockNLIndexJoinOp final : public Operator {
 
  private:
   void LoadOuterBlock();
-  /// Collect matching inner rows for the current outer row into matches_.
-  /// A secondary-index walk fetches each row, then steps (DESIGN.md §10).
-  Status FetchMatches(const RowView& outer_row);
+  /// Collect matching inner rows for the current outer row into matches_,
+  /// adding the inner predicate's compares to `compares` for the caller to
+  /// pay. A secondary-index walk fetches each row, then steps (DESIGN.md
+  /// §10).
+  Status FetchMatches(const RowView& outer_row, sim::ChargeTally* compares);
 
   OperatorPtr outer_;
   std::string outer_key_col_;

@@ -48,14 +48,16 @@ Status ResolveProjection(const Schema& schema,
 TableStage::TableStage(const Schema& table_schema, std::string alias,
                        const Expr::Ptr& predicate,
                        const std::vector<std::string>& projection)
-    : alias_(std::move(alias)), schema_(AliasSchema(table_schema, alias_)) {
+    : alias_(std::move(alias)),
+      schema_(AliasSchema(table_schema, alias_)),
+      predicate_(predicate) {
   status_ = ResolveProjection(schema_, projection, &out_cols_, &out_schema_);
-  if (!status_.ok() || predicate == nullptr) return;
-  Result<Expr::Ptr> bound = predicate->Bind(schema_);
-  if (bound.ok()) {
-    predicate_ = std::move(bound).value();
+  if (!status_.ok() || predicate_ == nullptr) return;
+  Result<Predicate> program = Predicate::Compile(*predicate_, schema_);
+  if (program.ok()) {
+    program_ = std::move(program).value();
   } else {
-    status_ = bound.status();
+    status_ = program.status();
   }
 }
 
@@ -88,6 +90,7 @@ RowBatch* TableScanOp::NextBatch(size_t max_rows) {
   constexpr size_t kPullRows = 64;
   Slice values[kPullRows];
   uint64_t scanned = 0;
+  sim::ChargeTally compares(opts_.ctx, sim::CostKind::kMemcmp);
   while (!batch_.full() && iter_ != nullptr) {
     const size_t want =
         std::min(kPullRows, batch_.capacity() - batch_.num_active());
@@ -95,11 +98,12 @@ RowBatch* TableScanOp::NextBatch(size_t max_rows) {
     scanned += n;
     for (size_t i = 0; i < n; ++i) {
       const char* row = values[i].data();
-      if (stage_.Keep(row, opts_.ctx)) stage_.Project(row, batch_.AppendRow());
+      if (stage_.Keep(row, &compares)) stage_.Project(row, batch_.AppendRow());
     }
     if (n < want) break;  // exhausted or failed
   }
   rows_produced_ += batch_.num_active();
+  compares.Pay();
   if (opts_.ctx != nullptr) {
     opts_.ctx->ChargeRepeated(sim::CostKind::kSelectionProcessing, 1, scanned);
     opts_.ctx->ChargeCopyRepeated(out_schema.row_size(), batch_.num_active());
@@ -166,6 +170,7 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
   batch_.Reset(&out_schema, max_rows);
   // Uniform per-row charges amortized over the batch (see TableScanOp).
   uint64_t fetched = 0;
+  sim::ChargeTally compares(opts_.ctx, sim::CostKind::kMemcmp);
   while (!batch_.full() && iter_ != nullptr && iter_->Valid()) {
     rel::IntIndexKey entry;
     if (!rel::DecodeIntIndexKey(iter_->key(), &entry)) {
@@ -185,10 +190,11 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
       break;
     }
     ++fetched;
-    if (!stage_.Keep(base_row_buf_.data(), opts_.ctx)) continue;
+    if (!stage_.Keep(base_row_buf_.data(), &compares)) continue;
     stage_.Project(base_row_buf_.data(), batch_.AppendRow());
     ++rows_produced_;
   }
+  compares.Pay();
   if (opts_.ctx != nullptr) {
     opts_.ctx->ChargeRepeated(sim::CostKind::kSelectionProcessing, 1, fetched);
     opts_.ctx->ChargeCopyRepeated(out_schema.row_size(), batch_.num_active());
@@ -213,27 +219,28 @@ FilterOp::FilterOp(OperatorPtr child, Expr::Ptr predicate,
 
 Status FilterOp::Open() {
   HNDP_RETURN_IF_ERROR(child_->Open());
-  HNDP_ASSIGN_OR_RETURN(predicate_, predicate_->Bind(child_->output_schema()));
+  HNDP_ASSIGN_OR_RETURN(program_,
+                        Predicate::Compile(*predicate_, child_->output_schema()));
   return Status::OK();
 }
 
 RowBatch* FilterOp::NextBatch(size_t max_rows) {
   RowBatch* b = child_->NextBatch(max_rows);
   if (b == nullptr) return nullptr;
-  const Schema& schema = child_->output_schema();
   uint32_t* sel = b->mutable_sel();
   size_t n_out = 0;
   const size_t n_in = b->num_active();
   // One eval charge per input row, identical each time: pay once per batch.
   if (ctx_ != nullptr) ctx_->ChargeRepeated(sim::CostKind::kRecordEval, 1, n_in);
+  sim::ChargeTally compares(ctx_, sim::CostKind::kMemcmp);
   for (size_t k = 0; k < n_in; ++k) {
     const uint32_t idx = sel[k];
-    const RowView view(b->row(idx), &schema);
-    if (predicate_->Eval(view, ctx_)) {
+    if (program_.Eval(b->row(idx), &compares)) {
       sel[n_out++] = idx;
       ++rows_produced_;
     }
   }
+  compares.Pay();
   b->SetNumActive(n_out);
   return b;  // possibly zero active rows; callers loop
 }

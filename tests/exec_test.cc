@@ -50,6 +50,13 @@ TEST(LikeMatchTest, BacktrackingCases) {
   EXPECT_FALSE(LikeMatch("mississippi", "%iss%xppi"));
 }
 
+TEST(LikeMatchTest, PercentInTheValueIsLiteral) {
+  EXPECT_TRUE(LikeMatch("%a", "%"));
+  EXPECT_TRUE(LikeMatch("a%b", "a%"));
+  EXPECT_TRUE(LikeMatch("%%x", "%x"));
+  EXPECT_FALSE(LikeMatch("%a", "%b"));
+}
+
 class ExecTest : public ::testing::Test {
  protected:
   ExecTest()

@@ -49,13 +49,13 @@ bool OracleLike(const Slice& value, const Slice& pattern) {
   size_t v = 0, p = 0;
   size_t star_p = std::string::npos, star_v = 0;
   while (v < value.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '_' || pattern[p] == value[v])) {
-      ++v;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
+    if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_v = v;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '_' || pattern[p] == value[v])) {
+      ++v;
+      ++p;
     } else if (star_p != std::string::npos) {
       p = star_p + 1;
       v = ++star_v;
@@ -140,22 +140,25 @@ bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
 
 // ------------------------------------------------------- the code under test
 
-/// The engine's evaluator for one predicate over one schema; Keep charges
-/// `ctx` exactly as the engine's operators do, before it returns.
+/// The engine's evaluator for one predicate over one schema: the compiled
+/// program, its compares tallied and paid before Keep returns, as the
+/// engine's operators pay theirs.
 class Subject {
  public:
-  Subject(const Expr::Ptr& expr, const Schema& schema) : schema_(&schema) {
-    auto bound = expr->Bind(schema);
-    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
-    if (bound.ok()) bound_ = std::move(bound).value();
+  Subject(const Expr::Ptr& expr, const Schema& schema) {
+    auto program = Predicate::Compile(*expr, schema);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    if (program.ok()) program_ = std::move(program).value();
   }
   bool Keep(const char* row, AccessContext* ctx) const {
-    return bound_->Eval(RowView(row, schema_), ctx);
+    sim::ChargeTally tally(ctx, CostKind::kMemcmp);
+    const bool keep = program_.Eval(row, &tally);
+    tally.Pay();
+    return keep;
   }
 
  private:
-  const Schema* schema_;
-  Expr::Ptr bound_;
+  Predicate program_;
 };
 
 // ---------------------------------------------------------- the generator
