@@ -25,6 +25,32 @@ inline uint64_t DecodeFixed64(const char* src) {
   return v;
 }
 
+/// memcpy of `n` bytes between non-overlapping ranges, inline for the short
+/// keys and fields of the engine: up to 32 bytes take a few overlapping
+/// word moves instead of a libc call.
+inline void CopyBytes(char* dst, const char* src, size_t n) {
+  if (n >= 8 && n <= 16) {
+    uint64_t head, tail;
+    memcpy(&head, src, 8);
+    memcpy(&tail, src + n - 8, 8);
+    memcpy(dst, &head, 8);
+    memcpy(dst + n - 8, &tail, 8);
+  } else if (n >= 4 && n < 8) {
+    uint32_t head, tail;
+    memcpy(&head, src, 4);
+    memcpy(&tail, src + n - 4, 4);
+    memcpy(dst, &head, 4);
+    memcpy(dst + n - 4, &tail, 4);
+  } else if (n < 4) {
+    for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+  } else if (n <= 32) {
+    CopyBytes(dst, src, 16);
+    CopyBytes(dst + n - 16, src + n - 16, 16);
+  } else {
+    memcpy(dst, src, n);
+  }
+}
+
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
   EncodeFixed32(buf, v);

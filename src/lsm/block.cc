@@ -165,7 +165,7 @@ void BlockIter::SeekToRestart(uint32_t index) {
   ParseNext();
 }
 
-void BlockIter::ParseNext() {
+void BlockIter::ParseNextChecked() {
   if (next_offset_ >= restarts_offset_) {
     valid_ = false;
     return;
@@ -176,18 +176,11 @@ void BlockIter::ParseNext() {
   p = GetVarint32Ptr(p, limit, &shared);
   if (p != nullptr) p = GetVarint32Ptr(p, limit, &non_shared);
   if (p != nullptr) p = GetVarint32Ptr(p, limit, &value_len);
-  // Every key is an internal key: at least its 8-byte trailer.
-  if (p == nullptr || shared > key_.size() ||
-      non_shared > static_cast<size_t>(limit - p) ||
-      value_len > static_cast<size_t>(limit - p) - non_shared ||
-      shared + non_shared < 8) {
+  if (p == nullptr) {
     Corrupt("bad block entry");
     return;
   }
-  key_.Truncate(shared);
-  key_.Append(p, non_shared);
-  value_ = Slice(p + non_shared, value_len);
-  next_offset_ = static_cast<size_t>((p + non_shared + value_len) - data_);
+  DecodeEntry(p, limit, shared, non_shared, value_len);
 }
 
 }  // namespace hybridndp::lsm

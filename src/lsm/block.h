@@ -89,8 +89,42 @@ class BlockIter {
   /// when the restart offset or the entry header is out of bounds.
   bool RestartKey(uint32_t index, Slice* key) const;
   void SeekToRestart(uint32_t index);
-  /// Decode the entry at next_offset_ into key_/value_.
-  void ParseNext();
+  /// Decode the entry at next_offset_ into key_/value_. An entry whose
+  /// three header varints are one byte each, which is nearly every entry,
+  /// decodes here; any other goes through ParseNextChecked. Both make the
+  /// same bounds checks.
+  void ParseNext() {
+    const char* p = data_ + next_offset_;
+    const char* limit = data_ + restarts_offset_;
+    if (limit - p >= 3 && ((p[0] | p[1] | p[2]) & 0x80) == 0) {
+      const uint32_t shared = static_cast<unsigned char>(p[0]);
+      const uint32_t non_shared = static_cast<unsigned char>(p[1]);
+      const uint32_t value_len = static_cast<unsigned char>(p[2]);
+      p += 3;
+      DecodeEntry(p, limit, shared, non_shared, value_len);
+      return;
+    }
+    ParseNextChecked();
+  }
+  /// ParseNext for any header: varints of any length, or none left.
+  void ParseNextChecked();
+  /// Check an entry's decoded header against the block and the previous
+  /// key, then take its key and value; `p` is the first key byte.
+  void DecodeEntry(const char* p, const char* limit, uint32_t shared,
+                   uint32_t non_shared, uint32_t value_len) {
+    // Every key is an internal key: at least its 8-byte trailer.
+    if (shared > key_.size() ||
+        non_shared > static_cast<size_t>(limit - p) ||
+        value_len > static_cast<size_t>(limit - p) - non_shared ||
+        shared + non_shared < 8) {
+      Corrupt("bad block entry");
+      return;
+    }
+    key_.Truncate(shared);
+    key_.Append(p, non_shared);
+    value_ = Slice(p + non_shared, value_len);
+    next_offset_ = static_cast<size_t>((p + non_shared + value_len) - data_);
+  }
   void Corrupt(const char* what);
 
   sim::AccessContext* ctx_;

@@ -571,7 +571,7 @@ class UserKeyIterator final : public Iterator {
     while (inner_->Valid()) {
       const Slice ikey = cursor_ != nullptr ? cursor_->key() : inner_->key();
       if (ikey.size() < 8) break;  // Corruption, below
-      if (skip_current && ExtractUserKey(ikey) == key_.slice()) {
+      if (skip_current && SameUserKey(ExtractUserKey(ikey), key_.slice())) {
         ++compares_;
         Step();
         continue;

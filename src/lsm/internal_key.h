@@ -91,6 +91,15 @@ inline int CompareUserKey(const Slice& a, const Slice& b) {
   return 0;
 }
 
+/// Whether two user keys are equal. The engine's 4-byte primary keys and
+/// 8-byte int index keys compare as one word, without a libc call.
+inline bool SameUserKey(const Slice& a, const Slice& b) {
+  if (a.size() != b.size()) return false;
+  if (a.size() == 8) return DecodeFixed64(a.data()) == DecodeFixed64(b.data());
+  if (a.size() == 4) return DecodeFixed32(a.data()) == DecodeFixed32(b.data());
+  return memcmp(a.data(), b.data(), a.size()) == 0;
+}
+
 /// Total-order comparator over internal keys. Returns <0, 0, >0.
 inline int CompareInternalKey(const Slice& a, const Slice& b) {
   const int r = CompareUserKey(ExtractUserKey(a), ExtractUserKey(b));
@@ -127,7 +136,7 @@ class KeyBuffer {
 
   void Append(const char* p, size_t n) {
     if (n > capacity_ - size_) Grow(size_ + n);
-    memcpy(data_ + size_, p, n);
+    CopyBytes(data_ + size_, p, n);
     size_ += n;
   }
 
