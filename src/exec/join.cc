@@ -31,8 +31,8 @@ Status ResolveKeys(const std::vector<JoinKey>& keys, const Schema& left,
 /// Concatenate two rows into a pre-sized batch slot, charging one copy.
 void ConcatRowsInto(const Schema& left, const Schema& right, const char* lrow,
                     const char* rrow, char* dst, sim::AccessContext* ctx) {
-  memcpy(dst, lrow, left.row_size());
-  memcpy(dst + left.row_size(), rrow, right.row_size());
+  CopyBytes(dst, lrow, left.row_size());
+  CopyBytes(dst + left.row_size(), rrow, right.row_size());
   if (ctx != nullptr) ctx->ChargeCopy(left.row_size() + right.row_size());
 }
 

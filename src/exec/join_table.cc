@@ -23,6 +23,7 @@ KeyLayout::KeyLayout(const Schema& schema, const std::vector<int>& cols) {
   for (int c : cols) {
     parts_.push_back({schema.offset(c), schema.column(c).size});
   }
+  int_key_ = parts_.size() == 1 && parts_[0].width == 4;
 }
 
 uint64_t KeyLayout::Hash(const char* row) const {
@@ -50,7 +51,7 @@ size_t JoinTable::Build() {
   size_t max_count = 0;
   for (uint32_t i = 0; i < n; ++i) {
     const char* r = rows_.row(i);
-    const uint64_t hash = key_.Hash(r);
+    const uint64_t hash = key_.SlotHash(r);
     Slot& slot = slots_[SlotFor(hash, key_, r)];
     if (slot.count == 0) slot.hash = hash;
     next_[i] = slot.head;  // kNone for a fresh slot

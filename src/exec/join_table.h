@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "rel/schema.h"
 
 namespace hybridndp::exec {
@@ -44,7 +45,7 @@ class RowStore {
     ++size_;
     return slot;
   }
-  void Append(const char* row) { memcpy(AppendRow(), row, row_size_); }
+  void Append(const char* row) { CopyBytes(AppendRow(), row, row_size_); }
 
   size_t size() const { return size_; }
   const char* row(size_t i) const {
@@ -68,13 +69,28 @@ class KeyLayout {
 
   /// Hash64 of the key bytes of `row` concatenated in key order (the bytes
   /// KeyBytesInto yields). A one-column key is hashed in place; a wider key
-  /// is gathered into a reused buffer first.
+  /// is gathered into a reused buffer first. GraceHashJoinOp partitions by
+  /// it, so its output order depends on it.
   uint64_t Hash(const char* row) const;
+
+  /// The hash a JoinTable files `row`'s key under: an int key (one 4-byte
+  /// column) is mixed inline, any other key is Hash(row). Only slot
+  /// placement depends on it, never the order of matches.
+  uint64_t SlotHash(const char* row) const {
+    if (!int_key_) return Hash(row);
+    const uint64_t x =
+        uint64_t{DecodeFixed32(row + parts_[0].offset)} * 0x9e3779b97f4a7c15ull;
+    return x ^ (x >> 32);
+  }
 
   /// Whether the key of `row` equals the key of `other_row`, laid out by
   /// `other` (same column widths, key order).
   bool Equal(const char* row, const KeyLayout& other,
              const char* other_row) const {
+    if (int_key_) {
+      return DecodeFixed32(row + parts_[0].offset) ==
+             DecodeFixed32(other_row + other.parts_[0].offset);
+    }
     for (size_t i = 0; i < parts_.size(); ++i) {
       if (memcmp(row + parts_[i].offset, other_row + other.parts_[i].offset,
                  parts_[i].width) != 0) {
@@ -90,6 +106,7 @@ class KeyLayout {
     uint32_t width;
   };
   std::vector<Part> parts_;
+  bool int_key_ = false;  ///< one 4-byte column
   mutable std::string gather_;  ///< multi-column key bytes, reused
 };
 
@@ -121,7 +138,7 @@ class JoinTable {
   /// `probe_key`), or kNone. Valid after Build().
   uint32_t Find(const KeyLayout& probe_key, const char* probe_row) const {
     const Slot& slot =
-        slots_[SlotFor(probe_key.Hash(probe_row), probe_key, probe_row)];
+        slots_[SlotFor(probe_key.SlotHash(probe_row), probe_key, probe_row)];
     return slot.count == 0 ? kNone : slot.head;
   }
   /// Next older row with the same key as row `i`, or kNone.

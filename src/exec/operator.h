@@ -31,16 +31,29 @@ using rel::TableAccessor;
 void KeyBytesInto(const Schema& schema, const std::vector<int>& cols,
                   const char* row, std::string* out);
 
-/// Copy the fields `cols` of `row` (in `schema`) into a pre-sized buffer of
-/// `out_schema`. Uncharged: callers pay one copy per row in bulk.
-inline void ProjectRowInto(const Schema& schema, const std::vector<int>& cols,
-                           const Schema& out_schema, const char* row,
-                           char* dst) {
-  for (size_t i = 0; i < cols.size(); ++i) {
-    memcpy(dst + out_schema.offset(i), row + schema.offset(cols[i]),
-           schema.column(cols[i]).size);
+/// Copies the fields `cols` of rows of `schema` into rows of `out_schema`
+/// (field i of the output is cols[i]). Resolved once into byte runs, with
+/// fields adjacent on both sides merged, so a row copy is a few moves.
+/// Uncharged: callers pay one copy per row in bulk.
+class RowProjection {
+ public:
+  RowProjection() = default;
+  RowProjection(const Schema& schema, const std::vector<int>& cols,
+                const Schema& out_schema);
+
+  /// Copy the projected fields of `row` into a pre-sized output row.
+  void CopyInto(const char* row, char* dst) const {
+    for (const Run& run : runs_) {
+      CopyBytes(dst + run.dst, row + run.src, run.width);
+    }
   }
-}
+
+ private:
+  struct Run {
+    uint32_t src, dst, width;
+  };
+  std::vector<Run> runs_;
+};
 
 /// Base volcano operator: Open / NextBatch.
 class Operator {
@@ -121,7 +134,7 @@ class TableStage {
   /// Copy the projected fields of a table row into a pre-sized buffer of
   /// out_schema(). Uncharged: callers pay one copy per row in bulk.
   void Project(const char* row, char* dst) const {
-    ProjectRowInto(schema_, out_cols_, out_schema_, row, dst);
+    projection_.CopyInto(row, dst);
   }
 
  private:
@@ -130,7 +143,7 @@ class TableStage {
   Expr::Ptr predicate_;  ///< the plan's tree, read-only
   Predicate program_;    ///< predicate_ compiled against schema_
   Schema out_schema_;
-  std::vector<int> out_cols_;  ///< indexes into schema_
+  RowProjection projection_;  ///< schema_ rows to out_schema_ rows
   Status status_;
 };
 
@@ -243,6 +256,7 @@ class ProjectOp final : public Operator {
   sim::AccessContext* ctx_;
   Schema out_schema_;
   std::vector<int> cols_;
+  RowProjection projection_;  ///< resolved in Open()
   std::vector<std::string> projection_names_;
   RowBatch batch_;
 };

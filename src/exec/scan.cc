@@ -43,6 +43,22 @@ Status ResolveProjection(const Schema& schema,
 
 }  // namespace
 
+// ------------------------------------------------------------- RowProjection
+
+RowProjection::RowProjection(const Schema& schema, const std::vector<int>& cols,
+                             const Schema& out_schema) {
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const Run run{schema.offset(cols[i]), out_schema.offset(i),
+                  schema.column(cols[i]).size};
+    if (!runs_.empty() && runs_.back().src + runs_.back().width == run.src &&
+        runs_.back().dst + runs_.back().width == run.dst) {
+      runs_.back().width += run.width;
+    } else {
+      runs_.push_back(run);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- TableStage
 
 TableStage::TableStage(const Schema& table_schema, std::string alias,
@@ -51,8 +67,11 @@ TableStage::TableStage(const Schema& table_schema, std::string alias,
     : alias_(std::move(alias)),
       schema_(AliasSchema(table_schema, alias_)),
       predicate_(predicate) {
-  status_ = ResolveProjection(schema_, projection, &out_cols_, &out_schema_);
-  if (!status_.ok() || predicate_ == nullptr) return;
+  std::vector<int> out_cols;
+  status_ = ResolveProjection(schema_, projection, &out_cols, &out_schema_);
+  if (!status_.ok()) return;
+  projection_ = RowProjection(schema_, out_cols, out_schema_);
+  if (predicate_ == nullptr) return;
   Result<Predicate> program = Predicate::Compile(*predicate_, schema_);
   if (program.ok()) {
     program_ = std::move(program).value();
@@ -257,19 +276,20 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<std::string> columns,
 
 Status ProjectOp::Open() {
   HNDP_RETURN_IF_ERROR(child_->Open());
-  return ResolveProjection(child_->output_schema(), projection_names_, &cols_,
-                           &out_schema_);
+  HNDP_RETURN_IF_ERROR(ResolveProjection(child_->output_schema(),
+                                         projection_names_, &cols_,
+                                         &out_schema_));
+  projection_ = RowProjection(child_->output_schema(), cols_, out_schema_);
+  return Status::OK();
 }
 
 RowBatch* ProjectOp::NextBatch(size_t max_rows) {
   RowBatch* b = child_->NextBatch(max_rows);
   if (b == nullptr) return nullptr;
   batch_.Reset(&out_schema_, max_rows);
-  const Schema& in_schema = child_->output_schema();
   const size_t n = b->num_active();
   for (size_t k = 0; k < n; ++k) {
-    ProjectRowInto(in_schema, cols_, out_schema_, b->active_row(k),
-                   batch_.AppendRow());
+    projection_.CopyInto(b->active_row(k), batch_.AppendRow());
     ++rows_produced_;
   }
   // n identical projection copies, charged in one step.
