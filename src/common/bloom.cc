@@ -49,9 +49,9 @@ BloomFilter::BloomFilter(Slice data) {
   }
 }
 
-bool BloomFilter::MayContain(const Slice& key) const {
+bool BloomFilter::MayContainHash(uint64_t hash) const {
   if (bits_ == 0) return true;
-  uint64_t h = Hash64(key);
+  uint64_t h = hash;
   const uint64_t delta = (h >> 17) | (h << 47);
   for (int j = 0; j < num_probes_; ++j) {
     const size_t bitpos = h % bits_;

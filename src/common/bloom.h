@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/slice.h"
 
 namespace hybridndp {
@@ -38,7 +39,10 @@ class BloomFilter {
   explicit BloomFilter(Slice data);
 
   /// False means the key is definitely absent.
-  bool MayContain(const Slice& key) const;
+  bool MayContain(const Slice& key) const { return MayContainHash(Hash64(key)); }
+  /// MayContain for a key whose Hash64 is `hash`: a lookup that probes
+  /// several filters hashes its key once.
+  bool MayContainHash(uint64_t hash) const;
 
   bool valid() const { return bits_ > 0; }
 

@@ -88,16 +88,6 @@ int VarintLength(uint64_t v) {
   return len;
 }
 
-void PutOrderedInt32(std::string* dst, int32_t v) {
-  uint32_t u = EncodeOrderedInt32(v);
-  char buf[4];
-  buf[0] = static_cast<char>((u >> 24) & 0xff);
-  buf[1] = static_cast<char>((u >> 16) & 0xff);
-  buf[2] = static_cast<char>((u >> 8) & 0xff);
-  buf[3] = static_cast<char>(u & 0xff);
-  dst->append(buf, 4);
-}
-
 int32_t GetOrderedInt32(const char* src) {
   const unsigned char* p = reinterpret_cast<const unsigned char*>(src);
   uint32_t u = (static_cast<uint32_t>(p[0]) << 24) |

@@ -137,8 +137,20 @@ inline int32_t DecodeOrderedInt32(uint32_t v) {
   return static_cast<int32_t>(v ^ 0x80000000u);
 }
 
+/// Write the 4-byte big-endian order-preserving encoding of v at dst.
+inline void EncodeOrderedInt32To(char* dst, int32_t v) {
+  const uint32_t u = EncodeOrderedInt32(v);
+  dst[0] = static_cast<char>((u >> 24) & 0xff);
+  dst[1] = static_cast<char>((u >> 16) & 0xff);
+  dst[2] = static_cast<char>((u >> 8) & 0xff);
+  dst[3] = static_cast<char>(u & 0xff);
+}
 /// Append a 4-byte big-endian order-preserving encoding of v.
-void PutOrderedInt32(std::string* dst, int32_t v);
+inline void PutOrderedInt32(std::string* dst, int32_t v) {
+  char buf[4];
+  EncodeOrderedInt32To(buf, v);
+  dst->append(buf, 4);
+}
 /// Decode a 4-byte big-endian order-preserving int32.
 int32_t GetOrderedInt32(const char* src);
 

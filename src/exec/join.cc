@@ -339,7 +339,7 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row,
   match_pos_ = 0;
   const int32_t key = outer_row.GetInt(outer_key_idx_);
 
-  auto consider_row = [&](const std::string& base_row) {
+  auto consider_row = [&](const Slice& base_row) {
     if (ctx_ != nullptr) ctx_->Charge(sim::CostKind::kSelectionProcessing, 1);
     if (!inner_stage_.Keep(base_row.data(), compares)) return;
     inner_stage_.Project(base_row.data(), matches_.AppendRow());
@@ -349,8 +349,9 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row,
   ++lookups_;
   if (inner_index_no_ < 0) {
     // Direct primary-key seek.
-    Status s = inner_table_->GetByPk(inner_opts_, key, &base_row_buf_);
-    if (s.ok()) consider_row(base_row_buf_);
+    Slice base_row;
+    Status s = inner_table_->GetByPk(inner_opts_, key, &base_row);
+    if (s.ok()) consider_row(base_row);
     else if (!s.IsNotFound()) return s;
     return Status::OK();
   }
@@ -366,8 +367,9 @@ Status BlockNLIndexJoinOp::FetchMatches(const RowView& outer_row,
       return Status::Corruption("malformed index key");
     }
     if (entry.value != key) break;
-    Status s = inner_table_->GetByPk(inner_opts_, entry.pk, &base_row_buf_);
-    if (s.ok()) consider_row(base_row_buf_);
+    Slice base_row;
+    Status s = inner_table_->GetByPk(inner_opts_, entry.pk, &base_row);
+    if (s.ok()) consider_row(base_row);
     else if (!s.IsNotFound()) return s;
     iter->Next();
   }

@@ -206,7 +206,6 @@ class IndexScanOp final : public Operator {
   TableStage stage_;
   lsm::IteratorPtr iter_;  ///< null when the range is empty
   int32_t end_ = 0;        ///< last indexed value in range
-  std::string base_row_buf_;  ///< reused primary-row fetch buffer
   RowBatch batch_;
 };
 
@@ -399,7 +398,6 @@ class BlockNLIndexJoinOp final : public Operator {
   RowStore matches_;  ///< projected inner rows of current_outer_
   size_t match_pos_ = 0;
   const char* current_outer_ = nullptr;  ///< row of block_
-  std::string base_row_buf_;  ///< reused primary-row fetch buffer
   uint64_t lookups_ = 0;
   RowBatch batch_;
 };

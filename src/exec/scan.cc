@@ -200,7 +200,8 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
     if (entry.value > end_) break;  // past range
     iter_->Next();
 
-    Status s = table_->GetByPk(opts_, entry.pk, &base_row_buf_);
+    Slice base_row;
+    Status s = table_->GetByPk(opts_, entry.pk, &base_row);
     if (s.IsNotFound()) continue;  // dangling index entry
     if (!s.ok()) {
       // A real failure, not a stale entry: deliver the rows already
@@ -209,8 +210,8 @@ RowBatch* IndexScanOp::NextBatch(size_t max_rows) {
       break;
     }
     ++fetched;
-    if (!stage_.Keep(base_row_buf_.data(), &compares)) continue;
-    stage_.Project(base_row_buf_.data(), batch_.AppendRow());
+    if (!stage_.Keep(base_row.data(), &compares)) continue;
+    stage_.Project(base_row.data(), batch_.AppendRow());
     ++rows_produced_;
   }
   compares.Pay();

@@ -358,23 +358,32 @@ const Version& DB::GetVersion(ColumnFamilyId cf) const {
 }
 
 Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
-               std::string* value) const {
+               Slice* value) const {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
   const ColumnFamily& cf = *cfs_[cf_id];
   return SnapshotGet(*cf.mem, cf.version, readers_, opts, key, value);
 }
 
+Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
+               std::string* value) const {
+  Slice view;
+  HNDP_RETURN_IF_ERROR(Get(opts, cf_id, key, &view));
+  value->assign(view.data(), view.size());
+  return Status::OK();
+}
+
 Status SnapshotGet(const MemTable& mem, const Version& version,
                    const ReaderTable& readers, const ReadOptions& opts,
-                   const Slice& key, std::string* value) {
+                   const Slice& key, Slice* value) {
+  const LookupKey lookup(key, opts.snapshot);
   bool deleted = false;
-  if (mem.Get(key, opts.snapshot, value, &deleted, opts.ctx)) {
+  if (mem.Get(lookup, value, &deleted, opts.ctx)) {
     return deleted ? Status::NotFound() : Status::OK();
   }
   if (version.levels.empty()) return Status::NotFound();
   auto probe = [&](const FileMetaData& file) {
-    return readers.Get(file)->Get(opts.ctx, opts.cache, key, opts.snapshot,
-                                  value, &deleted, opts.use_bloom);
+    return readers.Get(file)->Get(opts.ctx, opts.cache, lookup, value,
+                                  &deleted, opts.use_bloom);
   };
   // C1: overlapping, search newest (last flushed) first.
   const auto& l0 = version.levels[0];

@@ -106,7 +106,12 @@ class DB {
   Status Put(ColumnFamilyId cf, const Slice& key, const Slice& value);
   Status Delete(ColumnFamilyId cf, const Slice& key);
 
-  /// Point lookup through C0, then C1..Ck with bloom/fence pruning.
+  /// Point lookup through C0, then C1..Ck with bloom/fence pruning. *value
+  /// views the stored value (see SnapshotGet); it stays valid until the
+  /// next write to the column family.
+  Status Get(const ReadOptions& opts, ColumnFamilyId cf, const Slice& key,
+             Slice* value) const;
+  /// Get into an owned copy.
   Status Get(const ReadOptions& opts, ColumnFamilyId cf, const Slice& key,
              std::string* value) const;
 
@@ -184,12 +189,14 @@ class DB {
 
 /// Point lookup at `opts.snapshot` through one snapshot: `mem`, then C1
 /// newest file first, then one binary-searched file per level C2..Ck, each
-/// file read through its reader in `readers`. NotFound for an absent or
-/// deleted key. The host DB::Get and the NDP engine's primary-key lookups
-/// both call it.
+/// file read through its reader in `readers`. The lookup key and its bloom
+/// hash are built once for all of them. On success *value views the value
+/// in the MemTable arena or the SST file, valid as long as they are.
+/// NotFound for an absent or deleted key. The host DB::Get and the NDP
+/// engine's primary-key lookups both call it.
 Status SnapshotGet(const MemTable& mem, const Version& version,
                    const ReaderTable& readers, const ReadOptions& opts,
-                   const Slice& key, std::string* value);
+                   const Slice& key, Slice* value);
 
 /// User-key iterator over every component of one snapshot, visible at
 /// `opts.snapshot` (versions collapsed, tombstones hidden), reading SSTs

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/coding.h"
+#include "common/hash.h"
 #include "common/slice.h"
 
 namespace hybridndp::lsm {
@@ -168,6 +169,34 @@ class KeyBuffer {
   size_t size_ = 0;
   size_t capacity_ = kInlineBytes;
   std::unique_ptr<char[]> heap_;
+};
+
+/// The key of one point lookup, built once and shared by every component
+/// the lookup probes: the user key, the internal key a Seek lands on (the
+/// newest version visible at `seq`) and the user key's bloom hash, which is
+/// computed on first use. Views `user_key`, which must outlive it.
+class LookupKey {
+ public:
+  LookupKey(const Slice& user_key, SequenceNumber seq) : user_key_(user_key) {
+    internal_key_.SetLookupKey(user_key, seq);
+  }
+
+  Slice user_key() const { return user_key_; }
+  Slice internal_key() const { return internal_key_.slice(); }
+  /// Hash64 of the user key, the hash every bloom filter probes with.
+  uint64_t BloomHash() const {
+    if (!hashed_) {
+      bloom_hash_ = Hash64(user_key_);
+      hashed_ = true;
+    }
+    return bloom_hash_;
+  }
+
+ private:
+  Slice user_key_;
+  KeyBuffer internal_key_;
+  mutable bool hashed_ = false;
+  mutable uint64_t bloom_hash_ = 0;
 };
 
 }  // namespace hybridndp::lsm

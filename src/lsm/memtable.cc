@@ -124,24 +124,20 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   ++num_entries_;
 }
 
-bool MemTable::Get(const Slice& user_key, SequenceNumber seq,
-                   std::string* value, bool* deleted,
+bool MemTable::Get(const LookupKey& key, Slice* value, bool* deleted,
                    sim::AccessContext* ctx) const {
-  KeyBuffer lookup;
-  lookup.SetLookupKey(user_key, seq);
-  Node* node = FindGreaterOrEqual(lookup.slice(), nullptr, ctx);
+  Node* node = FindGreaterOrEqual(key.internal_key(), nullptr, ctx);
   if (node == nullptr) return false;
   ParsedInternalKey parsed;
   if (!ParseInternalKey(EntryInternalKey(node->entry), &parsed)) return false;
-  if (parsed.user_key != user_key) return false;
+  if (parsed.user_key != key.user_key()) return false;
   if (parsed.type == ValueType::kDeletion) {
     *deleted = true;
     return true;
   }
   *deleted = false;
-  const Slice v = EntryValue(node->entry);
-  value->assign(v.data(), v.size());
-  if (ctx != nullptr) ctx->ChargeCopy(v.size());
+  *value = EntryValue(node->entry);
+  if (ctx != nullptr) ctx->ChargeCopy(value->size());
   return true;
 }
 

@@ -36,10 +36,11 @@ class MemTable {
   void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
            const Slice& value);
 
-  /// Point lookup of the newest version visible at `seq`.
-  /// Returns true if the key was found (value set, or *deleted = true).
-  bool Get(const Slice& user_key, SequenceNumber seq, std::string* value,
-           bool* deleted, sim::AccessContext* ctx) const;
+  /// Point lookup of the newest version of `key` visible at its snapshot.
+  /// Returns true if the key was found: *value views the entry's value in
+  /// the arena, or *deleted = true.
+  bool Get(const LookupKey& key, Slice* value, bool* deleted,
+           sim::AccessContext* ctx) const;
 
   /// Iterator over internal keys in sorted order.
   IteratorPtr NewIterator(sim::AccessContext* ctx = nullptr) const;

@@ -238,18 +238,18 @@ Result<Slice> SstReader::ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
 }
 
 Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
-                      const Slice& user_key, SequenceNumber seq,
-                      std::string* value, bool* deleted, bool use_bloom) {
+                      const LookupKey& key, Slice* value, bool* deleted,
+                      bool use_bloom) {
+  const Slice user_key = key.user_key();
   if (OutsideKeyRange(user_key)) return Status::NotFound();
   HNDP_RETURN_IF_ERROR(EnsureOpened(ctx, cache));
-  if (use_bloom && bloom_ != nullptr && !bloom_->MayContain(user_key)) {
+  if (use_bloom && bloom_ != nullptr &&
+      !bloom_->MayContainHash(key.BloomHash())) {
     return Status::NotFound();
   }
-  KeyBuffer lookup;
-  lookup.SetLookupKey(user_key, seq);
 
   // Seek the pinned sparse index for the block that may contain the key.
-  const size_t pos = SeekIndex(lookup.slice(), ctx);
+  const size_t pos = SeekIndex(key.internal_key(), ctx);
   if (pos == pinned_index_.size()) return Status::NotFound();
   const BlockHandle& handle = pinned_index_[pos].handle;
 
@@ -258,7 +258,7 @@ Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
                                   /*sequential=*/false));
   BlockIter block(ctx);
   block.Reset(block_data);
-  block.Seek(lookup.slice());
+  block.Seek(key.internal_key());
   if (!block.Valid()) {
     return block.status().ok() ? Status::NotFound() : block.status();
   }
@@ -272,9 +272,8 @@ Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
     return Status::OK();
   }
   *deleted = false;
-  const Slice v = block.value();
-  value->assign(v.data(), v.size());
-  if (ctx != nullptr) ctx->ChargeCopy(v.size());
+  *value = block.value();
+  if (ctx != nullptr) ctx->ChargeCopy(value->size());
   return Status::OK();
 }
 

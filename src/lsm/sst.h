@@ -176,12 +176,12 @@ class SstReader {
   /// to `ctx` (unless cached or ctx is null).
   Status EnsureOpened(sim::AccessContext* ctx, BlockCache* cache);
 
-  /// Point lookup of user_key at snapshot `seq`. On hit, fills value or sets
-  /// *deleted. `cache`, when non-null, absorbs block loads.
-  /// Returns kNotFound if the key is not in this file.
-  Status Get(sim::AccessContext* ctx, BlockCache* cache, const Slice& user_key,
-             SequenceNumber seq, std::string* value, bool* deleted,
-             bool use_bloom = true);
+  /// Point lookup of `key`. On hit, *value views the stored value in the
+  /// file's contents (valid as long as the file), or *deleted is set.
+  /// `cache`, when non-null, absorbs block loads. Returns kNotFound if the
+  /// key is not in this file.
+  Status Get(sim::AccessContext* ctx, BlockCache* cache, const LookupKey& key,
+             Slice* value, bool* deleted, bool use_bloom = true);
 
   /// Two-level iterator over the whole file (internal keys): an SstIterator,
   /// or an empty iterator carrying the open error.

@@ -136,12 +136,13 @@ lsm::ReadOptions AtSnapshot(lsm::ReadOptions opts,
 }  // namespace
 
 Status DeviceTableAccessor::GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                                    std::string* row) const {
-  std::string pk_key;
-  PutOrderedInt32(&pk_key, pk);
+                                    Slice* row) const {
+  char pk_key[4];
+  EncodeOrderedInt32To(pk_key, pk);
   const lsm::CfSnapshot& snap = access_->primary;
   return lsm::SnapshotGet(*snap.mem, snap.version, readers_,
-                          AtSnapshot(opts, snap), Slice(pk_key), row);
+                          AtSnapshot(opts, snap),
+                          Slice(pk_key, sizeof(pk_key)), row);
 }
 
 lsm::IteratorPtr DeviceTableAccessor::NewScanIterator(

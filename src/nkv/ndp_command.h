@@ -172,8 +172,9 @@ class DeviceTableAccessor final : public rel::TableAccessor {
                       const std::vector<size_t>& indexes_read);
 
   const rel::TableDef& def() const override { return access_->def; }
+  using TableAccessor::GetByPk;
   Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                 std::string* row) const override;
+                 Slice* row) const override;
   lsm::IteratorPtr NewScanIterator(
       const lsm::ReadOptions& opts) const override;
   lsm::IteratorPtr NewIndexIterator(const lsm::ReadOptions& opts,

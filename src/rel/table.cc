@@ -67,10 +67,10 @@ uint64_t Table::stored_bytes() const {
 }
 
 Status Table::GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                      std::string* row) const {
-  std::string pk_key;
-  PutOrderedInt32(&pk_key, pk);
-  return db_->Get(opts, primary_cf_, pk_key, row);
+                      Slice* row) const {
+  char pk_key[4];
+  EncodeOrderedInt32To(pk_key, pk);
+  return db_->Get(opts, primary_cf_, Slice(pk_key, sizeof(pk_key)), row);
 }
 
 lsm::IteratorPtr Table::NewScanIterator(const lsm::ReadOptions& opts) const {

@@ -68,9 +68,18 @@ class TableAccessor {
   const Schema& schema() const { return def().schema; }
   const std::string& name() const { return def().name; }
 
-  /// Point lookup by primary key.
+  /// Point lookup by primary key. *row views the stored row, valid as long
+  /// as the table's files and MemTable are (until the next write).
   virtual Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                         std::string* row) const = 0;
+                         Slice* row) const = 0;
+  /// GetByPk into an owned copy.
+  Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
+                 std::string* row) const {
+    Slice view;
+    HNDP_RETURN_IF_ERROR(GetByPk(opts, pk, &view));
+    row->assign(view.data(), view.size());
+    return Status::OK();
+  }
   /// Iterator over the primary data (values are rows).
   virtual lsm::IteratorPtr NewScanIterator(
       const lsm::ReadOptions& opts) const = 0;
@@ -90,9 +99,10 @@ class Table : public TableAccessor {
   /// Insert one row (built against schema()); maintains all indexes.
   Status Insert(const std::string& row);
 
+  using TableAccessor::GetByPk;
   /// Point lookup by primary key.
   Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                 std::string* row) const override;
+                 Slice* row) const override;
 
   /// Iterator over the primary column family (values are rows).
   lsm::IteratorPtr NewScanIterator(

@@ -417,7 +417,7 @@ class CorruptIndexAccessor final : public rel::TableAccessor {
   explicit CorruptIndexAccessor(const rel::Table* base) : base_(base) {}
   const TableDef& def() const override { return base_->def(); }
   Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                 std::string* row) const override {
+                 Slice* row) const override {
     return base_->GetByPk(opts, pk, row);
   }
   lsm::IteratorPtr NewScanIterator(
@@ -481,7 +481,7 @@ class MalformedIndexKeyAccessor final : public rel::TableAccessor {
       : base_(base), value_(value) {}
   const TableDef& def() const override { return base_->def(); }
   Status GetByPk(const lsm::ReadOptions& opts, int32_t pk,
-                 std::string* row) const override {
+                 Slice* row) const override {
     return base_->GetByPk(opts, pk, row);
   }
   lsm::IteratorPtr NewScanIterator(

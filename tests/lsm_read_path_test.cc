@@ -190,7 +190,10 @@ TEST_F(ReadPathGoldenTest, DeviceChargesArePinned) {
       [&](const Slice& k, bool bloom, std::string* v) {
         ReadOptions o = opts;
         o.use_bloom = bloom;
-        return SnapshotGet(*snap.mem, snap.version, readers, o, k, v);
+        Slice view;
+        Status s = SnapshotGet(*snap.mem, snap.version, readers, o, k, &view);
+        v->assign(view.data(), view.size());
+        return s;
       });
   ExpectCharges(ctx, cache,
                 Charges{{0, 1005, 8, 0, 16, 70493, 0, 0, 0, 2458, 0, 0, 0},

@@ -183,7 +183,7 @@ class ScanGoldenTest : public ::testing::Test {
     Accessor(ScanGoldenTest* t, bool device) : t_(t), device_(device) {}
     const rel::TableDef& def() const override { return t_->def_; }
     Status GetByPk(const lsm::ReadOptions&, int32_t,
-                   std::string*) const override {
+                   Slice*) const override {
       return Status::NotSupported("scan only");
     }
     IteratorPtr NewScanIterator(const lsm::ReadOptions& opts) const override {

@@ -57,9 +57,9 @@ TEST(MemTableTest, AddGetNewestVersionWins) {
   MemTable mem;
   mem.Add(1, ValueType::kValue, "k", "v1");
   mem.Add(2, ValueType::kValue, "k", "v2");
-  std::string value;
+  Slice value;
   bool deleted = false;
-  ASSERT_TRUE(mem.Get("k", kMaxSequenceNumber, &value, &deleted, nullptr));
+  ASSERT_TRUE(mem.Get(LookupKey("k", kMaxSequenceNumber), &value, &deleted, nullptr));
   EXPECT_FALSE(deleted);
   EXPECT_EQ(value, "v2");
 }
@@ -68,9 +68,9 @@ TEST(MemTableTest, SnapshotVisibility) {
   MemTable mem;
   mem.Add(1, ValueType::kValue, "k", "v1");
   mem.Add(5, ValueType::kValue, "k", "v5");
-  std::string value;
+  Slice value;
   bool deleted = false;
-  ASSERT_TRUE(mem.Get("k", 3, &value, &deleted, nullptr));
+  ASSERT_TRUE(mem.Get(LookupKey("k", 3), &value, &deleted, nullptr));
   EXPECT_EQ(value, "v1");  // seq 5 invisible at snapshot 3
 }
 
@@ -78,18 +78,18 @@ TEST(MemTableTest, DeletionVisible) {
   MemTable mem;
   mem.Add(1, ValueType::kValue, "k", "v1");
   mem.Add(2, ValueType::kDeletion, "k", "");
-  std::string value;
+  Slice value;
   bool deleted = false;
-  ASSERT_TRUE(mem.Get("k", kMaxSequenceNumber, &value, &deleted, nullptr));
+  ASSERT_TRUE(mem.Get(LookupKey("k", kMaxSequenceNumber), &value, &deleted, nullptr));
   EXPECT_TRUE(deleted);
 }
 
 TEST(MemTableTest, MissingKey) {
   MemTable mem;
   mem.Add(1, ValueType::kValue, "a", "v");
-  std::string value;
+  Slice value;
   bool deleted = false;
-  EXPECT_FALSE(mem.Get("b", kMaxSequenceNumber, &value, &deleted, nullptr));
+  EXPECT_FALSE(mem.Get(LookupKey("b", kMaxSequenceNumber), &value, &deleted, nullptr));
 }
 
 TEST(MemTableTest, IteratorSortedOrder) {
@@ -228,9 +228,9 @@ TEST(MemTableModelTest, MatchesModelAndKeepsShape) {
           if (v.seq <= snap) want = &v;
         }
       }
-      std::string value;
+      Slice value;
       bool deleted = false;
-      const bool found = mem.Get(key, snap, &value, &deleted, nullptr);
+      const bool found = mem.Get(LookupKey(key, snap), &value, &deleted, nullptr);
       ASSERT_EQ(found, want != nullptr) << "snapshot " << snap;
       if (!found) continue;
       ASSERT_EQ(deleted, want->type == ValueType::kDeletion);
@@ -257,10 +257,10 @@ TEST(MemTableModelTest, MatchesModelAndKeepsShape) {
   auto charged = mem.NewIterator(&ctx);
   for (size_t i = 0; i < 16; ++i) {
     const std::string& key = lookups[i * (versions.size() / 16)];
-    std::string value;
+    Slice value;
     bool deleted = false;
     uint64_t before = compares();
-    mem.Get(key, i % 2 == 0 ? kMaxSequenceNumber : kInserts / 2, &value,
+    mem.Get(LookupKey(key, i % 2 == 0 ? kMaxSequenceNumber : kInserts / 2), &value,
             &deleted, &ctx);
     get_units.push_back(compares() - before);
     before = compares();
@@ -467,9 +467,9 @@ class SstTest : public ::testing::Test {
     EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
     EXPECT_LT(rows, bad.num_entries);
 
-    std::string value;
+    Slice value;
     bool deleted = false;
-    Status s = reader.Get(nullptr, nullptr, "key000003", kMaxSequenceNumber,
+    Status s = reader.Get(nullptr, nullptr, LookupKey("key000003", kMaxSequenceNumber),
                           &value, &deleted);
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
@@ -481,12 +481,12 @@ class SstTest : public ::testing::Test {
 TEST_F(SstTest, PointLookupHitAndMiss) {
   FileMetaData meta = BuildFile(1000);
   SstReader reader(&storage_, meta);
-  std::string value;
+  Slice value;
   bool deleted = false;
-  ASSERT_TRUE(reader.Get(nullptr, nullptr, "key000500", kMaxSequenceNumber,
+  ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey("key000500", kMaxSequenceNumber),
                          &value, &deleted).ok());
   EXPECT_EQ(value, "value500");
-  EXPECT_TRUE(reader.Get(nullptr, nullptr, "nokey", kMaxSequenceNumber,
+  EXPECT_TRUE(reader.Get(nullptr, nullptr, LookupKey("nokey", kMaxSequenceNumber),
                          &value, &deleted).IsNotFound());
 }
 
@@ -596,14 +596,14 @@ TEST_F(SstTest, OversizedEntriesEachGetTheirOwnBlock) {
   EXPECT_EQ(meta->num_entries, 4u);
 
   SstReader reader(&storage_, *meta);
-  std::string value;
+  Slice value;
   bool deleted = false;
   for (const auto& [k, v] :
        std::map<std::string, std::string>{{"a_small", "v1"},
                                           {"b_big", big_value},
                                           {"c_big", big_value},
                                           {"d_small", "v2"}}) {
-    ASSERT_TRUE(reader.Get(nullptr, nullptr, k, kMaxSequenceNumber, &value,
+    ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey(k, kMaxSequenceNumber), &value,
                            &deleted)
                     .ok())
         << k;
@@ -625,9 +625,9 @@ TEST_F(SstTest, FirstAddOversizedStillEmitsOneEntryBlock) {
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->num_entries, 1u);
   SstReader reader(&storage_, *meta);
-  std::string value;
+  Slice value;
   bool deleted = false;
-  ASSERT_TRUE(reader.Get(nullptr, nullptr, "only", kMaxSequenceNumber, &value,
+  ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey("only", kMaxSequenceNumber), &value,
                          &deleted)
                   .ok());
   EXPECT_EQ(value, std::string(500, 'y'));
@@ -636,12 +636,12 @@ TEST_F(SstTest, FirstAddOversizedStillEmitsOneEntryBlock) {
 TEST_F(SstTest, PinnedIndexServesSeeksAfterSingleLoad) {
   FileMetaData meta = BuildFile(2000);
   SstReader reader(&storage_, meta);
-  std::string value;
+  Slice value;
   bool deleted = false;
   for (int i = 0; i < 50; ++i) {
     char buf[16];
     snprintf(buf, sizeof(buf), "key%06d", i * 37);
-    ASSERT_TRUE(reader.Get(nullptr, nullptr, buf, kMaxSequenceNumber, &value,
+    ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey(buf, kMaxSequenceNumber), &value,
                            &deleted)
                     .ok());
   }
@@ -698,9 +698,9 @@ TEST_F(SstTest, CorruptFooterRejected) {
   FileMetaData bad = meta;
   bad.file_id = *storage_.AddFile(std::move(corrupted));
   SstReader reader(&storage_, bad);
-  std::string value;
+  Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
                         &value, &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   auto iter = reader.NewIterator(nullptr, nullptr);
@@ -714,9 +714,9 @@ TEST_F(SstTest, TruncatedFileRejected) {
   FileMetaData bad = meta;
   bad.file_id = *storage_.AddFile(contents->substr(0, 16));  // far too short
   SstReader reader(&storage_, bad);
-  std::string value;
+  Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
                         &value, &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
@@ -750,9 +750,9 @@ TEST_F(SstTest, BadIndexBlockTrailerIsCorruption) {
   bad.file_id = *storage_.AddFile(std::move(file));
 
   SstReader reader(&storage_, bad);
-  std::string value;
+  Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
                         &value, &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   auto iter = reader.NewIterator(nullptr, nullptr);
@@ -774,9 +774,9 @@ TEST_F(SstTest, FooterRangesThatWrapAreCorruption) {
 
   SstReader reader(&storage_, bad);
   EXPECT_TRUE(reader.EnsureOpened(nullptr, nullptr).IsCorruption());
-  std::string value;
+  Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
                         &value, &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 
@@ -866,9 +866,9 @@ TEST_F(SstTest, MissingFileSurfacesNotFound) {
   FileMetaData meta = BuildFile(100);
   storage_.RemoveFile(meta.file_id);
   SstReader reader(&storage_, meta);
-  std::string value;
+  Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, "key000050", kMaxSequenceNumber,
+  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
                         &value, &deleted);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
 }
@@ -903,9 +903,9 @@ TEST_F(SstTest, UnknownValueTypeIsCorruptionNotARow) {
   EXPECT_EQ(seen, std::vector<std::string>{"a"});
   EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
 
-  std::string value;
+  Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, "b", kMaxSequenceNumber, &value,
+  Status s = reader.Get(nullptr, nullptr, LookupKey("b", kMaxSequenceNumber), &value,
                         &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
