@@ -44,8 +44,11 @@ inline void CopyBytes(char* dst, const char* src, size_t n) {
   } else if (n < 4) {
     for (size_t i = 0; i < n; ++i) dst[i] = src[i];
   } else if (n <= 32) {
-    CopyBytes(dst, src, 16);
-    CopyBytes(dst + n - 16, src + n - 16, 16);
+    uint64_t w[4];
+    memcpy(&w[0], src, 16);
+    memcpy(&w[2], src + n - 16, 16);
+    memcpy(dst, &w[0], 16);
+    memcpy(dst + n - 16, &w[2], 16);
   } else {
     memcpy(dst, src, n);
   }

@@ -1,7 +1,10 @@
 #include "exec/expr.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
+
+#include "common/coding.h"
 
 namespace hybridndp::exec {
 
@@ -42,8 +45,36 @@ size_t TrimmedSize(const char* p, size_t n) {
   return n;
 }
 
+/// Whether the `n` bytes at a and b are equal, a word at a time: the
+/// values and literals compared here are a few bytes long, shorter than a
+/// libc call is worth.
 bool BytesEqual(const char* a, const char* b, size_t n) {
-  return memcmp(a, b, n) == 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    if (DecodeFixed64(a + i) != DecodeFixed64(b + i)) return false;
+  }
+  for (; i < n; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+/// Three-way byte order of a and b, with the sign of Slice::compare, a
+/// word at a time.
+int CompareBytes(const Slice& a, const Slice& b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t x = DecodeFixed64(a.data() + i);
+    const uint64_t y = DecodeFixed64(b.data() + i);
+    if (x != y) return __builtin_bswap64(x) < __builtin_bswap64(y) ? -1 : 1;
+  }
+  for (; i < n; ++i) {
+    const auto x = static_cast<unsigned char>(a[i]);
+    const auto y = static_cast<unsigned char>(b[i]);
+    if (x != y) return x < y ? -1 : 1;
+  }
+  return CompareInt(static_cast<int64_t>(a.size()), static_cast<int64_t>(b.size()));
 }
 
 /// First position >= `from` where `seg` starts and ends by `limit`, or
@@ -375,7 +406,7 @@ bool Predicate::Run(uint32_t pc, const char* row,
       const Slice v(field, TrimmedSize(field, in.width));
       const std::string& lit = strings_[in.str_begin];
       tally->Add(std::min(v.size(), lit.size()) + 1);
-      return CompareOrdered(v.compare(Slice(lit)), in.cmp);
+      return CompareOrdered(CompareBytes(v, Slice(lit)), in.cmp);
     }
     case Op::kCmpIntCol:
       tally->Add(4);
@@ -388,7 +419,7 @@ bool Predicate::Run(uint32_t pc, const char* row,
       const char* field2 = row + in.offset2;
       const Slice b(field2, TrimmedSize(field2, in.width2));
       tally->Add(std::min(a.size(), b.size()) + 1);
-      return CompareOrdered(a.compare(b), in.cmp);
+      return CompareOrdered(CompareBytes(a, b), in.cmp);
     }
     case Op::kLikeExact:
     case Op::kLikeSegments:

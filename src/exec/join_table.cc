@@ -23,7 +23,8 @@ KeyLayout::KeyLayout(const Schema& schema, const std::vector<int>& cols) {
   for (int c : cols) {
     parts_.push_back({schema.offset(c), schema.column(c).size});
   }
-  int_key_ = parts_.size() == 1 && parts_[0].width == 4;
+  int_key_ = !parts_.empty();
+  for (const Part& p : parts_) int_key_ = int_key_ && p.width == 4;
 }
 
 uint64_t KeyLayout::Hash(const char* row) const {

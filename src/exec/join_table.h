@@ -73,14 +73,18 @@ class KeyLayout {
   /// it, so its output order depends on it.
   uint64_t Hash(const char* row) const;
 
-  /// The hash a JoinTable files `row`'s key under: an int key (one 4-byte
-  /// column) is mixed inline, any other key is Hash(row). Only slot
-  /// placement depends on it, never the order of matches.
+  /// The hash a JoinTable files `row`'s key under: an int key (every
+  /// column 4 bytes wide) is mixed inline, a column at a time; any other key
+  /// is Hash(row). Only slot placement depends on it, never the order of
+  /// matches.
   uint64_t SlotHash(const char* row) const {
     if (!int_key_) return Hash(row);
-    const uint64_t x =
-        uint64_t{DecodeFixed32(row + parts_[0].offset)} * 0x9e3779b97f4a7c15ull;
-    return x ^ (x >> 32);
+    uint64_t h = 0;
+    for (const Part& p : parts_) {
+      h = (h ^ DecodeFixed32(row + p.offset)) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 32;
+    }
+    return h;
   }
 
   /// Whether the key of `row` equals the key of `other_row`, laid out by
@@ -88,8 +92,13 @@ class KeyLayout {
   bool Equal(const char* row, const KeyLayout& other,
              const char* other_row) const {
     if (int_key_) {
-      return DecodeFixed32(row + parts_[0].offset) ==
-             DecodeFixed32(other_row + other.parts_[0].offset);
+      for (size_t i = 0; i < parts_.size(); ++i) {
+        if (DecodeFixed32(row + parts_[i].offset) !=
+            DecodeFixed32(other_row + other.parts_[i].offset)) {
+          return false;
+        }
+      }
+      return true;
     }
     for (size_t i = 0; i < parts_.size(); ++i) {
       if (memcmp(row + parts_[i].offset, other_row + other.parts_[i].offset,
@@ -106,7 +115,7 @@ class KeyLayout {
     uint32_t width;
   };
   std::vector<Part> parts_;
-  bool int_key_ = false;  ///< one 4-byte column
+  bool int_key_ = false;  ///< every column 4 bytes wide
   mutable std::string gather_;  ///< multi-column key bytes, reused
 };
 

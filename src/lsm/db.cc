@@ -399,10 +399,10 @@ Status SnapshotGet(const MemTable& mem, const Version& version,
     auto pos = std::lower_bound(
         files.begin(), files.end(), key,
         [](const FileMetaData& f, const Slice& k) {
-          return f.LargestUserKey().compare(k) < 0;
+          return CompareUserKey(f.LargestUserKey(), k) < 0;
         });
     if (pos == files.end()) continue;
-    if (pos->SmallestUserKey().compare(key) > 0) continue;
+    if (CompareUserKey(pos->SmallestUserKey(), key) > 0) continue;
     Status s = probe(*pos);
     if (s.ok()) return deleted ? Status::NotFound() : Status::OK();
     if (!s.IsNotFound()) return s;

@@ -107,8 +107,8 @@ SstReader::SstReader(const VirtualStorage* storage, const FileMetaData& meta)
     : storage_(storage), meta_(meta) {}
 
 bool SstReader::OutsideKeyRange(const Slice& user_key) const {
-  return user_key.compare(meta_.SmallestUserKey()) < 0 ||
-         user_key.compare(meta_.LargestUserKey()) > 0;
+  return CompareUserKey(user_key, meta_.SmallestUserKey()) < 0 ||
+         CompareUserKey(user_key, meta_.LargestUserKey()) > 0;
 }
 
 Status SstReader::EnsureOpened(sim::AccessContext* ctx, BlockCache* cache) {
