@@ -619,6 +619,13 @@ class UserKeyIterator final : public Iterator {
     if (cursor_ != nullptr) {
       cursor_->Next();
       if (cursor_->Valid()) return;
+    }
+    StepThroughMerge();
+  }
+
+  /// Step's way past the end of a block, or without a block cursor.
+  void StepThroughMerge() {
+    if (cursor_ != nullptr) {
       sole_->NextBlock();
       inner_->Resync();
     } else {
