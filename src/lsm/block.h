@@ -80,6 +80,11 @@ class BlockIter {
   /// move, value() as long as the block's bytes.
   Slice key() const { return key_.slice(); }
   Slice value() const { return value_; }
+  /// How the current entry stores key(): its first shared() bytes are the
+  /// previous entry's, the rest are unshared(), in the block itself (valid
+  /// as long as the block's bytes). Precondition: Valid().
+  size_t shared() const { return key_.size() - unshared_.size(); }
+  Slice unshared() const { return unshared_; }
   /// Corruption once a bad trailer, restart point or entry was met; stays
   /// until the next Reset.
   const Status& status() const { return status_; }
@@ -122,6 +127,7 @@ class BlockIter {
     }
     key_.Truncate(shared);
     key_.Append(p, non_shared);
+    unshared_ = Slice(p, non_shared);
     value_ = Slice(p + non_shared, value_len);
     next_offset_ = static_cast<size_t>((p + non_shared + value_len) - data_);
   }
@@ -134,6 +140,7 @@ class BlockIter {
   bool valid_ = false;
   size_t next_offset_ = 0;
   KeyBuffer key_;
+  Slice unshared_;  ///< the current entry's own key bytes, in the block
   Slice value_;
   Status status_;
 };

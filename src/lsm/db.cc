@@ -554,9 +554,10 @@ class UserKeyIterator final : public Iterator {
 
   size_t NextValues(size_t max, Slice* values) override {
     size_t n = 0;
+    Slice value = value_;
     while (n < max && valid_) {
-      values[n++] = value_;
-      FindVisible(/*skip_current=*/true);
+      values[n++] = value;
+      value = FindVisible(/*skip_current=*/true);
     }
     PayCharges();
     return n;
@@ -574,15 +575,30 @@ class UserKeyIterator final : public Iterator {
   /// over counts one internal-key compare; the row found counts one more
   /// and the copy of its key and value out of the block. That is the
   /// per-record work of the paper's device profile (Table 4: memcmp and
-  /// compare internal keys).
-  void FindVisible(bool skip_current) {
+  /// compare internal keys). Returns value_, so that a caller handing the
+  /// value on takes it in registers instead of reloading the member just
+  /// stored (a load that straddles two fresh stores stalls).
+  Slice FindVisible(bool skip_current) {
+    // Whether the cursor stepped, inside its block, off an entry of user
+    // key key_. Then the entry shares its first bytes with key_, and
+    // CursorOnKey and TakeUserKey read only its own bytes, in the block,
+    // not the cursor's key buffer, which was written a moment ago and
+    // would stall a load that straddles those stores.
+    bool after_key = false;
+    if (skip_current && valid_) {
+      // The iterator sits on the row just returned: step over it.
+      ++compares_;
+      after_key = Step();
+    }
     valid_ = false;
     while (inner_->Valid()) {
       const Slice ikey = cursor_ != nullptr ? cursor_->key() : inner_->key();
       if (ikey.size() < 8) break;  // Corruption, below
-      if (skip_current && SameUserKey(ExtractUserKey(ikey), key_.slice())) {
+      if (skip_current &&
+          (after_key ? CursorOnKey()
+                     : SameUserKey(ExtractUserKey(ikey), key_.slice()))) {
         ++compares_;
-        Step();
+        after_key = Step();
         continue;
       }
       skip_current = false;
@@ -591,12 +607,16 @@ class UserKeyIterator final : public Iterator {
       if (parsed.sequence > seq_) {  // newer than the snapshot
         ++compares_;
         Step();
+        after_key = false;
         continue;
       }
       // The key is copied because the skip above compares against it after
       // the cursor has moved; KeyBuffer keeps short keys inline.
-      key_.Assign(parsed.user_key);
+      TakeUserKey(parsed.user_key, after_key);
       if (parsed.type == ValueType::kDeletion) {
+        // Step over the tombstone, then over the older versions of its key.
+        ++compares_;
+        after_key = Step();
         skip_current = true;
         continue;
       }
@@ -604,23 +624,56 @@ class UserKeyIterator final : public Iterator {
       ++compares_;
       if (!value_.empty()) CountCopy(key_.size() + value_.size());
       valid_ = true;
-      return;
+      return value_;
     }
     if (inner_->Valid()) {
       // Stepping over the key could hide a flipped tombstone or drop a
       // row: end the scan with the error, like SstReader::Get does.
       status_ = Status::Corruption("bad internal key");
     }
+    return Slice();
+  }
+
+  /// Whether the cursor's entry, one step inside its block past an entry of
+  /// user key key_, has user key key_ too. Its first shared() bytes are that
+  /// entry's, so only its own bytes need comparing.
+  bool CursorOnKey() const {
+    const size_t s = cursor_->shared();
+    const Slice own = cursor_->unshared();
+    const size_t n = key_.size();
+    if (s + own.size() != n + 8) return false;
+    const char* want = key_.slice().data();
+    for (size_t i = s; i < n; ++i) {
+      if (own[i - s] != want[i]) return false;
+    }
+    return true;
+  }
+
+  /// Make key_ the cursor entry's user key, `user_key`. One step inside a
+  /// block past an entry of user key key_, the entry shares its first
+  /// shared() bytes with key_, so only the rest is copied, from the block.
+  void TakeUserKey(const Slice& user_key, bool after_key) {
+    if (after_key) {
+      const size_t s = cursor_->shared();
+      if (s <= key_.size() && s <= user_key.size()) {
+        key_.Truncate(s);
+        key_.Append(cursor_->unshared().data(), user_key.size() - s);
+        return;
+      }
+    }
+    key_.Assign(user_key);
   }
 
   /// Advance one internal entry: on the sole child's block cursor while it
-  /// has entries left, else through the merge.
-  void Step() {
+  /// has entries left, else through the merge. Returns whether it stepped
+  /// inside a block, so that cursor_'s entry follows the one it left.
+  bool Step() {
     if (cursor_ != nullptr) {
       cursor_->Next();
-      if (cursor_->Valid()) return;
+      if (cursor_->Valid()) return true;
     }
     StepThroughMerge();
+    return false;
   }
 
   /// Step's way past the end of a block, or without a block cursor.
