@@ -39,7 +39,9 @@ class BloomFilter {
   explicit BloomFilter(Slice data);
 
   /// False means the key is definitely absent.
-  bool MayContain(const Slice& key) const { return MayContainHash(Hash64(key)); }
+  bool MayContain(const Slice& key) const {
+    return MayContainHash(Hash64(key));
+  }
   /// MayContain for a key whose Hash64 is `hash`: a lookup that probes
   /// several filters hashes its key once.
   bool MayContainHash(uint64_t hash) const;

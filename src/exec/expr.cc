@@ -74,7 +74,8 @@ int CompareBytes(const Slice& a, const Slice& b) {
     const auto y = static_cast<unsigned char>(b[i]);
     if (x != y) return x < y ? -1 : 1;
   }
-  return CompareInt(static_cast<int64_t>(a.size()), static_cast<int64_t>(b.size()));
+  return CompareInt(static_cast<int64_t>(a.size()),
+                    static_cast<int64_t>(b.size()));
 }
 
 /// First position >= `from` where `seg` starts and ends by `limit`, or
@@ -314,7 +315,9 @@ Status Predicate::Emit(const Expr& expr, const Schema& schema) {
   bool is_int = false;
   if (!expr.column.empty()) {
     const int col = schema.Find(expr.column);
-    if (col < 0) return Status::InvalidArgument("unknown column: " + expr.column);
+    if (col < 0) {
+      return Status::InvalidArgument("unknown column: " + expr.column);
+    }
     in.offset = schema.offset(col);
     in.width = schema.column(col).size;
     is_int = schema.column(col).type == rel::ColType::kInt32;

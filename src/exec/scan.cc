@@ -239,8 +239,8 @@ FilterOp::FilterOp(OperatorPtr child, Expr::Ptr predicate,
 
 Status FilterOp::Open() {
   HNDP_RETURN_IF_ERROR(child_->Open());
-  HNDP_ASSIGN_OR_RETURN(program_,
-                        Predicate::Compile(*predicate_, child_->output_schema()));
+  HNDP_ASSIGN_OR_RETURN(
+      program_, Predicate::Compile(*predicate_, child_->output_schema()));
   return Status::OK();
 }
 

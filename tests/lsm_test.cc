@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/random.h"
@@ -59,7 +60,8 @@ TEST(MemTableTest, AddGetNewestVersionWins) {
   mem.Add(2, ValueType::kValue, "k", "v2");
   Slice value;
   bool deleted = false;
-  ASSERT_TRUE(mem.Get(LookupKey("k", kMaxSequenceNumber), &value, &deleted, nullptr));
+  ASSERT_TRUE(mem.Get(LookupKey("k", kMaxSequenceNumber), &value, &deleted,
+                      nullptr));
   EXPECT_FALSE(deleted);
   EXPECT_EQ(value, "v2");
 }
@@ -80,7 +82,8 @@ TEST(MemTableTest, DeletionVisible) {
   mem.Add(2, ValueType::kDeletion, "k", "");
   Slice value;
   bool deleted = false;
-  ASSERT_TRUE(mem.Get(LookupKey("k", kMaxSequenceNumber), &value, &deleted, nullptr));
+  ASSERT_TRUE(mem.Get(LookupKey("k", kMaxSequenceNumber), &value, &deleted,
+                      nullptr));
   EXPECT_TRUE(deleted);
 }
 
@@ -89,7 +92,8 @@ TEST(MemTableTest, MissingKey) {
   mem.Add(1, ValueType::kValue, "a", "v");
   Slice value;
   bool deleted = false;
-  EXPECT_FALSE(mem.Get(LookupKey("b", kMaxSequenceNumber), &value, &deleted, nullptr));
+  EXPECT_FALSE(mem.Get(LookupKey("b", kMaxSequenceNumber), &value, &deleted,
+                       nullptr));
 }
 
 TEST(MemTableTest, IteratorSortedOrder) {
@@ -230,7 +234,8 @@ TEST(MemTableModelTest, MatchesModelAndKeepsShape) {
       }
       Slice value;
       bool deleted = false;
-      const bool found = mem.Get(LookupKey(key, snap), &value, &deleted, nullptr);
+      const bool found = mem.Get(LookupKey(key, snap), &value, &deleted,
+                                 nullptr);
       ASSERT_EQ(found, want != nullptr) << "snapshot " << snap;
       if (!found) continue;
       ASSERT_EQ(deleted, want->type == ValueType::kDeletion);
@@ -260,8 +265,8 @@ TEST(MemTableModelTest, MatchesModelAndKeepsShape) {
     Slice value;
     bool deleted = false;
     uint64_t before = compares();
-    mem.Get(LookupKey(key, i % 2 == 0 ? kMaxSequenceNumber : kInserts / 2), &value,
-            &deleted, &ctx);
+    mem.Get(LookupKey(key, i % 2 == 0 ? kMaxSequenceNumber : kInserts / 2),
+            &value, &deleted, &ctx);
     get_units.push_back(compares() - before);
     before = compares();
     charged->Seek(IKey(lookups[lookups.size() - 1 - i], kMaxSequenceNumber));
@@ -320,6 +325,75 @@ TEST(BlockTest, SeekFindsFirstGreaterOrEqual) {
   iter.Seek(Slice(IKey("key9999", kMaxSequenceNumber)));
   EXPECT_FALSE(iter.Valid());
   EXPECT_TRUE(iter.status().ok());
+}
+
+/// Seek over random blocks against a sorted-vector model: the entry found
+/// and the kCompareInternalKeys charged (binary-search steps over the
+/// restarts plus one per entry the linear scan passes). Keys are 4-byte
+/// user keys with several versions each, or user keys of mixed lengths
+/// with shared prefixes, so both the in-place compare and its fallback run.
+TEST(BlockTest, SeekMatchesAModel) {
+  const HwParams hw = HwParams::PaperDefaults();
+  Rng rng(77);
+  constexpr int kInterval = 16;
+  for (int round = 0; round < 40; ++round) {
+    const bool fixed = round % 2 == 0;
+    auto user_key = [&] {
+      std::string u;
+      const size_t n = fixed ? 4 : 1 + rng.Uniform(6);
+      for (size_t i = 0; i < n; ++i) u.push_back("ab\x01\xff"[rng.Uniform(4)]);
+      return u;
+    };
+    std::set<std::string, std::function<bool(const std::string&,
+                                             const std::string&)>>
+        keys([](const std::string& a, const std::string& b) {
+          return CompareInternalKey(a, b) < 0;
+        });
+    const size_t n = 1 + rng.Uniform(200);
+    while (keys.size() < n) {
+      keys.insert(IKey(user_key(), 1 + rng.Uniform(5)));
+    }
+    const std::vector<std::string> sorted(keys.begin(), keys.end());
+    BlockBuilder builder(kInterval);
+    for (const std::string& k : sorted) builder.Add(k, "v");
+    const std::string data = builder.Finish().ToString();
+
+    for (int probe = 0; probe < 50; ++probe) {
+      const std::string target = IKey(user_key(), rng.Uniform(7));
+      // The model: the restart binary search, then a linear scan.
+      const size_t restarts = (sorted.size() + kInterval - 1) / kInterval;
+      size_t left = 0, right = restarts - 1;
+      uint64_t compares = 0;
+      while (left < right) {
+        const size_t mid = (left + right + 1) / 2;
+        ++compares;
+        if (CompareInternalKey(sorted[mid * kInterval], target) < 0) {
+          left = mid;
+        } else {
+          right = mid - 1;
+        }
+      }
+      size_t pos = left * kInterval;
+      while (pos < sorted.size() &&
+             CompareInternalKey(sorted[pos], target) < 0) {
+        ++compares;
+        ++pos;
+      }
+
+      AccessContext ctx(&hw, Actor::kHost, IoPath::kNative);
+      BlockIter iter(&ctx);
+      iter.Reset(Slice(data));
+      iter.Seek(Slice(target));
+      ASSERT_TRUE(iter.status().ok());
+      ASSERT_EQ(iter.Valid(), pos < sorted.size());
+      if (iter.Valid()) {
+        ASSERT_EQ(iter.key().ToString(), sorted[pos]);
+      }
+      ASSERT_EQ(ctx.counters().Units(CostKind::kCompareInternalKeys),
+                compares);
+      ASSERT_EQ(ctx.counters().Units(CostKind::kSeekDataBlock), 1u);
+    }
+  }
 }
 
 TEST(BlockTest, ResetRepointsTheCursor) {
@@ -469,8 +543,9 @@ class SstTest : public ::testing::Test {
 
     Slice value;
     bool deleted = false;
-    Status s = reader.Get(nullptr, nullptr, LookupKey("key000003", kMaxSequenceNumber),
-                          &value, &deleted);
+    Status s = reader.Get(nullptr, nullptr,
+                          LookupKey("key000003", kMaxSequenceNumber), &value,
+                          &deleted);
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
 
@@ -483,11 +558,13 @@ TEST_F(SstTest, PointLookupHitAndMiss) {
   SstReader reader(&storage_, meta);
   Slice value;
   bool deleted = false;
-  ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey("key000500", kMaxSequenceNumber),
-                         &value, &deleted).ok());
+  ASSERT_TRUE(reader.Get(nullptr, nullptr,
+                         LookupKey("key000500", kMaxSequenceNumber), &value,
+                         &deleted).ok());
   EXPECT_EQ(value, "value500");
-  EXPECT_TRUE(reader.Get(nullptr, nullptr, LookupKey("nokey", kMaxSequenceNumber),
-                         &value, &deleted).IsNotFound());
+  EXPECT_TRUE(reader.Get(nullptr, nullptr,
+                         LookupKey("nokey", kMaxSequenceNumber), &value,
+                         &deleted).IsNotFound());
 }
 
 TEST_F(SstTest, FencePointersPruneOutOfRange) {
@@ -603,9 +680,8 @@ TEST_F(SstTest, OversizedEntriesEachGetTheirOwnBlock) {
                                           {"b_big", big_value},
                                           {"c_big", big_value},
                                           {"d_small", "v2"}}) {
-    ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey(k, kMaxSequenceNumber), &value,
-                           &deleted)
-                    .ok())
+    ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey(k, kMaxSequenceNumber),
+                           &value, &deleted) .ok())
         << k;
     EXPECT_EQ(value, v) << k;
     EXPECT_FALSE(deleted);
@@ -627,9 +703,9 @@ TEST_F(SstTest, FirstAddOversizedStillEmitsOneEntryBlock) {
   SstReader reader(&storage_, *meta);
   Slice value;
   bool deleted = false;
-  ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey("only", kMaxSequenceNumber), &value,
-                         &deleted)
-                  .ok());
+  ASSERT_TRUE(reader.Get(nullptr, nullptr,
+                         LookupKey("only", kMaxSequenceNumber), &value,
+                         &deleted) .ok());
   EXPECT_EQ(value, std::string(500, 'y'));
 }
 
@@ -641,9 +717,8 @@ TEST_F(SstTest, PinnedIndexServesSeeksAfterSingleLoad) {
   for (int i = 0; i < 50; ++i) {
     char buf[16];
     snprintf(buf, sizeof(buf), "key%06d", i * 37);
-    ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey(buf, kMaxSequenceNumber), &value,
-                           &deleted)
-                    .ok());
+    ASSERT_TRUE(reader.Get(nullptr, nullptr, LookupKey(buf, kMaxSequenceNumber),
+                           &value, &deleted) .ok());
   }
   // The serialized index was decoded exactly once; every Get's index seek
   // was answered from the pinned decoded form.
@@ -700,8 +775,9 @@ TEST_F(SstTest, CorruptFooterRejected) {
   SstReader reader(&storage_, bad);
   Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
-                        &value, &deleted);
+  Status s = reader.Get(nullptr, nullptr,
+                        LookupKey("key000050", kMaxSequenceNumber), &value,
+                        &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   auto iter = reader.NewIterator(nullptr, nullptr);
   iter->SeekToFirst();
@@ -716,8 +792,9 @@ TEST_F(SstTest, TruncatedFileRejected) {
   SstReader reader(&storage_, bad);
   Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
-                        &value, &deleted);
+  Status s = reader.Get(nullptr, nullptr,
+                        LookupKey("key000050", kMaxSequenceNumber), &value,
+                        &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -752,8 +829,9 @@ TEST_F(SstTest, BadIndexBlockTrailerIsCorruption) {
   SstReader reader(&storage_, bad);
   Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
-                        &value, &deleted);
+  Status s = reader.Get(nullptr, nullptr,
+                        LookupKey("key000050", kMaxSequenceNumber), &value,
+                        &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   auto iter = reader.NewIterator(nullptr, nullptr);
   iter->SeekToFirst();
@@ -776,8 +854,9 @@ TEST_F(SstTest, FooterRangesThatWrapAreCorruption) {
   EXPECT_TRUE(reader.EnsureOpened(nullptr, nullptr).IsCorruption());
   Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
-                        &value, &deleted);
+  Status s = reader.Get(nullptr, nullptr,
+                        LookupKey("key000050", kMaxSequenceNumber), &value,
+                        &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 
   // The same wrap on the bloom filter's range.
@@ -868,8 +947,9 @@ TEST_F(SstTest, MissingFileSurfacesNotFound) {
   SstReader reader(&storage_, meta);
   Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, LookupKey("key000050", kMaxSequenceNumber),
-                        &value, &deleted);
+  Status s = reader.Get(nullptr, nullptr,
+                        LookupKey("key000050", kMaxSequenceNumber), &value,
+                        &deleted);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
 }
 
@@ -905,8 +985,8 @@ TEST_F(SstTest, UnknownValueTypeIsCorruptionNotARow) {
 
   Slice value;
   bool deleted = false;
-  Status s = reader.Get(nullptr, nullptr, LookupKey("b", kMaxSequenceNumber), &value,
-                        &deleted);
+  Status s = reader.Get(nullptr, nullptr, LookupKey("b", kMaxSequenceNumber),
+                        &value, &deleted);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 

@@ -81,7 +81,8 @@ bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
     }
     case ExprKind::kCmpStr: {
       const Slice v = row.GetString(col);
-      ctx->Charge(CostKind::kMemcmp, std::min(v.size(), e.str_value.size()) + 1);
+      ctx->Charge(CostKind::kMemcmp,
+                  std::min(v.size(), e.str_value.size()) + 1);
       return OracleOrdered(v.compare(Slice(e.str_value)), e.op);
     }
     case ExprKind::kCmpCol: {
@@ -105,7 +106,8 @@ bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
     case ExprKind::kInStr: {
       const Slice v = row.GetString(col);
       for (const auto& candidate : e.str_list) {
-        ctx->Charge(CostKind::kMemcmp, std::min(v.size(), candidate.size()) + 1);
+        ctx->Charge(CostKind::kMemcmp,
+                    std::min(v.size(), candidate.size()) + 1);
         if (v == Slice(candidate)) return true;
       }
       return false;
