@@ -364,14 +364,6 @@ Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
   return SnapshotGet(*cf.mem, cf.version, readers_, opts, key, value);
 }
 
-Status DB::Get(const ReadOptions& opts, ColumnFamilyId cf_id, const Slice& key,
-               std::string* value) const {
-  Slice view;
-  HNDP_RETURN_IF_ERROR(Get(opts, cf_id, key, &view));
-  value->assign(view.data(), view.size());
-  return Status::OK();
-}
-
 Status SnapshotGet(const MemTable& mem, const Version& version,
                    const ReaderTable& readers, const ReadOptions& opts,
                    const Slice& key, Slice* value) {

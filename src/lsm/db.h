@@ -111,9 +111,6 @@ class DB {
   /// next write to the column family.
   Status Get(const ReadOptions& opts, ColumnFamilyId cf, const Slice& key,
              Slice* value) const;
-  /// Get into an owned copy.
-  Status Get(const ReadOptions& opts, ColumnFamilyId cf, const Slice& key,
-             std::string* value) const;
 
   /// User-key iterator (versions collapsed, tombstones hidden).
   IteratorPtr NewIterator(const ReadOptions& opts, ColumnFamilyId cf) const;

@@ -822,7 +822,7 @@ TEST_F(FaultE2ETest, FailedFlushKeepsEveryRowReadable) {
     ASSERT_TRUE(db_.Put(cf, "after" + std::to_string(i), "y").ok());
   }
 
-  std::string value;
+  Slice value;
   ASSERT_TRUE(db_.Get(lsm::ReadOptions{}, cf, "K", &value).ok());
   EXPECT_EQ(value, "v2");
   for (int i = 0; i < written; ++i) {

@@ -106,8 +106,7 @@ class ReadPathGoldenTest : public ::testing::Test {
   /// that hit each component, hit a tombstone, miss inside a file's range
   /// (with and without the bloom filter) and miss outside every range.
   void RunReads(const std::function<IteratorPtr()>& new_iter,
-                const std::function<Status(const Slice&, bool, std::string*)>&
-                    get) {
+                const std::function<Status(const Slice&, bool, Slice*)>& get) {
     auto iter = new_iter();
     int rows = 0;
     std::string concat;
@@ -129,7 +128,7 @@ class ReadPathGoldenTest : public ::testing::Test {
     EXPECT_EQ(seen, (std::vector<std::string>{"k118", "k119", "k121", "k122",
                                               "k123"}));
 
-    std::string value;
+    Slice value;
     ASSERT_TRUE(get("k305", true, &value).ok());
     EXPECT_EQ(value, "mem-305");
     ASSERT_TRUE(get("k010", true, &value).ok());
@@ -159,7 +158,7 @@ TEST_F(ReadPathGoldenTest, HostChargesArePinned) {
   opts.ctx = &ctx;
   opts.cache = &cache;
   RunReads([&] { return db_->NewIterator(opts, cf_); },
-           [&](const Slice& k, bool bloom, std::string* v) {
+           [&](const Slice& k, bool bloom, Slice* v) {
              ReadOptions o = opts;
              o.use_bloom = bloom;
              return db_->Get(o, cf_, k, v);
@@ -187,13 +186,10 @@ TEST_F(ReadPathGoldenTest, DeviceChargesArePinned) {
       [&] {
         return NewSnapshotIterator(*snap.mem, snap.version, readers, opts);
       },
-      [&](const Slice& k, bool bloom, std::string* v) {
+      [&](const Slice& k, bool bloom, Slice* v) {
         ReadOptions o = opts;
         o.use_bloom = bloom;
-        Slice view;
-        Status s = SnapshotGet(*snap.mem, snap.version, readers, o, k, &view);
-        v->assign(view.data(), view.size());
-        return s;
+        return SnapshotGet(*snap.mem, snap.version, readers, o, k, v);
       });
   ExpectCharges(ctx, cache,
                 Charges{{0, 1005, 8, 0, 16, 70493, 0, 0, 0, 2458, 0, 0, 0},

@@ -1008,13 +1008,13 @@ class DBTest : public ::testing::Test {
 
 TEST_F(DBTest, PutGetRoundTrip) {
   ASSERT_TRUE(db_->Put(cf_, "alpha", "1").ok());
-  std::string value;
+  Slice value;
   ASSERT_TRUE(db_->Get(ReadOptions{}, cf_, "alpha", &value).ok());
   EXPECT_EQ(value, "1");
 }
 
 TEST_F(DBTest, GetMissingReturnsNotFound) {
-  std::string value;
+  Slice value;
   EXPECT_TRUE(db_->Get(ReadOptions{}, cf_, "nothing", &value).IsNotFound());
 }
 
@@ -1022,7 +1022,7 @@ TEST_F(DBTest, DeleteHidesKeyAcrossFlush) {
   ASSERT_TRUE(db_->Put(cf_, "k", "v").ok());
   ASSERT_TRUE(db_->Flush(cf_).ok());
   ASSERT_TRUE(db_->Delete(cf_, "k").ok());
-  std::string value;
+  Slice value;
   EXPECT_TRUE(db_->Get(ReadOptions{}, cf_, "k", &value).IsNotFound());
   ASSERT_TRUE(db_->Flush(cf_).ok());
   EXPECT_TRUE(db_->Get(ReadOptions{}, cf_, "k", &value).IsNotFound());
@@ -1040,7 +1040,7 @@ TEST_F(DBTest, ManyKeysSurviveFlushesAndCompactions) {
   ASSERT_TRUE(db_->Flush(cf_).ok());
   EXPECT_GT(db_->stats().flushes, 0u);
   for (const auto& [k, v] : model) {
-    std::string got;
+    Slice got;
     ASSERT_TRUE(db_->Get(ReadOptions{}, cf_, k, &got).ok()) << k;
     EXPECT_EQ(got, v) << k;
   }
@@ -1091,7 +1091,7 @@ TEST_F(DBTest, SnapshotIsolatesLaterWrites) {
 
   ReadOptions opts;
   opts.snapshot = snap;
-  std::string value;
+  Slice value;
   ASSERT_TRUE(db_->Get(opts, cf_, "k", &value).ok());
   EXPECT_EQ(value, "old");
   EXPECT_TRUE(db_->Get(opts, cf_, "extra", &value).IsNotFound());
@@ -1101,7 +1101,7 @@ TEST_F(DBTest, ColumnFamiliesAreIsolated) {
   ColumnFamilyId other = db_->CreateColumnFamily("secondary");
   ASSERT_TRUE(db_->Put(cf_, "k", "main").ok());
   ASSERT_TRUE(db_->Put(other, "k", "idx").ok());
-  std::string value;
+  Slice value;
   ASSERT_TRUE(db_->Get(ReadOptions{}, other, "k", &value).ok());
   EXPECT_EQ(value, "idx");
   ASSERT_TRUE(db_->Get(ReadOptions{}, cf_, "k", &value).ok());
@@ -1133,7 +1133,7 @@ TEST_F(DBTest, CompactAllReducesToStableShape) {
     }
   }
   // Data still correct.
-  std::string value;
+  Slice value;
   ASSERT_TRUE(db_->Get(ReadOptions{}, cf_, "key123", &value).ok());
 }
 
@@ -1148,7 +1148,7 @@ TEST_F(DBTest, ChargedGetIsIndependentOfEarlierReads) {
     AccessContext ctx(&hw_, Actor::kHost, IoPath::kNative);
     ReadOptions opts;
     opts.ctx = &ctx;
-    std::string value;
+    Slice value;
     EXPECT_TRUE(db_->Get(opts, cf_, "key1234", &value).ok());
     EXPECT_EQ(value, "v");
     return ctx.now();
@@ -1262,7 +1262,7 @@ TEST_P(DBPropertyTest, MatchesModel) {
 
   // Point lookups.
   for (const auto& [k, v] : model) {
-    std::string got;
+    Slice got;
     ASSERT_TRUE(db.Get(ReadOptions{}, cf, k, &got).ok()) << k;
     EXPECT_EQ(got, v);
   }
