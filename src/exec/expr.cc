@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/coding.h"
+#include "lsm/internal_key.h"
 
 namespace hybridndp::exec {
 
@@ -29,22 +30,6 @@ bool CompareOrdered(int r, CmpOp op) {
 
 int CompareInt(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "TrimmedSize reads the last byte of a word as its top byte");
-
-/// Size of a CHAR field with its trailing zero padding stripped (what
-/// RowView::GetString yields), a word at a time from the end.
-size_t TrimmedSize(const char* p, size_t n) {
-  while (n >= 8) {
-    uint64_t w;
-    memcpy(&w, p + n - 8, 8);
-    if (w != 0) return n - (static_cast<size_t>(__builtin_clzll(w)) >> 3);
-    n -= 8;
-  }
-  while (n > 0 && p[n - 1] == '\0') --n;
-  return n;
-}
-
 /// Whether the `n` bytes at a and b are equal, a word at a time: the
 /// values and literals compared here are a few bytes long, shorter than a
 /// libc call is worth.
@@ -57,25 +42,6 @@ bool BytesEqual(const char* a, const char* b, size_t n) {
     if (a[i] != b[i]) return false;
   }
   return true;
-}
-
-/// Three-way byte order of a and b, with the sign of Slice::compare, a
-/// word at a time.
-int CompareBytes(const Slice& a, const Slice& b) {
-  const size_t n = std::min(a.size(), b.size());
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint64_t x = DecodeFixed64(a.data() + i);
-    const uint64_t y = DecodeFixed64(b.data() + i);
-    if (x != y) return __builtin_bswap64(x) < __builtin_bswap64(y) ? -1 : 1;
-  }
-  for (; i < n; ++i) {
-    const auto x = static_cast<unsigned char>(a[i]);
-    const auto y = static_cast<unsigned char>(b[i]);
-    if (x != y) return x < y ? -1 : 1;
-  }
-  return CompareInt(static_cast<int64_t>(a.size()),
-                    static_cast<int64_t>(b.size()));
 }
 
 /// First position >= `from` where `seg` starts and ends by `limit`, or
@@ -345,11 +311,9 @@ Status Predicate::Emit(const Expr& expr, const Schema& schema) {
     case ExprKind::kLike: {
       const std::string& pattern = expr.str_value;
       in.pattern_size = static_cast<uint32_t>(pattern.size());
-      if (pattern.find('_') != std::string::npos) {
+      if (pattern.find('_') != std::string::npos ||
+          pattern.find('%') == std::string::npos) {
         in.op = Op::kLikeGeneral;
-        strings_.push_back(pattern);
-      } else if (pattern.find('%') == std::string::npos) {
-        in.op = Op::kLikeExact;
         strings_.push_back(pattern);
       } else {
         // Split at '%': prefix, suffix, then the non-empty middles.
@@ -406,10 +370,10 @@ bool Predicate::Run(uint32_t pc, const char* row,
           CompareInt(static_cast<int32_t>(DecodeFixed32(field)), in.lo),
           in.cmp);
     case Op::kCmpStr: {
-      const Slice v(field, TrimmedSize(field, in.width));
+      const Slice v(field, rel::TrimmedSize(field, in.width));
       const std::string& lit = strings_[in.str_begin];
       tally->Add(std::min(v.size(), lit.size()) + 1);
-      return CompareOrdered(CompareBytes(v, Slice(lit)), in.cmp);
+      return CompareOrdered(lsm::CompareUserKey(v, Slice(lit)), in.cmp);
     }
     case Op::kCmpIntCol:
       tally->Add(4);
@@ -418,31 +382,25 @@ bool Predicate::Run(uint32_t pc, const char* row,
                      static_cast<int32_t>(DecodeFixed32(row + in.offset2))),
           in.cmp);
     case Op::kCmpStrCol: {
-      const Slice a(field, TrimmedSize(field, in.width));
+      const Slice a(field, rel::TrimmedSize(field, in.width));
       const char* field2 = row + in.offset2;
-      const Slice b(field2, TrimmedSize(field2, in.width2));
+      const Slice b(field2, rel::TrimmedSize(field2, in.width2));
       tally->Add(std::min(a.size(), b.size()) + 1);
-      return CompareOrdered(CompareBytes(a, b), in.cmp);
+      return CompareOrdered(lsm::CompareUserKey(a, b), in.cmp);
     }
-    case Op::kLikeExact:
     case Op::kLikeSegments:
     case Op::kLikeGeneral: {
-      const size_t n = TrimmedSize(field, in.width);
+      const size_t n = rel::TrimmedSize(field, in.width);
       // LIKE scans the value, possibly with backtracking; charge linear.
       tally->Add(n + in.pattern_size);
-      bool match;
-      if (in.op == Op::kLikeExact) {
-        const std::string& lit = strings_[in.str_begin];
-        match = n == lit.size() && BytesEqual(field, lit.data(), n);
-      } else if (in.op == Op::kLikeGeneral) {
-        match = LikeMatch(Slice(field, n), Slice(strings_[in.str_begin]));
-      } else {
-        match = LikeSegments(field, n, &strings_[in.str_begin], in.str_count);
-      }
+      const bool match =
+          in.op == Op::kLikeGeneral
+              ? LikeMatch(Slice(field, n), Slice(strings_[in.str_begin]))
+              : LikeSegments(field, n, &strings_[in.str_begin], in.str_count);
       return match != in.negated;
     }
     case Op::kInStr: {
-      const size_t n = TrimmedSize(field, in.width);
+      const size_t n = rel::TrimmedSize(field, in.width);
       for (uint32_t i = 0; i < in.str_count; ++i) {
         const std::string& candidate = strings_[in.str_begin + i];
         tally->Add(std::min(n, candidate.size()) + 1);
@@ -462,7 +420,7 @@ bool Predicate::Run(uint32_t pc, const char* row,
       return DecodeFixed32(field) != 0;
     case Op::kStrNotNull:
       tally->Add(4);
-      return TrimmedSize(field, in.width) != 0;
+      return rel::TrimmedSize(field, in.width) != 0;
     case Op::kAnd:
       for (uint32_t c = pc + 1; c < in.end; c = code_[c].end) {
         if (!Run(c, row, tally)) return false;

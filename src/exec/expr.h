@@ -101,9 +101,8 @@ class Predicate {
     kCmpStr,       ///< CHAR field <op> literal
     kCmpIntCol,    ///< int field <op> int field
     kCmpStrCol,    ///< CHAR field <op> CHAR field
-    kLikeExact,    ///< LIKE without wildcards: equality
     kLikeSegments, ///< LIKE with '%' only: prefix, suffix, middles in order
-    kLikeGeneral,  ///< LIKE with '_': LikeMatch
+    kLikeGeneral,  ///< LIKE with '_' or no wildcard: LikeMatch
     kInStr,
     kBetween,
     kIntNotNull,
@@ -122,7 +121,7 @@ class Predicate {
     uint32_t offset2 = 0, width2 = 0;  ///< rhs field (column compares)
     int64_t lo = 0, hi = 0;            ///< int literal / BETWEEN bounds
     /// Literals in strings_: the compare literal, the IN list, the LIKE
-    /// pattern (kLikeExact, kLikeGeneral) or its prefix, suffix and
+    /// pattern (kLikeGeneral) or its prefix, suffix and
     /// non-empty middle segments (kLikeSegments).
     uint32_t str_begin = 0, str_count = 0;
     uint32_t pattern_size = 0;  ///< LIKE: the charged pattern length

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,22 @@ class Schema {
   uint32_t row_size_ = 0;
 };
 
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "TrimmedSize reads the last byte of a word as its top byte");
+
+/// Size of the `n` CHAR bytes at `p` with their trailing zero padding
+/// stripped, a word at a time from the end.
+inline size_t TrimmedSize(const char* p, size_t n) {
+  while (n >= 8) {
+    uint64_t w;
+    memcpy(&w, p + n - 8, 8);
+    if (w != 0) return n - (static_cast<size_t>(__builtin_clzll(w)) >> 3);
+    n -= 8;
+  }
+  while (n > 0 && p[n - 1] == '\0') --n;
+  return n;
+}
+
 /// Read-only view over one fixed-size row.
 class RowView {
  public:
@@ -84,10 +101,8 @@ class RowView {
   }
   /// CHAR column with trailing zero padding stripped.
   Slice GetString(int col) const {
-    Slice raw = GetRaw(col);
-    size_t n = raw.size();
-    while (n > 0 && raw[n - 1] == '\0') --n;
-    return Slice(raw.data(), n);
+    const Slice raw = GetRaw(col);
+    return Slice(raw.data(), TrimmedSize(raw.data(), raw.size()));
   }
 
  private:

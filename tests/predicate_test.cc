@@ -67,6 +67,15 @@ bool OracleLike(const Slice& value, const Slice& pattern) {
   return p == pattern.size();
 }
 
+/// A CHAR column with its trailing zero padding stripped, a byte at a time
+/// (independent of the engine's word-at-a-time rel::TrimmedSize).
+Slice OracleString(const RowView& row, int col) {
+  const Slice raw = row.GetRaw(col);
+  size_t n = raw.size();
+  while (n > 0 && raw[n - 1] == '\0') --n;
+  return Slice(raw.data(), n);
+}
+
 /// The reference semantics and charges: walk the tree row by row, resolve
 /// every column by name, charge each compare to `ctx` as it happens.
 bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
@@ -80,7 +89,7 @@ bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
       return OracleOrdered(r, e.op);
     }
     case ExprKind::kCmpStr: {
-      const Slice v = row.GetString(col);
+      const Slice v = OracleString(row, col);
       ctx->Charge(CostKind::kMemcmp,
                   std::min(v.size(), e.str_value.size()) + 1);
       return OracleOrdered(v.compare(Slice(e.str_value)), e.op);
@@ -93,18 +102,18 @@ bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
         const int32_t b = row.GetInt(col2);
         return OracleOrdered(a < b ? -1 : (a > b ? 1 : 0), e.op);
       }
-      const Slice a = row.GetString(col);
-      const Slice b = row.GetString(col2);
+      const Slice a = OracleString(row, col);
+      const Slice b = OracleString(row, col2);
       ctx->Charge(CostKind::kMemcmp, std::min(a.size(), b.size()) + 1);
       return OracleOrdered(a.compare(b), e.op);
     }
     case ExprKind::kLike: {
-      const Slice v = row.GetString(col);
+      const Slice v = OracleString(row, col);
       ctx->Charge(CostKind::kMemcmp, v.size() + e.str_value.size());
       return OracleLike(v, Slice(e.str_value)) != e.negated;
     }
     case ExprKind::kInStr: {
-      const Slice v = row.GetString(col);
+      const Slice v = OracleString(row, col);
       for (const auto& candidate : e.str_list) {
         ctx->Charge(CostKind::kMemcmp,
                     std::min(v.size(), candidate.size()) + 1);
@@ -134,7 +143,7 @@ bool OracleEval(const Expr& e, const RowView& row, AccessContext* ctx) {
       if (schema.column(col).type == ColType::kInt32) {
         return row.GetInt(col) != 0;
       }
-      return !row.GetString(col).empty();
+      return !OracleString(row, col).empty();
     }
   }
   return false;
