@@ -124,47 +124,13 @@ void BlockIter::Seek(const Slice& target) {
   }
   SeekToRestart(left);
   uint64_t scan_compares = 0;
-  size_t lcp = 0;
-  while (valid_ && CompareInPlace(target, &lcp) < 0) {
+  while (valid_ && CompareInternalKey(key(), target) < 0) {
     ++scan_compares;
     ParseNext();
   }
   if (ctx_ != nullptr && scan_compares > 0) {
     ctx_->Charge(sim::CostKind::kCompareInternalKeys, scan_compares);
   }
-}
-
-int BlockIter::CompareInPlace(const Slice& target, size_t* lcp) const {
-  const size_t user_size = target.size() - 8;
-  const size_t s = shared();
-  if (*lcp == kNoPrefix || key_.size() != target.size() || s > user_size) {
-    // A key of another length, or a prefix reaching into the trailer: the
-    // materialized key decides, for the rest of the scan too.
-    *lcp = kNoPrefix;
-    return CompareInternalKey(key_.slice(), target);
-  }
-  if (s > *lcp) {
-    // The entry keeps the previous key's byte at lcp, which was below the
-    // target's there.
-    return -1;
-  }
-  // The first s bytes equal the target's; the rest are the entry's own.
-  const char* own = unshared_.data();
-  size_t n = s;
-  while (n < user_size && own[n - s] == target[n]) ++n;
-  *lcp = n;
-  if (n < user_size) {
-    return static_cast<unsigned char>(own[n - s]) <
-                   static_cast<unsigned char>(target[n])
-               ? -1
-               : +1;
-  }
-  // Same user key: the higher sequence sorts first.
-  const uint64_t pa = DecodeFixed64(own + user_size - s);
-  const uint64_t pb = DecodeFixed64(target.data() + user_size);
-  if (pa > pb) return -1;
-  if (pa < pb) return +1;
-  return 0;
 }
 
 bool BlockIter::RestartKey(uint32_t index, Slice* key) const {

@@ -94,15 +94,6 @@ class BlockIter {
   /// when the restart offset or the entry header is out of bounds.
   bool RestartKey(uint32_t index, Slice* key) const;
   void SeekToRestart(uint32_t index);
-  /// CompareInternalKey(key(), target) for Seek's linear scan, read from the
-  /// entry's own bytes in the block instead of key_, which ParseNext has
-  /// just written (a load straddling those stores stalls). `lcp` carries
-  /// the length of the common user-key prefix of the previous entry, which
-  /// ordered before `target`, and the target (0 before the first entry);
-  /// it is updated for this one, or set to kNoPrefix once a key of another
-  /// size makes the materialized key decide.
-  int CompareInPlace(const Slice& target, size_t* lcp) const;
-  static constexpr size_t kNoPrefix = SIZE_MAX;
   /// Decode the entry at next_offset_ into key_/value_. An entry whose
   /// three header varints are one byte each, which is nearly every entry,
   /// decodes here; any other goes through ParseNextChecked. Both make the
