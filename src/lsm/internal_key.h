@@ -154,9 +154,15 @@ class KeyBuffer {
  private:
   static constexpr size_t kInlineBytes = 48;
 
-  /// Move to a heap buffer of at least `need` bytes. Out of line, so that
-  /// Append stays small enough to inline.
-  void Grow(size_t need);
+  void Grow(size_t need) {
+    size_t cap = capacity_ * 2;
+    while (cap < need) cap *= 2;
+    auto bigger = std::make_unique<char[]>(cap);
+    memcpy(bigger.get(), data_, size_);
+    heap_ = std::move(bigger);
+    data_ = heap_.get();
+    capacity_ = cap;
+  }
 
   char inline_[kInlineBytes] = {};
   char* data_ = inline_;
