@@ -46,20 +46,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   return future;
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (size() <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(Submit([&fn, i] { fn(i); }));
-  }
-  for (auto& f : futures) f.get();
-}
-
 int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

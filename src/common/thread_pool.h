@@ -1,6 +1,6 @@
-// Fixed-size worker pool for fanning out independent work units (parallel
-// strategy runs, cache stress tests). Tasks are plain std::function jobs;
-// Submit returns a future, ParallelFor blocks until every index is done.
+// Fixed-size worker pool for fanning out independent work units (the host
+// side of parallel strategy runs). Tasks are plain std::function jobs;
+// Submit returns a future that resolves when the task has run.
 //
 // The pool carries no cost-model state: simulated clocks live in per-run
 // AccessContexts, so running two simulations on different workers cannot
@@ -32,10 +32,6 @@ class ThreadPool {
 
   /// Enqueue one task; the future resolves when it has run.
   std::future<void> Submit(std::function<void()> fn);
-
-  /// Run fn(0) .. fn(n-1) across the pool and wait for all of them.
-  /// With a single worker this degenerates to a serial loop in index order.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Default worker count: hardware concurrency, at least 1.
   static int DefaultThreads();

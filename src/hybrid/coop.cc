@@ -169,7 +169,7 @@ SimNanos BatchSchedule::Fetch(size_t i, SimNanos host_now, StageTimes* stages,
 }
 
 StallingSourceOp::StallingSourceOp(rel::Schema schema,
-                                   const std::vector<std::string>* rows,
+                                   const exec::RowStore* rows,
                                    BatchSchedule* schedule,
                                    sim::AccessContext* host_ctx,
                                    StageTimes* stages)
@@ -203,27 +203,32 @@ bool StallingSourceOp::FetchNextDeviceBatch() {
     if (past_end) return false;  // poisoned, but all batches were delivered
     batch_rows_left_ = schedule_->BatchRowCount(next_batch_);
     ++next_batch_;
+    if (batch_rows_left_ > rows_->size() - pos_) {
+      status_ = Status::Corruption(
+          "device batch " + std::to_string(next_batch_ - 1) + " claims " +
+          std::to_string(batch_rows_left_) + " rows, the stream holds " +
+          std::to_string(rows_->size() - pos_) + " more");
+      batch_rows_left_ = 0;
+      return false;
+    }
   }
   return true;
 }
 
 exec::RowBatch* StallingSourceOp::NextBatch(size_t max_rows) {
   if (!FetchNextDeviceBatch()) return nullptr;
-  if (pos_ >= rows_->size()) return nullptr;
   // Clamp to the current device batch: a second fetch after rows were
   // emitted would charge the rows' downstream work after the stall.
   size_t take = max_rows < batch_rows_left_
                     ? max_rows
                     : static_cast<size_t>(batch_rows_left_);
-  const size_t avail = rows_->size() - pos_;
-  if (take > avail) take = avail;
   batch_.Reset(&schema_, take);
   // The batch may cap its capacity below `take` (slab ceiling); taking
   // fewer rows than the device batch holds is always legal — only reading
   // past the stall point would change the schedule.
   if (take > batch_.capacity()) take = batch_.capacity();
   for (size_t k = 0; k < take; ++k) {
-    batch_.AppendCopy((*rows_)[pos_++].data());
+    batch_.AppendCopy(rows_->row(pos_++));
     --batch_rows_left_;
     ++rows_produced_;
   }

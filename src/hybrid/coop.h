@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "exec/join_table.h"
 #include "exec/operator.h"
 #include "ndp/device_executor.h"
 #include "obs/trace.h"
@@ -34,7 +35,7 @@ struct StageTimes {
 /// Shared-buffer schedule for one device stream: computes, lazily and in
 /// fetch order, when each batch becomes available to the host, honoring the
 /// slot back-pressure on the device side. Single-threaded: the executor
-/// builds, poisons and drains each schedule on the run's own thread.
+/// builds, poisons and drains each schedule in the run's host phase.
 class BatchSchedule {
  public:
   /// `batches`: device work duration + bytes per batch, in production order.
@@ -111,10 +112,12 @@ class BatchSchedule {
 /// Volcano source over device-produced rows that stalls the host clock
 /// until each batch has arrived (paper Fig. 7.B/D). A re-open (a join
 /// inner's next pass) replays from host memory without new waits: the data
-/// was already fetched.
+/// was already fetched. A device batch that claims more rows than `rows`
+/// still holds ends the stream with a Corruption status, never a silently
+/// short result.
 class StallingSourceOp final : public exec::Operator {
  public:
-  StallingSourceOp(rel::Schema schema, const std::vector<std::string>* rows,
+  StallingSourceOp(rel::Schema schema, const exec::RowStore* rows,
                    BatchSchedule* schedule, sim::AccessContext* host_ctx,
                    StageTimes* stages);
 
@@ -130,11 +133,12 @@ class StallingSourceOp final : public exec::Operator {
   /// Advance to the next device batch, stalling the host clock until it
   /// arrives. Returns false at end-of-stream — including the poisoned case,
   /// where the blocked consumer is woken at the producer's death time and
-  /// the failure is parked in status().
+  /// the failure is parked in status(), and a batch past the stored rows,
+  /// parked as Corruption.
   bool FetchNextDeviceBatch();
 
   rel::Schema schema_;
-  const std::vector<std::string>* rows_;
+  const exec::RowStore* rows_;
   BatchSchedule* schedule_;
   sim::AccessContext* host_ctx_;
   StageTimes* stages_;

@@ -1,6 +1,9 @@
 #include "hybrid/executor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <thread>
 
 #include "sim/fault.h"
 
@@ -169,18 +172,44 @@ nkv::NdpCommand HybridExecutor::BuildNdpCommand(const Plan& plan,
   return cmd;
 }
 
-Result<RunResult> HybridExecutor::RunDeviceAssisted(
-    const Plan& plan, const ExecChoice& choice, lsm::BlockCache* cache,
+HybridExecutor::DevicePhase HybridExecutor::RunDevicePhase(
+    const Plan& plan, const ExecChoice& choice,
+    obs::TraceRecorder* rec) const {
+  nkv::NdpCommand cmd =
+      BuildNdpCommand(plan, choice.split_joins,
+                      choice.strategy == Strategy::kFullNdp,
+                      choice.cache_format);
+  Result<ndp::DeviceRunResult> dev = ndp::DeviceExecutor(storage_, hw_).Execute(
+      cmd, rec != nullptr ? rec->metrics() : nullptr);
+  return DevicePhase{std::move(cmd), std::move(dev)};
+}
+
+Result<RunResult> HybridExecutor::RunHostPhase(const Plan& plan,
+                                               const ExecChoice& choice,
+                                               const DevicePhase& device,
+                                               lsm::BlockCache* cache,
+                                               obs::TraceRecorder* rec) const {
+  SimNanos wasted = 0;
+  Status err = device.dev.status();
+  if (err.ok()) {
+    Result<RunResult> r = RunCooperative(plan, choice, device.cmd,
+                                         *device.dev, cache, rec, &wasted);
+    if (r.ok()) return r;
+    err = r.status();
+  }
+  if (!err.IsIOError() && !err.IsAborted()) return err;
+  // Graceful degradation (Taurus-style, paper Sect. 5): the pushdown
+  // died on a fault-class error — re-plan at the pure-host split and
+  // re-execute, carrying the wasted simulated time into the accounting.
+  return RunHostOnly(plan, choice, cache, rec, wasted, err);
+}
+
+Result<RunResult> HybridExecutor::RunCooperative(
+    const Plan& plan, const ExecChoice& choice, const nkv::NdpCommand& cmd,
+    const ndp::DeviceRunResult& dev, lsm::BlockCache* cache,
     obs::TraceRecorder* rec, SimNanos* fault_wasted_ns) const {
   const bool full_ndp = choice.strategy == Strategy::kFullNdp;
   const int k = choice.split_joins;
-
-  nkv::NdpCommand cmd =
-      BuildNdpCommand(plan, k, full_ndp, choice.cache_format);
-  ndp::DeviceExecutor device(storage_, hw_);
-  HNDP_ASSIGN_OR_RETURN(
-      ndp::DeviceRunResult dev,
-      device.Execute(cmd, rec != nullptr ? rec->metrics() : nullptr));
 
   RunResult result;
   result.choice = choice;
@@ -328,18 +357,9 @@ Result<RunResult> HybridExecutor::Run(const Plan& plan,
     case Strategy::kHostNative:
       return RunHostOnly(plan, choice, cache, rec);
     case Strategy::kFullNdp:
-    case Strategy::kHybrid: {
-      SimNanos wasted = 0;
-      Result<RunResult> r = RunDeviceAssisted(plan, choice, cache, rec,
-                                              &wasted);
-      if (r.ok()) return r;
-      const Status& err = r.status();
-      if (!err.IsIOError() && !err.IsAborted()) return r;
-      // Graceful degradation (Taurus-style, paper Sect. 5): the pushdown
-      // died on a fault-class error — re-plan at the pure-host split and
-      // re-execute, carrying the wasted simulated time into the accounting.
-      return RunHostOnly(plan, choice, cache, rec, wasted, err);
-    }
+    case Strategy::kHybrid:
+      return RunHostPhase(plan, choice, RunDevicePhase(plan, choice, rec),
+                          cache, rec);
   }
   return Status::InvalidArgument("bad strategy");
 }
@@ -351,18 +371,58 @@ std::vector<Result<RunResult>> HybridExecutor::RunAll(
   std::vector<Result<RunResult>> results(choices.size(),
                                          Status::Internal("not run"));
   // Plans are read-only (operators bind their own predicate copies), so
-  // every run shares `plan`.
-  auto run_one = [&](size_t i) {
+  // every run shares `plan`. A null `device` runs the whole choice.
+  auto host_run = [&](size_t i, const DevicePhase* device) {
     std::unique_ptr<lsm::BlockCache> cache =
         make_cache ? make_cache() : nullptr;
-    results[i] = Run(plan, choices[i], cache.get(), rec);
+    results[i] = device == nullptr
+                     ? Run(plan, choices[i], cache.get(), rec)
+                     : RunHostPhase(plan, choices[i], *device, cache.get(),
+                                    rec);
   };
 
   if (pool == nullptr || pool->size() <= 1) {
-    for (size_t i = 0; i < choices.size(); ++i) run_one(i);
-  } else {
-    pool->ParallelFor(choices.size(), run_one);
+    for (size_t i = 0; i < choices.size(); ++i) host_run(i, nullptr);
+    return results;
   }
+
+  // Cooperative fan-out. The pool takes BLK/NATIVE first, then each host
+  // phase as its command finishes; Run keeps everything else (an empty
+  // plan, a bad strategy).
+  std::vector<std::future<void>> done(choices.size());
+  std::vector<size_t> assisted;  // device-assisted choices, in choice order
+  for (size_t i = 0; i < choices.size(); ++i) {
+    const Strategy s = choices[i].strategy;
+    if (!plan.order.empty() &&
+        (s == Strategy::kFullNdp || s == Strategy::kHybrid)) {
+      assisted.push_back(i);
+    } else {
+      done[i] = pool->Submit([&host_run, i] { host_run(i, nullptr); });
+    }
+  }
+  // Device workers claim commands in choice order. Each hands its finished
+  // device phase to the pool; the task owns it, so the device output is
+  // freed as soon as its host phase is done. Every `done` slot is written by
+  // one thread and read here only after the join.
+  std::atomic<size_t> next{0};
+  auto device_worker = [&] {
+    for (size_t j = next.fetch_add(1); j < assisted.size();
+         j = next.fetch_add(1)) {
+      const size_t i = assisted[j];
+      auto device = std::make_shared<const DevicePhase>(
+          RunDevicePhase(plan, choices[i], rec));
+      done[i] = pool->Submit(
+          [&host_run, i, device] { host_run(i, device.get()); });
+    }
+  };
+  const size_t workers =
+      std::min(static_cast<size_t>(pool->size()), assisted.size());
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers);
+  for (size_t w = 1; w < workers; ++w) helpers.emplace_back(device_worker);
+  device_worker();
+  for (std::thread& t : helpers) t.join();
+  for (std::future<void>& f : done) f.get();
   return results;
 }
 

@@ -104,8 +104,9 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
   // exactly the work behind its rows.
   auto drain = [&](exec::Operator* op, size_t stream) -> Status {
     Status st = op->Open();
-    std::vector<std::string> rows;
     const size_t rs = op->output_schema().row_size();
+    exec::RowStore rows;
+    rows.Reset(rs);
     // Slot granularity in rows: rows are fixed-size, so a slot of
     // slot_bytes fills after exactly ceil(slot_bytes / row_size) rows.
     const size_t rows_per_slot =
@@ -119,7 +120,7 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
         const size_t n = b->num_active();
         // Core 1 copies the root result into a shared-buffer slot (Fig. 8).
         ctx.ChargeCopyRepeated(rs, n);
-        for (size_t k = 0; k < n; ++k) rows.emplace_back(b->active_row(k), rs);
+        for (size_t k = 0; k < n; ++k) rows.Append(b->active_row(k));
         pending_rows += n;
         if (pending_rows == rows_per_slot) {
           result.batches.push_back(DeviceBatch{

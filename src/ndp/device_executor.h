@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "exec/join_table.h"
 #include "exec/operator.h"
 #include "lsm/block_cache.h"
 #include "nkv/ndp_command.h"
@@ -32,7 +33,8 @@ struct DeviceRunResult {
   /// Schema per output stream (one stream for pipelined plans; one per
   /// table for scans_only commands).
   std::vector<rel::Schema> stream_schemas;
-  std::vector<std::vector<std::string>> stream_rows;
+  /// Rows per output stream, flat and fixed-size in the stream's schema.
+  std::vector<exec::RowStore> stream_rows;
   std::vector<DeviceBatch> batches;  ///< in device production order
   sim::CostCounters counters;        ///< Table 4 breakdown
   SimNanos total_work_ns = 0;
@@ -45,7 +47,7 @@ struct DeviceRunResult {
   SimNanos fail_time_ns = 0;  ///< device clock at the failure
 
   const rel::Schema& schema() const { return stream_schemas.at(0); }
-  const std::vector<std::string>& rows() const { return stream_rows.at(0); }
+  const exec::RowStore& rows() const { return stream_rows.at(0); }
   uint64_t total_rows() const {
     uint64_t n = 0;
     for (const auto& s : stream_rows) n += s.size();

@@ -356,10 +356,11 @@ class PoisonedSourceTest : public ::testing::Test {
       : hw_(sim::HwParams::PaperDefaults()),
         schema_({IntCol("v")}),
         ctx_(&hw_, sim::Actor::kHost, sim::IoPath::kNative) {
+    rows_.Reset(schema_.row_size());
     for (int i = 0; i < 6; ++i) {
       RowBuilder rb(&schema_);
       rb.SetInt(0, i);
-      rows_.push_back(rb.row());
+      rows_.Append(rb.row().data());
     }
   }
 
@@ -375,7 +376,7 @@ class PoisonedSourceTest : public ::testing::Test {
 
   sim::HwParams hw_;
   rel::Schema schema_;
-  std::vector<std::string> rows_;
+  exec::RowStore rows_;
   sim::AccessContext ctx_;
   StageTimes stages_;
 };
@@ -403,6 +404,26 @@ TEST_F(PoisonedSourceTest, CollectAllSurfacesChildStatusThroughParents) {
     auto rows = exec::CollectAll(root.get(), batch_rows);
     EXPECT_FALSE(rows.ok()) << "batch_rows=" << batch_rows;
     EXPECT_TRUE(rows.status().IsIOError());
+  }
+}
+
+TEST_F(PoisonedSourceTest, ShortStreamParksStatusInsteadOfTruncating) {
+  // The schedule promises 8 rows (2 + 2 + 4), the stream holds 6: the rows
+  // of the first two batches arrive, then the third batch's claim of rows
+  // that are not there fails the stream, in any pull size.
+  for (const size_t pull : {1u, 3u, 64u}) {
+    SCOPED_TRACE("pull=" + std::to_string(pull));
+    std::vector<ndp::DeviceBatch> batches = ThreeBatches();
+    batches[2].rows = 4;
+    hybrid::BatchSchedule sched(batches, 4, &hw_, 0, /*eager=*/false);
+    hybrid::StallingSourceOp src(schema_, &rows_, &sched, &ctx_, &stages_);
+    ASSERT_TRUE(src.Open().ok());
+    size_t delivered = 0;
+    while (exec::RowBatch* b = src.NextBatch(pull)) {
+      delivered += b->num_active();
+    }
+    EXPECT_EQ(delivered, 4u);
+    EXPECT_TRUE(src.status().IsCorruption()) << src.status().ToString();
   }
 }
 

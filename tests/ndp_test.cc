@@ -242,8 +242,8 @@ TEST_F(NdpTest, PipelinedJoinCommandProducesJoinedRows) {
   const int price = schema.Find("i.price");
   const int item = schema.Find("o.item_id");
   ASSERT_GE(price, 0);
-  for (const auto& row : result->rows()) {
-    RowView v(row.data(), &schema);
+  for (size_t r = 0; r < result->rows().size(); ++r) {
+    RowView v(result->rows().row(r), &schema);
     EXPECT_EQ(v.GetInt(price), v.GetInt(item) * 10);
   }
 }
@@ -275,8 +275,8 @@ TEST_F(NdpTest, PipelinedIndexJoinProbesTheInnerSecondaryIndex) {
   const int item = schema.Find("i.id");
   const int order_item = schema.Find("o.item_id");
   ASSERT_GE(order_item, 0);
-  for (const auto& row : result->rows()) {
-    RowView v(row.data(), &schema);
+  for (size_t r = 0; r < result->rows().size(); ++r) {
+    RowView v(result->rows().row(r), &schema);
     EXPECT_EQ(v.GetInt(order_item), v.GetInt(item));
   }
 }

@@ -20,6 +20,7 @@
 #include "lsm/db.h"
 #include "obs/trace.h"
 #include "rel/table.h"
+#include "sim/fault.h"
 #include "sim/hw_model.h"
 
 namespace hybridndp {
@@ -46,24 +47,12 @@ TEST(ThreadPoolTest, SubmitRunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndex) {
-  common::ThreadPool pool(3);
-  std::vector<int> hits(257, 0);
-  pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i] += 1; });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SizeClampedToOneAndSerialFallback) {
+TEST(ThreadPoolTest, SizeClampedToOne) {
   common::ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1);
-  std::vector<int> order;
-  // With one worker ParallelFor degrades to a serial loop on the caller.
-  pool.ParallelFor(5, [&order](size_t i) {
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  bool ran = false;
+  pool.Submit([&ran] { ran = true; }).get();
+  EXPECT_TRUE(ran);
 }
 
 // ----------------------------------------------- RunAll determinism contract
@@ -180,6 +169,67 @@ class RunAllTest : public ::testing::Test {
     EXPECT_EQ(a.device_rows, b.device_rows);
     EXPECT_EQ(a.transferred_bytes, b.transferred_bytes);
     EXPECT_EQ(a.num_batches, b.num_batches);
+    EXPECT_EQ(a.fell_back, b.fell_back);
+    EXPECT_EQ(a.fault_wasted_ns, b.fault_wasted_ns);
+    EXPECT_EQ(a.fault_status.ToString(), b.fault_status.ToString());
+  }
+
+  /// Every choice of `plan`, then each device-assisted one again under both
+  /// forced cache formats (as the Table-3 benches run them): nine
+  /// device-assisted runs for the three-table query, more than the device
+  /// workers of any pool below.
+  static std::vector<hybrid::ExecChoice> ManyDeviceChoices(
+      const hybrid::Plan& plan) {
+    std::vector<hybrid::ExecChoice> choices =
+        hybrid::HybridExecutor::AllChoices(plan);
+    const size_t n = choices.size();
+    for (int format : {1, 2}) {
+      for (size_t i = 0; i < n; ++i) {
+        if (choices[i].strategy == hybrid::Strategy::kHostBlk ||
+            choices[i].strategy == hybrid::Strategy::kHostNative) {
+          continue;
+        }
+        hybrid::ExecChoice c = choices[i];
+        c.cache_format = format;
+        choices.push_back(c);
+      }
+    }
+    return choices;
+  }
+
+  /// Pooled RunAll over `choices` against one-by-one Run calls with fresh
+  /// caches, for pools of 2 and 3 threads, traced and untraced.
+  void ExpectPooledMatchesSerial(const hybrid::HybridExecutor& executor,
+                                 const hybrid::Plan& plan,
+                                 const std::vector<hybrid::ExecChoice>& choices) {
+    auto factory = [] { return std::make_unique<lsm::BlockCache>(1 << 20); };
+    std::vector<hybrid::RunResult> serial;
+    for (const auto& choice : choices) {
+      auto cache = factory();
+      auto r = executor.Run(plan, choice, cache.get());
+      ASSERT_TRUE(r.ok()) << choice.ToString() << ": "
+                          << r.status().ToString();
+      serial.push_back(std::move(*r));
+    }
+    for (int threads : {2, 3}) {
+      common::ThreadPool pool(threads);
+      for (bool traced : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " traced=" + std::to_string(traced));
+        obs::TraceRecorder rec;
+        auto pooled = executor.RunAll(plan, choices, &pool, factory,
+                                      traced ? &rec : nullptr);
+        ASSERT_EQ(pooled.size(), choices.size());
+        for (size_t i = 0; i < choices.size(); ++i) {
+          ASSERT_TRUE(pooled[i].ok()) << choices[i].ToString() << ": "
+                                      << pooled[i].status().ToString();
+          SCOPED_TRACE(choices[i].ToString() + "/cf" +
+                       std::to_string(choices[i].cache_format));
+          ExpectIdentical(serial[i], *pooled[i]);
+          EXPECT_EQ(pooled[i]->trace_host_track >= 0, traced);
+        }
+      }
+    }
   }
 
   HwParams hw_;
@@ -313,6 +363,45 @@ TEST_F(RunAllTest, TracedRunAllMatchesUntracedSerialBitForBit) {
   }
   EXPECT_GE(rec.num_tracks(), choices.size());
   EXPECT_GT(rec.num_spans(), 0u);
+}
+
+TEST_F(RunAllTest, MoreCommandsThanDeviceWorkersMatchSerial) {
+  const auto cfg = MakePlannerConfig();
+  hybrid::Planner planner(&catalog_, &hw_, cfg);
+  auto plan = planner.PlanQuery(MakeQuery());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  hybrid::HybridExecutor executor(&catalog_, &storage_, &hw_, cfg);
+  const auto choices = ManyDeviceChoices(*plan);
+  ASSERT_EQ(choices.size(), 11u);
+  ExpectPooledMatchesSerial(executor, *plan, choices);
+}
+
+// Under an order-independent fault spec every run makes the same fault
+// decisions whichever thread runs its device or host phase.
+TEST_F(RunAllTest, EveryRunFallsBackAlikeWhenPooled) {
+  sim::ScopedFaultInjection arm("device.exec:always;retry:budget=0");
+  const auto cfg = MakePlannerConfig();
+  hybrid::Planner planner(&catalog_, &hw_, cfg);
+  auto plan = planner.PlanQuery(MakeQuery());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  hybrid::HybridExecutor executor(&catalog_, &storage_, &hw_, cfg);
+  const auto choices = ManyDeviceChoices(*plan);
+  {
+    auto r = executor.Run(*plan, choices.back(), nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->fell_back);
+  }
+  ExpectPooledMatchesSerial(executor, *plan, choices);
+}
+
+TEST_F(RunAllTest, SlotStallsAreAlikeWhenPooled) {
+  sim::ScopedFaultInjection arm("coop.slot:always,stall=250us");
+  const auto cfg = MakePlannerConfig();
+  hybrid::Planner planner(&catalog_, &hw_, cfg);
+  auto plan = planner.PlanQuery(MakeQuery());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  hybrid::HybridExecutor executor(&catalog_, &storage_, &hw_, cfg);
+  ExpectPooledMatchesSerial(executor, *plan, ManyDeviceChoices(*plan));
 }
 
 TEST_F(RunAllTest, NullPoolRunsSerially) {
