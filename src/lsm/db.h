@@ -78,8 +78,9 @@ class ReaderTable {
 };
 
 /// Shared state shipped with an NDP invocation (paper Sect. 2.1): the
-/// unflushed in-memory component plus physical placement of all SSTs, so the
-/// device can construct a transactionally consistent snapshot on its own.
+/// unflushed in-memory component plus the file list of all SSTs (their
+/// placement info), so the device can construct a transactionally consistent
+/// snapshot on its own.
 struct CfSnapshot {
   SequenceNumber sequence = 0;
   const MemTable* mem = nullptr;

@@ -8,38 +8,22 @@ Result<FileId> VirtualStorage::AddFile(std::string contents) {
   HNDP_RETURN_IF_ERROR(
       sim::FaultCheck(sim::FaultSite::kStorageWrite, nullptr));
   const FileId id = next_file_id_++;
-  FileEntry entry;
-  entry.placement.file_id = id;
-  entry.placement.size_bytes = contents.size();
-  const uint64_t page = hw_->flash.page_bytes;
-  entry.placement.num_pages = (contents.size() + page - 1) / page;
-  entry.placement.start_page = next_page_;
-  next_page_ += entry.placement.num_pages;
   total_bytes_ += contents.size();
-  entry.contents = std::move(contents);
-  files_.emplace(id, std::move(entry));
+  files_.emplace(id, std::move(contents));
   return id;
 }
 
 void VirtualStorage::RemoveFile(FileId id) {
   auto it = files_.find(id);
   if (it == files_.end()) return;
-  total_bytes_ -= it->second.placement.size_bytes;
+  total_bytes_ -= it->second.size();
   files_.erase(it);
 }
 
 const std::string* VirtualStorage::FileContents(FileId id) const {
   auto it = files_.find(id);
   if (it == files_.end()) return nullptr;
-  return &it->second.contents;
-}
-
-Result<FilePlacement> VirtualStorage::Placement(FileId id) const {
-  auto it = files_.find(id);
-  if (it == files_.end()) {
-    return Status::NotFound("file " + std::to_string(id));
-  }
-  return it->second.placement;
+  return &it->second;
 }
 
 Result<Slice> VirtualStorage::Read(sim::AccessContext* ctx, FileId id,
@@ -49,7 +33,7 @@ Result<Slice> VirtualStorage::Read(sim::AccessContext* ctx, FileId id,
   if (it == files_.end()) {
     return Status::NotFound("file " + std::to_string(id));
   }
-  const std::string& data = it->second.contents;
+  const std::string& data = it->second;
   if (offset > data.size() || n > data.size() - offset) {
     return Status::InvalidArgument("read beyond EOF");
   }

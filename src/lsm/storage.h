@@ -1,7 +1,7 @@
-// Virtual flash storage: holds SST file contents in memory and tracks their
-// physical page placement on the simulated flash array. The page placement
-// (address-mapping table) is what an NDP invocation ships to the device so
-// it can access DB objects without host interaction (paper Sect. 2.1).
+// Virtual flash storage: holds SST file contents in memory and prices reads
+// of them on the simulated flash array. An NDP invocation ships the file ids
+// of a snapshot's Version (its address-mapping info, paper Sect. 2.1), and
+// the device reads those files here without host interaction.
 
 #pragma once
 
@@ -19,15 +19,7 @@ namespace hybridndp::lsm {
 
 using FileId = uint64_t;
 
-/// Physical placement of one file on the flash array.
-struct FilePlacement {
-  FileId file_id = 0;
-  uint64_t start_page = 0;
-  uint64_t num_pages = 0;
-  uint64_t size_bytes = 0;
-};
-
-/// In-memory flash array with page-granular file allocation. All reads are
+/// In-memory flash array with page-priced random reads. All reads are
 /// charged to the caller's AccessContext so host (BLK/NATIVE) and device
 /// (internal) paths pay their respective costs.
 class VirtualStorage {
@@ -39,14 +31,11 @@ class VirtualStorage {
   /// fault exhausts its retries.
   Result<FileId> AddFile(std::string contents);
 
-  /// Remove a file (after compaction). Pages are reclaimed logically.
+  /// Remove a file (after compaction).
   void RemoveFile(FileId id);
 
   /// Raw contents (no cost charge) — for building readers.
   const std::string* FileContents(FileId id) const;
-
-  /// Placement info for NDP invocations.
-  Result<FilePlacement> Placement(FileId id) const;
 
   /// Charge the cost of reading `n` bytes at `offset` of file `id` through
   /// ctx's I/O path. `sequential` selects streaming vs random-page pricing.
@@ -59,15 +48,9 @@ class VirtualStorage {
   const sim::HwParams& hw() const { return *hw_; }
 
  private:
-  struct FileEntry {
-    std::string contents;
-    FilePlacement placement;
-  };
-
   const sim::HwParams* hw_;
-  std::map<FileId, FileEntry> files_;
+  std::map<FileId, std::string> files_;
   FileId next_file_id_ = 1;
-  uint64_t next_page_ = 0;
   uint64_t total_bytes_ = 0;
 };
 

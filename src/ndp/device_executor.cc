@@ -84,10 +84,9 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
   lsm::ReadOptions opts;
   opts.ctx = &ctx;
   opts.cache = &device_cache;
-  // By default the NDP engine does not probe bloom filters (paper
-  // Sect. 2.2: they were already used on the host side); the device_bloom
-  // extension enables in-situ probing.
-  opts.use_bloom = cmd.device_bloom;
+  // The NDP engine does not probe bloom filters (paper Sect. 2.2: they
+  // were already used on the host side).
+  opts.use_bloom = false;
 
   // Device-side accessors over the shipped snapshots.
   std::vector<std::unique_ptr<nkv::DeviceTableAccessor>> accessors;

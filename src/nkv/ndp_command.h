@@ -1,7 +1,7 @@
 // The NDP invocation (paper Sect. 2.1, 4.1, Fig. 7.A): everything the smart
 // storage device needs to execute a partial QEP autonomously and
-// intervention-free — the shared state (the unflushed MemTable), the physical
-// placement of every involved SST (address-mapping info), index metadata,
+// intervention-free — the shared state (the unflushed MemTable), the file
+// list of every involved SST (its placement info), index metadata,
 // the PQEP descriptor, predicates, and the buffer configuration.
 
 #pragma once
@@ -98,12 +98,6 @@ struct NdpCommand {
   /// (pointer format beyond 2 tables), 1 = force row cache, 2 = force
   /// pointer cache. Used by the cache-format ablation.
   int force_cache_format = 0;
-
-  /// Extension (paper Sect. 2.2, future work): let the NDP engine probe
-  /// bloom filters in-situ. The paper's engine skips them because the host
-  /// already probed them; with device-resident filters, point lookups of
-  /// absent keys (BNLJI misses) avoid their data-block reads.
-  bool device_bloom = false;
 
   /// Device memory the configured pipeline reserves (checked against the
   /// NDP budget before deployment).

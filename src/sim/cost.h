@@ -109,23 +109,7 @@ struct CostCycleTable {
 class AccessContext {
  public:
   AccessContext(const HwParams* hw, Actor actor, IoPath path)
-      : hw_(hw), actor_(actor), path_(path) {
-    // Per-kind cycle factors, indexed by CostKind for the inline Charge.
-    // kFlashLoad/kCopy/kTransfer never read their slot (special-cased).
-    cycles_per_unit_ = {cycles_.memcmp_per_byte,
-                        cycles_.compare_internal_key,
-                        cycles_.seek_index_block,
-                        cycles_.selection_per_record,
-                        cycles_.seek_data_block,
-                        0.0,  // kFlashLoad
-                        1.0,  // kOther: raw cycles
-                        cycles_.hash_build,
-                        cycles_.hash_probe,
-                        0.0,  // kCopy
-                        cycles_.record_eval,
-                        cycles_.agg_update,
-                        0.0};  // kTransfer
-  }
+      : hw_(hw), actor_(actor), path_(path) {}
 
   Actor actor() const { return actor_; }
   IoPath path() const { return path_; }
@@ -221,6 +205,26 @@ class AccessContext {
   }
 
  private:
+  /// Per-kind cycle factors of CostCycleTable{}, indexed by CostKind for
+  /// the inline Charge. kFlashLoad/kCopy/kTransfer never read their slot
+  /// (special-cased).
+  static constexpr std::array<double, kNumCostKinds> kCyclesPerUnit = [] {
+    constexpr CostCycleTable c{};
+    return std::array<double, kNumCostKinds>{c.memcmp_per_byte,
+                                             c.compare_internal_key,
+                                             c.seek_index_block,
+                                             c.selection_per_record,
+                                             c.seek_data_block,
+                                             0.0,  // kFlashLoad
+                                             1.0,  // kOther: raw cycles
+                                             c.hash_build,
+                                             c.hash_probe,
+                                             0.0,  // kCopy
+                                             c.record_eval,
+                                             c.agg_update,
+                                             0.0};  // kTransfer
+  }();
+
   const CpuModel& cpu() const {
     return actor_ == Actor::kHost ? hw_->host_cpu : hw_->device_cpu;
   }
@@ -232,7 +236,7 @@ class AccessContext {
       return NanosToPicos(cpu().TimeForCopy(units) * copy_factor_);
     }
     return NanosToPicos(cpu().TimeForCycles(
-        cycles_per_unit_[static_cast<int>(kind)] * units));
+        kCyclesPerUnit[static_cast<int>(kind)] * units));
   }
   /// Interconnect + stack overhead for moving flash data to this actor.
   SimNanos PathOverhead(uint64_t bytes, bool random) const;
@@ -243,8 +247,6 @@ class AccessContext {
   double copy_factor_ = 1.0;
   SimClock clock_;
   CostCounters counters_;
-  CostCycleTable cycles_;
-  std::array<double, kNumCostKinds> cycles_per_unit_{};
   /// Price(kind, units) for units < kPricedUnits; 0 = not yet priced. Per
   /// context, so no thread shares it.
   std::array<std::array<SimPicos, kPricedUnits>, kNumCostKinds> prices_{};

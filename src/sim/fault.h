@@ -57,8 +57,8 @@ namespace hybridndp::sim {
 
 /// Named injection sites, one per fallible layer of the storage stack.
 enum class FaultSite : uint8_t {
-  kStorageRead = 0,  ///< lsm::Storage::Read, device-side accesses only
-  kStorageWrite,     ///< lsm::Storage file append (SST flush)
+  kStorageRead = 0,  ///< lsm::VirtualStorage::Read, device-side accesses only
+  kStorageWrite,     ///< lsm::VirtualStorage::AddFile (SST flush)
   kSstRead,          ///< SstReader block read, device-side accesses only
   kDeviceExec,       ///< ndp::DeviceExecutor command execution
   kCoopSlot,         ///< shared result-buffer slot handoff (hybrid/coop)

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <future>
 #include <map>
-#include <set>
 
 #include "exec/operator.h"
 #include "hybrid/coop.h"
@@ -19,6 +18,7 @@
 #include "job/generator.h"
 #include "lsm/db.h"
 #include "obs/trace.h"
+#include "orders_world.h"
 #include "rel/table.h"
 #include "sim/fault.h"
 #include "sim/hw_model.h"
@@ -32,7 +32,6 @@ using hybrid::ExecChoice;
 using hybrid::RunResult;
 using hybrid::StageTimes;
 using hybrid::Strategy;
-using rel::CharCol;
 using rel::IntCol;
 using rel::RowBuilder;
 using sim::FaultConfig;
@@ -440,104 +439,11 @@ TEST_F(PoisonedSourceTest, CleanScheduleStillDrainsEverything) {
 // ---------------------------------------------------------------------------
 // End-to-end: hybrid executor under injected faults
 
-/// Small star schema (orders -> customer, product), same shape as the
-/// hybrid_test fixture but sized for many repeated runs.
-class FaultE2ETest : public ::testing::Test {
+/// The orders world sized for many repeated runs (80 customers, 50
+/// products, 1500 orders).
+class FaultE2ETest : public OrdersWorld {
  protected:
-  FaultE2ETest()
-      : hw_(MakeHw()), storage_(&hw_), db_(&storage_, MakeDbOptions()),
-        catalog_(&db_) {
-    rel::TableDef cust;
-    cust.name = "customer";
-    cust.schema =
-        rel::Schema({IntCol("id"), CharCol("name", 16), CharCol("city", 12)});
-    cust.pk_col = 0;
-    cust_ = catalog_.CreateTable(std::move(cust));
-
-    rel::TableDef prod;
-    prod.name = "product";
-    prod.schema =
-        rel::Schema({IntCol("id"), IntCol("price"), CharCol("category", 12)});
-    prod.pk_col = 0;
-    prod_ = catalog_.CreateTable(std::move(prod));
-
-    rel::TableDef orders;
-    orders.name = "orders";
-    orders.schema = rel::Schema({IntCol("id"), IntCol("customer_id"),
-                                 IntCol("product_id"), IntCol("quantity")});
-    orders.pk_col = 0;
-    orders.indexes.push_back({"customer_id", 1});
-    orders.indexes.push_back({"product_id", 2});
-    orders_ = catalog_.CreateTable(std::move(orders));
-
-    Rng rng(7);
-    for (int i = 1; i <= 80; ++i) {
-      RowBuilder rb(&cust_->schema());
-      rb.SetInt(0, i)
-          .SetString(1, "cust" + std::to_string(i))
-          .SetString(2, i % 5 == 0 ? "berlin" : "city" + std::to_string(i % 9));
-      EXPECT_TRUE(cust_->Insert(rb.row()).ok());
-    }
-    for (int i = 1; i <= 50; ++i) {
-      RowBuilder rb(&prod_->schema());
-      rb.SetInt(0, i)
-          .SetInt(1, 10 + (i * 13) % 500)
-          .SetString(2, i % 4 == 0 ? "book" : "tool");
-      EXPECT_TRUE(prod_->Insert(rb.row()).ok());
-    }
-    for (int i = 1; i <= 1500; ++i) {
-      RowBuilder rb(&orders_->schema());
-      rb.SetInt(0, i)
-          .SetInt(1, static_cast<int32_t>(rng.Zipf(80, 0.5) + 1))
-          .SetInt(2, static_cast<int32_t>(rng.Zipf(50, 0.5) + 1))
-          .SetInt(3, static_cast<int32_t>(1 + rng.Uniform(20)));
-      EXPECT_TRUE(orders_->Insert(rb.row()).ok());
-    }
-    EXPECT_TRUE(db_.FlushAll().ok());
-    for (auto* t : catalog_.tables()) {
-      EXPECT_TRUE(t->AnalyzeStats().ok());
-    }
-  }
-
-  static sim::HwParams MakeHw() {
-    sim::HwParams hw = sim::HwParams::PaperDefaults();
-    hw.mem.device_selection_bytes = 64 << 10;
-    hw.mem.device_join_bytes = 32 << 10;
-    hw.mem.device_ndp_budget_bytes = 4 << 20;
-    return hw;
-  }
-  static lsm::DBOptions MakeDbOptions() {
-    lsm::DBOptions o;
-    o.memtable_bytes = 64 << 10;
-    return o;
-  }
-  hybrid::PlannerConfig MakePlannerConfig() {
-    hybrid::PlannerConfig cfg;
-    cfg.buffers.selection_buffer_bytes = 64 << 10;
-    cfg.buffers.join_buffer_bytes = 32 << 10;
-    cfg.buffers.shared_slot_bytes = 4 << 10;
-    cfg.buffers.shared_slots = 4;
-    return cfg;
-  }
-
-  hybrid::Query MakeQuery() {
-    hybrid::Query q;
-    q.name = "orders_join";
-    q.tables.push_back({"orders", "o", nullptr});
-    q.tables.push_back(
-        {"customer", "c", Expr::CmpStr("c.city", CmpOp::kEq, "berlin")});
-    q.tables.push_back(
-        {"product", "p", Expr::CmpInt("p.price", CmpOp::kGe, 400)});
-    q.joins.push_back({"o", "customer_id", "c", "id"});
-    q.joins.push_back({"o", "product_id", "p", "id"});
-    q.select_columns = {"o.id", "c.name", "p.price"};
-    return q;
-  }
-
-  Result<hybrid::Plan> MakePlan() {
-    hybrid::Planner planner(&catalog_, &hw_, MakePlannerConfig());
-    return planner.PlanQuery(MakeQuery());
-  }
+  FaultE2ETest() : OrdersWorld({80, 50, 1500}) {}
 
   /// Berlin customers ⋈ orders, with orders joined as a BNLJI through the
   /// secondary index on orders.customer_id. The planner prefers a BNLJ at
@@ -557,23 +463,6 @@ class FaultE2ETest : public ::testing::Test {
     }
     return plan;
   }
-
-  hybrid::HybridExecutor MakeExecutor() {
-    return hybrid::HybridExecutor(&catalog_, &storage_, &hw_,
-                                  MakePlannerConfig());
-  }
-
-  static std::multiset<std::string> Canon(const RunResult& r) {
-    return std::multiset<std::string>(r.rows.begin(), r.rows.end());
-  }
-
-  sim::HwParams hw_;
-  lsm::VirtualStorage storage_;
-  lsm::DB db_;
-  rel::Catalog catalog_;
-  rel::Table* cust_ = nullptr;
-  rel::Table* prod_ = nullptr;
-  rel::Table* orders_ = nullptr;
 };
 
 TEST_F(FaultE2ETest, ZeroFaultModeIsBitIdenticalWhileArmed) {

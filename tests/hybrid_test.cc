@@ -17,6 +17,7 @@
 #include "lsm/db.h"
 #include "ndp/device_executor.h"
 #include "nkv/ndp_command.h"
+#include "orders_world.h"
 #include "rel/table.h"
 #include "sim/hw_model.h"
 
@@ -28,118 +29,11 @@ using exec::Expr;
 using rel::CharCol;
 using rel::IntCol;
 using rel::RowBuilder;
-using rel::RowView;
 using sim::HwParams;
 
-/// Shared fixture: a small star schema (orders -> customer, product).
-class HybridTest : public ::testing::Test {
- protected:
-  HybridTest()
-      : hw_(MakeHw()), storage_(&hw_), db_(&storage_, MakeDbOptions()),
-        catalog_(&db_) {
-    rel::TableDef cust;
-    cust.name = "customer";
-    cust.schema = rel::Schema(
-        {IntCol("id"), CharCol("name", 16), CharCol("city", 12)});
-    cust.pk_col = 0;
-    cust_ = catalog_.CreateTable(std::move(cust));
-
-    rel::TableDef prod;
-    prod.name = "product";
-    prod.schema =
-        rel::Schema({IntCol("id"), IntCol("price"), CharCol("category", 12)});
-    prod.pk_col = 0;
-    prod_ = catalog_.CreateTable(std::move(prod));
-
-    rel::TableDef orders;
-    orders.name = "orders";
-    orders.schema = rel::Schema({IntCol("id"), IntCol("customer_id"),
-                                 IntCol("product_id"), IntCol("quantity")});
-    orders.pk_col = 0;
-    orders.indexes.push_back({"customer_id", 1});
-    orders.indexes.push_back({"product_id", 2});
-    orders_ = catalog_.CreateTable(std::move(orders));
-
-    Rng rng(7);
-    for (int i = 1; i <= 200; ++i) {
-      RowBuilder rb(&cust_->schema());
-      rb.SetInt(0, i)
-          .SetString(1, "cust" + std::to_string(i))
-          .SetString(2, i % 5 == 0 ? "berlin" : "city" + std::to_string(i % 9));
-      EXPECT_TRUE(cust_->Insert(rb.row()).ok());
-    }
-    for (int i = 1; i <= 100; ++i) {
-      RowBuilder rb(&prod_->schema());
-      rb.SetInt(0, i)
-          .SetInt(1, 10 + (i * 13) % 500)
-          .SetString(2, i % 4 == 0 ? "book" : "tool");
-      EXPECT_TRUE(prod_->Insert(rb.row()).ok());
-    }
-    for (int i = 1; i <= 5000; ++i) {
-      RowBuilder rb(&orders_->schema());
-      rb.SetInt(0, i)
-          .SetInt(1, static_cast<int32_t>(rng.Zipf(200, 0.5) + 1))
-          .SetInt(2, static_cast<int32_t>(rng.Zipf(100, 0.5) + 1))
-          .SetInt(3, static_cast<int32_t>(1 + rng.Uniform(20)));
-      EXPECT_TRUE(orders_->Insert(rb.row()).ok());
-    }
-    EXPECT_TRUE(db_.FlushAll().ok());
-    for (auto* t : catalog_.tables()) {
-      EXPECT_TRUE(t->AnalyzeStats().ok());
-    }
-  }
-
-  static HwParams MakeHw() {
-    HwParams hw = HwParams::PaperDefaults();
-    // Scale device memory knobs down to the test data volume.
-    hw.mem.device_selection_bytes = 64 << 10;
-    hw.mem.device_join_bytes = 32 << 10;
-    hw.mem.device_ndp_budget_bytes = 4 << 20;
-    return hw;
-  }
-  static lsm::DBOptions MakeDbOptions() {
-    lsm::DBOptions o;
-    o.memtable_bytes = 64 << 10;
-    return o;
-  }
-
-  PlannerConfig MakePlannerConfig() {
-    PlannerConfig cfg;
-    cfg.buffers.selection_buffer_bytes = 64 << 10;
-    cfg.buffers.join_buffer_bytes = 32 << 10;
-    cfg.buffers.shared_slot_bytes = 4 << 10;
-    cfg.buffers.shared_slots = 4;
-    return cfg;
-  }
-
-  /// Three-table join query with selections on two tables.
-  Query MakeQuery(int min_price = 400) {
-    Query q;
-    q.name = "orders_join";
-    q.tables.push_back({"orders", "o", nullptr});
-    q.tables.push_back(
-        {"customer", "c", Expr::CmpStr("c.city", CmpOp::kEq, "berlin")});
-    q.tables.push_back(
-        {"product", "p", Expr::CmpInt("p.price", CmpOp::kGe, min_price)});
-    q.joins.push_back({"o", "customer_id", "c", "id"});
-    q.joins.push_back({"o", "product_id", "p", "id"});
-    q.select_columns = {"o.id", "c.name", "p.price"};
-    return q;
-  }
-
-  /// Canonical multiset of result rows for comparison across strategies.
-  static std::multiset<std::string> Canon(const RunResult& r) {
-    return std::multiset<std::string>(r.rows.begin(), r.rows.end());
-  }
-
-  HwParams hw_;
-  lsm::VirtualStorage storage_;
-  lsm::DB db_;
-  rel::Catalog catalog_;
-  rel::Table* cust_ = nullptr;
-  rel::Table* prod_ = nullptr;
-  rel::Table* orders_ = nullptr;
-};
+/// The orders world at full size (200 customers, 100 products, 5000
+/// orders).
+class HybridTest : public OrdersWorld {};
 
 TEST_F(HybridTest, SelectivityEstimationTracksReality) {
   auto pred = Expr::CmpStr("c.city", CmpOp::kEq, "berlin");
@@ -174,8 +68,7 @@ TEST_F(HybridTest, SelectivityOfIntBoundsBeyondInt32) {
 }
 
 TEST_F(HybridTest, PlannerBuildsConnectedLeftDeepOrder) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->num_tables(), 3);
   // Every non-first table must join the prefix with keys or an index edge.
@@ -193,8 +86,7 @@ TEST_F(HybridTest, PlannerBuildsConnectedLeftDeepOrder) {
 }
 
 TEST_F(HybridTest, JoinAlgorithmChoiceIsCostBased) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
   // All tables here are a handful of flash pages: streaming them (BNLJ)
   // beats per-row random index lookups, and the cost model must say so.
@@ -264,11 +156,10 @@ TEST(JoinAlgoCrossoverTest, IndexJoinWinsForLargeInnerTables) {
 }
 
 TEST_F(HybridTest, AllStrategiesProduceIdenticalResults) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
 
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   std::multiset<std::string> reference;
   bool have_reference = false;
   for (const auto& choice : HybridExecutor::AllChoices(*plan)) {
@@ -299,7 +190,7 @@ TEST_F(HybridTest, AggregationQueryConsistentAcrossStrategies) {
   Planner planner(&catalog_, &hw_, MakePlannerConfig());
   auto plan = planner.PlanQuery(q);
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
 
   std::multiset<std::string> reference;
   bool have_reference = false;
@@ -317,10 +208,9 @@ TEST_F(HybridTest, AggregationQueryConsistentAcrossStrategies) {
 }
 
 TEST_F(HybridTest, BlkStackIsSlowerThanNative) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   lsm::BlockCache c1(64 << 20), c2(64 << 20);
   auto blk = executor.Run(*plan, {Strategy::kHostBlk, 0}, &c1);
   auto native = executor.Run(*plan, {Strategy::kHostNative, 0}, &c2);
@@ -330,10 +220,9 @@ TEST_F(HybridTest, BlkStackIsSlowerThanNative) {
 }
 
 TEST_F(HybridTest, HybridStagesAreAccounted) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   lsm::BlockCache cache(64 << 20);
   auto result = executor.Run(*plan, {Strategy::kHybrid, 1}, &cache);
   ASSERT_TRUE(result.ok());
@@ -352,10 +241,9 @@ TEST_F(HybridTest, HybridStagesAreAccounted) {
 TEST_F(HybridTest, DeviceComputeSlowerHostTransfersMore) {
   // Structural sanity of the cost asymmetry: full NDP does more device
   // compute-time per record; host-only moves more bytes over the PCIe path.
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   lsm::BlockCache c1(64 << 20), c2(64 << 20);
   auto ndp = executor.Run(*plan, {Strategy::kFullNdp, 0}, &c1);
   auto host = executor.Run(*plan, {Strategy::kHostNative, 0}, &c2);
@@ -464,10 +352,9 @@ TEST_F(HybridTest, PlannerMarksFeasibleExactlyWhatTheDeviceAccepts) {
 }
 
 TEST_F(HybridTest, PointerCacheKicksInBeyondTwoTables) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   lsm::BlockCache cache(64 << 20);
   auto full = executor.Run(*plan, {Strategy::kFullNdp, 0}, &cache);
   ASSERT_TRUE(full.ok());
@@ -478,10 +365,9 @@ TEST_F(HybridTest, PointerCacheKicksInBeyondTwoTables) {
 }
 
 TEST_F(HybridTest, RecommendedChoiceIsExecutable) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   lsm::BlockCache cache(64 << 20);
   auto result = executor.Run(*plan, plan->recommended, &cache);
   ASSERT_TRUE(result.ok()) << plan->recommended.ToString();
@@ -489,8 +375,7 @@ TEST_F(HybridTest, RecommendedChoiceIsExecutable) {
 }
 
 TEST_F(HybridTest, SplitDistanceSelectsFeasibleSplit) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
   EXPECT_GE(plan->recommended.split_joins, 0);
   EXPECT_LE(plan->recommended.split_joins, plan->max_feasible_split);
@@ -512,13 +397,11 @@ TEST_F(HybridTest, ZeroSizedBuffersFailCleanlyOrMatchReference) {
            [](PlannerConfig* c) { c->buffers.shared_slot_bytes = 0; }},
           {"shared_slots", [](PlannerConfig* c) { c->buffers.shared_slots = 0; }},
       };
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
   lsm::BlockCache ref_cache(64 << 20);
-  auto reference = HybridExecutor(&catalog_, &storage_, &hw_,
-                                  MakePlannerConfig())
-                       .Run(*plan, {Strategy::kHostNative, 0}, &ref_cache);
+  auto reference =
+      MakeExecutor().Run(*plan, {Strategy::kHostNative, 0}, &ref_cache);
   ASSERT_TRUE(reference.ok());
   ASSERT_GT(reference->rows.size(), 0u);
 
@@ -623,10 +506,9 @@ TEST(BatchScheduleTest, EmptyBatchListFinishesAtStart) {
 // --------------------------------- simulated-timeline tracing
 
 TEST_F(HybridTest, TraceStageSpansTileHybridTimeline) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   obs::TraceRecorder rec;
   lsm::BlockCache cache(64 << 20);
   auto r = executor.Run(*plan, {Strategy::kHybrid, 1}, &cache, &rec);
@@ -659,10 +541,9 @@ TEST_F(HybridTest, TraceStageSpansTileHybridTimeline) {
 }
 
 TEST_F(HybridTest, TraceHostOnlyRunIsAllProcessing) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   obs::TraceRecorder rec;
   lsm::BlockCache cache(64 << 20);
   auto r = executor.Run(*plan, {Strategy::kHostNative, 0}, &cache, &rec);
@@ -678,10 +559,9 @@ TEST_F(HybridTest, TraceHostOnlyRunIsAllProcessing) {
 }
 
 TEST_F(HybridTest, TracingDoesNotPerturbSimulatedMetrics) {
-  Planner planner(&catalog_, &hw_, MakePlannerConfig());
-  auto plan = planner.PlanQuery(MakeQuery());
+  auto plan = MakePlan();
   ASSERT_TRUE(plan.ok());
-  HybridExecutor executor(&catalog_, &storage_, &hw_, MakePlannerConfig());
+  auto executor = MakeExecutor();
   for (const auto& choice : HybridExecutor::AllChoices(*plan)) {
     lsm::BlockCache c1(64 << 20), c2(64 << 20);
     obs::TraceRecorder rec;

@@ -1158,7 +1158,7 @@ TEST_F(DBTest, ChargedGetIsIndependentOfEarlierReads) {
   EXPECT_EQ(first, charged_get());
 }
 
-TEST_F(DBTest, CfSnapshotCarriesPlacementInfo) {
+TEST_F(DBTest, CfSnapshotCarriesSequenceAndFiles) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(db_->Put(cf_, "key" + std::to_string(i), "v").ok());
   }
@@ -1168,14 +1168,6 @@ TEST_F(DBTest, CfSnapshotCarriesPlacementInfo) {
   uint64_t files = 0;
   for (const auto& level : snap.version.levels) files += level.size();
   EXPECT_GT(files, 0u);
-  // Each file has physical placement in storage.
-  for (const auto& level : snap.version.levels) {
-    for (const auto& f : level) {
-      auto placement = storage_.Placement(f.file_id);
-      ASSERT_TRUE(placement.ok());
-      EXPECT_GT(placement->num_pages, 0u);
-    }
-  }
 }
 
 TEST_F(DBTest, SharedStateSnapshotSeesUnflushedWrites) {

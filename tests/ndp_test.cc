@@ -324,57 +324,6 @@ TEST_F(NdpTest, BufferReservationArithmetic) {
                 static_cast<uint64_t>(b.shared_slots) * b.shared_slot_bytes);
 }
 
-TEST_F(NdpTest, DeviceBloomExtensionSavesLookupFlash) {
-  // BNLJI pipeline where most outer keys have no match *inside* the inner
-  // table's key range (so fence pointers cannot prune them): in-situ bloom
-  // probing (Sect. 2.2 future work) must cut device flash traffic without
-  // changing the result.
-  rel::TableDef sparse;
-  sparse.name = "sparse_items";
-  sparse.schema = rel::Schema({IntCol("id"), IntCol("price")});
-  sparse.pk_col = 0;
-  rel::Table* sparse_t = catalog_.CreateTable(std::move(sparse));
-  for (int i = 1; i <= 100; ++i) {
-    RowBuilder rb(&sparse_t->schema());
-    rb.SetInt(0, i * 30).SetInt(1, i);  // ids 30, 60, ..., 3000
-    ASSERT_TRUE(sparse_t->Insert(rb.row()).ok());
-  }
-  ASSERT_TRUE(db_.FlushAll().ok());
-
-  auto make_cmd = [&](bool bloom) {
-    nkv::NdpCommand cmd;
-    cmd.buffers = SmallBuffers();
-    cmd.device_bloom = bloom;
-    nkv::NdpTableAccess orders_access = Ship(*orders_, "o");
-    orders_access.projection = {"o.id", "o.item_id"};
-    cmd.tables.push_back(std::move(orders_access));
-    nkv::NdpTableAccess items_access = Ship(*sparse_t, "i");
-    items_access.projection = {"i.id", "i.price"};
-    cmd.tables.push_back(std::move(items_access));
-    nkv::NdpJoinStage stage;
-    stage.algo = nkv::JoinAlgo::kBNLJI;
-    stage.outer_key_col = "o.id";  // ids 1..3000; only multiples of 30 hit
-    stage.inner_join_col = "id";
-    cmd.joins.push_back(std::move(stage));
-    return cmd;
-  };
-  ndp::DeviceExecutor executor(&storage_, &hw_);
-  auto without = executor.Execute(make_cmd(false));
-  auto with = executor.Execute(make_cmd(true));
-  ASSERT_TRUE(without.ok());
-  ASSERT_TRUE(with.ok());
-  EXPECT_EQ(with->rows().size(), without->rows().size());
-  EXPECT_EQ(with->total_rows(), 100u);  // multiples of 30 up to 3000
-  // Bloom short-circuits missing keys before the sparse-index seek and the
-  // data-block probe (the device block buffer absorbs the flash either way
-  // for this small table, so the saving shows up as seek work + time).
-  EXPECT_LT(with->counters.Units(sim::CostKind::kSeekIndexBlock),
-            without->counters.Units(sim::CostKind::kSeekIndexBlock));
-  EXPECT_LT(with->counters.Units(sim::CostKind::kSeekDataBlock),
-            without->counters.Units(sim::CostKind::kSeekDataBlock));
-  EXPECT_LT(with->total_work_ns, without->total_work_ns);
-}
-
 TEST_F(NdpTest, BnljDrainCutsBatchesAtSlotBoundaries) {
   // BNLJ pipeline whose outer block holds duplicate join keys (item_id
   // repeats), so one probe emits several rows, drained into 1 KiB slots of

@@ -14,6 +14,7 @@
 #include "hybrid/executor.h"
 #include "hybrid/planner.h"
 #include "lsm/db.h"
+#include "orders_world.h"
 #include "rel/table.h"
 #include "sim/hw_model.h"
 
@@ -283,17 +284,7 @@ TEST_P(PropertyTest, BatchedExecutionMatchesRowExecutionOnRandomTrees) {
                    std::to_string(batch_rows));
       ASSERT_EQ(row_mode[i].ok(), batch_mode[i].ok());
       if (!row_mode[i].ok()) continue;
-      const auto& a = *row_mode[i];
-      const auto& b = *batch_mode[i];
-      EXPECT_EQ(a.rows, b.rows);
-      EXPECT_EQ(a.total_ns, b.total_ns);
-      EXPECT_EQ(a.host_counters.units, b.host_counters.units);
-      EXPECT_EQ(a.host_counters.time_ps, b.host_counters.time_ps);
-      EXPECT_EQ(a.device_counters.units, b.device_counters.units);
-      EXPECT_EQ(a.device_counters.time_ps, b.device_counters.time_ps);
-      EXPECT_EQ(a.device_rows, b.device_rows);
-      EXPECT_EQ(a.transferred_bytes, b.transferred_bytes);
-      EXPECT_EQ(a.num_batches, b.num_batches);
+      ExpectIdentical(*row_mode[i], *batch_mode[i]);
     }
   }
 }
