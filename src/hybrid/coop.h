@@ -35,7 +35,7 @@ struct StageTimes {
 /// Shared-buffer schedule for one device stream: computes, lazily and in
 /// fetch order, when each batch becomes available to the host, honoring the
 /// slot back-pressure on the device side. Single-threaded: the executor
-/// builds, poisons and drains each schedule in the run's host phase.
+/// builds, poisons and drains each schedule on the thread of its run.
 class BatchSchedule {
  public:
   /// `batches`: device work duration + bytes per batch, in production order.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <numeric>
 #include <thread>
+#include <utility>
 
 #include "sim/fault.h"
 
@@ -172,44 +174,18 @@ nkv::NdpCommand HybridExecutor::BuildNdpCommand(const Plan& plan,
   return cmd;
 }
 
-HybridExecutor::DevicePhase HybridExecutor::RunDevicePhase(
-    const Plan& plan, const ExecChoice& choice,
-    obs::TraceRecorder* rec) const {
-  nkv::NdpCommand cmd =
-      BuildNdpCommand(plan, choice.split_joins,
-                      choice.strategy == Strategy::kFullNdp,
-                      choice.cache_format);
-  Result<ndp::DeviceRunResult> dev = ndp::DeviceExecutor(storage_, hw_).Execute(
-      cmd, rec != nullptr ? rec->metrics() : nullptr);
-  return DevicePhase{std::move(cmd), std::move(dev)};
-}
-
-Result<RunResult> HybridExecutor::RunHostPhase(const Plan& plan,
-                                               const ExecChoice& choice,
-                                               const DevicePhase& device,
-                                               lsm::BlockCache* cache,
-                                               obs::TraceRecorder* rec) const {
-  SimNanos wasted = 0;
-  Status err = device.dev.status();
-  if (err.ok()) {
-    Result<RunResult> r = RunCooperative(plan, choice, device.cmd,
-                                         *device.dev, cache, rec, &wasted);
-    if (r.ok()) return r;
-    err = r.status();
-  }
-  if (!err.IsIOError() && !err.IsAborted()) return err;
-  // Graceful degradation (Taurus-style, paper Sect. 5): the pushdown
-  // died on a fault-class error — re-plan at the pure-host split and
-  // re-execute, carrying the wasted simulated time into the accounting.
-  return RunHostOnly(plan, choice, cache, rec, wasted, err);
-}
-
-Result<RunResult> HybridExecutor::RunCooperative(
-    const Plan& plan, const ExecChoice& choice, const nkv::NdpCommand& cmd,
-    const ndp::DeviceRunResult& dev, lsm::BlockCache* cache,
+Result<RunResult> HybridExecutor::RunDeviceAssisted(
+    const Plan& plan, const ExecChoice& choice, lsm::BlockCache* cache,
     obs::TraceRecorder* rec, SimNanos* fault_wasted_ns) const {
   const bool full_ndp = choice.strategy == Strategy::kFullNdp;
   const int k = choice.split_joins;
+
+  const nkv::NdpCommand cmd =
+      BuildNdpCommand(plan, k, full_ndp, choice.cache_format);
+  HNDP_ASSIGN_OR_RETURN(
+      const ndp::DeviceRunResult dev,
+      ndp::DeviceExecutor(storage_, hw_).Execute(
+          cmd, rec != nullptr ? rec->metrics() : nullptr));
 
   RunResult result;
   result.choice = choice;
@@ -357,9 +333,18 @@ Result<RunResult> HybridExecutor::Run(const Plan& plan,
     case Strategy::kHostNative:
       return RunHostOnly(plan, choice, cache, rec);
     case Strategy::kFullNdp:
-    case Strategy::kHybrid:
-      return RunHostPhase(plan, choice, RunDevicePhase(plan, choice, rec),
-                          cache, rec);
+    case Strategy::kHybrid: {
+      SimNanos wasted = 0;
+      Result<RunResult> r =
+          RunDeviceAssisted(plan, choice, cache, rec, &wasted);
+      if (r.ok()) return r;
+      const Status& err = r.status();
+      if (!err.IsIOError() && !err.IsAborted()) return r;
+      // Graceful degradation (Taurus-style, paper Sect. 5): the pushdown
+      // died on a fault-class error — re-plan at the pure-host split and
+      // re-execute, carrying the wasted simulated time into the accounting.
+      return RunHostOnly(plan, choice, cache, rec, wasted, err);
+    }
   }
   return Status::InvalidArgument("bad strategy");
 }
@@ -371,58 +356,55 @@ std::vector<Result<RunResult>> HybridExecutor::RunAll(
   std::vector<Result<RunResult>> results(choices.size(),
                                          Status::Internal("not run"));
   // Plans are read-only (operators bind their own predicate copies), so
-  // every run shares `plan`. A null `device` runs the whole choice.
-  auto host_run = [&](size_t i, const DevicePhase* device) {
+  // every run shares `plan`. Each run gets its own cache.
+  auto run_one = [&](size_t i) {
     std::unique_ptr<lsm::BlockCache> cache =
         make_cache ? make_cache() : nullptr;
-    results[i] = device == nullptr
-                     ? Run(plan, choices[i], cache.get(), rec)
-                     : RunHostPhase(plan, choices[i], *device, cache.get(),
-                                    rec);
+    results[i] = Run(plan, choices[i], cache.get(), rec);
   };
 
   if (pool == nullptr || pool->size() <= 1) {
-    for (size_t i = 0; i < choices.size(); ++i) host_run(i, nullptr);
+    for (size_t i = 0; i < choices.size(); ++i) run_one(i);
     return results;
   }
 
-  // Cooperative fan-out. The pool takes BLK/NATIVE first, then each host
-  // phase as its command finishes; Run keeps everything else (an empty
-  // plan, a bad strategy).
-  std::vector<std::future<void>> done(choices.size());
-  std::vector<size_t> assisted;  // device-assisted choices, in choice order
-  for (size_t i = 0; i < choices.size(); ++i) {
-    const Strategy s = choices[i].strategy;
-    if (!plan.order.empty() &&
-        (s == Strategy::kFullNdp || s == Strategy::kHybrid)) {
-      assisted.push_back(i);
-    } else {
-      done[i] = pool->Submit([&host_run, i] { host_run(i, nullptr); });
-    }
-  }
-  // Device workers claim commands in choice order. Each hands its finished
-  // device phase to the pool; the task owns it, so the device output is
-  // freed as soon as its host phase is done. Every `done` slot is written by
-  // one thread and read here only after the join.
-  std::atomic<size_t> next{0};
-  auto device_worker = [&] {
-    for (size_t j = next.fetch_add(1); j < assisted.size();
-         j = next.fetch_add(1)) {
-      const size_t i = assisted[j];
-      auto device = std::make_shared<const DevicePhase>(
-          RunDevicePhase(plan, choices[i], rec));
-      done[i] = pool->Submit(
-          [&host_run, i, device] { host_run(i, device.get()); });
+  // One claim list, heaviest expected run first (longest processing time
+  // first, so no long run starts last; DESIGN.md §8): full NDP, the hybrid
+  // splits deepest first, then BLK and NATIVE. The sort is stable, so equal
+  // kinds keep their choice order.
+  std::vector<size_t> order(choices.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  auto rank = [&](size_t i) {
+    switch (choices[i].strategy) {
+      case Strategy::kFullNdp:
+        return std::pair(0, 0);
+      case Strategy::kHybrid:
+        return std::pair(1, -choices[i].split_joins);
+      default:
+        return std::pair(2, 0);
     }
   };
-  const size_t workers =
-      std::min(static_cast<size_t>(pool->size()), assisted.size());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return rank(a) < rank(b); });
+
+  // Claimers: one task per pool thread, the calling thread and
+  // pool->size() - 1 threads started and joined here. Each claims the next
+  // run and runs it whole; one with nothing left to claim returns. Every
+  // result slot is written by one claimer and read only after the joins.
+  std::atomic<size_t> next{0};
+  auto claimer = [&] {
+    for (size_t j = next.fetch_add(1); j < order.size();
+         j = next.fetch_add(1)) {
+      run_one(order[j]);
+    }
+  };
+  std::vector<std::future<void>> tasks;
+  for (int t = 0; t < pool->size(); ++t) tasks.push_back(pool->Submit(claimer));
   std::vector<std::thread> helpers;
-  helpers.reserve(workers);
-  for (size_t w = 1; w < workers; ++w) helpers.emplace_back(device_worker);
-  device_worker();
+  for (int t = 1; t < pool->size(); ++t) helpers.emplace_back(claimer);
+  claimer();
   for (std::thread& t : helpers) t.join();
-  for (std::future<void>& f : done) f.get();
+  for (std::future<void>& f : tasks) f.get();
   return results;
 }
 

@@ -64,8 +64,7 @@ class HybridExecutor {
                  const sim::HwParams* hw, PlannerConfig config = {})
       : catalog_(catalog), storage_(storage), hw_(hw), config_(config) {}
 
-  /// Run `plan` under `choice`. A device-assisted choice runs its device
-  /// phase and then its host phase on the calling thread. `host_cache`
+  /// Run `plan` under `choice` on the calling thread. `host_cache`
   /// (optional) is the host block cache; pass a fresh cache per run for
   /// cold-start numbers. `rec` (optional) records the run's simulated
   /// timeline and metrics; a null recorder is the zero-overhead path — the
@@ -81,21 +80,21 @@ class HybridExecutor {
   /// cache); a null factory means "run without a cache".
   using CacheFactory = std::function<std::unique_ptr<lsm::BlockCache>()>;
 
-  /// Run `plan` under every choice in `choices` (serial when pool is null or
-  /// has one thread). On a larger pool the runs cooperate on the wall
-  /// clock: device workers (the calling thread plus pool->size() - 1
-  /// threads started and joined by this call, never more than there are
-  /// device-assisted choices) run the NDP commands in choice order, while
-  /// the pool runs BLK/NATIVE and each device-assisted run's host phase as
-  /// soon as its command has finished. The runs are independent
-  /// simulations — each gets its own AccessContext, cache and operator
-  /// tree, and they share the read-only `plan` — so the simulated metrics
-  /// are bit-identical to running the choices one by one with Run; only
-  /// wall-clock time changes. Results are returned in choice order.
-  /// `rec`, when non-null, gets one host track (plus device tracks for
-  /// device-assisted strategies) per run; TraceRecorder is thread-safe, so
-  /// runs may record concurrently. Track ids depend on scheduling order —
-  /// span contents and metrics do not.
+  /// Run `plan` under every choice in `choices`: in choice order on the
+  /// calling thread when pool is null or has one thread, else from one
+  /// claim list. The claimers are one task per pool thread, the calling
+  /// thread and pool->size() - 1 threads started and joined by this call,
+  /// so at most 2 x pool size threads work on it. Each claims the next
+  /// choice, heaviest expected first (full NDP, then Hk from the deepest
+  /// split down to H0, then BLK and NATIVE), and runs it whole with Run.
+  /// The runs are independent simulations — each gets its own
+  /// AccessContext, cache and operator tree, and they share the read-only
+  /// `plan` — so the simulated metrics are bit-identical to running the
+  /// choices one by one with Run; only wall-clock time changes. Results are
+  /// returned in choice order. `rec`, when non-null, gets one host track
+  /// (plus device tracks for device-assisted strategies) per run;
+  /// TraceRecorder is thread-safe, so runs may record concurrently. Track
+  /// ids depend on scheduling order — span contents and metrics do not.
   std::vector<Result<RunResult>> RunAll(
       const Plan& plan, const std::vector<ExecChoice>& choices,
       common::ThreadPool* pool, const CacheFactory& make_cache = {},
@@ -115,36 +114,16 @@ class HybridExecutor {
                                 lsm::BlockCache* cache, obs::TraceRecorder* rec,
                                 SimNanos fallback_wasted_ns = 0,
                                 Status fault_status = Status::OK()) const;
-  /// The device half of a device-assisted run: its NDP command and what the
-  /// device made of it.
-  struct DevicePhase {
-    nkv::NdpCommand cmd;
-    Result<ndp::DeviceRunResult> dev;
-  };
-
-  /// Device phase: build the NDP command and execute it on the device. A
-  /// pure function of the command; it reads no host clock or cache, and
-  /// only the device-side fault sites fire in it. `rec` gets the `ndp.*`
-  /// tallies.
-  DevicePhase RunDevicePhase(const Plan& plan, const ExecChoice& choice,
-                             obs::TraceRecorder* rec) const;
-  /// Host phase: the host PQEP over the finished device output, or, when
-  /// the device-assisted attempt died on a fault-class error, the host-only
-  /// re-execution. Reads `device` only.
-  Result<RunResult> RunHostPhase(const Plan& plan, const ExecChoice& choice,
-                                 const DevicePhase& device,
-                                 lsm::BlockCache* cache,
-                                 obs::TraceRecorder* rec) const;
-  /// The cooperative host PQEP of RunHostPhase. On a fault-class failure
-  /// (injected fault past its retry budget) returns the error and reports
-  /// the simulated host time the aborted attempt burned through
-  /// `fault_wasted_ns`.
-  Result<RunResult> RunCooperative(const Plan& plan, const ExecChoice& choice,
-                                   const nkv::NdpCommand& cmd,
-                                   const ndp::DeviceRunResult& dev,
-                                   lsm::BlockCache* cache,
-                                   obs::TraceRecorder* rec,
-                                   SimNanos* fault_wasted_ns) const;
+  /// Device-assisted execution (Hk, NDP): build the NDP command, run it on
+  /// the device, then the cooperative host PQEP over the device output. On
+  /// a fault-class failure (injected fault past its retry budget) returns
+  /// the error and reports the simulated host time the aborted attempt
+  /// burned through `fault_wasted_ns`; Run then falls back to host-only.
+  Result<RunResult> RunDeviceAssisted(const Plan& plan,
+                                      const ExecChoice& choice,
+                                      lsm::BlockCache* cache,
+                                      obs::TraceRecorder* rec,
+                                      SimNanos* fault_wasted_ns) const;
 
   /// Build the NDP command for tables [0..k] (+ joins, or scans_only).
   nkv::NdpCommand BuildNdpCommand(const Plan& plan, int split_joins,

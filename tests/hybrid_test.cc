@@ -291,20 +291,11 @@ TEST_F(HybridTest, DeviceMemoryBudgetRejectsOversizedPipelines) {
 }
 
 TEST_F(HybridTest, PlannerMarksFeasibleExactlyWhatTheDeviceAccepts) {
-  // Budget for two selection buffers, one join buffer and the slots. An
-  // index range on orders makes every pipeline holding orders reserve a
-  // second (secondary) selection buffer, so H1 no longer fits, and H0
-  // (three selection buffers plus the secondary one) does not either.
+  // No device-assisted choice fits the tight budget under the index range.
   const PlannerConfig cfg = MakePlannerConfig();
-  HwParams tight = hw_;
-  tight.mem.device_ndp_budget_bytes =
-      2 * cfg.buffers.selection_buffer_bytes + cfg.buffers.join_buffer_bytes +
-      static_cast<uint64_t>(cfg.buffers.shared_slots) *
-          cfg.buffers.shared_slot_bytes;
-  Query q = MakeQuery();
-  q.tables[0].predicate = Expr::CmpInt("o.customer_id", CmpOp::kLe, 3);
+  const HwParams tight = MakeTightHw();
   Planner planner(&catalog_, &tight, cfg);
-  auto plan = planner.PlanQuery(q);
+  auto plan = planner.PlanQuery(MakeIndexRangeQuery());
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(std::any_of(plan->order.begin(), plan->order.begin() + 2,
                           [](const PlannedTable& pt) {

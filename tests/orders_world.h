@@ -129,6 +129,29 @@ class OrdersWorld : public ::testing::Test {
     return q;
   }
 
+  /// MakeQuery() with an index range on orders, so every device pipeline
+  /// holding orders reserves a second (secondary) selection buffer.
+  static hybrid::Query MakeIndexRangeQuery() {
+    hybrid::Query q = MakeQuery();
+    q.tables[0].predicate =
+        exec::Expr::CmpInt("o.customer_id", exec::CmpOp::kLe, 3);
+    return q;
+  }
+
+  /// hw_ with an NDP budget of two selection buffers, one join buffer and
+  /// the slots of MakePlannerConfig(): under MakeIndexRangeQuery() neither
+  /// H1 nor H0 (three selection buffers plus the secondary one) fits.
+  sim::HwParams MakeTightHw() const {
+    const hybrid::PlannerConfig cfg = MakePlannerConfig();
+    sim::HwParams tight = hw_;
+    tight.mem.device_ndp_budget_bytes =
+        2 * cfg.buffers.selection_buffer_bytes +
+        cfg.buffers.join_buffer_bytes +
+        static_cast<uint64_t>(cfg.buffers.shared_slots) *
+            cfg.buffers.shared_slot_bytes;
+    return tight;
+  }
+
   /// MakeQuery() planned with MakePlannerConfig().
   Result<hybrid::Plan> MakePlan() {
     hybrid::Planner planner(&catalog_, &hw_, MakePlannerConfig());

@@ -1,7 +1,6 @@
-// Tests for the parallel run harness: the thread pool, the lock-striped
-// block cache under concurrent hammering, and the core determinism
-// contract — HybridExecutor::RunAll over a worker pool must produce
-// bit-identical simulated results to serial execution.
+// Tests for the parallel run harness: the thread pool and the core
+// determinism contract — HybridExecutor::RunAll over a worker pool must
+// produce bit-identical simulated results to serial execution.
 
 #include <gtest/gtest.h>
 
@@ -54,9 +53,8 @@ TEST(ThreadPoolTest, SizeClampedToOne) {
 class RunAllTest : public OrdersWorld {
  protected:
   /// Every choice of `plan`, then each device-assisted one again under both
-  /// forced cache formats (as the Table-3 benches run them): nine
-  /// device-assisted runs for the three-table query, more than the device
-  /// workers of any pool below.
+  /// forced cache formats (as the Table-3 benches run them): eleven runs
+  /// for the three-table query, more than the 8 claimers of a pool of 4.
   static std::vector<hybrid::ExecChoice> ManyDeviceChoices(
       const hybrid::Plan& plan) {
     std::vector<hybrid::ExecChoice> choices =
@@ -77,20 +75,23 @@ class RunAllTest : public OrdersWorld {
   }
 
   /// Pooled RunAll over `choices` against one-by-one Run calls with fresh
-  /// caches, for pools of 2 and 3 threads, traced and untraced.
+  /// caches, for pools of 2, 3 and 4 threads, traced and untraced. Exactly
+  /// `serial_failures` serial runs fail, and each pooled run returns the
+  /// status of its serial run.
   void ExpectPooledMatchesSerial(const hybrid::HybridExecutor& executor,
                                  const hybrid::Plan& plan,
-                                 const std::vector<hybrid::ExecChoice>& choices) {
+                                 const std::vector<hybrid::ExecChoice>& choices,
+                                 size_t serial_failures = 0) {
     auto factory = [] { return std::make_unique<lsm::BlockCache>(1 << 20); };
-    std::vector<hybrid::RunResult> serial;
+    std::vector<Result<hybrid::RunResult>> serial;
+    size_t failures = 0;
     for (const auto& choice : choices) {
       auto cache = factory();
-      auto r = executor.Run(plan, choice, cache.get());
-      ASSERT_TRUE(r.ok()) << choice.ToString() << ": "
-                          << r.status().ToString();
-      serial.push_back(std::move(*r));
+      serial.push_back(executor.Run(plan, choice, cache.get()));
+      if (!serial.back().ok()) ++failures;
     }
-    for (int threads : {2, 3}) {
+    ASSERT_EQ(failures, serial_failures);
+    for (int threads : {2, 3, 4}) {
       common::ThreadPool pool(threads);
       for (bool traced : {false, true}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -100,11 +101,12 @@ class RunAllTest : public OrdersWorld {
                                       traced ? &rec : nullptr);
         ASSERT_EQ(pooled.size(), choices.size());
         for (size_t i = 0; i < choices.size(); ++i) {
-          ASSERT_TRUE(pooled[i].ok()) << choices[i].ToString() << ": "
-                                      << pooled[i].status().ToString();
           SCOPED_TRACE(choices[i].ToString() + "/cf" +
                        std::to_string(choices[i].cache_format));
-          ExpectIdentical(serial[i], *pooled[i]);
+          ASSERT_EQ(pooled[i].status().ToString(),
+                    serial[i].status().ToString());
+          if (!serial[i].ok()) continue;
+          ExpectIdentical(*serial[i], *pooled[i]);
           EXPECT_EQ(pooled[i]->trace_host_track >= 0, traced);
         }
       }
@@ -236,7 +238,7 @@ TEST_F(RunAllTest, TracedRunAllMatchesUntracedSerialBitForBit) {
   EXPECT_GT(rec.num_spans(), 0u);
 }
 
-TEST_F(RunAllTest, MoreCommandsThanDeviceWorkersMatchSerial) {
+TEST_F(RunAllTest, MoreRunsThanClaimersMatchSerial) {
   const auto cfg = MakePlannerConfig();
   hybrid::Planner planner(&catalog_, &hw_, cfg);
   auto plan = planner.PlanQuery(MakeQuery());
@@ -247,8 +249,41 @@ TEST_F(RunAllTest, MoreCommandsThanDeviceWorkersMatchSerial) {
   ExpectPooledMatchesSerial(executor, *plan, choices);
 }
 
+// Pools of 3 and 4 have 6 and 8 claimers for the 5 runs; the claimers left
+// without a run return, and an empty choice list returns at once.
+TEST_F(RunAllTest, MoreClaimersThanRunsMatchSerial) {
+  const auto cfg = MakePlannerConfig();
+  hybrid::Planner planner(&catalog_, &hw_, cfg);
+  auto plan = planner.PlanQuery(MakeQuery());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  hybrid::HybridExecutor executor(&catalog_, &storage_, &hw_, cfg);
+  const auto choices = hybrid::HybridExecutor::AllChoices(*plan);
+  ASSERT_EQ(choices.size(), 5u);
+  ExpectPooledMatchesSerial(executor, *plan, choices);
+  common::ThreadPool pool(4);
+  EXPECT_TRUE(executor.RunAll(*plan, {}, &pool).empty());
+}
+
+// A pooled run that fails returns the status of its serial run. No
+// device-assisted choice fits the tight device, so each one returns
+// ResourceExhausted and only BLK and NATIVE run.
+TEST_F(RunAllTest, PooledFailuresMatchSerial) {
+  const auto cfg = MakePlannerConfig();
+  const sim::HwParams tight = MakeTightHw();
+  hybrid::Planner planner(&catalog_, &tight, cfg);
+  auto plan = planner.PlanQuery(MakeIndexRangeQuery());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  hybrid::HybridExecutor executor(&catalog_, &storage_, &tight, cfg);
+  const auto choices = ManyDeviceChoices(*plan);
+  ASSERT_TRUE(executor.Run(*plan, choices.back(), nullptr)
+                  .status()
+                  .IsResourceExhausted());
+  ExpectPooledMatchesSerial(executor, *plan, choices,
+                            /*serial_failures=*/choices.size() - 2);
+}
+
 // Under an order-independent fault spec every run makes the same fault
-// decisions whichever thread runs its device or host phase.
+// decisions whichever thread runs it.
 TEST_F(RunAllTest, EveryRunFallsBackAlikeWhenPooled) {
   sim::ScopedFaultInjection arm("device.exec:always;retry:budget=0");
   const auto cfg = MakePlannerConfig();
