@@ -7,16 +7,19 @@
 // We default to 1/1000 scale (~74 k rows) and shrink all memory knobs by the
 // same proportions, so buffer-pressure effects (pass counts, slot stalls,
 // max pipeline depth of ~17 tables / ~12 with secondary index) carry over.
+// The memory knobs stay at those 1/1000 values whatever HNDP_SCALE is; only
+// the dataset follows it.
 
 #pragma once
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "hybrid/executor.h"
 #include "hybrid/planner.h"
@@ -29,53 +32,41 @@
 
 namespace hybridndp::bench {
 
-/// Strict environment parsing: the whole value must be a number (bare
-/// atof/atoi turn "abc" — and "3x" — silently into 0/3, which then runs the
-/// bench at a nonsense configuration). Rejected values keep the fallback
-/// and say so on stderr.
-inline double EnvDouble(const char* name, double fallback,
-                        bool require_positive) {
+/// The value of environment variable `name`; null when unset or empty.
+inline const char* EnvValue(const char* name) {
   const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE ||
-      (require_positive && !(v > 0))) {
-    fprintf(stderr, "# ignoring %s=\"%s\": expected a %s number, using %g\n",
-            name, s, require_positive ? "positive" : "finite", fallback);
-    return fallback;
-  }
-  return v;
+  return s != nullptr && *s != '\0' ? s : nullptr;
 }
 
-inline long long EnvInt64(const char* name, long long fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    fprintf(stderr, "# ignoring %s=\"%s\": expected an integer, using %lld\n",
-            name, s, fallback);
-    return fallback;
-  }
-  return v;
+/// Numeric setting `name`, read whole by `parse` (common/parse.h) and
+/// accepted when `valid`. Unset keeps `fallback`; a rejected value keeps it
+/// too and says so on stderr, rather than running the bench at a nonsense
+/// configuration.
+template <typename T, typename Valid>
+T EnvNumber(const char* name, T fallback,
+            bool (*parse)(std::string_view, T*), Valid valid,
+            const char* expected) {
+  const char* s = EnvValue(name);
+  if (s == nullptr) return fallback;
+  T v{};
+  if (parse(s, &v) && valid(v)) return v;
+  fprintf(stderr, "# ignoring %s=\"%s\": expected %s, using %g\n", name, s,
+          expected, static_cast<double>(fallback));
+  return fallback;
 }
 
-/// Thread count: integers below 1 are clamped to 1 (with a note), anything
-/// non-numeric keeps the fallback.
+/// Thread count: integers below 1 are clamped to 1 and above 1024 to 1024
+/// (with a note), anything non-numeric keeps the fallback.
 inline int EnvThreads(const char* name, int fallback) {
-  long long v = EnvInt64(name, fallback);
-  if (v < 1) {
-    fprintf(stderr, "# clamping %s=%lld to 1 thread\n", name, v);
-    v = 1;
+  const int64_t v = EnvNumber<int64_t>(
+      name, fallback, common::ParseInt64, [](int64_t) { return true; },
+      "an integer");
+  const int threads = static_cast<int>(std::clamp<int64_t>(v, 1, 1024));
+  if (threads != v) {
+    fprintf(stderr, "# clamping %s=%lld to %d thread%s\n", name,
+            static_cast<long long>(v), threads, threads == 1 ? "" : "s");
   }
-  if (v > 1024) {
-    fprintf(stderr, "# clamping %s=%lld to 1024 threads\n", name, v);
-    v = 1024;
-  }
-  return static_cast<int>(v);
+  return threads;
 }
 
 struct BenchEnv {
@@ -101,7 +92,8 @@ struct BenchEnv {
   ~BenchEnv();
 };
 
-/// Paper-proportional hardware + buffer configuration for a given scale.
+/// Paper-proportional hardware + buffer configuration at 1/1000 scale. It
+/// does not read HNDP_SCALE: the buffers keep these sizes at every scale.
 inline void ConfigureScaled(BenchEnv* env) {
   env->hw = sim::HwParams::PaperDefaults();
   // Device memory knobs scaled 1:1000 with the dataset: the paper's 400 MB
@@ -124,8 +116,10 @@ inline void ConfigureScaled(BenchEnv* env) {
 /// HNDP_SEED from the environment.
 inline std::unique_ptr<BenchEnv> MakeJobEnv(double default_scale = 0.001) {
   auto env = std::make_unique<BenchEnv>();
-  env->scale = EnvDouble("HNDP_SCALE", default_scale, /*require_positive=*/true);
-  if (const char* s = std::getenv("HNDP_TRACE"); s != nullptr && *s != '\0') {
+  env->scale = EnvNumber(
+      "HNDP_SCALE", default_scale, common::ParseDouble,
+      [](double v) { return v > 0 && v <= 1; }, "a fraction in (0, 1]");
+  if (const char* s = EnvValue("HNDP_TRACE")) {
     env->trace_path = s;
     env->trace = std::make_unique<obs::TraceRecorder>();
   }
@@ -140,7 +134,9 @@ inline std::unique_ptr<BenchEnv> MakeJobEnv(double default_scale = 0.001) {
 
   job::JobDataOptions data_opts;
   data_opts.scale = env->scale;
-  data_opts.seed = EnvInt64("HNDP_SEED", data_opts.seed);
+  data_opts.seed = EnvNumber(
+      "HNDP_SEED", data_opts.seed, common::ParseUint64,
+      [](uint64_t) { return true; }, "an unsigned integer");
   Status st = job::BuildJobDatabase(env->catalog.get(), data_opts);
   if (!st.ok()) {
     fprintf(stderr, "failed to build JOB database: %s\n",
@@ -152,13 +148,14 @@ inline std::unique_ptr<BenchEnv> MakeJobEnv(double default_scale = 0.001) {
   // storage.write fault during loading would abort the whole run. A
   // malformed spec is a hard error — silently running the fault matrix
   // without faults would green-light a broken CI configuration.
-  if (const char* s = std::getenv("HNDP_FAULTS"); s != nullptr && *s != '\0') {
-    Status fault_st = sim::FaultInjector::Global().InitFromEnv();
-    if (!fault_st.ok()) {
+  if (const char* s = EnvValue("HNDP_FAULTS")) {
+    auto faults = sim::FaultConfig::Parse(s);
+    if (!faults.ok()) {
       fprintf(stderr, "bad HNDP_FAULTS spec: %s\n",
-              fault_st.ToString().c_str());
+              faults.status().ToString().c_str());
       exit(1);
     }
+    sim::FaultInjector::Global().Configure(*faults);
     fprintf(stderr, "# faults armed: %s\n", s);
   }
   env->planner = std::make_unique<hybrid::Planner>(

@@ -8,10 +8,11 @@
 // HNDP_THREADS sets the size of the pool the strategies run on (default:
 // the hardware's thread count); the output is the same at any size.
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "hybrid/executor.h"
 #include "hybrid/planner.h"
@@ -28,10 +29,8 @@ int PoolThreads() {
   const int fallback = common::ThreadPool::DefaultThreads();
   const char* s = std::getenv("HNDP_THREADS");
   if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || v < 1 || v > 1024) {
+  uint64_t v = 0;
+  if (!common::ParseUint64(s, &v) || v < 1 || v > 1024) {
     fprintf(stderr,
             "# ignoring HNDP_THREADS=\"%s\": expected 1..1024, using %d\n", s,
             fallback);
@@ -43,9 +42,17 @@ int PoolThreads() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int group = argc > 1 ? atoi(argv[1]) : 8;
+  uint64_t group = 8;
   const char variant = argc > 2 ? argv[2][0] : 'c';
-  const double scale = argc > 3 ? atof(argv[3]) : 0.0005;
+  double scale = 0.0005;
+  if ((argc > 1 && (!common::ParseUint64(argv[1], &group) ||
+                    group > std::numeric_limits<int>::max())) ||
+      (argc > 3 && (!common::ParseDouble(argv[3], &scale) || !(scale > 0) ||
+                    scale > 1))) {
+    fprintf(stderr, "usage: %s [group] [variant] [scale in (0, 1]]\n",
+            argv[0]);
+    return 2;
+  }
 
   sim::HwParams hw = sim::HwParams::PaperDefaults();
   hw.mem.device_ndp_budget_bytes = 3 << 20;
@@ -67,9 +74,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto query = job::MakeJobQuery({group, variant});
+  const job::JobQueryId id{static_cast<int>(group), variant};
+  auto query = job::MakeJobQuery(id);
   if (!query.ok()) {
-    fprintf(stderr, "unknown query %d%c\n", group, variant);
+    fprintf(stderr, "unknown query %s\n", id.ToString().c_str());
     return 1;
   }
 

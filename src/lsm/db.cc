@@ -375,7 +375,7 @@ Status SnapshotGet(const MemTable& mem, const Version& version,
   if (version.levels.empty()) return Status::NotFound();
   auto probe = [&](const FileMetaData& file) {
     return readers.Get(file)->Get(opts.ctx, opts.cache, lookup, value,
-                                  &deleted, opts.use_bloom);
+                                  &deleted);
   };
   // C1: overlapping, search newest (last flushed) first.
   const auto& l0 = version.levels[0];

@@ -25,12 +25,11 @@ class MetricsRegistry;
 
 namespace hybridndp::lsm {
 
-/// Per-read options: snapshot visibility, cost context, cache, pruning.
+/// Per-read options: snapshot visibility, cost context, cache.
 struct ReadOptions {
   SequenceNumber snapshot = kMaxSequenceNumber;
   sim::AccessContext* ctx = nullptr;  ///< cost accounting (may be null)
   BlockCache* cache = nullptr;        ///< block cache (may be null)
-  bool use_bloom = true;
 };
 
 /// DB-wide tuning knobs.

@@ -218,8 +218,7 @@ Result<Slice> SstReader::ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
   }
   // Fault site: device-side block reads (before the cache lookup, so cache
   // hits are covered too). Host reads stay clean for graceful fallback.
-  if (ctx != nullptr && ctx->actor() == sim::Actor::kDevice &&
-      sim::FaultInjector::Enabled()) {
+  if (ctx != nullptr && ctx->actor() == sim::Actor::kDevice) {
     HNDP_RETURN_IF_ERROR(sim::FaultCheck(sim::FaultSite::kSstRead, ctx));
   }
   if (ctx != nullptr) {
@@ -238,12 +237,12 @@ Result<Slice> SstReader::ReadBlock(sim::AccessContext* ctx, BlockCache* cache,
 }
 
 Status SstReader::Get(sim::AccessContext* ctx, BlockCache* cache,
-                      const LookupKey& key, Slice* value, bool* deleted,
-                      bool use_bloom) {
+                      const LookupKey& key, Slice* value, bool* deleted) {
   const Slice user_key = key.user_key();
   if (OutsideKeyRange(user_key)) return Status::NotFound();
   HNDP_RETURN_IF_ERROR(EnsureOpened(ctx, cache));
-  if (use_bloom && bloom_ != nullptr &&
+  const bool device = ctx != nullptr && ctx->actor() == sim::Actor::kDevice;
+  if (!device && bloom_ != nullptr &&
       !bloom_->MayContainHash(key.BloomHash())) {
     return Status::NotFound();
   }

@@ -179,9 +179,11 @@ class SstReader {
   /// Point lookup of `key`. On hit, *value views the stored value in the
   /// file's contents (valid as long as the file), or *deleted is set.
   /// `cache`, when non-null, absorbs block loads. Returns kNotFound if the
-  /// key is not in this file.
+  /// key is not in this file. The host (a null or host `ctx`) probes the
+  /// bloom filter first; the device does not (paper Sect. 2.2: the host
+  /// already used the filters).
   Status Get(sim::AccessContext* ctx, BlockCache* cache, const LookupKey& key,
-             Slice* value, bool* deleted, bool use_bloom = true);
+             Slice* value, bool* deleted);
 
   /// Two-level iterator over the whole file (internal keys): an SstIterator,
   /// or an empty iterator carrying the open error.

@@ -39,8 +39,7 @@ Result<Slice> VirtualStorage::Read(sim::AccessContext* ctx, FileId id,
   }
   // Fault site: device-internal flash accesses only. Host-path reads stay
   // clean so a permanent device fault can still degrade to host execution.
-  if (ctx != nullptr && ctx->actor() == sim::Actor::kDevice &&
-      sim::FaultInjector::Enabled()) {
+  if (ctx != nullptr && ctx->actor() == sim::Actor::kDevice) {
     HNDP_RETURN_IF_ERROR(sim::FaultCheck(sim::FaultSite::kStorageRead, ctx));
   }
   if (ctx != nullptr) {

@@ -84,9 +84,6 @@ Result<DeviceRunResult> DeviceExecutor::Execute(
   lsm::ReadOptions opts;
   opts.ctx = &ctx;
   opts.cache = &device_cache;
-  // The NDP engine does not probe bloom filters (paper Sect. 2.2: they
-  // were already used on the host side).
-  opts.use_bloom = false;
 
   // Device-side accessors over the shipped snapshots.
   std::vector<std::unique_ptr<nkv::DeviceTableAccessor>> accessors;

@@ -38,10 +38,9 @@ TraceArg TraceArg::Str(std::string key, std::string_view v) {
   return {std::move(key), std::move(quoted)};
 }
 
-int TraceRecorder::NewTrack(const std::string& name, int sort_index) {
+int TraceRecorder::NewTrack(const std::string& name) {
   common::MutexLock lock(mu_);
-  tracks_.push_back(name);
-  track_sort_.push_back(sort_index);
+  tracks_.push_back(Track{name, {}});
   return static_cast<int>(tracks_.size()) - 1;
 }
 
@@ -50,45 +49,40 @@ void TraceRecorder::Span(int track, std::string name, std::string cat,
                          std::vector<TraceArg> args) {
   if (end_ns < start_ns) end_ns = start_ns;
   common::MutexLock lock(mu_);
-  spans_.push_back(TraceSpan{track, std::move(name), std::move(cat), start_ns,
-                             end_ns, std::move(args)});
+  tracks_[track].spans.push_back(TraceSpan{std::move(name), std::move(cat),
+                                           start_ns, end_ns, std::move(args)});
 }
 
 void TraceRecorder::GapFill(int track, SimNanos start_ns, SimNanos end_ns,
                             const std::string& name, const std::string& cat) {
   // One critical section end to end: computing the gaps and appending them
   // must be atomic, or a Span() racing in on the same track between a
-  // read-then-append pair would leave gap spans overlapping it (the
-  // lock-discipline bug the GUARDED_BY annotation pass surfaced here).
+  // read-then-append pair would leave gap spans overlapping it.
   common::MutexLock lock(mu_);
+  std::vector<TraceSpan>& spans = tracks_[track].spans;
   std::vector<std::pair<SimNanos, SimNanos>> covered;
-  for (const auto& s : spans_) {
-    if (s.track == track && s.end_ns > s.start_ns) {
-      covered.emplace_back(s.start_ns, s.end_ns);
-    }
+  for (const auto& s : spans) {
+    if (s.end_ns > s.start_ns) covered.emplace_back(s.start_ns, s.end_ns);
   }
   std::sort(covered.begin(), covered.end());
-  std::vector<TraceSpan> gaps;
   SimNanos cursor = start_ns;
   for (const auto& [a, b] : covered) {
     if (a > cursor) {
-      gaps.push_back(
-          TraceSpan{track, name, cat, cursor, std::min(a, end_ns), {}});
+      spans.push_back(TraceSpan{name, cat, cursor, std::min(a, end_ns), {}});
     }
     if (b > cursor) cursor = b;
     if (cursor >= end_ns) break;
   }
   if (cursor < end_ns) {
-    gaps.push_back(TraceSpan{track, name, cat, cursor, end_ns, {}});
+    spans.push_back(TraceSpan{name, cat, cursor, end_ns, {}});
   }
-  for (auto& g : gaps) spans_.push_back(std::move(g));
 }
 
 SimNanos TraceRecorder::CategoryTotal(int track, std::string_view cat) const {
   common::MutexLock lock(mu_);
   SimNanos total = 0;
-  for (const auto& s : spans_) {
-    if (s.track == track && s.cat == cat) total += s.duration();
+  for (const auto& s : tracks_[track].spans) {
+    if (s.cat == cat) total += s.duration();
   }
   return total;
 }
@@ -100,16 +94,14 @@ size_t TraceRecorder::num_tracks() const {
 
 size_t TraceRecorder::num_spans() const {
   common::MutexLock lock(mu_);
-  return spans_.size();
+  size_t n = 0;
+  for (const auto& t : tracks_) n += t.spans.size();
+  return n;
 }
 
 std::vector<TraceSpan> TraceRecorder::TrackSpans(int track) const {
   common::MutexLock lock(mu_);
-  std::vector<TraceSpan> out;
-  for (const auto& s : spans_) {
-    if (s.track == track) out.push_back(s);
-  }
-  return out;
+  return tracks_[track].spans;
 }
 
 std::string TraceRecorder::ToChromeJson() const {
@@ -126,41 +118,30 @@ std::string TraceRecorder::ToChromeJson() const {
     sep();
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << t + 1
        << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-       << JsonEscape(tracks_[t]) << "\"}}";
+       << JsonEscape(tracks_[t].name) << "\"}}";
     sep();
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << t + 1
        << ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":"
-       << (track_sort_[t] != 0 ? track_sort_[t]
-                               : static_cast<int>(t) + 1)
-       << "}}";
+       << t + 1 << "}}";
   }
-  // Complete ('X') events; simulated nanos -> microseconds. Emit grouped by
-  // track: spans_ interleaves tracks in whatever order concurrent runs
-  // appended, but within one track the order is the (deterministic) order
-  // of that run's recording — so grouping canonicalizes the bytes.
-  std::vector<const TraceSpan*> ordered;
-  ordered.reserve(spans_.size());
-  for (const auto& s : spans_) ordered.push_back(&s);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const TraceSpan* a, const TraceSpan* b) {
-                     return a->track < b->track;
-                   });
-  for (const TraceSpan* sp : ordered) {
-    const TraceSpan& s = *sp;
-    sep();
-    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.track + 1 << ",\"name\":\""
-       << JsonEscape(s.name) << "\",\"cat\":\"" << JsonEscape(s.cat)
-       << "\",\"ts\":" << RenderNumber(s.start_ns / 1e3)
-       << ",\"dur\":" << RenderNumber(s.duration() / 1e3);
-    if (!s.args.empty()) {
-      os << ",\"args\":{";
-      for (size_t i = 0; i < s.args.size(); ++i) {
-        if (i > 0) os << ",";
-        os << "\"" << JsonEscape(s.args[i].key) << "\":" << s.args[i].value;
+  // Complete ('X') events; simulated nanos -> microseconds.
+  for (size_t t = 0; t < tracks_.size(); ++t) {
+    for (const TraceSpan& s : tracks_[t].spans) {
+      sep();
+      os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << t + 1 << ",\"name\":\""
+         << JsonEscape(s.name) << "\",\"cat\":\"" << JsonEscape(s.cat)
+         << "\",\"ts\":" << RenderNumber(s.start_ns / 1e3)
+         << ",\"dur\":" << RenderNumber(s.duration() / 1e3);
+      if (!s.args.empty()) {
+        os << ",\"args\":{";
+        for (size_t i = 0; i < s.args.size(); ++i) {
+          if (i > 0) os << ",";
+          os << "\"" << JsonEscape(s.args[i].key) << "\":" << s.args[i].value;
+        }
+        os << "}";
       }
       os << "}";
     }
-    os << "}";
   }
   os << "]}";
   return os.str();

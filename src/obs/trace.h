@@ -1,8 +1,8 @@
 // Observability: span-based trace recorder over the *simulated* timeline.
 //
-// Every span carries simulated-clock start/end nanoseconds (the clocks the
-// hardware model drives — never wall-clock), a track it belongs to (one
-// track per strategy run, plus device tracks), and a category used for
+// Every span lives on one track (one track per strategy run, plus device
+// tracks) and carries simulated-clock start/end nanoseconds (the clocks the
+// hardware model drives — never wall-clock) and a category used for
 // per-stage aggregation (the paper's Table 4 stages: "setup", "wait",
 // "transfer", "processing", plus device-side "produce"/"stall").
 //
@@ -42,7 +42,6 @@ struct TraceArg {
 
 /// A complete interval on one track of the simulated timeline.
 struct TraceSpan {
-  int track = 0;
   std::string name;
   std::string cat;
   SimNanos start_ns = 0;
@@ -57,9 +56,9 @@ struct TraceSpan {
 /// to it concurrently.
 class TraceRecorder {
  public:
-  /// Register a named track (rendered as one Perfetto thread). Returns the
-  /// track id used by Span(). `sort_index` orders tracks in the UI.
-  int NewTrack(const std::string& name, int sort_index = 0);
+  /// Register a named track (rendered as one Perfetto thread, ordered by
+  /// registration). Returns the track id used by Span().
+  int NewTrack(const std::string& name);
 
   void Span(int track, std::string name, std::string cat, SimNanos start_ns,
             SimNanos end_ns, std::vector<TraceArg> args = {});
@@ -81,7 +80,7 @@ class TraceRecorder {
   std::vector<TraceSpan> TrackSpans(int track) const;
 
   /// Chrome trace_event JSON: {"displayTimeUnit":"ms","traceEvents":[...]}.
-  /// Spans are emitted grouped by track (stable within a track), so the
+  /// Spans are emitted track by track, each in its recording order, so the
   /// bytes do not depend on how concurrent runs interleaved their appends:
   /// two recordings of the same simulated work serialize identically.
   std::string ToChromeJson() const;
@@ -92,10 +91,14 @@ class TraceRecorder {
   std::string MetricsJson() const { return metrics_.ToJson(); }
 
  private:
+  /// One track's spans in recording order; one run writes each track.
+  struct Track {
+    std::string name;
+    std::vector<TraceSpan> spans;
+  };
+
   mutable common::Mutex mu_;
-  std::vector<std::string> tracks_ GUARDED_BY(mu_);
-  std::vector<int> track_sort_ GUARDED_BY(mu_);
-  std::vector<TraceSpan> spans_ GUARDED_BY(mu_);
+  std::vector<Track> tracks_ GUARDED_BY(mu_);
   MetricsRegistry metrics_;  ///< internally synchronized
 };
 

@@ -1,10 +1,11 @@
 #include "sim/fault.h"
 
-#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
+#include "common/parse.h"
 #include "obs/metrics.h"
 
 namespace hybridndp::sim {
@@ -48,29 +49,6 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-bool ParseUint(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string buf(s);
-  errno = 0;
-  const unsigned long long v = strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseProb(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string buf(s);
-  errno = 0;
-  const double v = strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  *out = v;
-  return true;
-}
-
 /// number + optional ns/us/ms suffix -> simulated nanoseconds.
 bool ParseDuration(std::string_view s, SimNanos* out) {
   double scale = 1.0;
@@ -86,12 +64,10 @@ bool ParseDuration(std::string_view s, SimNanos* out) {
       s.remove_suffix(2);
     }
   }
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string buf(s);
-  errno = 0;
-  const double v = strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size() || v < 0) return false;
+  double v = 0;
+  if (!common::ParseDouble(s, &v) || v < 0 || !std::isfinite(v * scale)) {
+    return false;
+  }
   *out = v * scale;
   return true;
 }
@@ -135,7 +111,7 @@ Result<FaultConfig> FaultConfig::Parse(std::string_view spec) {
         if (item.empty()) continue;
         if (item.substr(0, 7) == "budget=") {
           uint64_t v = 0;
-          if (!ParseUint(item.substr(7), &v) || v > 1000) {
+          if (!common::ParseUint64(item.substr(7), &v) || v > 1000) {
             return BadSpec("bad retry budget", item);
           }
           cfg.retry_budget = static_cast<int>(v);
@@ -163,13 +139,14 @@ Result<FaultConfig> FaultConfig::Parse(std::string_view spec) {
         p.trigger = FaultPolicy::Trigger::kAlways;
       } else if (item.substr(0, 4) == "nth=") {
         if (p.armed()) return BadSpec("conflicting triggers", clause);
-        if (!ParseUint(item.substr(4), &p.nth) || p.nth == 0) {
+        if (!common::ParseUint64(item.substr(4), &p.nth) || p.nth == 0) {
           return BadSpec("bad nth", item);
         }
         p.trigger = FaultPolicy::Trigger::kNth;
       } else if (item.substr(0, 5) == "prob=") {
         if (p.armed()) return BadSpec("conflicting triggers", clause);
-        if (!ParseProb(item.substr(5), &p.prob)) {
+        if (!common::ParseDouble(item.substr(5), &p.prob) || p.prob < 0 ||
+            p.prob > 1) {
           return BadSpec("bad prob", item);
         }
         p.trigger = FaultPolicy::Trigger::kProb;
@@ -178,7 +155,7 @@ Result<FaultConfig> FaultConfig::Parse(std::string_view spec) {
           return BadSpec("bad stall", item);
         }
       } else if (item.substr(0, 5) == "seed=") {
-        if (!ParseUint(item.substr(5), &p.seed)) {
+        if (!common::ParseUint64(item.substr(5), &p.seed)) {
           return BadSpec("bad seed", item);
         }
       } else {
@@ -209,30 +186,9 @@ void FaultInjector::Configure(const FaultConfig& cfg) {
   enabled_.store(cfg.any_armed(), std::memory_order_relaxed);
 }
 
-void FaultInjector::Disarm() {
-  enabled_.store(false, std::memory_order_relaxed);
-  {
-    common::MutexLock lock(mu_);
-    config_ = FaultConfig{};
-  }
-  ResetCounters();
-}
-
 FaultConfig FaultInjector::config() const {
   common::MutexLock lock(mu_);
   return config_;
-}
-
-Status FaultInjector::InitFromEnv() {
-  const char* spec = std::getenv("HNDP_FAULTS");
-  if (spec == nullptr || *spec == '\0') {
-    Disarm();
-    return Status::OK();
-  }
-  auto cfg = FaultConfig::Parse(spec);
-  if (!cfg.ok()) return cfg.status();
-  Configure(*cfg);
-  return Status::OK();
 }
 
 FaultInjector::SiteStats FaultInjector::Stats(FaultSite site) const {
@@ -335,14 +291,12 @@ void FaultInjector::ExportMetrics(obs::MetricsRegistry* reg) const {
 }
 
 ScopedFaultInjection::ScopedFaultInjection(const FaultConfig& cfg)
-    : prev_config_(FaultInjector::Global().config()),
-      prev_enabled_(FaultInjector::Enabled()) {
+    : prev_config_(FaultInjector::Global().config()) {
   FaultInjector::Global().Configure(cfg);
 }
 
 ScopedFaultInjection::ScopedFaultInjection(std::string_view spec)
-    : prev_config_(FaultInjector::Global().config()),
-      prev_enabled_(FaultInjector::Enabled()) {
+    : prev_config_(FaultInjector::Global().config()) {
   auto cfg = FaultConfig::Parse(spec);
   if (!cfg.ok()) {
     fprintf(stderr, "ScopedFaultInjection: %s\n",
@@ -353,11 +307,7 @@ ScopedFaultInjection::ScopedFaultInjection(std::string_view spec)
 }
 
 ScopedFaultInjection::~ScopedFaultInjection() {
-  if (prev_enabled_) {
-    FaultInjector::Global().Configure(prev_config_);
-  } else {
-    FaultInjector::Global().Disarm();
-  }
+  FaultInjector::Global().Configure(prev_config_);
 }
 
 }  // namespace hybridndp::sim

@@ -22,7 +22,8 @@
 //               | 'seed=' S       -- per-site PRNG seed (prob trigger)
 //   retry items = 'budget=' K     -- max retry attempts per error (default 3)
 //               | 'backoff=' DUR  -- first retry backoff, doubles (def 20us)
-//   DUR         = number with optional ns|us|ms suffix (default ns)
+//   N, S, K     = digits only;  P = finite number in [0, 1]
+//   DUR         = finite number >= 0, optional ns|us|ms suffix (default ns)
 //
 // Example: HNDP_FAULTS='device.exec:nth=2;sst.read:prob=0.3,seed=7'
 //
@@ -112,8 +113,9 @@ struct FaultConfig {
   static Result<FaultConfig> Parse(std::string_view spec);
 };
 
-/// Process-wide fault injector. Disarmed by default; armed explicitly via
-/// Configure (tests) or InitFromEnv (benches/CLI). All counters are atomics
+/// Process-wide fault injector. Disarmed by default; armed by Configure,
+/// which the benches call with the parsed HNDP_FAULTS spec and tests call
+/// through ScopedFaultInjection. All counters are atomics
 /// so concurrent strategy runs may evaluate sites in any order; decisions
 /// depend only on the per-site operation number each evaluation draws.
 class FaultInjector {
@@ -135,15 +137,9 @@ class FaultInjector {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Install `cfg` and reset all counters. Must not race with execution.
+  /// Install `cfg` and reset all counters; `Configure(FaultConfig{})`
+  /// disarms every site. Must not race with execution.
   void Configure(const FaultConfig& cfg);
-
-  /// Disarm every site (FaultCheck returns to the single-load fast path).
-  void Disarm();
-
-  /// Configure from the HNDP_FAULTS environment variable. Returns the parse
-  /// status (OK and disarmed when the variable is unset/empty).
-  Status InitFromEnv();
 
   /// Snapshot of the installed configuration (copied under the config
   /// mutex; a reference would escape the lock).
@@ -193,7 +189,7 @@ inline Status FaultCheck(FaultSite site, AccessContext* ctx) {
 }
 
 /// RAII: install a config on the global injector for one scope (tests),
-/// restoring the previous configuration (and armed state) on exit.
+/// re-installing the previous configuration on exit.
 class ScopedFaultInjection {
  public:
   explicit ScopedFaultInjection(const FaultConfig& cfg);
@@ -206,7 +202,6 @@ class ScopedFaultInjection {
 
  private:
   FaultConfig prev_config_;
-  bool prev_enabled_;
 };
 
 }  // namespace hybridndp::sim

@@ -1,4 +1,5 @@
-// Unit tests for src/common: status, slice, coding, hash, bloom, arena, rng.
+// Unit tests for src/common: status, slice, coding, hash, bloom, arena, rng,
+// number parsing.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "common/bloom.h"
 #include "common/coding.h"
 #include "common/hash.h"
+#include "common/parse.h"
 #include "common/random.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -229,6 +231,46 @@ TEST(RngTest, BernoulliExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.Bernoulli(0.0));
     EXPECT_TRUE(rng.Bernoulli(1.0));
+  }
+}
+
+TEST(ParseTest, AcceptsWholeNumbers) {
+  uint64_t u = 0;
+  EXPECT_TRUE(common::ParseUint64("0", &u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(common::ParseUint64("18446744073709551615", &u));
+  EXPECT_EQ(u, ~0ull);
+  int64_t i = 0;
+  EXPECT_TRUE(common::ParseInt64("-7", &i));
+  EXPECT_EQ(i, -7);
+  double d = 0;
+  EXPECT_TRUE(common::ParseDouble("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(common::ParseDouble("-1e-3", &d));
+  EXPECT_EQ(d, -1e-3);
+  EXPECT_TRUE(common::ParseDouble("3", &d));
+  EXPECT_EQ(d, 3.0);
+}
+
+TEST(ParseTest, RejectsMalformedText) {
+  // Unsigned input takes digits only; nothing is read as 0 or wraps.
+  for (const char* s : {"-1", "+1", " 1", "1 ", "1x", "",
+                        "18446744073709551616", "0x10", "1.5"}) {
+    uint64_t u = 99;
+    EXPECT_FALSE(common::ParseUint64(s, &u)) << '"' << s << '"';
+    EXPECT_EQ(u, 99u) << "out written on failure";
+  }
+  for (const char* s : {"+1", " 1", "1x", "", "-", "9223372036854775808"}) {
+    int64_t i = 99;
+    EXPECT_FALSE(common::ParseInt64(s, &i)) << '"' << s << '"';
+    EXPECT_EQ(i, 99);
+  }
+  // A double must be whole text and finite.
+  for (const char* s : {"inf", "-inf", "nan", "1e999", "-1e999", "", " 1",
+                        "1 ", "0.5x", "+0.5", "0x1p3"}) {
+    double d = 99;
+    EXPECT_FALSE(common::ParseDouble(s, &d)) << '"' << s << '"';
+    EXPECT_EQ(d, 99.0);
   }
 }
 

@@ -104,9 +104,10 @@ class ReadPathGoldenTest : public ::testing::Test {
 
   /// The reads both sides run: a full scan, a Seek plus five rows, and Gets
   /// that hit each component, hit a tombstone, miss inside a file's range
-  /// (with and without the bloom filter) and miss outside every range.
+  /// (past the bloom filter on the host, through the file on the device)
+  /// and miss outside every range.
   void RunReads(const std::function<IteratorPtr()>& new_iter,
-                const std::function<Status(const Slice&, bool, Slice*)>& get) {
+                const std::function<Status(const Slice&, Slice*)>& get) {
     auto iter = new_iter();
     int rows = 0;
     std::string concat;
@@ -129,20 +130,19 @@ class ReadPathGoldenTest : public ::testing::Test {
                                               "k123"}));
 
     Slice value;
-    ASSERT_TRUE(get("k305", true, &value).ok());
+    ASSERT_TRUE(get("k305", &value).ok());
     EXPECT_EQ(value, "mem-305");
-    ASSERT_TRUE(get("k010", true, &value).ok());
+    ASSERT_TRUE(get("k010", &value).ok());
     EXPECT_EQ(value, "mem-overwrite");
-    ASSERT_TRUE(get("k050", true, &value).ok());
+    ASSERT_TRUE(get("k050", &value).ok());
     EXPECT_EQ(value, "c1-overwrite");
-    ASSERT_TRUE(get("k210", true, &value).ok());
+    ASSERT_TRUE(get("k210", &value).ok());
     EXPECT_EQ(value, "c1-210");
-    ASSERT_TRUE(get("k100", true, &value).ok());
+    ASSERT_TRUE(get("k100", &value).ok());
     EXPECT_EQ(value, "c2-700");
-    EXPECT_TRUE(get("k120", true, &value).IsNotFound());
-    EXPECT_TRUE(get("k0505", true, &value).IsNotFound());
-    EXPECT_TRUE(get("k0505", false, &value).IsNotFound());
-    EXPECT_TRUE(get("k999", true, &value).IsNotFound());
+    EXPECT_TRUE(get("k120", &value).IsNotFound());
+    EXPECT_TRUE(get("k0505", &value).IsNotFound());
+    EXPECT_TRUE(get("k999", &value).IsNotFound());
   }
 
   HwParams hw_;
@@ -158,17 +158,13 @@ TEST_F(ReadPathGoldenTest, HostChargesArePinned) {
   opts.ctx = &ctx;
   opts.cache = &cache;
   RunReads([&] { return db_->NewIterator(opts, cf_); },
-           [&](const Slice& k, bool bloom, Slice* v) {
-             ReadOptions o = opts;
-             o.use_bloom = bloom;
-             return db_->Get(o, cf_, k, v);
-           });
+           [&](const Slice& k, Slice* v) { return db_->Get(opts, cf_, k, v); });
   ExpectCharges(ctx, cache,
-                Charges{{0, 1005, 8, 0, 16, 37725, 0, 0, 0, 2458, 0, 0, 0},
-                        {0, 1545934, 461536, 0, 615392, 303133975, 0, 0, 0,
+                Charges{{0, 991, 6, 0, 12, 21341, 0, 0, 0, 2458, 0, 0, 0},
+                        {0, 1524397, 346152, 0, 461544, 241224242, 0, 0, 0,
                          307250, 0, 0, 0},
-                        4,
-                        24});
+                        3,
+                        23});
 }
 
 TEST_F(ReadPathGoldenTest, DeviceChargesArePinned) {
@@ -186,16 +182,14 @@ TEST_F(ReadPathGoldenTest, DeviceChargesArePinned) {
       [&] {
         return NewSnapshotIterator(*snap.mem, snap.version, readers, opts);
       },
-      [&](const Slice& k, bool bloom, Slice* v) {
-        ReadOptions o = opts;
-        o.use_bloom = bloom;
-        return SnapshotGet(*snap.mem, snap.version, readers, o, k, v);
+      [&](const Slice& k, Slice* v) {
+        return SnapshotGet(*snap.mem, snap.version, readers, opts, k, v);
       });
   ExpectCharges(ctx, cache,
-                Charges{{0, 1005, 8, 0, 16, 70493, 0, 0, 0, 2458, 0, 0, 0},
-                        {0, 24107940, 7196400, 0, 9595200, 109021120, 0, 0,
+                Charges{{0, 1002, 9, 0, 18, 70493, 0, 0, 0, 2458, 0, 0, 0},
+                        {0, 24035976, 8095950, 0, 10794600, 109021120, 0, 0,
                          0, 3072500, 0, 0, 0},
-                        4,
+                        5,
                         26});
 }
 

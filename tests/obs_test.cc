@@ -162,7 +162,7 @@ TEST(TraceRecorderTest, GapFillIgnoresOtherTracks) {
 
 TEST(TraceRecorderTest, ChromeJsonShape) {
   TraceRecorder rec;
-  const int t = rec.NewTrack("NATIVE [host]", /*sort_index=*/3);
+  const int t = rec.NewTrack("NATIVE [host]");
   rec.Span(t, "processing", "processing", 0, 2'000'000,
            {TraceArg::Num("rows", uint64_t{12}),
             TraceArg::Str("note", "a\"b")});
