@@ -79,7 +79,7 @@ struct BenchEnv {
 
   std::unique_ptr<hybrid::Planner> planner;
   std::unique_ptr<hybrid::HybridExecutor> executor;
-  /// Worker pool for fanning independent strategy runs (HNDP_THREADS).
+  /// Thread budget for fanning independent strategy runs (HNDP_THREADS).
   std::unique_ptr<common::ThreadPool> pool;
 
   /// Simulated-timeline recorder, created when HNDP_TRACE=<path> is set;
@@ -195,7 +195,7 @@ inline Result<hybrid::RunResult> RunChoice(BenchEnv* env,
   return env->executor->Run(plan, choice, &cache, env->trace.get());
 }
 
-/// Run one query under many choices, fanned over the env's worker pool.
+/// Run one query under many choices, fanned over the env's thread budget.
 /// Every run gets its own fresh host cache (cold-start semantics, same as
 /// RunChoice); results come back in choice order.
 inline std::vector<Result<hybrid::RunResult>> RunAllChoices(

@@ -40,7 +40,7 @@ int main() {
       continue;
     }
     // All strategies of one query are independent cold-start runs: fan them
-    // over the worker pool (choice order: BLK, NATIVE, H0..H(n-2), NDP).
+    // over RunAll's claimers (choice order: BLK, NATIVE, H0..H(n-2), NDP).
     const std::vector<ExecChoice> choices =
         hybrid::HybridExecutor::AllChoices(*plan);
     auto results = RunAllChoices(env.get(), *plan, choices);

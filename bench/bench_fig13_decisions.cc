@@ -37,7 +37,7 @@ int main() {
     if (!plan.ok()) continue;
 
     // Oracle sweep: every candidate is an independent cold-start run, so
-    // fan them all over the worker pool at once.
+    // fan them all over RunAll's claimer threads at once.
     std::vector<ExecChoice> candidates = {{Strategy::kHostBlk, 0},
                                           {Strategy::kFullNdp, 0}};
     for (int k = 0; k <= plan->num_tables() - 2; ++k) {

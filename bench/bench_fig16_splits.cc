@@ -29,7 +29,7 @@ int main() {
   PrintRule();
 
   // All split positions are independent cold-start runs: execute the whole
-  // sweep over the worker pool and print in position order.
+  // sweep over RunAll's claimers and print in position order.
   std::vector<ExecChoice> choices = {{Strategy::kHostBlk, 0}};
   std::vector<std::string> names = {"block-only"};
   for (int k = 0; k <= plan->num_tables() - 2; ++k) {

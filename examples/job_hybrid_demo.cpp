@@ -5,13 +5,14 @@
 //   ./build/examples/job_hybrid_demo [group] [variant] [scale]
 //   ./build/examples/job_hybrid_demo 17 b 0.001
 //
-// HNDP_THREADS sets the size of the pool the strategies run on (default:
-// the hardware's thread count); the output is the same at any size.
+// HNDP_THREADS sets the thread budget the strategies run on (default: the
+// hardware's thread count), read and clamped to [1, 1024] as the benches
+// read it; the output is the same at any size.
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
+#include "bench/bench_common.h"
 #include "common/parse.h"
 #include "common/thread_pool.h"
 #include "hybrid/executor.h"
@@ -20,26 +21,6 @@
 #include "job/queries.h"
 
 using namespace hybridndp;
-
-namespace {
-
-/// Pool size from HNDP_THREADS: a whole number from 1 to 1024. Anything else
-/// is rejected with a note on stderr, and the hardware default is used.
-int PoolThreads() {
-  const int fallback = common::ThreadPool::DefaultThreads();
-  const char* s = std::getenv("HNDP_THREADS");
-  if (s == nullptr || *s == '\0') return fallback;
-  uint64_t v = 0;
-  if (!common::ParseUint64(s, &v) || v < 1 || v > 1024) {
-    fprintf(stderr,
-            "# ignoring HNDP_THREADS=\"%s\": expected 1..1024, using %d\n", s,
-            fallback);
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   uint64_t group = 8;
@@ -98,9 +79,10 @@ int main(int argc, char** argv) {
   hybrid::HybridExecutor executor(&catalog, &storage, &hw, cfg);
   printf("%-14s %12s %12s %14s %12s\n", "strategy", "total ms", "waits ms",
          "interm. rows", "batches");
-  // All strategies are independent cold-start runs; fan them over a worker
-  // pool (each with its own fresh cache) and print in choice order.
-  common::ThreadPool pool(PoolThreads());
+  // All strategies are independent cold-start runs; fan them over the
+  // thread budget (each with its own fresh cache) and print in choice order.
+  common::ThreadPool pool(bench::EnvThreads(
+      "HNDP_THREADS", common::ThreadPool::DefaultThreads()));
   const uint64_t cache_bytes = storage.TotalBytes() * 2 / 5;
   const auto choices = hybrid::HybridExecutor::AllChoices(*plan);
   auto results = executor.RunAll(*plan, choices, &pool, [cache_bytes] {

@@ -1,14 +1,12 @@
-// Annotated mutex / scoped-lock / condition-variable wrappers over the
-// standard library primitives. std::mutex and std::lock_guard carry no
-// thread-safety attributes (libstdc++ ships none), so clang's analysis
-// cannot see acquisitions made through them; these wrappers are the
-// annotated boundary every shared-state class in the codebase locks
-// through. Zero overhead: each method is an inline forward to the wrapped
-// std primitive.
+// Annotated mutex / scoped-lock wrappers over the standard library
+// primitives. std::mutex and std::lock_guard carry no thread-safety
+// attributes (libstdc++ ships none), so clang's analysis cannot see
+// acquisitions made through them; these wrappers are the annotated boundary
+// every shared-state class in the codebase locks through. Zero overhead:
+// each method is an inline forward to the wrapped std primitive.
 
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -31,7 +29,6 @@ class CAPABILITY("mutex") Mutex {
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -46,32 +43,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable bound to common::Mutex. Wait releases and reacquires
-/// the mutex like std::condition_variable; the REQUIRES annotation makes a
-/// wait without the lock held a compile error under clang.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    cv_.wait(lk);
-    lk.release();  // ownership stays with the caller's MutexLock
-  }
-
-  // No predicate overload on purpose: a lambda runs outside the analysis
-  // scope, so guarded reads inside it would need suppressions. Use the
-  // `while (!cond) cv.Wait(mu);` form — clang analyzes the loop body.
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace hybridndp::common

@@ -1,50 +1,11 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <thread>
 
 namespace hybridndp::common {
 
-ThreadPool::ThreadPool(int num_threads) {
-  const int n = std::max(1, num_threads);
-  workers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::packaged_task<void()> task;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) cv_.Wait(mu_);
-      if (queue_.empty()) return;  // stop_ set and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
-  {
-    MutexLock lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.NotifyOne();
-  return future;
-}
+ThreadPool::ThreadPool(int num_threads) : size_(std::max(1, num_threads)) {}
 
 int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();

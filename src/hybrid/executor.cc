@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -387,10 +386,10 @@ std::vector<Result<RunResult>> HybridExecutor::RunAll(
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) { return rank(a) < rank(b); });
 
-  // Claimers: one task per pool thread, the calling thread and
-  // pool->size() - 1 threads started and joined here. Each claims the next
-  // run and runs it whole; one with nothing left to claim returns. Every
-  // result slot is written by one claimer and read only after the joins.
+  // Claimers: the calling thread and n - 1 threads started and joined
+  // here, never more than there are runs. Each claims the next run and runs
+  // it whole; one with nothing left to claim returns. Every result slot is
+  // written by one claimer and read only after the joins.
   std::atomic<size_t> next{0};
   auto claimer = [&] {
     for (size_t j = next.fetch_add(1); j < order.size();
@@ -398,13 +397,12 @@ std::vector<Result<RunResult>> HybridExecutor::RunAll(
       run_one(order[j]);
     }
   };
-  std::vector<std::future<void>> tasks;
-  for (int t = 0; t < pool->size(); ++t) tasks.push_back(pool->Submit(claimer));
+  const size_t n = std::min(2 * static_cast<size_t>(pool->size()),
+                            choices.size());
   std::vector<std::thread> helpers;
-  for (int t = 1; t < pool->size(); ++t) helpers.emplace_back(claimer);
+  for (size_t t = 1; t < n; ++t) helpers.emplace_back(claimer);
   claimer();
   for (std::thread& t : helpers) t.join();
-  for (std::future<void>& f : tasks) f.get();
   return results;
 }
 

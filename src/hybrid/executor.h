@@ -82,11 +82,12 @@ class HybridExecutor {
 
   /// Run `plan` under every choice in `choices`: in choice order on the
   /// calling thread when pool is null or has one thread, else from one
-  /// claim list. The claimers are one task per pool thread, the calling
-  /// thread and pool->size() - 1 threads started and joined by this call,
-  /// so at most 2 x pool size threads work on it. Each claims the next
-  /// choice, heaviest expected first (full NDP, then Hk from the deepest
-  /// split down to H0, then BLK and NATIVE), and runs it whole with Run.
+  /// claim list. The pool is only a thread budget: n = min(2 x pool size,
+  /// choices.size()) claimers work on the list, the calling thread and
+  /// n - 1 threads this call starts and joins before it returns. Each
+  /// claims the next choice, heaviest expected first (full NDP, then Hk
+  /// from the deepest split down to H0, then BLK and NATIVE), and runs it
+  /// whole with Run.
   /// The runs are independent simulations — each gets its own
   /// AccessContext, cache and operator tree, and they share the read-only
   /// `plan` — so the simulated metrics are bit-identical to running the

@@ -99,11 +99,7 @@ Status DB::MaybeFlush(ColumnFamily* cf) {
     return Status::OK();
   }
   // C0 full: flush it inline (single-threaded engine, no background jobs).
-  // A fresh MemTable replaces it only once the flush succeeded; a failed
-  // flush keeps every row in C0, and the next write retries it.
-  HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *cf->mem));
-  cf->mem = std::make_unique<MemTable>();
-  return MaybeCompact(cf);
+  return Flush(cf->id);
 }
 
 Status DB::FlushMemTable(ColumnFamily* cf, const MemTable& mem) {
@@ -124,6 +120,8 @@ Status DB::FlushMemTable(ColumnFamily* cf, const MemTable& mem) {
 Status DB::Flush(ColumnFamilyId cf_id) {
   if (cf_id >= cfs_.size()) return Status::InvalidArgument("bad cf");
   ColumnFamily* cf = cfs_[cf_id].get();
+  // A fresh MemTable replaces C0 only once the flush succeeded; a failed
+  // flush keeps every row in C0, and the next write retries it.
   if (!cf->mem->empty()) {
     HNDP_RETURN_IF_ERROR(FlushMemTable(cf, *cf->mem));
     cf->mem = std::make_unique<MemTable>();

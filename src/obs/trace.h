@@ -15,7 +15,7 @@
 // that is nullptr unless the user asked for a trace (HNDP_TRACE). Disabled
 // runs execute the exact same simulation statements — recording only ever
 // *reads* simulated clocks — so simulated metrics are bit-identical with
-// tracing on, off, or attached concurrently from a thread pool.
+// tracing on, off, or attached concurrently from RunAll's claimer threads.
 
 #pragma once
 
@@ -52,8 +52,8 @@ struct TraceSpan {
 };
 
 /// Thread-safe trace collector + embedded metrics registry. One recorder
-/// per bench/tool invocation; strategy runs fanned over a ThreadPool append
-/// to it concurrently.
+/// per bench/tool invocation; strategy runs fanned over RunAll's claimer
+/// threads append to it concurrently.
 class TraceRecorder {
  public:
   /// Register a named track (rendered as one Perfetto thread, ordered by

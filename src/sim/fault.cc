@@ -165,6 +165,15 @@ Result<FaultConfig> FaultConfig::Parse(std::string_view spec) {
     if (!p.armed()) {
       return BadSpec("clause has no trigger (nth=/prob=/always)", clause);
     }
+    if (p.stall_ns > kMaxCheckDelayNs) {
+      return BadSpec("stall above one simulated hour", clause);
+    }
+  }
+  // After every clause: `retry:` may come before or after the sites.
+  if (cfg.backoff_ns * (std::ldexp(1.0, cfg.retry_budget) - 1) >
+      kMaxCheckDelayNs) {
+    return BadSpec("retry backoff x (2^budget - 1) above one simulated hour",
+                   spec);
   }
   return cfg;
 }

@@ -25,6 +25,11 @@
 //   N, S, K     = digits only;  P = finite number in [0, 1]
 //   DUR         = finite number >= 0, optional ns|us|ms suffix (default ns)
 //
+// One check may delay the simulated clock by at most one simulated hour
+// (FaultConfig::kMaxCheckDelayNs): a spec whose stall, or whose worst-case
+// retry wait backoff x (2^budget - 1), exceeds it is rejected, so no spec
+// can overflow the picosecond clock.
+//
 // Example: HNDP_FAULTS='device.exec:nth=2;sst.read:prob=0.3,seed=7'
 //
 // Semantics of one FaultCheck(site, ctx):
@@ -101,6 +106,10 @@ struct FaultConfig {
   int retry_budget = 3;
   /// Simulated backoff charged before the first retry; doubles per attempt.
   SimNanos backoff_ns = 20'000;
+
+  /// Bound on the simulated delay of one check: a stall, or the whole retry
+  /// loop's backoff_ns x (2^retry_budget - 1). Parse rejects specs above it.
+  static constexpr SimNanos kMaxCheckDelayNs = 3600e9;  // one hour
 
   bool any_armed() const {
     for (const auto& p : sites) {

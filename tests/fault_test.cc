@@ -97,6 +97,14 @@ TEST(FaultSpecTest, DurationSuffixes) {
   EXPECT_DOUBLE_EQ(cfg->backoff_ns, 40.0);  // bare number = ns
 }
 
+TEST(FaultSpecTest, AcceptsDelaysUpToOneSimulatedHour) {
+  for (const char* spec : {"retry:budget=20", "retry:budget=27",
+                           "coop.slot:always,stall=3600000ms",
+                           "retry:backoff=0,budget=1000"}) {
+    EXPECT_TRUE(FaultConfig::Parse(spec).ok()) << "rejected: " << spec;
+  }
+}
+
 TEST(FaultSpecTest, EmptySpecDisarmsEverything) {
   auto cfg = FaultConfig::Parse("");
   ASSERT_TRUE(cfg.ok());
@@ -123,6 +131,15 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
       "coop.slot:always,stall=nan",
       "retry:backoff=inf",
       "retry:backoff=nan",
+      // One check may delay the clock by at most one simulated hour.
+      "coop.slot:always,stall=1e300",
+      "coop.slot:always;retry:budget=1000",
+      "retry:budget=40",
+      "retry:budget=28",  // 20us x (2^28 - 1) is about 5369 s
+      "coop.slot:always,stall=3600001ms",
+      "retry:budget=20,backoff=4ms",  // 4ms x (2^20 - 1) is about 4194 s
+      "retry:budget=20;retry:backoff=4ms",  // checked after every clause
+      "retry:backoff=4ms;retry:budget=20",
   };
   for (const char* spec : bad) {
     auto cfg = FaultConfig::Parse(spec);
